@@ -13,12 +13,12 @@ quadrature,
 with 2D conventions curl v = dx v2 - dy v1, curl of a scalar
 th = (dy th, -dx th), and a x b = a1 b2 - a2 b1.
 
-Cells are processed in fixed-size chunks and merged in cell order into
-COO triplets.  :class:`CSRPattern` turns them into CSR itself: each
-entry is the left-to-right sum of its contributions in triplet order,
-whatever else shares its row.  Repeated assemblies of identical inputs
-are therefore bit-identical, and blocks built from the same floats in
-transposed placement are exact transposes.
+Cells are visited in the fixed chunks of one :class:`CellQuadrature`
+and merged in cell order into COO triplets.  :class:`CSRPattern` turns
+them into CSR itself: each entry is the left-to-right sum of its
+contributions in triplet order, whatever else shares its row.  Repeated
+assemblies of identical inputs are therefore bit-identical, and blocks
+built from the same floats in transposed placement are exact transposes.
 """
 
 from __future__ import annotations
@@ -28,12 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import geometry_arrays
 from .ordering import dof_support_centroids, nested_dissection
-from .quadrature import physical_points, quadrature
-from .spaces import DiscreteField, FunctionSpace, boundary_values, chunk_dirs, eval_field, physical_gradients, tabulate
-
-CHUNK = 512
+from .quadrature import CellQuadrature
+from .spaces import DiscreteField, FunctionSpace, boundary_values, chunk_dirs, physical_gradients, tabulate
 
 
 @dataclass
@@ -44,9 +41,7 @@ class ProblemCoefficients:
     map to arrays with a trailing component axis.  ``grad_nu`` is the
     analytic viscosity gradient (None means identically zero); supplying
     it as data avoids differentiation noise in the viscosity-gradient
-    terms.  ``kappa1`` must stay in (0, 2/3 nu0]; the upper end is
-    admissible because the ellipticity margin kappa1 - 3 kappa1^2 / (4 nu0)
-    is still nu0 / 3 there.
+    terms.  The bounds are those of :func:`check_weights`.
     """
 
     nu: callable
@@ -66,17 +61,25 @@ class ProblemCoefficients:
             self.check_bounds()
 
     def check_bounds(self):
-        if not (0.0 < self.nu0 <= self.nu1):
-            raise ValueError(f"viscosity bounds must satisfy 0 < nu0 <= nu1, got ({self.nu0}, {self.nu1})")
         if not (0.0 < self.sigma0 <= self.sigma1):
             raise ValueError(f"sigma bounds must satisfy 0 < sigma0 <= sigma1, got ({self.sigma0}, {self.sigma1})")
-        limit = (2.0 / 3.0) * self.nu0
-        if not (0.0 < self.kappa1 <= limit * (1.0 + 1e-12)):
-            raise ValueError(
-                f"kappa1 = {self.kappa1} outside the admissible interval (0, {limit}] = (0, 2/3 nu0]"
-            )
-        if self.kappa2 <= 0.0:
-            raise ValueError(f"kappa2 must be positive, got {self.kappa2}")
+        check_weights(self.nu0, self.nu1, self.kappa1, self.kappa2)
+
+
+def check_weights(nu0: float, nu1: float, kappa1: float, kappa2: float):
+    """Reject viscosity bounds and augmentation weights outside
+    0 < nu0 <= nu1, kappa1 in (0, 2/3 nu0] and kappa2 > 0.
+
+    The upper end of kappa1 is admissible because the ellipticity margin
+    kappa1 - 3 kappa1^2 / (4 nu0) is still nu0 / 3 there.
+    """
+    if not (0.0 < nu0 <= nu1):
+        raise ValueError(f"viscosity bounds must satisfy 0 < nu0 <= nu1, got ({nu0}, {nu1})")
+    limit = (2.0 / 3.0) * nu0
+    if not (0.0 < kappa1 <= limit * (1.0 + 1e-12)):
+        raise ValueError(f"kappa1 = {kappa1} outside the admissible interval (0, {limit}] = (0, 2/3 nu0]")
+    if kappa2 <= 0.0:
+        raise ValueError(f"kappa2 must be positive, got {kappa2}")
 
 
 @dataclass(eq=False)
@@ -175,6 +178,48 @@ def _check_spaces(spaces):
     return V, W, Q
 
 
+def _local_triplets(rows_map, cols_map, local):
+    """COO triplets of the local matrices ``local`` (nc, na, nb) placed at
+    the global ``rows_map`` (nc, na) x ``cols_map`` (nc, nb)."""
+    na, nb = local.shape[1], local.shape[2]
+    return np.repeat(rows_map, nb, axis=1).ravel(), np.tile(cols_map, (1, na)).ravel(), local.ravel()
+
+
+def _velocity_arrays(tab_v, cells, inv):
+    """Physical values V, gradients G, curl and div of the velocity basis."""
+    dirs = chunk_dirs(tab_v, cells)
+    vals = np.einsum("bq,cbi->cbqi", tab_v.shapes, np.broadcast_to(dirs, (len(cells),) + dirs.shape[1:]))
+    grads = np.einsum("cbqj,cbi->cbqij", physical_gradients(tab_v, inv), dirs)
+    curl = grads[..., 1, 0] - grads[..., 0, 1]
+    div = grads[..., 0, 0] + grads[..., 1, 1]
+    return vals, grads, curl, div
+
+
+def gram_matrix(spaces, quad: CellQuadrature) -> sp.csr_matrix:
+    """Gram matrix of the combined velocity/vorticity norm.
+
+    For stacked coefficients [u | w], coef' G coef equals
+    ||u||^2 + ||curl u||^2 + ||div u||^2 + ||w||^2.
+    """
+    V, W, _ = spaces
+    tab_v = tabulate(V, quad.rule.points)
+    wvals = tabulate(W, quad.rule.points).shapes
+    triplets = ([], [], [])
+    for cells, wdet, _, inv in quad.chunks():
+        vv, _, curl, div = _velocity_arrays(tab_v, cells, inv)
+        local_u = (
+            np.einsum("cq,caqi,cbqi->cab", wdet, vv, vv, optimize=True)
+            + np.einsum("cq,caq,cbq->cab", wdet, curl, curl, optimize=True)
+            + np.einsum("cq,caq,cbq->cab", wdet, div, div, optimize=True)
+        )
+        local_w = np.einsum("cq,aq,bq->cab", wdet, wvals, wvals, optimize=True)
+        for local, dofs in ((local_u, V.cell_dofs[cells]), (local_w, W.cell_dofs[cells] + V.n_dofs)):
+            for acc, arr in zip(triplets, _local_triplets(dofs, dofs, local)):
+                acc.append(arr)
+    n = V.n_dofs + W.n_dofs
+    return triplets_to_csr(*(np.concatenate(t) for t in triplets), (n, n))
+
+
 class SystemAssembler:
     """Chunked cellwise assembler with a cached advection-independent part.
 
@@ -190,10 +235,10 @@ class SystemAssembler:
         if coeffs.validate:  # guards against post-construction mutation
             coeffs.check_bounds()
         self.coeffs = coeffs
-        self.rule = quadrature(default_quad_degree(self.V) if quad_degree is None else quad_degree)
-        mesh = self.V.mesh
-        self.mesh = mesh
-        self.jac, self.inv, self.det = geometry_arrays(mesh)
+        self.mesh = self.V.mesh
+        degree = default_quad_degree(self.V) if quad_degree is None else quad_degree
+        self.quad = CellQuadrature(self.mesh, degree)
+        self.rule = self.quad.rule
         self.tab_v = tabulate(self.V, self.rule.points)
         self.tab_w = tabulate(self.W, self.rule.points)
         self.tab_q = tabulate(self.Q, self.rule.points)
@@ -203,34 +248,6 @@ class SystemAssembler:
         self._ordering = None
         self._conv_keys = None
         self._patterns: dict[tuple, tuple[list, CSRPattern]] = {}
-
-    # ---------------------------------------------------------- chunk helpers
-
-    def _chunks(self):
-        nc = self.mesh.n_cells
-        for c0 in range(0, nc, CHUNK):
-            yield np.arange(c0, min(c0 + CHUNK, nc))
-
-    def _geometry(self, cells):
-        wdet = self.rule.weights[None, :] * self.det[cells, None]
-        xq = physical_points(self.rule, self.jac[cells], self.mesh.vertices[self.mesh.cells[cells, 0]])
-        return wdet, xq
-
-    def _velocity_arrays(self, cells, derivatives: bool = True):
-        """Physical values V, gradients G, curl and div of the velocity basis."""
-        dirs = chunk_dirs(self.tab_v, cells)
-        vals = np.einsum(
-            "bq,cbi->cbqi",
-            self.tab_v.shapes,
-            np.broadcast_to(dirs, (len(cells),) + dirs.shape[1:]),
-        )
-        dphys = physical_gradients(self.tab_v, self.inv[cells])
-        grads = np.einsum("cbqj,cbi->cbqij", dphys, dirs)
-        if not derivatives:
-            return vals, grads, None, None
-        curl = grads[..., 1, 0] - grads[..., 0, 1]
-        div = grads[..., 0, 0] + grads[..., 1, 1]
-        return vals, grads, curl, div
 
     def _coefficient_samples(self, xq):
         c = self.coeffs
@@ -257,26 +274,21 @@ class SystemAssembler:
         cd_u = self.V.cell_dofs
         cd_w = self.W.cell_dofs + o[1]
         cd_q = self.Q.cell_dofs + o[2]
-        terms: dict[str, list] = {}
+        terms: dict[str, tuple] = {}
         rhs = np.zeros(o[4])
         pmass = np.zeros(self.Q.n_dofs)
 
         def add(name, rows_map, cols_map, local):
-            na, nb = local.shape[1], local.shape[2]
-            rows = np.repeat(rows_map, nb, axis=1).ravel()
-            cols = np.tile(cols_map, (1, na)).ravel()
-            terms.setdefault(name, [[], [], []])
-            terms[name][0].append(rows)
-            terms[name][1].append(cols)
-            terms[name][2].append(local.ravel())
+            lists = terms.setdefault(name, ([], [], []))
+            for acc, arr in zip(lists, _local_triplets(rows_map, cols_map, local)):
+                acc.append(arr)
 
         wvals = self.tab_w.shapes  # vorticity/pressure bases are affine-invariant
         pvals = self.tab_q.shapes
-        for cells in self._chunks():
-            wdet, xq = self._geometry(cells)
+        for cells, wdet, xq, inv in self.quad.chunks():
             nu, sig, gnu = self._coefficient_samples(xq)
             fq = np.asarray(self.coeffs.f(xq[..., 0], xq[..., 1]), dtype=float)
-            vv, gv, curl, div = self._velocity_arrays(cells)
+            vv, gv, curl, div = _velocity_arrays(self.tab_v, cells, inv)
             ru, rw, rq = cd_u[cells], cd_w[cells], cd_q[cells]
 
             add("uu_sigma", ru, ru, np.einsum("cq,caqi,cbqi->cab", wdet * sig, vv, vv, optimize=True))
@@ -289,15 +301,9 @@ class SystemAssembler:
                     np.einsum("cbqij,cqj->cbqi", gv, gnu, optimize=True)
                     + np.einsum("cbqji,cqj->cbqi", gv, gnu, optimize=True)
                 )
-                add(
-                    "uu_gradnu",
-                    ru,
-                    ru,
-                    -2.0 * np.einsum("cq,cbqi,caqi->cab", wdet, eps_gnu, vv, optimize=True),
-                )
-                cross = np.einsum("cq,caq->caq", gnu[..., 0], vv[..., 1]) - np.einsum(
-                    "cq,caq->caq", gnu[..., 1], vv[..., 0]
-                )
+                local = -2.0 * np.einsum("cq,cbqi,caqi->cab", wdet, eps_gnu, vv, optimize=True)
+                add("uu_gradnu", ru, ru, local)
+                cross = gnu[:, None, :, 0] * vv[..., 1] - gnu[:, None, :, 1] * vv[..., 0]
                 add("uw_gradnu", ru, rw, np.einsum("cq,caq,bq->cab", wdet, cross, wvals, optimize=True))
 
             coupling = np.einsum("cq,caq,bq->cab", wdet * nu, curl, wvals, optimize=True)
@@ -326,41 +332,34 @@ class SystemAssembler:
         self._linear = (coo, rhs)
         return self._linear
 
-    def _convection(self, beta: DiscreteField, dual: bool = False, pair: bool = False):
-        """COO triplets of ((beta . grad) u, v); with ``dual``, of the
-        Newton derivative block ((v . grad) beta, w); with ``pair``, both
-        at once sharing the tabulation work.  The (read-only) rows and
-        columns are the same arrays on every call."""
+    def _convection(self, beta: DiscreteField, newton: bool = False):
+        """COO triplets (rows, cols, vals) of ((beta . grad) u, v).  With
+        ``newton``, also the values of the block differentiated in its
+        advecting argument, ((u . grad) beta, v), on the same keys:
+        (rows, cols, vals, dual).  The (read-only) rows and columns are the
+        same arrays on every call."""
         if beta.space is not self.V and beta.space.n_dofs != self.V.n_dofs:
             raise ValueError("advecting field must live on the velocity space")
         vals, dual_vals = [], []
         cd_u = self.V.cell_dofs
-        want_direct = pair or not dual
-        want_dual = pair or dual
-        for cells in self._chunks():
-            wdet, _ = self._geometry(cells)
-            vv, gv, _, _ = self._velocity_arrays(cells, derivatives=False)
+        for cells, wdet, _, inv in self.quad.chunks():
+            vv, gv, _, _ = _velocity_arrays(self.tab_v, cells, inv)
             coefs = beta.coefficients[cd_u[cells]]
             bv = np.einsum("cb,cbqi->cqi", coefs, vv, optimize=True)
-            if want_direct:
-                wbv = wdet[..., None] * bv
-                local = np.einsum("cqj,cbqij,caqi->cab", wbv, gv, vv, optimize=True)
-                vals.append(local.ravel())
-            if want_dual:
+            wbv = wdet[..., None] * bv
+            vals.append(np.einsum("cqj,cbqij,caqi->cab", wbv, gv, vv, optimize=True).ravel())
+            if newton:
                 gb = np.einsum("cb,cbqij->cqij", coefs, gv, optimize=True)
                 wgb = wdet[..., None, None] * gb
-                local = np.einsum("cqij,cbqj,caqi->cab", wgb, vv, vv, optimize=True)
-                dual_vals.append(local.ravel())
+                dual_vals.append(np.einsum("cqij,cbqj,caqi->cab", wgb, vv, vv, optimize=True).ravel())
         if self._conv_keys is None:
             na = cd_u.shape[1]
-            self._conv_keys = (
-                _frozen(np.repeat(cd_u, na, axis=1).ravel()),
-                _frozen(np.tile(cd_u, (1, na)).ravel()),
-            )
+            rows, cols = np.repeat(cd_u, na, axis=1).ravel(), np.tile(cd_u, (1, na)).ravel()
+            self._conv_keys = (_frozen(rows), _frozen(cols))
         rows, cols = self._conv_keys
-        if pair:
+        if newton:
             return rows, cols, np.concatenate(vals), np.concatenate(dual_vals)
-        return rows, cols, np.concatenate(vals if not dual else dual_vals)
+        return rows, cols, np.concatenate(vals)
 
     def _elimination_order(self, matrix: sp.csr_matrix) -> np.ndarray:
         """Nested-dissection DOF order, multiplier last (it couples globally)."""
@@ -374,17 +373,13 @@ class SystemAssembler:
             self._ordering = nested_dissection(matrix, coords, last=np.array([o[3]]))
         return self._ordering
 
-    def oseen(
-        self,
-        beta: DiscreteField | None = None,
-        pressure_target: float = 0.0,
-        keep_parts: bool = False,
-        conv_triplets=None,
-    ) -> AssembledSystem:
+    def oseen(self, beta: DiscreteField | None = None, pressure_target: float = 0.0, keep_parts: bool = False,
+              conv_triplets=None) -> AssembledSystem:
         """Assemble the linearised system with frozen advecting field ``beta``.
 
         ``conv_triplets`` short-circuits the convection assembly with
-        precomputed COO data (solver loops reuse the paired pass).
+        precomputed COO data (the solver loop passes those of its own
+        convection pass).
         """
         coo, rhs = self._ensure_linear()
         n = self.block_index[4]
@@ -393,37 +388,41 @@ class SystemAssembler:
             parts_coo["uu_conv"] = conv_triplets
         elif beta is not None:
             parts_coo["uu_conv"] = self._convection(beta)
-        matrix = self._to_csr(tuple(parts_coo), list(parts_coo.values()), n)
+        matrix = self._to_csr(parts_coo)
         full_rhs = rhs.copy()
         full_rhs[-1] = pressure_target
         parts = None
         if keep_parts:
             parts = {name: triplets_to_csr(r, c, v, (n, n)) for name, (r, c, v) in parts_coo.items()}
-        return AssembledSystem(
-            matrix, full_rhs, self.block_index, parts=parts,
-            ordering=self._elimination_order(matrix),
-        )
+        ordering = self._elimination_order(matrix)
+        return AssembledSystem(matrix, full_rhs, self.block_index, parts=parts, ordering=ordering)
 
-    def _to_csr(self, name: tuple, triplets: list, n: int) -> sp.csr_matrix:
-        """Canonical n x n CSR of the concatenated ``triplets``.
+    def _to_csr(self, parts: dict) -> sp.csr_matrix:
+        """Canonical CSR of the concatenated triplets of ``parts``.
 
-        The pattern cached under ``name`` is reused while the triplets'
-        rows and columns match it, and rebuilt when they do not.
+        The pattern cached under the part names is reused while the
+        triplets' rows and columns match it, and rebuilt when they do not.
         """
-        keys = [k for r, c, _ in triplets for k in (r, c)]
-        cached = self._patterns.get(name)
+        keys = [k for r, c, _ in parts.values() for k in (r, c)]
+        cached = self._patterns.get(tuple(parts))
         if cached is None or len(keys) != len(cached[0]) or not all(map(_same_keys, keys, cached[0])):
+            n = self.block_index[4]
             pattern = CSRPattern(np.concatenate(keys[0::2]), np.concatenate(keys[1::2]), (n, n))
             # writeable keys may change in place later: compare against copies
             kept = [k if not k.flags.writeable else _frozen(k.copy()) for k in keys]
-            cached = self._patterns[name] = (kept, pattern)
-        return cached[1].csr(np.concatenate([v for _, _, v in triplets]))
+            cached = self._patterns[tuple(parts)] = (kept, pattern)
+        return cached[1].csr(np.concatenate([v for _, _, v in parts.values()]))
 
-    def jacobian(self, system: AssembledSystem, dual_triplets) -> sp.csr_matrix:
-        """Newton matrix: the Oseen matrix at beta = u_h plus the
-        convection block differentiated in its advecting argument, given
-        as the COO ``dual_triplets`` of ``_convection(..., dual=True)``."""
-        return system.matrix + self._to_csr(("uu_dual",), [dual_triplets], system.n)
+    def jacobian(self, conv_triplets) -> sp.csr_matrix:
+        """Newton matrix at beta = u_h, on the Oseen pattern.
+
+        ``conv_triplets`` is (rows, cols, direct, dual) from
+        ``_convection(u_h, newton=True)``.  Each convection triplet carries
+        direct + dual, the convection block plus its derivative in the
+        advecting argument, so the matrix has the Oseen matrix's sparsity.
+        """
+        rows, cols, direct, dual = conv_triplets
+        return self._to_csr(dict(self._ensure_linear()[0], uu_conv=(rows, cols, direct + dual)))
 
     def newton_system(self, state: np.ndarray, pressure_target: float = 0.0):
         """Jacobian and residual of the nonlinear map at ``state``.
@@ -437,40 +436,16 @@ class SystemAssembler:
         state = np.asarray(state, dtype=float)
         if state.shape != (self.block_index[4],):
             raise ValueError("state vector does not match the system size")
-        u_field = DiscreteField(self.V, state[: self.block_index[1]])
-        system = self.oseen(beta=u_field, pressure_target=pressure_target)
+        conv = self._convection(DiscreteField(self.V, state[: self.block_index[1]]), newton=True)
+        system = self.oseen(conv_triplets=conv[:3], pressure_target=pressure_target)
         residual = system.rhs - system.matrix @ state
         residual[self.V.dirichlet_dofs] = 0.0
-        jac = self.jacobian(system, self._convection(u_field, dual=True))
-        return AssembledSystem(jac, system.rhs, self.block_index, ordering=system.ordering), residual
+        jac = AssembledSystem(self.jacobian(conv), system.rhs, self.block_index, ordering=system.ordering)
+        return jac, residual
 
     def gram_x(self) -> sp.csr_matrix:
-        """Gram matrix of the combined velocity/vorticity norm.
-
-        For stacked coefficients [u | w], coef' G coef equals
-        ||u||^2 + ||curl u||^2 + ||div u||^2 + ||w||^2.
-        """
-        o = self.block_index
-        cd_u = self.V.cell_dofs
-        cd_w = self.W.cell_dofs + o[1]
-        rows, cols, vals = [], [], []
-        wvals = self.tab_w.shapes
-        for cells in self._chunks():
-            wdet, _ = self._geometry(cells)
-            vv, _, curl, div = self._velocity_arrays(cells)
-            local_u = (
-                np.einsum("cq,caqi,cbqi->cab", wdet, vv, vv, optimize=True)
-                + np.einsum("cq,caq,cbq->cab", wdet, curl, curl, optimize=True)
-                + np.einsum("cq,caq,cbq->cab", wdet, div, div, optimize=True)
-            )
-            local_w = np.einsum("cq,aq,bq->cab", wdet, wvals, wvals, optimize=True)
-            for local, dofs in ((local_u, cd_u[cells]), (local_w, cd_w[cells])):
-                na = local.shape[1]
-                rows.append(np.repeat(dofs, na, axis=1).ravel())
-                cols.append(np.tile(dofs, (1, na)).ravel())
-                vals.append(local.ravel())
-        n = o[2]
-        return triplets_to_csr(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), (n, n))
+        """Gram matrix of the combined velocity/vorticity norm (see gram_matrix)."""
+        return gram_matrix((self.V, self.W, self.Q), self.quad)
 
 
 def assemble_oseen(
@@ -500,22 +475,11 @@ def assemble_newton(
     )
 
 
-def assemble_gram_X(spaces, coeffs: ProblemCoefficients | None = None, quad_degree: int | None = None):
-    """Gram matrix of the velocity/vorticity product norm (see gram_x)."""
+def assemble_gram_X(spaces, quad_degree: int | None = None):
+    """Gram matrix of the velocity/vorticity product norm (see gram_matrix)."""
     V, W, Q = _check_spaces(spaces)
-    if coeffs is None:
-        coeffs = ProblemCoefficients(
-            nu=lambda x, y: np.ones_like(x),
-            sigma=lambda x, y: np.ones_like(x),
-            f=lambda x, y: np.zeros(np.shape(x) + (2,)),
-            kappa1=0.5,
-            kappa2=1.0,
-            nu0=1.0,
-            nu1=1.0,
-            sigma0=1.0,
-            sigma1=1.0,
-        )
-    return SystemAssembler((V, W, Q), coeffs, quad_degree).gram_x()
+    degree = default_quad_degree(V) if quad_degree is None else quad_degree
+    return gram_matrix((V, W, Q), CellQuadrature(V.mesh, degree))
 
 
 def apply_dirichlet(system: AssembledSystem, space: FunctionSpace, g) -> AssembledSystem:

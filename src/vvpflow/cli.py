@@ -11,14 +11,12 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
-from .mesh import Mesh
-from .solver import DiagnosticsConfig, NonlinearSettings, check_small_data, grad_nu_norm
-from .spaces import DiscreteField, vertex_values
+from .assembly import check_weights
+from .mesh import Mesh, build_structured
+from .solver import DiagnosticsConfig, NonlinearSettings, check_small_data, grad_nu_norm, lp_norm
+from .spaces import STACKS, VORTICITY_SPACES, DiscreteField, check_method, vertex_values
 from .verify import (
     ConvergenceReport,
-    cavity_coefficients,
     coefficients_from_case,
     div_norm,
     example1_case_2d,
@@ -49,39 +47,28 @@ class RunConfig:
     out: str = "."
 
     def __post_init__(self):
-        if self.command not in ("convergence", "cavity", "diagnostics"):
+        if self.command not in _DEFAULT_VORTICITY:
             raise ValueError(f"unknown command {self.command!r}")
-        if self.family not in ("taylor-hood", "mini", "bernardi-raugel"):
-            raise ValueError(f"unknown family {self.family!r} (flag --family)")
         if self.vorticity is None:
             self.vorticity = _DEFAULT_VORTICITY[self.command]
-        if self.vorticity not in ("cg1", "dg0", "dg1"):
-            raise ValueError(f"unknown vorticity space {self.vorticity!r} (flag --vorticity)")
-        if self.method not in ("newton", "picard"):
-            raise ValueError(f"unknown method {self.method!r} (flag --method)")
+        check_method(self.family, self.vorticity)
+        self.settings()
         if self.levels < 2:
             raise ValueError("--levels must be at least 2")
         if self.nx < 1 or self.ny < 1:
             raise ValueError("--nx/--ny must be positive")
-        if not (0.0 < self.nu0 <= self.nu1):
-            raise ValueError("--nu0/--nu1 must satisfy 0 < nu0 <= nu1")
         if self.perm <= 0.0:
             raise ValueError("--perm must be positive")
-        if self.tol <= 0.0:
-            raise ValueError("--tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("--max-iters must be at least 1")
-        limit = (2.0 / 3.0) * self.nu0
         if self.kappa1 is None:
-            self.kappa1 = limit
-        if not (0.0 < self.kappa1 <= limit * (1.0 + 1e-12)):
-            raise ValueError(
-                f"--kappa1 = {self.kappa1} outside the admissible interval (0, {limit}] = (0, 2/3 nu0]"
-            )
+            self.kappa1 = (2.0 / 3.0) * self.nu0
         if self.kappa2 is None:
             self.kappa2 = 0.5 * self.nu0
-        if self.kappa2 <= 0.0:
-            raise ValueError("--kappa2 must be positive")
+        check_weights(self.nu0, self.nu1, self.kappa1, self.kappa2)
+
+    def settings(self) -> NonlinearSettings:
+        """The nonlinear solver settings; building them validates the method,
+        tolerance and iteration cap."""
+        return NonlinearSettings(method=self.method, tol=self.tol, max_iters=self.max_iters)
 
 
 _INT_KEYS = {"levels", "nx", "ny", "max_iters"}
@@ -137,8 +124,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="key=value file mirroring the flags")
-        p.add_argument("--family", default=None, choices=["taylor-hood", "mini", "bernardi-raugel"])
-        p.add_argument("--vorticity", default=None, choices=["cg1", "dg0", "dg1"])
+        p.add_argument("--family", default=None, choices=list(STACKS))
+        p.add_argument("--vorticity", default=None, choices=list(VORTICITY_SPACES))
         p.add_argument("--levels", type=int, default=None)
         p.add_argument("--nx", type=int, default=None)
         p.add_argument("--ny", type=int, default=None)
@@ -270,13 +257,12 @@ def print_diagnostics(coeffs, diag: DiagnosticsConfig, f_norm: float, file=None)
 
 def _run_convergence(cfg: RunConfig) -> int:
     case = example1_case_2d(nu0=cfg.nu0, nu1=cfg.nu1, perm=cfg.perm)
-    settings = NonlinearSettings(method=cfg.method, tol=cfg.tol, max_iters=cfg.max_iters)
     report = run_convergence(
         cfg.family,
         levels=cfg.levels,
         case=case,
         vorticity=cfg.vorticity,
-        settings=settings,
+        settings=cfg.settings(),
         kappa1=cfg.kappa1,
         kappa2=cfg.kappa2,
     )
@@ -293,9 +279,8 @@ def _run_convergence(cfg: RunConfig) -> int:
 
 
 def _run_cavity(cfg: RunConfig) -> int:
-    settings = NonlinearSettings(method=cfg.method, tol=cfg.tol, max_iters=cfg.max_iters)
     fields_by_name, rep = run_cavity(
-        nx=cfg.nx, ny=cfg.ny, nu0=cfg.nu0, perm=cfg.perm, settings=settings
+        nx=cfg.nx, ny=cfg.ny, nu0=cfg.nu0, perm=cfg.perm, settings=cfg.settings()
     )
     mesh = fields_by_name["velocity"].space.mesh
     out = Path(cfg.out) / f"cavity_{cfg.nx}x{cfg.ny}.vtk"
@@ -314,22 +299,10 @@ def _run_cavity(cfg: RunConfig) -> int:
 def _run_diagnostics(cfg: RunConfig) -> int:
     case = example1_case_2d(nu0=cfg.nu0, nu1=cfg.nu1, perm=cfg.perm)
     coeffs = coefficients_from_case(case, kappa1=cfg.kappa1, kappa2=cfg.kappa2)
-    from .mesh import build_structured
-    from .quadrature import physical_points, quadrature
-
     mesh = build_structured(cfg.nx, cfg.ny, case.rect)
     diag = DiagnosticsConfig()
     diag.grad_nu_Lrstar = grad_nu_norm(mesh, coeffs, diag.r_star)
-    rule = quadrature(10)
-    from .mesh import geometry_arrays
-
-    jac, _, det = geometry_arrays(mesh)
-    xq = physical_points(rule, jac, mesh.vertices[mesh.cells[:, 0]])
-    fv = np.asarray(case.f(xq[..., 0], xq[..., 1]))
-    f_norm = float(
-        np.sqrt(np.einsum("q,cq->", rule.weights, det[:, None] * np.einsum("cqi,cqi->cq", fv, fv)))
-    )
-    print_diagnostics(coeffs, diag, f_norm)
+    print_diagnostics(coeffs, diag, lp_norm(mesh, case.f, 2.0, quad_degree=10))
     return 0
 
 

@@ -3,7 +3,9 @@
 Rules are built as conical products of Gauss-Legendre and Gauss-Jacobi
 lines (exact by construction for any requested degree, all weights
 positive) and then symmetrised over the six vertex permutations of the
-triangle.  Weights sum to the reference area 1/2.
+triangle.  Weights sum to the reference area 1/2.  :class:`CellQuadrature`
+maps a rule onto every cell of a mesh; it is the one loop over cells that
+assembly, norms and integrals share.
 """
 
 from __future__ import annotations
@@ -14,7 +16,10 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi
 
+from .mesh import Mesh, geometry_arrays
+
 MAX_DEGREE = 30
+CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -85,3 +90,31 @@ def physical_points(rule: QuadratureRule, jac: np.ndarray, origin: np.ndarray) -
     ``jac``: (nc, 2, 2), ``origin``: (nc, 2); returns (nc, npts, 2).
     """
     return origin[:, None, :] + np.einsum("cij,qj->cqi", jac, rule.points)
+
+
+class CellQuadrature:
+    """A quadrature rule of ``degree`` mapped onto every cell of ``mesh``.
+
+    ``chunks`` visits the cells in order, CHUNK at a time, which bounds the
+    size of the per-chunk work arrays.
+    """
+
+    def __init__(self, mesh: Mesh, degree: int):
+        self.mesh = mesh
+        self.rule = quadrature(degree)
+        self.jac, self.inv, self.det = geometry_arrays(mesh)
+
+    def chunks(self):
+        """Yield ``(cells, wdet, xq, inv)`` per chunk: cell indices, weights
+        times cell areas (nc, npts), physical points (nc, npts, 2) and the
+        inverse Jacobians (nc, 2, 2)."""
+        mesh = self.mesh
+        for c0 in range(0, mesh.n_cells, CHUNK):
+            cells = np.arange(c0, min(c0 + CHUNK, mesh.n_cells))
+            wdet = self.rule.weights[None, :] * self.det[cells, None]
+            xq = physical_points(self.rule, self.jac[cells], mesh.vertices[mesh.cells[cells, 0]])
+            yield cells, wdet, xq, self.inv[cells]
+
+    def integrate(self, integrand) -> float:
+        """Sum of ``integrand(cells, wdet, xq, inv)`` over the chunks."""
+        return sum(float(integrand(*chunk)) for chunk in self.chunks())

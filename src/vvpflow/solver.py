@@ -18,6 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import AssembledSystem, ProblemCoefficients, SystemAssembler, apply_dirichlet
+from .quadrature import CellQuadrature
 from .spaces import DiscreteField, boundary_values
 
 LINEAR_RESIDUAL_FACTOR = 1e-10
@@ -87,8 +88,9 @@ def solve_linear(system: AssembledSystem, stats: dict | None = None) -> np.ndarr
     the multiplier last; the factorisation respects it by pivoting
     statically (structurally zero diagonals are lifted by a tiny shift,
     and refinement against the unshifted matrix restores full accuracy).
-    The stock column ordering remains as a fallback.  ``stats``, when
-    given, accumulates fill and solve counters.
+    The stock column ordering remains as a fallback, counted in
+    ``stats["fallbacks"]``; if it fails too, the error names both reasons.
+    ``stats``, when given, accumulates fill and solve counters.
     """
     if not system.bc_applied:
         raise ValueError("apply Dirichlet data before solving")
@@ -101,42 +103,31 @@ def solve_linear(system: AssembledSystem, stats: dict | None = None) -> np.ndarr
             stats["n_solves"] = stats.get("n_solves", 0) + 1
             stats["fill"] = stats.get("fill", 0) + fill
 
+    nd_reason = None
     if system.ordering is not None and system.n > 2000:
         perm = system.ordering
         ap = a[perm][:, perm].tocsr()
         eps = 1e-8 * norm_a
         diag = ap.diagonal()
         shift = np.where(np.abs(diag) < eps, eps, 0.0)
-        xp, fill, _ = _refined_solve(
-            (ap + sp.diags(shift)).tocsc(),
-            ap,
-            b[perm],
-            norm_a,
-            permc_spec="NATURAL",
-            options={"SymmetricMode": True, "DiagPivotThresh": 0.0},
+        xp, fill, nd_reason = _refined_solve(
+            (ap + sp.diags(shift)).tocsc(), ap, b[perm], norm_a,
+            permc_spec="NATURAL", options={"SymmetricMode": True, "DiagPivotThresh": 0.0},
         )
         if xp is not None:
             book(fill)
             x = np.empty_like(xp)
             x[perm] = xp
             return x
+        if stats is not None:
+            stats["fallbacks"] = stats.get("fallbacks", 0) + 1
     x, fill, reason = _refined_solve(a.tocsc(), a, b, norm_a)
     if x is None:
+        if nd_reason is not None:
+            reason = f"{reason} (after the nested-dissection path failed: {nd_reason})"
         raise SolverFailure(f"sparse direct solve failed: {reason}")
     book(fill)
     return x
-
-
-def _lift_state(assembler: SystemAssembler, g) -> np.ndarray:
-    state = np.zeros(assembler.block_index[4])
-    state[assembler.V.dirichlet_dofs] = boundary_values(assembler.V, g)
-    return state
-
-
-def _residual(assembler, system, state):
-    r = system.rhs - system.matrix @ state
-    r[assembler.V.dirichlet_dofs] = 0.0
-    return r
 
 
 def _velocity_norm(gram, du, n_u, n_w):
@@ -146,91 +137,57 @@ def _velocity_norm(gram, du, n_u, n_w):
 
 
 def _solve_nonlinear(spaces, coeffs, settings, g, pressure_target):
+    """Both linearisations in one loop.  Each state is assembled once; the
+    Oseen matrix gives the residual, and Picard solves it for the next
+    state while Newton solves the Jacobian system for the update."""
     assembler = SystemAssembler(spaces, coeffs)
-    n_u = assembler.block_index[1]
-    n_w = assembler.block_index[2] - n_u
+    o = assembler.block_index
+    V = assembler.V
     gram = assembler.gram_x()
-    report = SolveReport(linear_stats={"n_solves": 0, "fill": 0, "factor_time": 0.0})
-    dirichlet = assembler.V.dirichlet_dofs
-
+    report = SolveReport(linear_stats={"n_solves": 0, "fill": 0, "fallbacks": 0, "factor_time": 0.0})
     newton = settings.method == "newton"
-    state = _lift_state(assembler, g)
+    state = np.zeros(o[4])
     if settings.initial_guess is not None:
-        state[:n_u] = settings.initial_guess.coefficients
-        state[dirichlet] = boundary_values(assembler.V, g)
-    beta = DiscreteField(assembler.V, state[:n_u].copy())
-    if settings.method == "picard" and settings.initial_guess is None:
-        # the fixed-point loop starts from the zero advecting field
-        beta = DiscreteField(assembler.V, np.zeros(n_u))
+        state[: o[1]] = settings.initial_guess.coefficients
+    state[V.dirichlet_dofs] = boundary_values(V, g)
+    # the fixed-point loop starts from the zero advecting field
+    beta = state[: o[1]] if newton or settings.initial_guess is not None else np.zeros(o[1])
 
-    dual_coo = None
-    if newton:
-        rows, cols, direct, dual = assembler._convection(beta, pair=True)
-        system = assembler.oseen(
-            conv_triplets=(rows, cols, direct), pressure_target=pressure_target
-        )
-        dual_coo = (rows, cols, dual)
-    else:
-        system = assembler.oseen(beta=beta, pressure_target=pressure_target)
-    res = _residual(assembler, system, state)
-    report.residual_history.append(float(np.abs(res).max()))
-
-    converged = False
-    for _ in range(settings.max_iters):
+    while True:
+        conv = assembler._convection(DiscreteField(V, beta), newton=newton)
+        system = assembler.oseen(conv_triplets=conv[:3], pressure_target=pressure_target)
+        res = system.rhs - system.matrix @ state
+        res[V.dirichlet_dofs] = 0.0
+        res_norm = float(np.abs(res).max())
+        report.residual_history.append(res_norm)
+        # absolute or relative to the first residual, whichever is looser
+        if report.iterations and res_norm <= settings.tol * max(1.0, report.residual_history[0]):
+            report.converged = True
+            break
+        if report.iterations == settings.max_iters:
+            break
         t0 = time.perf_counter()
         try:
-            if not newton:
-                bc_system = apply_dirichlet(system, assembler.V, g)
-                new_state = solve_linear(bc_system, stats=report.linear_stats)
-            else:
-                jac = assembler.jacobian(system, dual_coo)
-                jac_system = AssembledSystem(
-                    jac, res, assembler.block_index, ordering=system.ordering
-                )
+            if newton:
                 # homogeneous elimination: the state already satisfies the data
-                bc_system = apply_dirichlet(jac_system, assembler.V, None)
-                new_state = state + solve_linear(bc_system, stats=report.linear_stats)
+                jac = AssembledSystem(assembler.jacobian(conv), res, o, ordering=system.ordering)
+                new_state = state + solve_linear(apply_dirichlet(jac, V, None), stats=report.linear_stats)
+            else:
+                new_state = solve_linear(apply_dirichlet(system, V, g), stats=report.linear_stats)
         except SolverFailure as exc:
             # report the breakdown instead of raising: the caller sees a
             # non-converged history and the failure note
             report.failure = str(exc)
             break
         report.linear_stats["factor_time"] += time.perf_counter() - t0
-
-        report.velocity_increments.append(
-            _velocity_norm(gram, new_state[:n_u] - state[:n_u], n_u, n_w)
-        )
+        du = new_state[: o[1]] - state[: o[1]]
+        report.velocity_increments.append(_velocity_norm(gram, du, o[1], o[2] - o[1]))
         state = new_state
-        beta = DiscreteField(assembler.V, state[:n_u])
-        if newton:
-            rows, cols, direct, dual = assembler._convection(beta, pair=True)
-            system = assembler.oseen(
-                conv_triplets=(rows, cols, direct), pressure_target=pressure_target
-            )
-            dual_coo = (rows, cols, dual)
-        else:
-            system = assembler.oseen(beta=beta, pressure_target=pressure_target)
-        res = _residual(assembler, system, state)
-        res_norm = float(np.abs(res).max())
-        report.residual_history.append(res_norm)
+        beta = state[: o[1]]
         report.iterations += 1
-        first = report.residual_history[0]
-        if res_norm <= settings.tol or (first > 0.0 and res_norm <= settings.tol * first):
-            converged = True
-            break
 
-    report.converged = converged
-    u, w, p, m = _split_fields(assembler, state)
-    report.multiplier = m
-    return u, w, p, report
-
-
-def _split_fields(assembler, state):
-    o = assembler.block_index
-    u = DiscreteField(assembler.V, state[: o[1]].copy())
-    w = DiscreteField(assembler.W, state[o[1] : o[2]].copy())
-    p = DiscreteField(assembler.Q, state[o[2] : o[3]].copy())
-    return u, w, p, float(state[o[3]])
+    u, w, p, report.multiplier = system.split(state)
+    return DiscreteField(V, u), DiscreteField(assembler.W, w), DiscreteField(assembler.Q, p), report
 
 
 def solve_picard(spaces, coeffs, settings=None, g=None, pressure_target: float = 0.0):
@@ -295,20 +252,20 @@ class SmallDataReport:
     f_bound: float
 
 
+def lp_norm(mesh, fn, p: float, quad_degree: int) -> float:
+    """|| |fn| ||_{0, p} over the mesh by quadrature, for a vectorized
+    point function ``fn`` with two components."""
+
+    def integrand(cells, wdet, xq, inv):
+        v = np.asarray(fn(xq[..., 0], xq[..., 1]), dtype=float)
+        return np.einsum("cq,cq->", wdet, np.hypot(v[..., 0], v[..., 1]) ** p)
+
+    return CellQuadrature(mesh, quad_degree).integrate(integrand) ** (1.0 / p)
+
+
 def grad_nu_norm(mesh, coeffs: ProblemCoefficients, r_star: float, quad_degree: int = 8) -> float:
     """|| grad nu ||_{0, r*} over the mesh by quadrature."""
-    if coeffs.grad_nu is None:
-        return 0.0
-    from .mesh import geometry_arrays
-    from .quadrature import physical_points, quadrature
-
-    rule = quadrature(quad_degree)
-    jac, _, det = geometry_arrays(mesh)
-    xq = physical_points(rule, jac, mesh.vertices[mesh.cells[:, 0]])
-    g = np.asarray(coeffs.grad_nu(xq[..., 0], xq[..., 1]), dtype=float)
-    mag = np.hypot(g[..., 0], g[..., 1])
-    integral = float(np.einsum("q,cq->", rule.weights, det[:, None] * mag**r_star))
-    return integral ** (1.0 / r_star)
+    return 0.0 if coeffs.grad_nu is None else lp_norm(mesh, coeffs.grad_nu, r_star, quad_degree)
 
 
 def check_small_data(coeffs: ProblemCoefficients, diag: DiagnosticsConfig, f_norm: float) -> SmallDataReport:

@@ -18,6 +18,7 @@ bernardi-raugel interleaved vertex components, then edge bubbles
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,6 +127,25 @@ def _trace_dofs(space: FunctionSpace) -> np.ndarray:
     return np.unique(np.concatenate(dofs))
 
 
+#: Element stacks by name: velocity family, pressure family, and the
+#: vorticity spaces with proven convergence rates.
+STACKS = {
+    "taylor-hood": ("p2", "p1", ("cg1", "dg1")),
+    "mini": ("p1bubble", "p1", ("cg1", "dg1")),
+    "bernardi-raugel": ("bernardi-raugel", "dg0", ("cg1", "dg0")),
+}
+#: Vorticity spaces by name, with their scalar family.
+VORTICITY_SPACES = {"cg1": "p1", "dg0": "dg0", "dg1": "dg1"}
+
+
+def check_method(family: str, vorticity: str):
+    """Reject an element family or vorticity space not named in the tables."""
+    if family not in STACKS:
+        raise ValueError(f"unknown element family {family!r}; choose from {sorted(STACKS)}")
+    if vorticity not in VORTICITY_SPACES:
+        raise ValueError(f"unknown vorticity space {vorticity!r}; choose from {sorted(VORTICITY_SPACES)}")
+
+
 def method_spaces(mesh: Mesh, family: str, vorticity: str = "dg1"):
     """Velocity/vorticity/pressure spaces of one discretisation stack.
 
@@ -133,27 +153,16 @@ def method_spaces(mesh: Mesh, family: str, vorticity: str = "dg1"):
     bernardi-raugel (P1+edge bubbles/P0).  The vorticity space is free;
     a pairing outside the ones with proven convergence rates only warns.
     """
-    stacks = {
-        "taylor-hood": ("p2", "p1", ("cg1", "dg1")),
-        "mini": ("p1bubble", "p1", ("cg1", "dg1")),
-        "bernardi-raugel": ("bernardi-raugel", "dg0", ("cg1", "dg0")),
-    }
-    if family not in stacks:
-        raise ValueError(f"unknown element family {family!r}; choose from {sorted(stacks)}")
-    wmap = {"cg1": "p1", "dg0": "dg0", "dg1": "dg1"}
-    if vorticity not in wmap:
-        raise ValueError(f"unknown vorticity space {vorticity!r}; choose from {sorted(wmap)}")
-    vfam, pfam, covered = stacks[family]
+    check_method(family, vorticity)
+    vfam, pfam, covered = STACKS[family]
     if vorticity not in covered:
-        import warnings
-
         warnings.warn(
             f"vorticity space {vorticity!r} with {family!r} is outside the pairings "
             f"with proven rates {covered}",
             stacklevel=2,
         )
     V = build_space(mesh, vfam, vector=True)
-    W = build_space(mesh, wmap[vorticity])
+    W = build_space(mesh, VORTICITY_SPACES[vorticity])
     Q = build_space(mesh, pfam)
     return V, W, Q
 

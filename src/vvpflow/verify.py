@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import ProblemCoefficients, SystemAssembler, default_quad_degree
-from .mesh import Mesh, build_structured, geometry_arrays
-from .quadrature import physical_points, quadrature
-from .solver import NonlinearSettings, SolveReport, solve_newton, solve_picard
+from .assembly import ProblemCoefficients, default_quad_degree
+from .mesh import build_structured
+from .quadrature import CellQuadrature
+from .solver import NonlinearSettings, solve_newton, solve_picard
 from .spaces import DiscreteField, eval_field, method_spaces, tabulate
 
 
@@ -175,50 +175,38 @@ def coefficients_from_case(
 # norms
 
 
-def _quad_loop(mesh: Mesh, degree: int):
-    rule = quadrature(degree)
-    jac, inv, det = geometry_arrays(mesh)
-    chunk = 512
-    for c0 in range(0, mesh.n_cells, chunk):
-        cells = np.arange(c0, min(c0 + chunk, mesh.n_cells))
-        wdet = rule.weights[None, :] * det[cells, None]
-        xq = physical_points(rule, jac[cells], mesh.vertices[mesh.cells[cells, 0]])
-        yield cells, wdet, xq, inv[cells], rule
-
-
 def l2_error(field: DiscreteField, exact, quad_degree: int) -> float:
     """L2 distance between a discrete field and an analytic function."""
-    mesh = field.space.mesh
-    rule = quadrature(quad_degree)
-    tab = tabulate(field.space, rule.points)
-    total = 0.0
-    for cells, wdet, xq, inv, _ in _quad_loop(mesh, quad_degree):
-        vals = eval_field(field, tab, cells, inv)
-        diff = vals - np.asarray(exact(xq[..., 0], xq[..., 1]), dtype=float)
-        if field.space.vector:
-            total += float(np.einsum("cq,cqi,cqi->", wdet, diff, diff))
-        else:
-            total += float(np.einsum("cq,cq,cq->", wdet, diff, diff))
-    return math.sqrt(total)
+    quad = CellQuadrature(field.space.mesh, quad_degree)
+    tab = tabulate(field.space, quad.rule.points)
+
+    def integrand(cells, wdet, xq, inv):
+        diff = eval_field(field, tab, cells, inv) - np.asarray(exact(xq[..., 0], xq[..., 1]), dtype=float)
+        diff = diff.reshape(wdet.shape + (-1,))  # scalar fields as one component
+        return np.einsum("cq,cqi,cqi->", wdet, diff, diff)
+
+    return math.sqrt(quad.integrate(integrand))
 
 
 def velocity_error_norm(u_h: DiscreteField, case: ManufacturedCase, quad_degree: int) -> float:
     """Combined velocity error: L2 of the value, curl and divergence
     mismatches (the exact field is solenoidal with curl = case.omega)."""
-    mesh = u_h.space.mesh
-    rule = quadrature(quad_degree)
-    tab = tabulate(u_h.space, rule.points)
-    total = 0.0
-    for cells, wdet, xq, inv, _ in _quad_loop(mesh, quad_degree):
+    quad = CellQuadrature(u_h.space.mesh, quad_degree)
+    tab = tabulate(u_h.space, quad.rule.points)
+
+    def integrand(cells, wdet, xq, inv):
         vals, grads = eval_field(u_h, tab, cells, inv, grad=True)
         diff = vals - np.asarray(case.u(xq[..., 0], xq[..., 1]), dtype=float)
-        curl_h = grads[..., 1, 0] - grads[..., 0, 1]
+        omega = np.asarray(case.omega(xq[..., 0], xq[..., 1]), dtype=float)
+        dcurl = grads[..., 1, 0] - grads[..., 0, 1] - omega
         div_h = grads[..., 0, 0] + grads[..., 1, 1]
-        dcurl = curl_h - np.asarray(case.omega(xq[..., 0], xq[..., 1]), dtype=float)
-        total += float(np.einsum("cq,cqi,cqi->", wdet, diff, diff))
-        total += float(np.einsum("cq,cq,cq->", wdet, dcurl, dcurl))
-        total += float(np.einsum("cq,cq,cq->", wdet, div_h, div_h))
-    return math.sqrt(total)
+        return (
+            np.einsum("cq,cqi,cqi->", wdet, diff, diff)
+            + np.einsum("cq,cq,cq->", wdet, dcurl, dcurl)
+            + np.einsum("cq,cq,cq->", wdet, div_h, div_h)
+        )
+
+    return math.sqrt(quad.integrate(integrand))
 
 
 def error_norms(u_h: DiscreteField, w_h: DiscreteField, p_h: DiscreteField, case: ManufacturedCase, quad_degree: int | None = None):
@@ -235,29 +223,28 @@ def div_norm(u_h: DiscreteField, quad_degree: int | None = None) -> float:
     """||div u_h||_0; the augmentation controls but never nullifies it."""
     if quad_degree is None:
         quad_degree = default_quad_degree(u_h.space)
-    mesh = u_h.space.mesh
-    rule = quadrature(quad_degree)
-    tab = tabulate(u_h.space, rule.points)
-    total = 0.0
-    for cells, wdet, _, inv, _ in _quad_loop(mesh, quad_degree):
-        _, grads = eval_field(u_h, tab, cells, inv, grad=True)
+    quad = CellQuadrature(u_h.space.mesh, quad_degree)
+    tab = tabulate(u_h.space, quad.rule.points)
+
+    def integrand(cells, wdet, xq, inv):
+        grads = eval_field(u_h, tab, cells, inv, grad=True)[1]
         div_h = grads[..., 0, 0] + grads[..., 1, 1]
-        total += float(np.einsum("cq,cq,cq->", wdet, div_h, div_h))
-    return math.sqrt(total)
+        return np.einsum("cq,cq,cq->", wdet, div_h, div_h)
+
+    return math.sqrt(quad.integrate(integrand))
 
 
 def integral(field: DiscreteField, quad_degree: int | None = None) -> float:
     """Integral of a scalar discrete field over the domain."""
     if quad_degree is None:
         quad_degree = 2 * field.space.element.degree
-    mesh = field.space.mesh
-    rule = quadrature(quad_degree)
-    tab = tabulate(field.space, rule.points)
-    total = 0.0
-    for cells, wdet, _, inv, _ in _quad_loop(mesh, quad_degree):
-        vals = eval_field(field, tab, cells, inv)
-        total += float(np.einsum("cq,cq->", wdet, vals))
-    return total
+    quad = CellQuadrature(field.space.mesh, quad_degree)
+    tab = tabulate(field.space, quad.rule.points)
+
+    def integrand(cells, wdet, xq, inv):
+        return np.einsum("cq,cq->", wdet, eval_field(field, tab, cells, inv))
+
+    return quad.integrate(integrand)
 
 
 def eoc(errors, hs) -> list[float]:

@@ -421,6 +421,19 @@ def test_assembly_determinism():
     assert np.array_equal(a.rhs, b.rhs)
 
 
+@pytest.mark.parametrize("n, family, vorticity", [(8, "taylor-hood", "dg1"), (3, "mini", "cg1")])
+def test_newton_matrix_has_the_oseen_pattern(n, family, vorticity):
+    _, coeffs, spaces = example1_setup(n=n, family=family, vorticity=vorticity)
+    asm = SystemAssembler(spaces, coeffs)
+    state = RNG.standard_normal(asm.block_index[4])
+    oseen = asm.oseen(beta=DiscreteField(spaces[0], state[: asm.block_index[1]])).matrix
+    jac = asm.newton_system(state)[0].matrix
+    # entries whose contributions cancel to exactly 0.0 keep their slot too
+    assert np.any(oseen.data == 0.0)
+    assert np.array_equal(jac.indptr, oseen.indptr)
+    assert np.array_equal(jac.indices, oseen.indices)
+
+
 class TestNewtonSystem:
     def test_zero_state_matches_advection_free_oseen(self):
         _, coeffs, spaces = example1_setup(n=2)

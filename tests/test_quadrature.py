@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from vvpflow.quadrature import MAX_DEGREE, quadrature
+from vvpflow.mesh import build_structured
+from vvpflow.quadrature import MAX_DEGREE, CellQuadrature, quadrature
 
 
 def monomial_integral(a, b):
@@ -71,3 +72,33 @@ def test_rules_are_cached_and_immutable():
     assert a is b
     with pytest.raises(ValueError):
         a.points[0, 0] = 0.0
+
+
+# 23 x 23 squares give 1,058 cells: two full chunks of 512 and a partial one
+CELL_QUAD_MESH = dict(nx=23, ny=23, rect=(0.5, -0.25, 2.0, 1.5))
+
+
+def test_cell_chunks_visit_every_cell_once():
+    mesh = build_structured(**CELL_QUAD_MESH)
+    quad = CellQuadrature(mesh, 3)
+    chunks = list(quad.chunks())
+    assert len(chunks) == 3
+    assert np.array_equal(np.concatenate([c[0] for c in chunks]), np.arange(mesh.n_cells))
+    for cells, wdet, xq, inv in chunks:
+        assert wdet.shape == (len(cells), len(quad.rule)) and xq.shape == wdet.shape + (2,)
+        assert inv.shape == (len(cells), 2, 2)
+
+
+@pytest.mark.parametrize("degree", [2, 5])
+def test_cell_integration_of_monomials(degree):
+    x0, y0, x1, y1 = CELL_QUAD_MESH["rect"]
+    quad = CellQuadrature(build_structured(**CELL_QUAD_MESH), degree)
+    for a in range(degree + 1):
+        for b in range(degree + 1 - a):
+
+            def monomial(cells, wdet, xq, inv):
+                return np.einsum("cq,cq->", wdet, xq[..., 0] ** a * xq[..., 1] ** b)
+
+            value = quad.integrate(monomial)
+            exact = (x1 ** (a + 1) - x0 ** (a + 1)) / (a + 1) * (y1 ** (b + 1) - y0 ** (b + 1)) / (b + 1)
+            assert abs(value - exact) <= 1e-13 * abs(exact)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import vvpflow.solver
 from vvpflow.assembly import AssembledSystem, SystemAssembler, apply_dirichlet, assemble_newton, assemble_oseen
 from vvpflow.mesh import build_structured
 from vvpflow.solver import (
@@ -139,6 +140,42 @@ class TestNewton:
         assert not rep.converged
         assert rep.iterations == 1
         assert len(rep.residual_history) == 2
+
+
+class TestLinearFallback:
+    """Above 2,000 unknowns the nested-dissection path runs first; TH/dg1
+    at n = 12 has 2,284."""
+
+    @pytest.fixture
+    def system(self):
+        _, coeffs, spaces = example1_problem(12)
+        system = apply_dirichlet(assemble_oseen(spaces, coeffs), spaces[0], None)
+        assert system.n > 2000
+        return system
+
+    def test_fallback_is_counted(self, system, monkeypatch):
+        original = vvpflow.solver._refined_solve
+
+        def nd_fails(factor_of, a, b, norm_a, **opts):
+            if opts.get("permc_spec") == "NATURAL":
+                return None, 0, "forced failure"
+            return original(factor_of, a, b, norm_a, **opts)
+
+        monkeypatch.setattr(vvpflow.solver, "_refined_solve", nd_fails)
+        stats = {}
+        x = solve_linear(system, stats=stats)
+        assert stats["fallbacks"] == 1 and stats["n_solves"] == 1
+        norm_a = np.abs(system.matrix).sum(axis=1).max()
+        res = np.abs(system.matrix @ x - system.rhs).max()
+        assert res <= 1e-10 * (norm_a * np.abs(x).max() + np.abs(system.rhs).max())
+
+    def test_failure_names_both_reasons(self, system, monkeypatch):
+        reasons = iter(["nested-dissection reason", "fallback reason"])
+        monkeypatch.setattr(vvpflow.solver, "_refined_solve", lambda *args, **opts: (None, 0, next(reasons)))
+        stats = {}
+        with pytest.raises(SolverFailure, match="fallback reason.*nested-dissection reason"):
+            solve_linear(system, stats=stats)
+        assert stats["fallbacks"] == 1
 
 
 class TestPicard:
