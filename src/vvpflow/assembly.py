@@ -19,6 +19,9 @@ them into CSR itself: each entry is the left-to-right sum of its
 contributions in triplet order, whatever else shares its row.  Repeated
 assemblies of identical inputs are therefore bit-identical, and blocks
 built from the same floats in transposed placement are exact transposes.
+An assembler has one pattern, that of its linear part, binned once;
+convection (Oseen and Newton alike) adds its values on the slots of
+those keys, and Dirichlet elimination masks the data of the matrix.
 """
 
 from __future__ import annotations
@@ -96,10 +99,7 @@ class AssembledSystem:
     def __post_init__(self):
         n = self.block_index[-1]
         if self.matrix.shape != (n, n) or self.rhs.shape != (n,):
-            raise ValueError(
-                f"system of size {self.matrix.shape} does not match the block "
-                f"layout ending at {n}"
-            )
+            raise ValueError(f"system of size {self.matrix.shape} does not match the block layout ending at {n}")
 
     @property
     def n(self) -> int:
@@ -116,28 +116,27 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _same_keys(a: np.ndarray, b: np.ndarray) -> bool:
-    # read-only arrays are taken as never changing
-    return (a is b and not a.flags.writeable) or np.array_equal(a, b)
+def _keys(rows, cols, shape) -> np.ndarray:
+    rows = rows.astype(np.int64, copy=False)
+    if len(rows) and (rows.min() < 0 or rows.max() >= shape[0] or cols.min() < 0 or cols.max() >= shape[1]):
+        raise ValueError(f"COO indices outside a {shape[0]} x {shape[1]} matrix")
+    return rows * shape[1] + cols
 
 
 class CSRPattern:
-    """Canonical CSR pattern of a fixed list of COO (row, col) keys.
+    """Canonical CSR pattern of a list of COO (row, col) keys.
 
-    Each triplet is mapped once to its slot in the CSR data: the rank of
-    its (row, col) key among the distinct keys, found by a stable sort.
-    ``csr`` then sums the values into their slots with ``np.bincount``,
-    which adds the contributions to one entry left to right in triplet
-    order, so the result depends only on the triplets, never on the
-    other entries of a row.  Every key is kept, zero sums included.
+    ``slot`` maps each of those triplets to its place in the CSR data: the
+    rank of its key among the distinct keys, found by a stable sort.
+    ``bin`` sums values into their slots with ``np.bincount``, left to right
+    in triplet order, so the sums depend only on the triplets, never on the
+    other entries of a row; every key is kept, zero sums included.
+    ``locate`` finds the slots of other keys of the pattern.
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]):
         self.shape = shape
-        rows = rows.astype(np.int64, copy=False)
-        if len(rows) and (rows.min() < 0 or rows.max() >= shape[0] or cols.min() < 0 or cols.max() >= shape[1]):
-            raise ValueError(f"COO indices outside a {shape[0]} x {shape[1]} matrix")
-        key = rows * shape[1] + cols
+        key = _keys(rows, cols, shape)
         order = np.argsort(key, kind="stable")
         key = key[order]
         first = np.empty(len(key), dtype=bool)
@@ -151,9 +150,21 @@ class CSRPattern:
         self.indptr = np.zeros(shape[0] + 1, dtype=idx)
         np.cumsum(np.bincount(key // shape[1], minlength=shape[0]), out=self.indptr[1:])
 
-    def csr(self, vals: np.ndarray) -> sp.csr_matrix:
-        """CSR matrix of the triplet values ``vals``, in key order."""
-        data = np.bincount(self.slot, weights=vals, minlength=len(self.indices))
+    def bin(self, vals: np.ndarray) -> np.ndarray:
+        """CSR data of the values of the triplets the pattern was built from."""
+        return np.bincount(self.slot, weights=vals, minlength=len(self.indices))
+
+    def locate(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Slots of other (row, col) keys, found by binary search."""
+        keys = _keys(np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.indices, self.shape)
+        query = _keys(rows, cols, self.shape)
+        slot = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+        if np.any(keys[slot] != query):
+            raise ValueError("COO keys outside the sparsity pattern")
+        return slot
+
+    def csr(self, data: np.ndarray) -> sp.csr_matrix:
+        """CSR matrix with the entries ``data``, in slot order."""
         matrix = sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=self.shape)
         matrix.has_canonical_format = True
         return matrix
@@ -161,7 +172,8 @@ class CSRPattern:
 
 def triplets_to_csr(rows, cols, vals, shape) -> sp.csr_matrix:
     """Canonical CSR of COO triplets, duplicates summed in input order."""
-    return CSRPattern(rows, cols, shape).csr(vals)
+    pattern = CSRPattern(rows, cols, shape)
+    return pattern.csr(pattern.bin(vals))
 
 
 def default_quad_degree(velocity_space: FunctionSpace) -> int:
@@ -224,8 +236,8 @@ class SystemAssembler:
     """Chunked cellwise assembler with a cached advection-independent part.
 
     One instance precomputes geometry, reference tabulations and the
-    coefficient samples; Oseen matrices for successive advecting fields
-    then only re-assemble the convection blocks.  Instances hold no
+    linear part, binned once into its CSR pattern; Oseen and Newton
+    matrices then only add the convection values on their slots.  Instances hold no
     mutable state besides caches and may be shared across sequential
     solves; distinct instances are fully independent.
     """
@@ -246,8 +258,6 @@ class SystemAssembler:
         self.block_index = (0, n_u, n_u + n_w, n_u + n_w + n_p, n_u + n_w + n_p + 1)
         self._linear = None
         self._ordering = None
-        self._conv_keys = None
-        self._patterns: dict[tuple, tuple[list, CSRPattern]] = {}
 
     def _coefficient_samples(self, xq):
         c = self.coeffs
@@ -256,10 +266,8 @@ class SystemAssembler:
         if c.validate:
             slack = 1e-12 * max(1.0, abs(c.nu1))
             if nu.min() < c.nu0 - slack or nu.max() > c.nu1 + slack:
-                raise ValueError(
-                    f"viscosity leaves its declared bounds [{c.nu0}, {c.nu1}] "
-                    f"(sampled range [{nu.min()}, {nu.max()}])"
-                )
+                raise ValueError(f"viscosity leaves its declared bounds [{c.nu0}, {c.nu1}] "
+                                 f"(sampled range [{nu.min()}, {nu.max()}])")
         sig = np.broadcast_to(np.asarray(c.sigma(x, y), dtype=float), nu.shape)
         gnu = None if c.grad_nu is None else np.asarray(c.grad_nu(x, y), dtype=float)
         return nu, sig, gnu
@@ -297,12 +305,9 @@ class SystemAssembler:
             if k2 != 0.0:
                 add("uu_div", ru, ru, k2 * np.einsum("cq,caq,cbq->cab", wdet, div, div, optimize=True))
             if gnu is not None:
-                eps_gnu = 0.5 * (
-                    np.einsum("cbqij,cqj->cbqi", gv, gnu, optimize=True)
-                    + np.einsum("cbqji,cqj->cbqi", gv, gnu, optimize=True)
-                )
-                local = -2.0 * np.einsum("cq,cbqi,caqi->cab", wdet, eps_gnu, vv, optimize=True)
-                add("uu_gradnu", ru, ru, local)
+                eps_gnu = 0.5 * (np.einsum("cbqij,cqj->cbqi", gv, gnu, optimize=True)
+                                 + np.einsum("cbqji,cqj->cbqi", gv, gnu, optimize=True))
+                add("uu_gradnu", ru, ru, -2.0 * np.einsum("cq,cbqi,caqi->cab", wdet, eps_gnu, vv, optimize=True))
                 cross = gnu[:, None, :, 0] * vv[..., 1] - gnu[:, None, :, 1] * vv[..., 0]
                 add("uw_gradnu", ru, rw, np.einsum("cq,caq,bq->cab", wdet, cross, wvals, optimize=True))
 
@@ -325,21 +330,29 @@ class SystemAssembler:
             name: (_frozen(np.concatenate(r)), _frozen(np.concatenate(c)), np.concatenate(v))
             for name, (r, c, v) in terms.items()
         }
+        terms.clear()  # free the chunks before the pattern's temporaries
         p_cols = _frozen(o[2] + np.arange(self.Q.n_dofs))
         m_row = _frozen(np.full(self.Q.n_dofs, o[3]))
         coo["mp"] = (m_row, p_cols, pmass)
         coo["pm"] = (p_cols, m_row, pmass)
+        rows, cols, vals = zip(*coo.values())
+        pattern = CSRPattern(np.concatenate(rows), np.concatenate(cols), (o[4], o[4]))
+        self._data = pattern.bin(np.concatenate(vals))
+        # keep only the slots of the uu_sigma keys (first; also the convection keys)
+        self._conv_slots = pattern.slot[: len(rows[0])].copy()
+        del pattern.slot
+        self._pattern = pattern
         self._linear = (coo, rhs)
         return self._linear
 
     def _convection(self, beta: DiscreteField, newton: bool = False):
-        """COO triplets (rows, cols, vals) of ((beta . grad) u, v).  With
+        """COO triplets (rows, cols, vals) of ((beta . grad) u, v), on the
+        read-only keys of the uu_sigma part (same cell layout).  With
         ``newton``, also the values of the block differentiated in its
-        advecting argument, ((u . grad) beta, v), on the same keys:
-        (rows, cols, vals, dual).  The (read-only) rows and columns are the
-        same arrays on every call."""
+        advecting argument, ((u . grad) beta, v): (rows, cols, vals, dual)."""
         if beta.space is not self.V and beta.space.n_dofs != self.V.n_dofs:
             raise ValueError("advecting field must live on the velocity space")
+        rows, cols, _ = self._ensure_linear()[0]["uu_sigma"]
         vals, dual_vals = [], []
         cd_u = self.V.cell_dofs
         for cells, wdet, _, inv in self.quad.chunks():
@@ -352,11 +365,6 @@ class SystemAssembler:
                 gb = np.einsum("cb,cbqij->cqij", coefs, gv, optimize=True)
                 wgb = wdet[..., None, None] * gb
                 dual_vals.append(np.einsum("cqij,cbqj,caqi->cab", wgb, vv, vv, optimize=True).ravel())
-        if self._conv_keys is None:
-            na = cd_u.shape[1]
-            rows, cols = np.repeat(cd_u, na, axis=1).ravel(), np.tile(cd_u, (1, na)).ravel()
-            self._conv_keys = (_frozen(rows), _frozen(cols))
-        rows, cols = self._conv_keys
         if newton:
             return rows, cols, np.concatenate(vals), np.concatenate(dual_vals)
         return rows, cols, np.concatenate(vals)
@@ -382,36 +390,29 @@ class SystemAssembler:
         convection pass).
         """
         coo, rhs = self._ensure_linear()
-        n = self.block_index[4]
-        parts_coo = dict(coo)
-        if conv_triplets is not None:
-            parts_coo["uu_conv"] = conv_triplets
-        elif beta is not None:
-            parts_coo["uu_conv"] = self._convection(beta)
-        matrix = self._to_csr(parts_coo)
+        if conv_triplets is None and beta is not None:
+            conv_triplets = self._convection(beta)
+        matrix = self._matrix(conv_triplets)
         full_rhs = rhs.copy()
         full_rhs[-1] = pressure_target
         parts = None
         if keep_parts:
-            parts = {name: triplets_to_csr(r, c, v, (n, n)) for name, (r, c, v) in parts_coo.items()}
+            parts_coo = coo if conv_triplets is None else dict(coo, uu_conv=conv_triplets)
+            parts = {name: triplets_to_csr(r, c, v, matrix.shape) for name, (r, c, v) in parts_coo.items()}
         ordering = self._elimination_order(matrix)
         return AssembledSystem(matrix, full_rhs, self.block_index, parts=parts, ordering=ordering)
 
-    def _to_csr(self, parts: dict) -> sp.csr_matrix:
-        """Canonical CSR of the concatenated triplets of ``parts``.
-
-        The pattern cached under the part names is reused while the
-        triplets' rows and columns match it, and rebuilt when they do not.
-        """
-        keys = [k for r, c, _ in parts.values() for k in (r, c)]
-        cached = self._patterns.get(tuple(parts))
-        if cached is None or len(keys) != len(cached[0]) or not all(map(_same_keys, keys, cached[0])):
-            n = self.block_index[4]
-            pattern = CSRPattern(np.concatenate(keys[0::2]), np.concatenate(keys[1::2]), (n, n))
-            # writeable keys may change in place later: compare against copies
-            kept = [k if not k.flags.writeable else _frozen(k.copy()) for k in keys]
-            cached = self._patterns[tuple(parts)] = (kept, pattern)
-        return cached[1].csr(np.concatenate([v for _, _, v in parts.values()]))
+    def _matrix(self, conv_triplets) -> sp.csr_matrix:
+        """Linear part plus convection triplets (rows, cols, vals), added at
+        their slots in triplet order after the linear sums, as one bincount
+        of all triplets would.  Other keys must belong to the pattern."""
+        own_rows, own_cols, _ = self._ensure_linear()[0]["uu_sigma"]
+        data = self._data.copy()
+        if conv_triplets is not None:
+            rows, cols, vals = conv_triplets
+            own = rows is own_rows and cols is own_cols
+            np.add.at(data, self._conv_slots if own else self._pattern.locate(rows, cols), vals)
+        return self._pattern.csr(data)
 
     def jacobian(self, conv_triplets) -> sp.csr_matrix:
         """Newton matrix at beta = u_h, on the Oseen pattern.
@@ -422,7 +423,7 @@ class SystemAssembler:
         advecting argument, so the matrix has the Oseen matrix's sparsity.
         """
         rows, cols, direct, dual = conv_triplets
-        return self._to_csr(dict(self._ensure_linear()[0], uu_conv=(rows, cols, direct + dual)))
+        return self._matrix((rows, cols, direct + dual))
 
     def newton_system(self, state: np.ndarray, pressure_target: float = 0.0):
         """Jacobian and residual of the nonlinear map at ``state``.
@@ -500,10 +501,8 @@ def apply_dirichlet(system: AssembledSystem, space: FunctionSpace, g) -> Assembl
     rhs[dofs] = vals
     keep = np.ones(n)
     keep[dofs] = 0.0
-    mask = sp.diags(keep)
-    ident = np.zeros(n)
-    ident[dofs] = 1.0
-    matrix = (mask @ system.matrix @ mask + sp.diags(ident)).tocsr()
-    return AssembledSystem(
-        matrix, rhs, system.block_index, bc_applied=True, ordering=system.ordering
-    )
+    a = system.matrix.tocsr()
+    data = a.data * keep[np.repeat(np.arange(n), np.diff(a.indptr))] * keep[a.indices]
+    # the sum drops the zeroed entries
+    matrix = (sp.csr_matrix((data, a.indices, a.indptr), shape=a.shape) + sp.diags(1.0 - keep)).tocsr()
+    return AssembledSystem(matrix, rhs, system.block_index, bc_applied=True, ordering=system.ordering)

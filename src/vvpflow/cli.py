@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .assembly import check_weights
 from .mesh import Mesh, build_structured
-from .solver import DiagnosticsConfig, NonlinearSettings, check_small_data, grad_nu_norm, lp_norm
+from .solver import METHODS, DiagnosticsConfig, NonlinearSettings, check_small_data, grad_nu_norm, lp_norm
 from .spaces import STACKS, VORTICITY_SPACES, DiscreteField, check_method, vertex_values
 from .verify import (
     ConvergenceReport,
@@ -44,7 +44,7 @@ class RunConfig:
     tol: float = 1e-8
     max_iters: int = 25
     method: str = "newton"
-    out: str = "."
+    out: str = field(default=".", metadata={"help": "output directory"})
 
     def __post_init__(self):
         if self.command not in _DEFAULT_VORTICITY:
@@ -71,8 +71,13 @@ class RunConfig:
         return NonlinearSettings(method=self.method, tol=self.tol, max_iters=self.max_iters)
 
 
-_INT_KEYS = {"levels", "nx", "ny", "max_iters"}
-_FLOAT_KEYS = {"nu0", "nu1", "kappa1", "kappa2", "perm", "tol"}
+_FLAGS = fields(RunConfig)[1:]  # every field but the command, which is the subcommand
+_CHOICES = {"family": list(STACKS), "vorticity": list(VORTICITY_SPACES), "method": list(METHODS)}
+
+
+def _value_type(f) -> type:
+    """int, float or str, from the field's annotation (``float | None`` -> float)."""
+    return {"int": int, "float": float}.get(f.type.partition(" ")[0], str)
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -89,7 +94,7 @@ def _read_config_file(path: str) -> dict:
         text = Path(path).read_text()
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
-    known = {f.name for f in fields(RunConfig)}
+    known = {f.name: f for f in fields(RunConfig)}
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -103,12 +108,7 @@ def _read_config_file(path: str) -> dict:
         if key not in known:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            if key in _INT_KEYS:
-                out[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                out[key] = float(value)
-            else:
-                out[key] = value
+            out[key] = _value_type(known[key])(value)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from exc
     return out
@@ -124,20 +124,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="key=value file mirroring the flags")
-        p.add_argument("--family", default=None, choices=list(STACKS))
-        p.add_argument("--vorticity", default=None, choices=list(VORTICITY_SPACES))
-        p.add_argument("--levels", type=int, default=None)
-        p.add_argument("--nx", type=int, default=None)
-        p.add_argument("--ny", type=int, default=None)
-        p.add_argument("--nu0", type=float, default=None)
-        p.add_argument("--nu1", type=float, default=None)
-        p.add_argument("--kappa1", type=float, default=None)
-        p.add_argument("--kappa2", type=float, default=None)
-        p.add_argument("--perm", type=float, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--max-iters", type=int, default=None, dest="max_iters")
-        p.add_argument("--method", default=None, choices=["newton", "picard"])
-        p.add_argument("--out", default=None, help="output directory")
+        for f in _FLAGS:
+            p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=_value_type(f), default=None,
+                           choices=_CHOICES.get(f.name), help=f.metadata.get("help"))
     return parser
 
 
@@ -153,10 +142,8 @@ def parse_config(argv) -> RunConfig:
     overrides = {}
     if args.config:
         overrides.update(_read_config_file(args.config))
-    for f in fields(RunConfig):
-        if f.name == "command":
-            continue
-        value = getattr(args, f.name, None)
+    for f in _FLAGS:
+        value = getattr(args, f.name)
         if value is not None:
             overrides[f.name] = value
     overrides.pop("command", None)

@@ -28,6 +28,10 @@ class SolverFailure(RuntimeError):
     """Linear factorisation or substitution failed to meet its contract."""
 
 
+#: The linearisations of the nonlinear loop.
+METHODS = ("newton", "picard")
+
+
 @dataclass
 class NonlinearSettings:
     method: str = "newton"
@@ -36,7 +40,7 @@ class NonlinearSettings:
     initial_guess: DiscreteField | None = None
 
     def __post_init__(self):
-        if self.method not in ("newton", "picard"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown nonlinear method {self.method!r}")
         if self.tol <= 0.0:
             raise ValueError("tolerance must be positive")

@@ -26,7 +26,7 @@ import numpy as np
 from .elements import ScalarElement, VectorElement, scalar_element, vector_element
 from .mesh import TAG_APPLICATION_ORDER, Mesh
 
-# 3-point Gauss-Legendre on [0, 1], used for edge moments of boundary data
+# 3-point Gauss-Legendre on [0, 1], for the edge fluxes of the Bernardi-Raugel interpolant
 _EDGE_QP = 0.5 * (1.0 + np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)]))
 _EDGE_QW = np.array([5.0, 8.0, 5.0]) / 18.0
 
@@ -78,11 +78,6 @@ def _scalar_cell_dofs(mesh: Mesh, family: str):
     raise ValueError(f"unknown scalar family {family!r}")
 
 
-def _boundary_vertices(mesh: Mesh) -> np.ndarray:
-    edges = np.fromiter(mesh.boundary_tags, dtype=np.int64)
-    return np.unique(mesh.edges[edges].ravel())
-
-
 def build_space(mesh: Mesh, family: str, vector: bool = False) -> FunctionSpace:
     """Assemble the global DOF map for one field.
 
@@ -105,7 +100,7 @@ def build_space(mesh: Mesh, family: str, vector: bool = False) -> FunctionSpace:
             cell_dofs[:, 1::2] = 2 * scalar_dofs + 1
             n_dofs = 2 * n_scalar
         space = FunctionSpace(mesh, family, elem, True, cell_dofs, n_dofs)
-        space.dirichlet_dofs = _trace_dofs(space)
+        space.dirichlet_dofs = _edge_dofs(space, mesh.boundary_edges())
         return space
 
     elem = scalar_element(family)
@@ -113,16 +108,16 @@ def build_space(mesh: Mesh, family: str, vector: bool = False) -> FunctionSpace:
     return FunctionSpace(mesh, family, elem, False, cell_dofs, n_dofs)
 
 
-def _trace_dofs(space: FunctionSpace) -> np.ndarray:
+def _edge_dofs(space: FunctionSpace, edges: np.ndarray) -> np.ndarray:
+    """The velocity DOFs with nonzero trace on the given edges."""
     mesh = space.mesh
-    bverts = _boundary_vertices(mesh)
-    bedges = np.fromiter(mesh.boundary_tags, dtype=np.int64)
-    dofs = [2 * bverts, 2 * bverts + 1]
+    verts = np.unique(mesh.edges[edges].ravel())
+    dofs = [2 * verts, 2 * verts + 1]
     if space.family == "p2":
-        mids = 2 * (mesh.n_vertices + bedges)
+        mids = 2 * (mesh.n_vertices + edges)
         dofs += [mids, mids + 1]
     elif space.family == "bernardi-raugel":
-        dofs.append(2 * mesh.n_vertices + bedges)
+        dofs.append(2 * mesh.n_vertices + edges)
     # the interior MINI bubble has zero trace and stays unconstrained
     return np.unique(np.concatenate(dofs))
 
@@ -184,67 +179,45 @@ def boundary_values(space: FunctionSpace, g) -> np.ndarray:
     """Dirichlet values aligned with ``space.dirichlet_dofs``.
 
     ``g`` is a vectorized callable (x, y) -> (..., 2), a constant pair,
-    None (zero), or a dict mapping boundary tags to any of those.  Tagged
-    data is applied bottom, right, left, top, so at corners the top (lid)
+    None (zero), or a dict mapping boundary tags to any of those.  Each
+    group takes its interpolant's values at the DOFs with trace on its
+    edges, applied bottom, right, left, top, so at corners the top (lid)
     value overwrites the side values.
     """
     if not space.vector:
         raise ValueError("boundary_values expects a velocity (vector) space")
-    mesh = space.mesh
-    values = np.zeros(space.n_dofs)
     if isinstance(g, dict):
         unknown = set(g) - set(TAG_APPLICATION_ORDER)
         if unknown:
             raise ValueError(f"unknown boundary tags {sorted(unknown)}")
-        groups = [(tag, _as_vector_fn(g.get(tag))) for tag in TAG_APPLICATION_ORDER]
+        groups = [(tag, g.get(tag)) for tag in TAG_APPLICATION_ORDER]
     else:
-        groups = [(None, _as_vector_fn(g))]
-
+        groups = [(None, g)]
+    values = np.zeros(space.n_dofs)
     for tag, fn in groups:
-        edges = (
-            np.fromiter(mesh.boundary_tags, dtype=np.int64)
-            if tag is None
-            else mesh.boundary_edges(tag)
-        )
-        if len(edges) == 0:
-            continue
-        va, vb = mesh.edges[edges, 0], mesh.edges[edges, 1]
-        pa, pb = mesh.vertices[va], mesh.vertices[vb]
-        ga = fn(pa[:, 0], pa[:, 1])
-        gb = fn(pb[:, 0], pb[:, 1])
-        values[2 * va], values[2 * va + 1] = ga[:, 0], ga[:, 1]
-        values[2 * vb], values[2 * vb + 1] = gb[:, 0], gb[:, 1]
-        if space.family == "p2":
-            mid = 0.5 * (pa + pb)
-            gm = fn(mid[:, 0], mid[:, 1])
-            mdof = 2 * (mesh.n_vertices + edges)
-            values[mdof], values[mdof + 1] = gm[:, 0], gm[:, 1]
-        elif space.family == "bernardi-raugel":
-            values[2 * mesh.n_vertices + edges] = _edge_flux_coefficients(
-                mesh, edges, fn, ga, gb
-            )
+        dofs = _edge_dofs(space, space.mesh.boundary_edges(tag))
+        values[dofs] = interpolate(space, fn).coefficients[dofs]
     return values[space.dirichlet_dofs]
-
-
-def _edge_flux_coefficients(mesh, edges, fn, ga, gb):
-    """Bubble coefficients matching the mean normal flux of ``fn`` per edge.
-
-    The bubble with unit coefficient carries normal flux |e| / 6, and the
-    vertex part carries the trapezoidal flux of the endpoint values.
-    """
-    va, vb = mesh.edges[edges, 0], mesh.edges[edges, 1]
-    pa, pb = mesh.vertices[va], mesh.vertices[vb]
-    normals = mesh.edge_normals[edges]
-    lengths = mesh.edge_lengths[edges]
-    pts = pa[:, None, :] + _EDGE_QP[None, :, None] * (pb - pa)[:, None, :]
-    gq = fn(pts[..., 0], pts[..., 1])
-    flux = lengths * np.einsum("q,eqi,ei->e", _EDGE_QW, gq, normals)
-    lin_flux = 0.5 * lengths * np.einsum("ei,ei->e", ga + gb, normals)
-    return (flux - lin_flux) / (lengths / 6.0)
 
 
 # ---------------------------------------------------------------------------
 # interpolation
+
+
+def _edge_flux_coefficients(mesh, fn, gv):
+    """Bubble coefficients matching the mean normal flux of ``fn`` per edge.
+
+    The bubble with unit coefficient carries normal flux |e| / 6, and the
+    vertex part carries the trapezoidal flux of the vertex values ``gv``.
+    """
+    va, vb = mesh.edges[:, 0], mesh.edges[:, 1]
+    pa, pb = mesh.vertices[va], mesh.vertices[vb]
+    normals, lengths = mesh.edge_normals, mesh.edge_lengths
+    pts = pa[:, None, :] + _EDGE_QP[None, :, None] * (pb - pa)[:, None, :]
+    gq = fn(pts[..., 0], pts[..., 1])
+    flux = lengths * np.einsum("q,eqi,ei->e", _EDGE_QW, gq, normals)
+    lin_flux = 0.5 * lengths * np.einsum("ei,ei->e", gv[va] + gv[vb], normals)
+    return (flux - lin_flux) / (lengths / 6.0)
 
 
 def interpolate(space: FunctionSpace, fn) -> DiscreteField:
@@ -256,37 +229,20 @@ def interpolate(space: FunctionSpace, fn) -> DiscreteField:
     """
     mesh = space.mesh
     vx, vy = mesh.vertices[:, 0], mesh.vertices[:, 1]
-    centroids = mesh.vertices[mesh.cells].mean(axis=1)
-
+    coefs = np.zeros(space.n_dofs)
     if space.vector:
         fn = _as_vector_fn(fn)
-        coefs = np.zeros(space.n_dofs)
+        if space.family != "bernardi-raugel":  # Lagrange: componentwise
+            scalar = build_space(mesh, space.family)
+            for i in range(2):
+                coefs[i::2] = interpolate(scalar, lambda x, y, i=i: fn(x, y)[..., i]).coefficients
+            return DiscreteField(space, coefs)
         gv = fn(vx, vy)
-        coefs[0 : 2 * mesh.n_vertices : 2] = gv[:, 0]
-        coefs[1 : 2 * mesh.n_vertices : 2] = gv[:, 1]
-        if space.family == "p2":
-            mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
-            gm = fn(mids[:, 0], mids[:, 1])
-            coefs[2 * mesh.n_vertices :: 2] = gm[:, 0]
-            coefs[2 * mesh.n_vertices + 1 :: 2] = gm[:, 1]
-        elif space.family == "p1bubble":
-            gc = fn(centroids[:, 0], centroids[:, 1])
-            vert_mean = gv[mesh.cells].mean(axis=1)
-            bub = 27.0 * (gc - vert_mean)
-            coefs[2 * mesh.n_vertices :: 2] = bub[:, 0]
-            coefs[2 * mesh.n_vertices + 1 :: 2] = bub[:, 1]
-        elif space.family == "bernardi-raugel":
-            all_edges = np.arange(mesh.n_edges)
-            pa = mesh.vertices[mesh.edges[:, 0]]
-            pb = mesh.vertices[mesh.edges[:, 1]]
-            ga = fn(pa[:, 0], pa[:, 1])
-            gb = fn(pb[:, 0], pb[:, 1])
-            coefs[2 * mesh.n_vertices :] = _edge_flux_coefficients(
-                mesh, all_edges, fn, ga, gb
-            )
+        coefs[: 2 * mesh.n_vertices] = gv.ravel()
+        coefs[2 * mesh.n_vertices :] = _edge_flux_coefficients(mesh, fn, gv)
         return DiscreteField(space, coefs)
 
-    coefs = np.zeros(space.n_dofs)
+    centroids = mesh.vertices[mesh.cells].mean(axis=1)
     if space.family == "p1":
         coefs[:] = fn(vx, vy)
     elif space.family == "p2":

@@ -280,6 +280,48 @@ def test_cached_pattern_is_not_reused_for_other_triplets():
     assert np.array_equal(asm.oseen(conv_triplets=(rows, cols, vals)).matrix.data, reference.data)
 
 
+def test_convection_keys_are_located_in_the_fixed_pattern():
+    _, coeffs, spaces = example1_setup(n=2)
+    asm = SystemAssembler(spaces, coeffs)
+    beta = interpolate(spaces[0], lambda x, y: np.stack([y, -x], axis=-1))
+    rows, cols, vals = asm._convection(beta)
+    own = asm.oseen(conv_triplets=(rows, cols, vals)).matrix
+    # writable copies take the search path; it must find the same slots
+    copied = asm.oseen(conv_triplets=(rows.copy(), cols.copy(), vals)).matrix
+    assert np.array_equal(copied.indptr, own.indptr)
+    assert np.array_equal(copied.indices, own.indices)
+    assert np.array_equal(copied.data, own.data)
+    # a velocity-pressure pair whose supports do not meet has no slot
+    o = asm.block_index
+    absent = np.setdiff1d(np.arange(o[2], o[3]), own[[0]].indices)[0]
+    with pytest.raises(ValueError, match="pattern"):
+        asm.oseen(conv_triplets=(np.append(rows, 0), np.append(cols, absent), np.append(vals, 1.0)))
+    # a negative column must not alias the last entry of the previous row
+    with pytest.raises(ValueError, match="outside"):
+        asm.oseen(conv_triplets=(rows[:1] + 1, np.array([-1]), vals[:1]))
+
+
+@pytest.mark.parametrize(
+    "n, family, vorticity", [(8, "taylor-hood", "dg1"), (3, "mini", "cg1"), (3, "bernardi-raugel", "dg0")]
+)
+def test_dirichlet_elimination_matches_the_mask_product(n, family, vorticity):
+    case, coeffs, spaces = example1_setup(n=n, family=family, vorticity=vorticity)
+    system = SystemAssembler(spaces, coeffs).oseen(beta=interpolate(spaces[0], case.u))
+    eliminated = apply_dirichlet(system, spaces[0], case.u).matrix
+    keep = np.ones(system.n)
+    keep[spaces[0].dirichlet_dofs] = 0.0
+    mask = sp.diags(keep)
+    reference = (mask @ system.matrix @ mask + sp.diags(1.0 - keep)).tocsr()
+    for m in (eliminated, reference):
+        m.sort_indices()
+    assert np.array_equal(eliminated.indptr, reference.indptr)
+    assert np.array_equal(eliminated.indices, reference.indices)
+    assert np.array_equal(eliminated.data, reference.data)
+    # the pattern stores exact-zero sums; elimination drops them, as the product did
+    assert np.any(system.matrix.data == 0.0)
+    assert np.all(eliminated.data != 0.0)
+
+
 def test_multiplier_row_structure():
     _, coeffs, spaces = example1_setup(n=2)
     system = assemble_oseen(spaces, coeffs)
