@@ -13,15 +13,15 @@ quadrature,
 with 2D conventions curl v = dx v2 - dy v1, curl of a scalar
 th = (dy th, -dx th), and a x b = a1 b2 - a2 b1.
 
-Cells are visited in the fixed chunks of one :class:`CellQuadrature`
-and merged in cell order into COO triplets.  :class:`CSRPattern` turns
-them into CSR itself: each entry is the left-to-right sum of its
-contributions in triplet order, whatever else shares its row.  Repeated
-assemblies of identical inputs are therefore bit-identical, and blocks
-built from the same floats in transposed placement are exact transposes.
-An assembler has one pattern, that of its linear part, binned once;
-convection (Oseen and Newton alike) adds its values on the slots of
-those keys, and Dirichlet elimination masks the data of the matrix.
+Every term falls on one block (uu, uw, wu, ww, up, pu, mp or pm).  One key
+array per block, built once from the DOF maps in cell order, is shared by
+all its terms; the fixed chunks of one :class:`CellQuadrature` produce only
+their values, in the same order.  :class:`CSRPattern` maps the keys to CSR
+slots, and each entry is the left-to-right sum of its contributions in part
+and cell order, whatever else shares its row.  Repeated assemblies are
+therefore bit-identical, and blocks built from the same floats in transposed
+placement are exact transposes.  Convection (Oseen and Newton alike) adds
+its values on the slots of the uu keys; Dirichlet elimination masks the data.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class ProblemCoefficients:
     map to arrays with a trailing component axis.  ``grad_nu`` is the
     analytic viscosity gradient (None means identically zero); supplying
     it as data avoids differentiation noise in the viscosity-gradient
-    terms.  The bounds are those of :func:`check_weights`.
+    terms.  The bounds are those of :meth:`check_bounds`.
     """
 
     nu: callable
@@ -64,25 +64,19 @@ class ProblemCoefficients:
             self.check_bounds()
 
     def check_bounds(self):
+        """Reject bounds and weights outside 0 < sigma0 <= sigma1, 0 < nu0 <= nu1,
+        kappa1 in (0, 2/3 nu0] and kappa2 > 0.  The upper end of kappa1 is
+        admissible: the ellipticity margin kappa1 - 3 kappa1^2 / (4 nu0) is
+        still nu0 / 3 there."""
         if not (0.0 < self.sigma0 <= self.sigma1):
             raise ValueError(f"sigma bounds must satisfy 0 < sigma0 <= sigma1, got ({self.sigma0}, {self.sigma1})")
-        check_weights(self.nu0, self.nu1, self.kappa1, self.kappa2)
-
-
-def check_weights(nu0: float, nu1: float, kappa1: float, kappa2: float):
-    """Reject viscosity bounds and augmentation weights outside
-    0 < nu0 <= nu1, kappa1 in (0, 2/3 nu0] and kappa2 > 0.
-
-    The upper end of kappa1 is admissible because the ellipticity margin
-    kappa1 - 3 kappa1^2 / (4 nu0) is still nu0 / 3 there.
-    """
-    if not (0.0 < nu0 <= nu1):
-        raise ValueError(f"viscosity bounds must satisfy 0 < nu0 <= nu1, got ({nu0}, {nu1})")
-    limit = (2.0 / 3.0) * nu0
-    if not (0.0 < kappa1 <= limit * (1.0 + 1e-12)):
-        raise ValueError(f"kappa1 = {kappa1} outside the admissible interval (0, {limit}] = (0, 2/3 nu0]")
-    if kappa2 <= 0.0:
-        raise ValueError(f"kappa2 must be positive, got {kappa2}")
+        if not (0.0 < self.nu0 <= self.nu1):
+            raise ValueError(f"viscosity bounds must satisfy 0 < nu0 <= nu1, got ({self.nu0}, {self.nu1})")
+        limit = (2.0 / 3.0) * self.nu0
+        if not (0.0 < self.kappa1 <= limit * (1.0 + 1e-12)):
+            raise ValueError(f"kappa1 = {self.kappa1} outside the admissible interval (0, {limit}] = (0, 2/3 nu0]")
+        if self.kappa2 <= 0.0:
+            raise ValueError(f"kappa2 must be positive, got {self.kappa2}")
 
 
 @dataclass(eq=False)
@@ -126,12 +120,12 @@ def _keys(rows, cols, shape) -> np.ndarray:
 class CSRPattern:
     """Canonical CSR pattern of a list of COO (row, col) keys.
 
-    ``slot`` maps each of those triplets to its place in the CSR data: the
-    rank of its key among the distinct keys, found by a stable sort.
-    ``bin`` sums values into their slots with ``np.bincount``, left to right
-    in triplet order, so the sums depend only on the triplets, never on the
-    other entries of a row; every key is kept, zero sums included.
-    ``locate`` finds the slots of other keys of the pattern.
+    ``slot`` maps each of those keys to its place in the CSR data: the rank
+    of its key among the distinct keys, found by a stable sort.  Summed into
+    their slots left to right (``np.bincount``, ``np.add.at``), the values
+    of an entry depend only on their own order, never on the other entries
+    of a row; every key is kept, zero sums included.  ``locate`` finds the
+    slots of other keys of the pattern.
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]):
@@ -149,10 +143,6 @@ class CSRPattern:
         self.indices = (key % shape[1]).astype(idx)
         self.indptr = np.zeros(shape[0] + 1, dtype=idx)
         np.cumsum(np.bincount(key // shape[1], minlength=shape[0]), out=self.indptr[1:])
-
-    def bin(self, vals: np.ndarray) -> np.ndarray:
-        """CSR data of the values of the triplets the pattern was built from."""
-        return np.bincount(self.slot, weights=vals, minlength=len(self.indices))
 
     def locate(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Slots of other (row, col) keys, found by binary search."""
@@ -173,7 +163,7 @@ class CSRPattern:
 def triplets_to_csr(rows, cols, vals, shape) -> sp.csr_matrix:
     """Canonical CSR of COO triplets, duplicates summed in input order."""
     pattern = CSRPattern(rows, cols, shape)
-    return pattern.csr(pattern.bin(vals))
+    return pattern.csr(np.bincount(pattern.slot, weights=vals, minlength=len(pattern.indices)))
 
 
 def default_quad_degree(velocity_space: FunctionSpace) -> int:
@@ -190,11 +180,12 @@ def _check_spaces(spaces):
     return V, W, Q
 
 
-def _local_triplets(rows_map, cols_map, local):
-    """COO triplets of the local matrices ``local`` (nc, na, nb) placed at
-    the global ``rows_map`` (nc, na) x ``cols_map`` (nc, nb)."""
-    na, nb = local.shape[1], local.shape[2]
-    return np.repeat(rows_map, nb, axis=1).ravel(), np.tile(cols_map, (1, na)).ravel(), local.ravel()
+def _block_keys(rows_map, cols_map):
+    """Read-only COO (rows, cols) of a block whose local matrices, over all
+    cells, sit at the global ``rows_map`` (nc, na) x ``cols_map`` (nc, nb);
+    in cell order, the order in which the chunks produce their values."""
+    na, nb = rows_map.shape[1], cols_map.shape[1]
+    return _frozen(np.repeat(rows_map, nb, axis=1).ravel()), _frozen(np.tile(cols_map, (1, na)).ravel())
 
 
 def _velocity_arrays(tab_v, cells, inv):
@@ -216,7 +207,7 @@ def gram_matrix(spaces, quad: CellQuadrature) -> sp.csr_matrix:
     V, W, _ = spaces
     tab_v = tabulate(V, quad.rule.points)
     wvals = tabulate(W, quad.rule.points).shapes
-    triplets = ([], [], [])
+    vals_u, vals_w = [], []
     for cells, wdet, _, inv in quad.chunks():
         vv, _, curl, div = _velocity_arrays(tab_v, cells, inv)
         local_u = (
@@ -224,12 +215,12 @@ def gram_matrix(spaces, quad: CellQuadrature) -> sp.csr_matrix:
             + np.einsum("cq,caq,cbq->cab", wdet, curl, curl, optimize=True)
             + np.einsum("cq,caq,cbq->cab", wdet, div, div, optimize=True)
         )
-        local_w = np.einsum("cq,aq,bq->cab", wdet, wvals, wvals, optimize=True)
-        for local, dofs in ((local_u, V.cell_dofs[cells]), (local_w, W.cell_dofs[cells] + V.n_dofs)):
-            for acc, arr in zip(triplets, _local_triplets(dofs, dofs, local)):
-                acc.append(arr)
+        vals_u.append(local_u.ravel())
+        vals_w.append(np.einsum("cq,aq,bq->cab", wdet, wvals, wvals, optimize=True).ravel())
+    # the two blocks share no key, so their order does not change a sum
+    uu, ww = (_block_keys(dofs, dofs) for dofs in (V.cell_dofs, W.cell_dofs + V.n_dofs))
     n = V.n_dofs + W.n_dofs
-    return triplets_to_csr(*(np.concatenate(t) for t in triplets), (n, n))
+    return triplets_to_csr(*(np.concatenate(t) for t in zip(uu, ww)), np.concatenate(vals_u + vals_w), (n, n))
 
 
 class SystemAssembler:
@@ -279,17 +270,12 @@ class SystemAssembler:
             return self._linear
         k1, k2 = self.coeffs.kappa1, self.coeffs.kappa2
         o = self.block_index
-        cd_u = self.V.cell_dofs
-        cd_w = self.W.cell_dofs + o[1]
-        cd_q = self.Q.cell_dofs + o[2]
-        terms: dict[str, tuple] = {}
+        chunks: dict[str, list] = {}  # values per chunk; a part's block is its name's first two letters
         rhs = np.zeros(o[4])
         pmass = np.zeros(self.Q.n_dofs)
 
-        def add(name, rows_map, cols_map, local):
-            lists = terms.setdefault(name, ([], [], []))
-            for acc, arr in zip(lists, _local_triplets(rows_map, cols_map, local)):
-                acc.append(arr)
+        def add(name, local):
+            chunks.setdefault(name, []).append(local.ravel())
 
         wvals = self.tab_w.shapes  # vorticity/pressure bases are affine-invariant
         pvals = self.tab_q.shapes
@@ -297,57 +283,57 @@ class SystemAssembler:
             nu, sig, gnu = self._coefficient_samples(xq)
             fq = np.asarray(self.coeffs.f(xq[..., 0], xq[..., 1]), dtype=float)
             vv, gv, curl, div = _velocity_arrays(self.tab_v, cells, inv)
-            ru, rw, rq = cd_u[cells], cd_w[cells], cd_q[cells]
 
-            add("uu_sigma", ru, ru, np.einsum("cq,caqi,cbqi->cab", wdet * sig, vv, vv, optimize=True))
+            add("uu_sigma", np.einsum("cq,caqi,cbqi->cab", wdet * sig, vv, vv, optimize=True))
             if k1 != 0.0:
-                add("uu_curl", ru, ru, k1 * np.einsum("cq,caq,cbq->cab", wdet, curl, curl, optimize=True))
+                add("uu_curl", k1 * np.einsum("cq,caq,cbq->cab", wdet, curl, curl, optimize=True))
             if k2 != 0.0:
-                add("uu_div", ru, ru, k2 * np.einsum("cq,caq,cbq->cab", wdet, div, div, optimize=True))
+                add("uu_div", k2 * np.einsum("cq,caq,cbq->cab", wdet, div, div, optimize=True))
             if gnu is not None:
                 eps_gnu = 0.5 * (np.einsum("cbqij,cqj->cbqi", gv, gnu, optimize=True)
                                  + np.einsum("cbqji,cqj->cbqi", gv, gnu, optimize=True))
-                add("uu_gradnu", ru, ru, -2.0 * np.einsum("cq,cbqi,caqi->cab", wdet, eps_gnu, vv, optimize=True))
+                add("uu_gradnu", -2.0 * np.einsum("cq,cbqi,caqi->cab", wdet, eps_gnu, vv, optimize=True))
                 cross = gnu[:, None, :, 0] * vv[..., 1] - gnu[:, None, :, 1] * vv[..., 0]
-                add("uw_gradnu", ru, rw, np.einsum("cq,caq,bq->cab", wdet, cross, wvals, optimize=True))
+                add("uw_gradnu", np.einsum("cq,caq,bq->cab", wdet, cross, wvals, optimize=True))
 
             coupling = np.einsum("cq,caq,bq->cab", wdet * nu, curl, wvals, optimize=True)
-            add("uw_nu", ru, rw, coupling)
+            add("uw_nu", coupling)
             # same floats, transposed placement: bitwise antisymmetric pair
-            add("wu_nu", rw, ru, -coupling.transpose(0, 2, 1))
+            add("wu_nu", -coupling.transpose(0, 2, 1))
             if k1 != 0.0:
-                add("uw_kappa1", ru, rw, -k1 * np.einsum("cq,caq,bq->cab", wdet, curl, wvals, optimize=True))
-            add("ww_nu", rw, rw, np.einsum("cq,aq,bq->cab", wdet * nu, wvals, wvals, optimize=True))
+                add("uw_kappa1", -k1 * np.einsum("cq,caq,bq->cab", wdet, curl, wvals, optimize=True))
+            add("ww_nu", np.einsum("cq,aq,bq->cab", wdet * nu, wvals, wvals, optimize=True))
 
             bform = -np.einsum("cq,caq,bq->cab", wdet, div, pvals, optimize=True)
-            add("up", ru, rq, bform)
-            add("pu", rq, ru, bform.transpose(0, 2, 1))
+            add("up", bform)
+            add("pu", bform.transpose(0, 2, 1))
 
-            np.add.at(rhs, ru, np.einsum("cq,caqi,cqi->ca", wdet, vv, fq, optimize=True))
+            np.add.at(rhs, self.V.cell_dofs[cells], np.einsum("cq,caqi,cqi->ca", wdet, vv, fq, optimize=True))
             np.add.at(pmass, self.Q.cell_dofs[cells], np.einsum("cq,bq->cb", wdet, pvals))
 
-        coo = {
-            name: (_frozen(np.concatenate(r)), _frozen(np.concatenate(c)), np.concatenate(v))
-            for name, (r, c, v) in terms.items()
-        }
-        terms.clear()  # free the chunks before the pattern's temporaries
-        p_cols = _frozen(o[2] + np.arange(self.Q.n_dofs))
-        m_row = _frozen(np.full(self.Q.n_dofs, o[3]))
-        coo["mp"] = (m_row, p_cols, pmass)
-        coo["pm"] = (p_cols, m_row, pmass)
-        rows, cols, vals = zip(*coo.values())
+        # free the chunks before the pattern's temporaries
+        vals = {name: np.concatenate(chunks.pop(name)) for name in list(chunks)}
+        dofs = {"u": self.V.cell_dofs, "w": self.W.cell_dofs + o[1], "p": self.Q.cell_dofs + o[2]}
+        keys = {b: _block_keys(dofs[b[0]], dofs[b[1]]) for b in ("uu", "uw", "wu", "ww", "up", "pu")}
+        p_dofs, m_dofs = o[2] + np.arange(self.Q.n_dofs)[:, None], np.full((self.Q.n_dofs, 1), o[3])
+        keys["mp"], keys["pm"] = _block_keys(m_dofs, p_dofs), _block_keys(p_dofs, m_dofs)
+        vals["mp"] = vals["pm"] = pmass
+        rows, cols = zip(*keys.values())
         pattern = CSRPattern(np.concatenate(rows), np.concatenate(cols), (o[4], o[4]))
-        self._data = pattern.bin(np.concatenate(vals))
-        # keep only the slots of the uu_sigma keys (first; also the convection keys)
-        self._conv_slots = pattern.slot[: len(rows[0])].copy()
-        del pattern.slot
+        slots = dict(zip(keys, np.split(pattern.slot, np.cumsum([len(r) for r in rows])[:-1])))
+        # part by part from zeros: the same left-to-right sums as one bincount of all parts
+        self._data = np.zeros(len(pattern.indices))
+        for name, v in vals.items():
+            np.add.at(self._data, slots[name[:2]], v)
+        self._conv_slots = slots["uu"].copy()  # the convection keys are the uu keys
+        del pattern.slot, slots
         self._pattern = pattern
-        self._linear = (coo, rhs)
+        self._linear = ({name: keys[name[:2]] + (v,) for name, v in vals.items()}, rhs)
         return self._linear
 
     def _convection(self, beta: DiscreteField, newton: bool = False):
         """COO triplets (rows, cols, vals) of ((beta . grad) u, v), on the
-        read-only keys of the uu_sigma part (same cell layout).  With
+        read-only keys of the uu block (same cell layout).  With
         ``newton``, also the values of the block differentiated in its
         advecting argument, ((u . grad) beta, v): (rows, cols, vals, dual)."""
         if beta.space is not self.V and beta.space.n_dofs != self.V.n_dofs:

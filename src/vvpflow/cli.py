@@ -11,12 +11,14 @@ import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .assembly import check_weights
+from .assembly import ProblemCoefficients
 from .mesh import Mesh, build_structured
 from .solver import METHODS, DiagnosticsConfig, NonlinearSettings, check_small_data, grad_nu_norm, lp_norm
 from .spaces import STACKS, VORTICITY_SPACES, DiscreteField, check_method, vertex_values
 from .verify import (
     ConvergenceReport,
+    cavity_coefficients,
+    check_cavity_resolution,
     coefficients_from_case,
     div_norm,
     example1_case_2d,
@@ -55,15 +57,22 @@ class RunConfig:
         self.settings()
         if self.levels < 2:
             raise ValueError("--levels must be at least 2")
-        if self.nx < 1 or self.ny < 1:
+        if self.command == "cavity":
+            check_cavity_resolution(self.nx, self.ny)
+        elif self.nx < 1 or self.ny < 1:
             raise ValueError("--nx/--ny must be positive")
         if self.perm <= 0.0:
             raise ValueError("--perm must be positive")
-        if self.kappa1 is None:
-            self.kappa1 = (2.0 / 3.0) * self.nu0
-        if self.kappa2 is None:
-            self.kappa2 = 0.5 * self.nu0
-        check_weights(self.nu0, self.nu1, self.kappa1, self.kappa2)
+        coeffs = self.coefficients()
+        self.kappa1, self.kappa2 = coeffs.kappa1, coeffs.kappa2
+
+    def coefficients(self) -> ProblemCoefficients:
+        """The problem data the command runs, validated as they are built;
+        the cavity has its own nu1 = 2 nu0 and augmentation weights."""
+        if self.command == "cavity":
+            return cavity_coefficients(nu0=self.nu0, perm=self.perm)
+        case = example1_case_2d(nu0=self.nu0, nu1=self.nu1, perm=self.perm)
+        return coefficients_from_case(case, kappa1=self.kappa1, kappa2=self.kappa2)
 
     def settings(self) -> NonlinearSettings:
         """The nonlinear solver settings; building them validates the method,
@@ -285,7 +294,7 @@ def _run_cavity(cfg: RunConfig) -> int:
 
 def _run_diagnostics(cfg: RunConfig) -> int:
     case = example1_case_2d(nu0=cfg.nu0, nu1=cfg.nu1, perm=cfg.perm)
-    coeffs = coefficients_from_case(case, kappa1=cfg.kappa1, kappa2=cfg.kappa2)
+    coeffs = cfg.coefficients()
     mesh = build_structured(cfg.nx, cfg.ny, case.rect)
     diag = DiagnosticsConfig()
     diag.grad_nu_Lrstar = grad_nu_norm(mesh, coeffs, diag.r_star)

@@ -366,6 +366,12 @@ def cavity_coefficients(nu0: float = 0.002, perm: float = 0.1) -> ProblemCoeffic
     )
 
 
+def check_cavity_resolution(nx: int, ny: int):
+    """Reject a cavity mesh coarser than 8 x 8 cells."""
+    if nx < 8 or ny < 8:
+        raise ValueError(f"cavity resolution must be at least 8x8, got {nx}x{ny}")
+
+
 def run_cavity(
     nx: int = 64,
     ny: int = 32,
@@ -379,8 +385,7 @@ def run_cavity(
     The lid moves with u = (1, 0); the discontinuous corner data is
     resolved by the tag application order (the lid value wins).
     """
-    if nx < 8 or ny < 8:
-        raise ValueError("cavity resolution must be at least 8x8")
+    check_cavity_resolution(nx, ny)
     mesh = build_structured(nx, ny, (0.0, 0.0, 2.0, 1.0))
     spaces = method_spaces(mesh, "mini", "cg1")
     coeffs = cavity_coefficients(nu0=nu0, perm=perm)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -255,6 +257,40 @@ def test_separate_assemblers_are_bit_identical():
             assert np.array_equal(m.indptr, group[0].indptr)
             assert np.array_equal(m.indices, group[0].indices)
             assert np.array_equal(m.data, group[0].data)
+
+
+@pytest.mark.parametrize("n, family, vorticity", [(4, "taylor-hood", "dg1"), (3, "bernardi-raugel", "dg0")])
+def test_linear_matrix_is_one_in_order_binning_of_its_parts(n, family, vorticity):
+    _, coeffs, spaces = example1_setup(n=n, family=family, vorticity=vorticity)
+    asm = SystemAssembler(spaces, coeffs)
+    matrix = asm.oseen().matrix
+    parts = asm._linear[0]
+    assert len(parts) == 13
+    reference = triplets_to_csr(*(np.concatenate(t) for t in zip(*parts.values())), matrix.shape)
+    assert np.array_equal(matrix.indptr, reference.indptr)
+    assert np.array_equal(matrix.indices, reference.indices)
+    assert np.array_equal(matrix.data, reference.data)
+    # the parts of one block share its key arrays
+    for name, (rows, cols, _) in parts.items():
+        first = next(parts[other] for other in parts if other[:2] == name[:2])
+        assert rows is first[0] and cols is first[1]
+
+
+def test_linear_assembly_memory_per_assembled_value():
+    # traced peak growth from n=16 to n=32 per byte of part values: the
+    # keys of each block are built once, not once per term and chunk
+    case, coeffs, _ = example1_setup()
+    peaks, values = [], []
+    for n in (16, 32):
+        asm = SystemAssembler(method_spaces(build_structured(n, n, case.rect), "taylor-hood", "dg1"), coeffs)
+        tracemalloc.start()
+        try:
+            asm._ensure_linear()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        values.append(sum(vals.nbytes for _, _, vals in asm._linear[0].values()))
+    assert (peaks[1] - peaks[0]) / (values[1] - values[0]) <= 6.0
 
 
 def test_cached_pattern_is_not_reused_for_other_triplets():

@@ -209,6 +209,14 @@ class TestMain:
         assert code == 0
         assert (tmp_path / "cavity_16x8.vtk").exists()
 
+    def test_cavity_below_8x8_exit_code(self, tmp_path, capsys):
+        assert main(["cavity", "--nx", "4", "--ny", "4", "--out", str(tmp_path)]) == 2
+        assert "at least 8x8" in capsys.readouterr().err
+
+    def test_cavity_validates_its_own_coefficients(self, tmp_path):
+        # the cavity's nu1 is 2 nu0, not Example 1's 1.0
+        assert main(["cavity", "--nu0", "2", "--nx", "8", "--ny", "8", "--out", str(tmp_path)]) == 0
+
     def test_diagnostics_run(self, capsys):
         assert main(["diagnostics", "--nx", "8", "--ny", "8"]) == 0
         assert "alpha" in capsys.readouterr().out
