@@ -13,13 +13,24 @@ quadrature,
 with 2D conventions curl v = dx v2 - dy v1, curl of a scalar
 th = (dy th, -dx th), and a x b = a1 b2 - a2 b1.
 
+The mesh is affine, so a cell's physical velocity basis depends on the
+cell only through its affine class (:meth:`CellQuadrature.classes`), and
+:class:`VelocityClasses` tabulates it once per class.  Every element
+matrix is then a GEMM against a class table (the reference-tensor form of
+Kirby & Logg): a constant-coefficient term is one element matrix per
+class; a sampled coefficient (sigma, nu, grad nu, f) is, per chunk of
+:class:`CellQuadrature` and class, one (cells, points) @ (points, na nb)
+product of the weighted samples and the pointwise basis products; the
+convection is one (cells, nb) @ (nb, na nb) product of the cell
+coefficients of beta and the class's trilinear tensor, weights and cell
+area included.  The results fill the element values in cell order.
+
 Every term falls on one block (uu, uw, wu, ww, up, pu, mp or pm).  One key
 array per block, built once from the DOF maps in cell order, is shared by
-all its terms; the fixed chunks of one :class:`CellQuadrature` produce only
-their values, in the same order.  :class:`CSRPattern` maps the keys to CSR
-slots, and each entry is the left-to-right sum of its contributions in part
-and cell order, whatever else shares its row.  Repeated assemblies are
-therefore bit-identical, and blocks built from the same floats in transposed
+all its terms.  :class:`CSRPattern` maps the keys to CSR slots, and each
+entry is the left-to-right sum of its contributions in part and cell
+order, whatever else shares its row.  Repeated assemblies are therefore
+bit-identical, and blocks built from the same floats in transposed
 placement are exact transposes.  Convection (Oseen and Newton alike) adds
 its values on the slots of the uu keys; Dirichlet elimination masks the data.
 """
@@ -32,7 +43,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .ordering import dof_support_centroids, nested_dissection
-from .quadrature import CellQuadrature
+from .quadrature import CHUNK, CellQuadrature, groups
 from .spaces import DiscreteField, FunctionSpace, boundary_values, chunk_dirs, physical_gradients, tabulate
 
 
@@ -121,7 +132,7 @@ class CSRPattern:
     """Canonical CSR pattern of a list of COO (row, col) keys.
 
     ``slot`` maps each of those keys to its place in the CSR data: the rank
-    of its key among the distinct keys, found by a stable sort.  Summed into
+    of its key among the distinct keys, found by one sort.  Summed into
     their slots left to right (``np.bincount``, ``np.add.at``), the values
     of an entry depend only on their own order, never on the other entries
     of a row; every key is kept, zero sums included.  ``locate`` finds the
@@ -131,8 +142,16 @@ class CSRPattern:
     def __init__(self, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]):
         self.shape = shape
         key = _keys(rows, cols, shape)
-        order = np.argsort(key, kind="stable")
-        key = key[order]
+        n = len(key)
+        if shape[0] * shape[1] * n < 2**63:  # sort (key, position) packed in one int64
+            key *= n
+            key += np.arange(n)
+            key.sort()
+            order = key % n
+            key //= n
+        else:
+            order = np.argsort(key, kind="stable")
+            key = key[order]
         first = np.empty(len(key), dtype=bool)
         first[:1] = True
         np.not_equal(key[1:], key[:-1], out=first[1:])
@@ -188,49 +207,86 @@ def _block_keys(rows_map, cols_map):
     return _frozen(np.repeat(rows_map, nb, axis=1).ravel()), _frozen(np.tile(cols_map, (1, na)).ravel())
 
 
-def _velocity_arrays(tab_v, cells, inv):
-    """Physical values V, gradients G, curl and div of the velocity basis."""
-    dirs = chunk_dirs(tab_v, cells)
-    vals = np.einsum("bq,cbi->cbqi", tab_v.shapes, np.broadcast_to(dirs, (len(cells),) + dirs.shape[1:]))
-    grads = np.einsum("cbqj,cbi->cbqij", physical_gradients(tab_v, inv), dirs)
-    curl = grads[..., 1, 0] - grads[..., 0, 1]
-    div = grads[..., 0, 0] + grads[..., 1, 1]
-    return vals, grads, curl, div
+class VelocityClasses:
+    """The velocity basis in physical coordinates, tabulated once per affine
+    cell class of a :class:`CellQuadrature` (see its ``classes``).
+
+    ``label`` is the class of each cell and ``members`` the cells of each
+    class, in cell order.  ``tables(ks)`` returns the values (nk, nb, nq, 2),
+    gradients (nk, nb, nq, 2, 2) with grad[..., i, j] = d v_i / d x_j,
+    curls and divergences (nk, nb, nq) of the classes ``ks``, batched over
+    them.  ``blocks`` yields ``(ks, wdet, tables(ks))`` CHUNK classes at a
+    time, which bounds their memory on a mesh of many classes; ``wdet``
+    (nk, nq) are the weights times the cell area of each class.
+    """
+
+    def __init__(self, quad: CellQuadrature, tab_v):
+        self.quad, self.tab_v = quad, tab_v
+        self.first, self.label = quad.classes(tab_v.dirs)
+        self.members = groups(self.label)[1]
+
+    def tables(self, ks):
+        cells = self.first[ks]
+        dirs = np.broadcast_to(chunk_dirs(self.tab_v, cells), (len(cells),) + self.tab_v.dirs.shape[1:])
+        vals = np.einsum("bq,cbi->cbqi", self.tab_v.shapes, dirs)
+        grads = np.einsum("cbqj,cbi->cbqij", physical_gradients(self.tab_v, self.quad.inv[cells]), dirs)
+        curl = grads[..., 1, 0] - grads[..., 0, 1]
+        div = grads[..., 0, 0] + grads[..., 1, 1]
+        return vals, grads, curl, div
+
+    def blocks(self):
+        w, det = self.quad.rule.weights, self.quad.det
+        for k0 in range(0, len(self.first), CHUNK):
+            ks = np.arange(k0, min(k0 + CHUNK, len(self.first)))
+            yield ks, w[None, :] * det[self.first[ks], None], self.tables(ks)
+
+    def per_cell(self, local: np.ndarray) -> np.ndarray:
+        """The element matrices of all cells, one row per cell, from those
+        of the classes (nk, ...): a cell has its class's."""
+        return local[self.label].reshape(len(self.label), -1)
 
 
-def gram_matrix(spaces, quad: CellQuadrature) -> sp.csr_matrix:
-    """Gram matrix of the combined velocity/vorticity norm.
+def gram_matrix(classes: VelocityClasses, W: FunctionSpace) -> sp.csr_matrix:
+    """Gram matrix of the combined velocity/vorticity norm, for the velocity
+    space of ``classes`` and the vorticity space ``W``.
 
     For stacked coefficients [u | w], coef' G coef equals
     ||u||^2 + ||curl u||^2 + ||div u||^2 + ||w||^2.
     """
-    V, W, _ = spaces
-    tab_v = tabulate(V, quad.rule.points)
-    wvals = tabulate(W, quad.rule.points).shapes
-    vals_u, vals_w = [], []
-    for cells, wdet, _, inv in quad.chunks():
-        vv, _, curl, div = _velocity_arrays(tab_v, cells, inv)
-        local_u = (
+    V = classes.tab_v.space
+    wvals = tabulate(W, classes.quad.rule.points).shapes
+    local_u, local_w = [], []
+    for _, wdet, (vv, _, curl, div) in classes.blocks():
+        local_u.append(
             np.einsum("cq,caqi,cbqi->cab", wdet, vv, vv, optimize=True)
             + np.einsum("cq,caq,cbq->cab", wdet, curl, curl, optimize=True)
             + np.einsum("cq,caq,cbq->cab", wdet, div, div, optimize=True)
         )
-        vals_u.append(local_u.ravel())
-        vals_w.append(np.einsum("cq,aq,bq->cab", wdet, wvals, wvals, optimize=True).ravel())
+        local_w.append(np.einsum("cq,aq,bq->cab", wdet, wvals, wvals, optimize=True))
+    vals_u, vals_w = (classes.per_cell(np.concatenate(local)).ravel() for local in (local_u, local_w))
     # the two blocks share no key, so their order does not change a sum
     uu, ww = (_block_keys(dofs, dofs) for dofs in (V.cell_dofs, W.cell_dofs + V.n_dofs))
     n = V.n_dofs + W.n_dofs
-    return triplets_to_csr(*(np.concatenate(t) for t in zip(uu, ww)), np.concatenate(vals_u + vals_w), (n, n))
+    return triplets_to_csr(*(np.concatenate(t) for t in zip(uu, ww)), np.concatenate([vals_u, vals_w]), (n, n))
+
+
+# the linear parts in the order of their sums; a part's block is its name's first two letters
+_PARTS = ("uu_sigma", "uu_curl", "uu_div", "uu_gradnu", "uw_gradnu", "uw_nu", "wu_nu", "uw_kappa1", "ww_nu", "up", "pu")
 
 
 class SystemAssembler:
-    """Chunked cellwise assembler with a cached advection-independent part.
+    """Assembler of the saddle system with a cached advection-independent part.
 
-    One instance precomputes geometry, reference tabulations and the
-    linear part, binned once into its CSR pattern; Oseen and Newton
-    matrices then only add the convection values on their slots.  Instances hold no
-    mutable state besides caches and may be shared across sequential
-    solves; distinct instances are fully independent.
+    One instance groups the cells into affine classes, tabulates the
+    velocity basis per class and assembles the linear part once, binned
+    into its CSR pattern.  Every element matrix comes from a class table:
+    a constant-coefficient term is one element matrix per class, a sampled
+    coefficient (sigma, nu, grad nu, f) one (cells, points) GEMM per class
+    and chunk, and the convection one (cells, basis) GEMM per class.
+    Oseen and Newton matrices then only add the convection values on their
+    slots.  Instances hold no mutable state besides caches and may be
+    shared across sequential solves; distinct instances are fully
+    independent.
     """
 
     def __init__(self, spaces, coeffs: ProblemCoefficients, quad_degree: int | None = None):
@@ -245,6 +301,7 @@ class SystemAssembler:
         self.tab_v = tabulate(self.V, self.rule.points)
         self.tab_w = tabulate(self.W, self.rule.points)
         self.tab_q = tabulate(self.Q, self.rule.points)
+        self.classes = VelocityClasses(self.quad, self.tab_v)
         n_u, n_w, n_p = self.V.n_dofs, self.W.n_dofs, self.Q.n_dofs
         self.block_index = (0, n_u, n_u + n_w, n_u + n_w + n_p, n_u + n_w + n_p + 1)
         self._linear = None
@@ -270,49 +327,65 @@ class SystemAssembler:
             return self._linear
         k1, k2 = self.coeffs.kappa1, self.coeffs.kappa2
         o = self.block_index
-        chunks: dict[str, list] = {}  # values per chunk; a part's block is its name's first two letters
-        rhs = np.zeros(o[4])
-        pmass = np.zeros(self.Q.n_dofs)
-
-        def add(name, local):
-            chunks.setdefault(name, []).append(local.ravel())
-
+        cls, w = self.classes, self.rule.weights
+        nc, nq = self.mesh.n_cells, len(w)
+        na, nw = self.V.cell_dofs.shape[1], self.W.cell_dofs.shape[1]
         wvals = self.tab_w.shapes  # vorticity/pressure bases are affine-invariant
         pvals = self.tab_q.shapes
-        for cells, wdet, xq, inv in self.quad.chunks():
+
+        # constant coefficients: every cell of a class has the element matrix of its class
+        local: dict[str, list] = {}
+        for _, wdet, (vv, _, curl, div) in cls.blocks():
+            terms = {"pmass": np.einsum("cq,bq->cb", wdet, pvals),
+                     "up": -np.einsum("cq,caq,bq->cab", wdet, div, pvals, optimize=True)}
+            if k1 != 0.0:
+                terms["uu_curl"] = k1 * np.einsum("cq,caq,cbq->cab", wdet, curl, curl, optimize=True)
+                terms["uw_kappa1"] = -k1 * np.einsum("cq,caq,bq->cab", wdet, curl, wvals, optimize=True)
+            if k2 != 0.0:
+                terms["uu_div"] = k2 * np.einsum("cq,caq,cbq->cab", wdet, div, div, optimize=True)
+            for name, m in terms.items():
+                local.setdefault(name, []).append(m)
+        vals = {name: cls.per_cell(np.concatenate(ms)) for name, ms in local.items()}
+        pmass_local = vals.pop("pmass")
+
+        # sampled coefficients: per chunk, one (cells, nq[*2]) @ (nq[*2], na*nb) GEMM per class
+        sampled = {"uu_sigma": na * na, "uw_nu": na * nw, "ww_nu": nw * nw}
+        if self.coeffs.grad_nu is not None:
+            sampled.update(uu_gradnu=na * na, uw_gradnu=na * nw)
+        vals.update((name, np.empty((nc, size))) for name, size in sampled.items())
+        f_local = np.empty((nc, na))
+        ww = np.einsum("aq,bq->qab", wvals, wvals).reshape(nq, -1)
+        for cells, wdet, xq, _ in self.quad.chunks():
             nu, sig, gnu = self._coefficient_samples(xq)
             fq = np.asarray(self.coeffs.f(xq[..., 0], xq[..., 1]), dtype=float)
-            vv, gv, curl, div = _velocity_arrays(self.tab_v, cells, inv)
+            ks, where = groups(cls.label[cells])
+            vv, gv, curl, _ = cls.tables(ks)
+            for i, pos in enumerate(where):
+                at, s = cells[pos], wdet[pos]
+                mass = np.einsum("aqi,bqi->qab", vv[i], vv[i], optimize=True).reshape(nq, -1)
+                vals["uu_sigma"][at] = (s * sig[pos]) @ mass
+                coupling = np.einsum("aq,bq->qab", curl[i], wvals).reshape(nq, -1)
+                t = (s * nu[pos]) @ np.hstack([coupling, ww])
+                vals["uw_nu"][at], vals["ww_nu"][at] = t[:, : na * nw], t[:, na * nw :]
+                if gnu is not None:
+                    # -2 (eps(v_b) grad nu, v_a) and (w_b, grad nu x v_a), per component of grad nu
+                    eps = -np.einsum("bqij,aqi->qjab", gv[i] + gv[i].swapaxes(-1, -2), vv[i], optimize=True)
+                    rot = np.stack([vv[i][..., 1], -vv[i][..., 0]], axis=-1)
+                    cross = np.einsum("aqj,bq->qjab", rot, wvals)
+                    table = np.hstack([eps.reshape(2 * nq, -1), cross.reshape(2 * nq, -1)])
+                    t = (s[..., None] * gnu[pos]).reshape(len(pos), -1) @ table
+                    vals["uu_gradnu"][at], vals["uw_gradnu"][at] = t[:, : na * na], t[:, na * na :]
+                f_local[at] = (s[..., None] * fq[pos]).reshape(len(pos), -1) @ vv[i].transpose(1, 2, 0).reshape(-1, na)
 
-            add("uu_sigma", np.einsum("cq,caqi,cbqi->cab", wdet * sig, vv, vv, optimize=True))
-            if k1 != 0.0:
-                add("uu_curl", k1 * np.einsum("cq,caq,cbq->cab", wdet, curl, curl, optimize=True))
-            if k2 != 0.0:
-                add("uu_div", k2 * np.einsum("cq,caq,cbq->cab", wdet, div, div, optimize=True))
-            if gnu is not None:
-                eps_gnu = 0.5 * (np.einsum("cbqij,cqj->cbqi", gv, gnu, optimize=True)
-                                 + np.einsum("cbqji,cqj->cbqi", gv, gnu, optimize=True))
-                add("uu_gradnu", -2.0 * np.einsum("cq,cbqi,caqi->cab", wdet, eps_gnu, vv, optimize=True))
-                cross = gnu[:, None, :, 0] * vv[..., 1] - gnu[:, None, :, 1] * vv[..., 0]
-                add("uw_gradnu", np.einsum("cq,caq,bq->cab", wdet, cross, wvals, optimize=True))
+        # same floats, transposed placement: bitwise (anti)symmetric pairs
+        vals["wu_nu"] = -vals["uw_nu"].reshape(nc, na, nw).transpose(0, 2, 1)
+        vals["pu"] = vals["up"].reshape(nc, na, -1).transpose(0, 2, 1)
+        vals = {name: vals.pop(name).ravel() for name in _PARTS if name in vals}
+        rhs = np.zeros(o[4])
+        np.add.at(rhs, self.V.cell_dofs, f_local)
+        pmass = np.zeros(self.Q.n_dofs)
+        np.add.at(pmass, self.Q.cell_dofs, pmass_local)
 
-            coupling = np.einsum("cq,caq,bq->cab", wdet * nu, curl, wvals, optimize=True)
-            add("uw_nu", coupling)
-            # same floats, transposed placement: bitwise antisymmetric pair
-            add("wu_nu", -coupling.transpose(0, 2, 1))
-            if k1 != 0.0:
-                add("uw_kappa1", -k1 * np.einsum("cq,caq,bq->cab", wdet, curl, wvals, optimize=True))
-            add("ww_nu", np.einsum("cq,aq,bq->cab", wdet * nu, wvals, wvals, optimize=True))
-
-            bform = -np.einsum("cq,caq,bq->cab", wdet, div, pvals, optimize=True)
-            add("up", bform)
-            add("pu", bform.transpose(0, 2, 1))
-
-            np.add.at(rhs, self.V.cell_dofs[cells], np.einsum("cq,caqi,cqi->ca", wdet, vv, fq, optimize=True))
-            np.add.at(pmass, self.Q.cell_dofs[cells], np.einsum("cq,bq->cb", wdet, pvals))
-
-        # free the chunks before the pattern's temporaries
-        vals = {name: np.concatenate(chunks.pop(name)) for name in list(chunks)}
         dofs = {"u": self.V.cell_dofs, "w": self.W.cell_dofs + o[1], "p": self.Q.cell_dofs + o[2]}
         keys = {b: _block_keys(dofs[b[0]], dofs[b[1]]) for b in ("uu", "uw", "wu", "ww", "up", "pu")}
         p_dofs, m_dofs = o[2] + np.arange(self.Q.n_dofs)[:, None], np.full((self.Q.n_dofs, 1), o[3])
@@ -335,25 +408,30 @@ class SystemAssembler:
         """COO triplets (rows, cols, vals) of ((beta . grad) u, v), on the
         read-only keys of the uu block (same cell layout).  With
         ``newton``, also the values of the block differentiated in its
-        advecting argument, ((u . grad) beta, v): (rows, cols, vals, dual)."""
+        advecting argument, ((u . grad) beta, v): (rows, cols, vals, dual).
+
+        Per class, T[c, a, b] = sum_q w_q det v_c . (grad v_b)^T v_a, and
+        the element values are beta_cell @ T; the dual swaps the roles of
+        v_c and v_b.
+        """
         if beta.space is not self.V and beta.space.n_dofs != self.V.n_dofs:
             raise ValueError("advecting field must live on the velocity space")
         rows, cols, _ = self._ensure_linear()[0]["uu_sigma"]
-        vals, dual_vals = [], []
-        cd_u = self.V.cell_dofs
-        for cells, wdet, _, inv in self.quad.chunks():
-            vv, gv, _, _ = _velocity_arrays(self.tab_v, cells, inv)
-            coefs = beta.coefficients[cd_u[cells]]
-            bv = np.einsum("cb,cbqi->cqi", coefs, vv, optimize=True)
-            wbv = wdet[..., None] * bv
-            vals.append(np.einsum("cqj,cbqij,caqi->cab", wbv, gv, vv, optimize=True).ravel())
+        cls = self.classes
+        nb = self.V.cell_dofs.shape[1]
+        coefs = beta.coefficients[self.V.cell_dofs]
+        out = np.empty((len(coefs), (1 + newton) * nb * nb))
+        for ks, wdet, (vv, gv, _, _) in cls.blocks():
+            tables = [np.einsum("kq,kcqj,kbqij,kaqi->kcab", wdet, vv, gv, vv, optimize=True)]
             if newton:
-                gb = np.einsum("cb,cbqij->cqij", coefs, gv, optimize=True)
-                wgb = wdet[..., None, None] * gb
-                dual_vals.append(np.einsum("cqij,cbqj,caqi->cab", wgb, vv, vv, optimize=True).ravel())
+                tables.append(np.einsum("kq,kcqij,kbqj,kaqi->kcab", wdet, gv, vv, vv, optimize=True))
+            table = np.concatenate([t.reshape(len(ks), nb, -1) for t in tables], axis=2)
+            for k, table_k in zip(ks, table):
+                at = cls.members[k]
+                out[at] = coefs[at] @ table_k
         if newton:
-            return rows, cols, np.concatenate(vals), np.concatenate(dual_vals)
-        return rows, cols, np.concatenate(vals)
+            return rows, cols, out[:, : nb * nb].ravel(), out[:, nb * nb :].ravel()
+        return rows, cols, out.ravel()
 
     def _elimination_order(self, matrix: sp.csr_matrix) -> np.ndarray:
         """Nested-dissection DOF order, multiplier last (it couples globally)."""
@@ -432,7 +510,7 @@ class SystemAssembler:
 
     def gram_x(self) -> sp.csr_matrix:
         """Gram matrix of the combined velocity/vorticity norm (see gram_matrix)."""
-        return gram_matrix((self.V, self.W, self.Q), self.quad)
+        return gram_matrix(self.classes, self.W)
 
 
 def assemble_oseen(
@@ -464,9 +542,9 @@ def assemble_newton(
 
 def assemble_gram_X(spaces, quad_degree: int | None = None):
     """Gram matrix of the velocity/vorticity product norm (see gram_matrix)."""
-    V, W, Q = _check_spaces(spaces)
-    degree = default_quad_degree(V) if quad_degree is None else quad_degree
-    return gram_matrix((V, W, Q), CellQuadrature(V.mesh, degree))
+    V, W, _ = _check_spaces(spaces)
+    quad = CellQuadrature(V.mesh, default_quad_degree(V) if quad_degree is None else quad_degree)
+    return gram_matrix(VelocityClasses(quad, tabulate(V, quad.rule.points)), W)
 
 
 def apply_dirichlet(system: AssembledSystem, space: FunctionSpace, g) -> AssembledSystem:

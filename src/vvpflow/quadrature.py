@@ -5,7 +5,8 @@ lines (exact by construction for any requested degree, all weights
 positive) and then symmetrised over the six vertex permutations of the
 triangle.  Weights sum to the reference area 1/2.  :class:`CellQuadrature`
 maps a rule onto every cell of a mesh; it is the one loop over cells that
-assembly, norms and integrals share.
+assembly, norms and integrals share, and it groups the cells into affine
+classes that share their physical basis tables.
 """
 
 from __future__ import annotations
@@ -89,14 +90,27 @@ def physical_points(rule: QuadratureRule, jac: np.ndarray, origin: np.ndarray) -
 
     ``jac``: (nc, 2, 2), ``origin``: (nc, 2); returns (nc, npts, 2).
     """
-    return origin[:, None, :] + np.einsum("cij,qj->cqi", jac, rule.points)
+    return origin[:, None, :] + np.einsum("cij,qj->cqi", jac, rule.points, optimize=True)
+
+
+def groups(labels: np.ndarray):
+    """The distinct labels, ascending, and for each the positions where it
+    occurs, in increasing order."""
+    order = np.argsort(labels, kind="stable")
+    distinct, start = np.unique(labels[order], return_index=True)
+    return distinct, np.split(order, start[1:])
 
 
 class CellQuadrature:
     """A quadrature rule of ``degree`` mapped onto every cell of ``mesh``.
 
     ``chunks`` visits the cells in order, CHUNK at a time, which bounds the
-    size of the per-chunk work arrays.
+    size of the per-chunk work arrays.  ``classes`` labels the affine cell
+    classes: on an affine mesh a cell's physical basis depends on the cell
+    only through its inverse Jacobian and determinant (and the directions
+    of a vector basis), so one table per class serves all of its cells.
+    A structured mesh of uniform spacing has two classes, the lower and
+    the upper triangles.
     """
 
     def __init__(self, mesh: Mesh, degree: int):
@@ -114,6 +128,18 @@ class CellQuadrature:
             wdet = self.rule.weights[None, :] * self.det[cells, None]
             xq = physical_points(self.rule, self.jac[cells], mesh.vertices[mesh.cells[cells, 0]])
             yield cells, wdet, xq, self.inv[cells]
+
+    def classes(self, dirs: np.ndarray | None = None):
+        """``(first, label)``: the first cell of each affine class and the
+        class of every cell.  Cells share a class when their inverse
+        Jacobians and determinants are equal, and also the rows of ``dirs``
+        when it holds per-cell basis directions (nc, nb, 2)."""
+        nc = self.mesh.n_cells
+        key = [self.inv.reshape(nc, 4), self.det[:, None]]
+        if dirs is not None and len(dirs) == nc:
+            key.append(dirs.reshape(nc, -1))
+        _, first, label = np.unique(np.hstack(key), axis=0, return_index=True, return_inverse=True)
+        return first, label.reshape(nc)
 
     def integrate(self, integrand) -> float:
         """Sum of ``integrand(cells, wdet, xq, inv)`` over the chunks."""

@@ -287,7 +287,7 @@ def tabulate(space: FunctionSpace, points: np.ndarray) -> SpaceTabulation:
 
 def physical_gradients(tab: SpaceTabulation, inv: np.ndarray) -> np.ndarray:
     """Shape gradients in physical coordinates, (ncells, n_local, npts, 2)."""
-    return np.einsum("bqk,cki->cbqi", tab.dshapes, inv)
+    return np.einsum("bqk,cki->cbqi", tab.dshapes, inv, optimize=True)
 
 
 def chunk_dirs(tab: SpaceTabulation, cells: slice | np.ndarray) -> np.ndarray:

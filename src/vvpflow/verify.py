@@ -73,10 +73,13 @@ def forcing_from_momentum(case: ManufacturedCase, x, y) -> np.ndarray:
     sig = np.asarray(case.sigma(x, y), dtype=float)
 
     curl_w = np.stack([gw[..., 1], -gw[..., 0]], axis=-1)
-    conv = np.einsum("...ij,...j->...i", gu, u)
     eps = 0.5 * (gu + np.swapaxes(gu, -1, -2))
-    eps_gnu = np.einsum("...ij,...j->...i", eps, gnu)
-    return sig[..., None] * u + nu[..., None] * curl_w + conv - 2.0 * eps_gnu + gp
+    return sig[..., None] * u + nu[..., None] * curl_w + _matvec(gu, u) - 2.0 * _matvec(eps, gnu) + gp
+
+
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m @ v over trailing (2, 2) and (2,) axes."""
+    return m[..., 0] * v[..., None, 0] + m[..., 1] * v[..., None, 1]
 
 
 def example1_case_2d(nu0: float = 0.1, nu1: float = 1.0, perm: float = 0.1) -> ManufacturedCase:

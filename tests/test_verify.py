@@ -303,6 +303,22 @@ class TestGalerkinOrthogonalityProxy:
         assert rep.residual_history[-1] <= 1e-8 < res_interp[1]
 
 
+def test_forcing_is_the_einsum_form_bit_for_bit():
+    case = example1_case_2d()
+    x, y = RNG.random((2, 40, 7))
+    gu, gnu = case.grad_u(x, y), case.grad_nu(x, y)
+    gw = case.grad_omega(x, y)
+    eps = 0.5 * (gu + np.swapaxes(gu, -1, -2))
+    expected = (
+        case.sigma(x, y)[..., None] * case.u(x, y)
+        + case.nu(x, y)[..., None] * np.stack([gw[..., 1], -gw[..., 0]], axis=-1)
+        + np.einsum("...ij,...j->...i", gu, case.u(x, y))
+        - 2.0 * np.einsum("...ij,...j->...i", eps, gnu)
+        + case.grad_p(x, y)
+    )
+    assert np.array_equal(forcing_from_momentum(case, x, y), expected)
+
+
 def test_gram_norm_cross_checks_direct_quadrature():
     # same discrete field, two independent integration paths
     case = example1_case_2d()
