@@ -18,12 +18,14 @@ cell only through its affine class (:meth:`CellQuadrature.classes`), and
 :class:`VelocityClasses` tabulates it once per class.  Every element
 matrix is then a GEMM against a class table (the reference-tensor form of
 Kirby & Logg): a constant-coefficient term is one element matrix per
-class; a sampled coefficient (sigma, nu, grad nu, f) is, per chunk of
-:class:`CellQuadrature` and class, one (cells, points) @ (points, na nb)
-product of the weighted samples and the pointwise basis products; the
-convection is one (cells, nb) @ (nb, na nb) product of the cell
-coefficients of beta and the class's trilinear tensor, weights and cell
-area included.  The results fill the element values in cell order.
+class; a sampled coefficient (sigma, nu, grad nu, f), sampled at every
+point by the chunks of :class:`CellQuadrature`, is one (cells, points) @
+(points, na nb) product per class of the weighted samples and the
+pointwise basis products; the convection is one (cells, nb) @ (nb, na nb)
+product per class of the cell coefficients of beta and the class's
+trilinear tensor, weights and cell area included.  A class of fewer than
+nb cells would not repay its tables, so its cells are contracted one by
+one instead.  The results fill the element values in cell order.
 
 Every term falls on one block (uu, uw, wu, ww, up, pu, mp or pm).  One key
 array per block, built once from the DOF maps in cell order, is shared by
@@ -142,16 +144,8 @@ class CSRPattern:
     def __init__(self, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]):
         self.shape = shape
         key = _keys(rows, cols, shape)
-        n = len(key)
-        if shape[0] * shape[1] * n < 2**63:  # sort (key, position) packed in one int64
-            key *= n
-            key += np.arange(n)
-            key.sort()
-            order = key % n
-            key //= n
-        else:
-            order = np.argsort(key, kind="stable")
-            key = key[order]
+        order = np.argsort(key)  # equal keys get one rank in any order
+        key = key[order]
         first = np.empty(len(key), dtype=bool)
         first[:1] = True
         np.not_equal(key[1:], key[:-1], out=first[1:])
@@ -215,15 +209,25 @@ class VelocityClasses:
     class, in cell order.  ``tables(ks)`` returns the values (nk, nb, nq, 2),
     gradients (nk, nb, nq, 2, 2) with grad[..., i, j] = d v_i / d x_j,
     curls and divergences (nk, nb, nq) of the classes ``ks``, batched over
-    them.  ``blocks`` yields ``(ks, wdet, tables(ks))`` CHUNK classes at a
-    time, which bounds their memory on a mesh of many classes; ``wdet``
-    (nk, nq) are the weights times the cell area of each class.
+    them.  ``blocks`` yields ``(ks, wdet, tables(ks))`` for CHUNK // nb
+    classes at a time, so that the pointwise basis products (nq, nb, nb)
+    built per block take about the memory of the per-cell gradients of a
+    chunk of CHUNK cells; ``wdet`` (nk, nq) are the weights times the cell
+    area of each class.
+
+    A class table pays only for a class of at least nb cells: the
+    trilinear convection tensor of a class costs nb^3 nq operations, what
+    nb cells contracted one by one cost.  ``split`` tells such shared
+    classes from the cells of smaller ones, which are assembled cell by
+    cell from their class's basis; so a mesh whose cells all differ costs
+    what a per-cell assembly does.
     """
 
     def __init__(self, quad: CellQuadrature, tab_v):
         self.quad, self.tab_v = quad, tab_v
         self.first, self.label = quad.classes(tab_v.dirs)
         self.members = groups(self.label)[1]
+        self.shared = np.bincount(self.label) >= len(tab_v.shapes)
 
     def tables(self, ks):
         cells = self.first[ks]
@@ -236,9 +240,18 @@ class VelocityClasses:
 
     def blocks(self):
         w, det = self.quad.rule.weights, self.quad.det
-        for k0 in range(0, len(self.first), CHUNK):
-            ks = np.arange(k0, min(k0 + CHUNK, len(self.first)))
+        size = max(1, CHUNK // len(self.tab_v.shapes))
+        for k0 in range(0, len(self.first), size):
+            ks = np.arange(k0, min(k0 + size, len(self.first)))
             yield ks, w[None, :] * det[self.first[ks], None], self.tables(ks)
+
+    def split(self, ks):
+        """The positions in ``ks`` of its shared classes, and the cells of its
+        other classes with the position of each cell's class."""
+        few = np.flatnonzero(~self.shared[ks])
+        cells = [self.members[k] for k in ks[few]]
+        return np.flatnonzero(self.shared[ks]), np.concatenate([np.empty(0, np.intp)] + cells), np.repeat(
+            few, [len(c) for c in cells]).astype(np.intp)
 
     def per_cell(self, local: np.ndarray) -> np.ndarray:
         """The element matrices of all cells, one row per cell, from those
@@ -270,6 +283,20 @@ def gram_matrix(classes: VelocityClasses, W: FunctionSpace) -> sp.csr_matrix:
     return triplets_to_csr(*(np.concatenate(t) for t in zip(uu, ww)), np.concatenate([vals_u, vals_w]), (n, n))
 
 
+# The sampled-coefficient forms: the point axes of their samples and the
+# subscripts of their basis operands (k the class or cell, a the test and
+# b the trial function).  Weighted by w (k, q), a form keeps its point axes
+# and gives the class tables, rows (points) by columns (a, b); weighted by
+# w times the samples of single cells, it gives their element matrices.
+_SAMPLED = {
+    "uu_sigma": ("q", "kaqi,kbqi"),  # (sigma v_b, v_a)
+    "uw_nu": ("q", "kaq,bq"),  # (nu w_b, curl v_a)
+    "ww_nu": ("q", "aq,bq"),  # (nu w_b, th_a)
+    "uu_gradnu": ("qj", "kbqij,kaqi"),  # -2 (eps(v_b) grad nu, v_a): basis -(grad v_b + grad v_b^T)
+    "uw_gradnu": ("qj", "kaqj,bq"),  # (w_b, grad nu x v_a): basis (v_a2, -v_a1)
+    "f": ("qi", "kaqi"),  # (f, v_a)
+}
+
 # the linear parts in the order of their sums; a part's block is its name's first two letters
 _PARTS = ("uu_sigma", "uu_curl", "uu_div", "uu_gradnu", "uw_gradnu", "uw_nu", "wu_nu", "uw_kappa1", "ww_nu", "up", "pu")
 
@@ -282,8 +309,9 @@ class SystemAssembler:
     into its CSR pattern.  Every element matrix comes from a class table:
     a constant-coefficient term is one element matrix per class, a sampled
     coefficient (sigma, nu, grad nu, f) one (cells, points) GEMM per class
-    and chunk, and the convection one (cells, basis) GEMM per class.
-    Oseen and Newton matrices then only add the convection values on their
+    and the convection one (cells, basis) GEMM per class; the cells of
+    classes too small to repay a table are contracted one by one.  Oseen
+    and Newton matrices then only add the convection values on their
     slots.  Instances hold no mutable state besides caches and may be
     shared across sequential solves; distinct instances are fully
     independent.
@@ -318,24 +346,32 @@ class SystemAssembler:
                                  f"(sampled range [{nu.min()}, {nu.max()}])")
         sig = np.broadcast_to(np.asarray(c.sigma(x, y), dtype=float), nu.shape)
         gnu = None if c.grad_nu is None else np.asarray(c.grad_nu(x, y), dtype=float)
-        return nu, sig, gnu
+        return nu, sig, gnu, np.asarray(c.f(x, y), dtype=float)
 
     # ------------------------------------------------------------- assembly
 
-    def _ensure_linear(self):
-        if self._linear is not None:
-            return self._linear
+    def _element_values(self):
+        """Element values (nc, ...) in cell order of the linear parts (the
+        transposed ones excepted), of the load ("f") and of the pressure
+        integral ("pmass")."""
         k1, k2 = self.coeffs.kappa1, self.coeffs.kappa2
-        o = self.block_index
-        cls, w = self.classes, self.rule.weights
-        nc, nq = self.mesh.n_cells, len(w)
+        cls, nc = self.classes, self.mesh.n_cells
         na, nw = self.V.cell_dofs.shape[1], self.W.cell_dofs.shape[1]
         wvals = self.tab_w.shapes  # vorticity/pressure bases are affine-invariant
         pvals = self.tab_q.shapes
 
-        # constant coefficients: every cell of a class has the element matrix of its class
+        # the coefficients at every point, sampled chunk by chunk
+        nu, sig, gnu, fq = (None if s[0] is None else np.concatenate(s)
+                            for s in zip(*[self._coefficient_samples(xq) for _, _, xq, _ in self.quad.chunks()]))
+        samples = {"uu_sigma": sig, "uw_nu": nu, "ww_nu": nu, "uu_gradnu": gnu, "uw_gradnu": gnu, "f": fq}
+        if gnu is None:
+            del samples["uu_gradnu"], samples["uw_gradnu"]
+        width = {"uu_sigma": na * na, "uw_nu": na * nw, "ww_nu": nw * nw, "uu_gradnu": na * na,
+                 "uw_gradnu": na * nw, "f": na}
+        vals = {name: np.empty((nc, width[name])) for name in samples}
         local: dict[str, list] = {}
-        for _, wdet, (vv, _, curl, div) in cls.blocks():
+        for ks, wdet, (vv, gv, curl, div) in cls.blocks():
+            # constant coefficients: one element matrix per class
             terms = {"pmass": np.einsum("cq,bq->cb", wdet, pvals),
                      "up": -np.einsum("cq,caq,bq->cab", wdet, div, pvals, optimize=True)}
             if k1 != 0.0:
@@ -345,46 +381,45 @@ class SystemAssembler:
                 terms["uu_div"] = k2 * np.einsum("cq,caq,cbq->cab", wdet, div, div, optimize=True)
             for name, m in terms.items():
                 local.setdefault(name, []).append(m)
-        vals = {name: cls.per_cell(np.concatenate(ms)) for name, ms in local.items()}
-        pmass_local = vals.pop("pmass")
 
-        # sampled coefficients: per chunk, one (cells, nq[*2]) @ (nq[*2], na*nb) GEMM per class
-        sampled = {"uu_sigma": na * na, "uw_nu": na * nw, "ww_nu": nw * nw}
-        if self.coeffs.grad_nu is not None:
-            sampled.update(uu_gradnu=na * na, uw_gradnu=na * nw)
-        vals.update((name, np.empty((nc, size))) for name, size in sampled.items())
-        f_local = np.empty((nc, na))
-        ww = np.einsum("aq,bq->qab", wvals, wvals).reshape(nq, -1)
-        for cells, wdet, xq, _ in self.quad.chunks():
-            nu, sig, gnu = self._coefficient_samples(xq)
-            fq = np.asarray(self.coeffs.f(xq[..., 0], xq[..., 1]), dtype=float)
-            ks, where = groups(cls.label[cells])
-            vv, gv, curl, _ = cls.tables(ks)
-            for i, pos in enumerate(where):
-                at, s = cells[pos], wdet[pos]
-                mass = np.einsum("aqi,bqi->qab", vv[i], vv[i], optimize=True).reshape(nq, -1)
-                vals["uu_sigma"][at] = (s * sig[pos]) @ mass
-                coupling = np.einsum("aq,bq->qab", curl[i], wvals).reshape(nq, -1)
-                t = (s * nu[pos]) @ np.hstack([coupling, ww])
-                vals["uw_nu"][at], vals["ww_nu"][at] = t[:, : na * nw], t[:, na * nw :]
-                if gnu is not None:
-                    # -2 (eps(v_b) grad nu, v_a) and (w_b, grad nu x v_a), per component of grad nu
-                    eps = -np.einsum("bqij,aqi->qjab", gv[i] + gv[i].swapaxes(-1, -2), vv[i], optimize=True)
-                    rot = np.stack([vv[i][..., 1], -vv[i][..., 0]], axis=-1)
-                    cross = np.einsum("aqj,bq->qjab", rot, wvals)
-                    table = np.hstack([eps.reshape(2 * nq, -1), cross.reshape(2 * nq, -1)])
-                    t = (s[..., None] * gnu[pos]).reshape(len(pos), -1) @ table
-                    vals["uu_gradnu"][at], vals["uw_gradnu"][at] = t[:, : na * na], t[:, na * na :]
-                f_local[at] = (s[..., None] * fq[pos]).reshape(len(pos), -1) @ vv[i].transpose(1, 2, 0).reshape(-1, na)
+            # sampled coefficients: a shared class gives its cells one (cells, points) @ (points, a b)
+            # GEMM against its table; the cells of the other classes are contracted one by one
+            shared, cells, pos = cls.split(ks)
+            basis = {"uu_sigma": (vv, vv), "uw_nu": (curl, wvals), "ww_nu": (wvals, wvals),
+                     "uu_gradnu": (-(gv + gv.swapaxes(-1, -2)), vv),
+                     "uw_gradnu": (np.stack([vv[..., 1], -vv[..., 0]], axis=-1), wvals), "f": (vv,)}
+            for name, sample in samples.items():
+                points, sub = _SAMPLED[name]
+                ab = "".join(x for x in "ab" if x in sub)
+                ops = list(zip(basis[name], sub.split(",")))  # operands with a leading k index classes
+                if len(shared):
+                    ops_k = [op[shared] if s[0] == "k" else op for op, s in ops]
+                    tables = np.einsum(f"kq,{sub}->k{points}{ab}", wdet[shared], *ops_k, optimize=True)
+                    for table, k in zip(tables.reshape(len(shared), -1, width[name]), ks[shared]):
+                        at = cls.members[k]
+                        vals[name][at] = sample[at].reshape(len(at), -1) @ table
+                if len(cells):
+                    ops_c = [op[pos] if s[0] == "k" else op for op, s in ops]
+                    weighted = wdet[pos].reshape(wdet[pos].shape + (1,) * (len(points) - 1)) * sample[cells]
+                    vals[name][cells] = np.einsum(f"k{points},{sub}->k{ab}", weighted, *ops_c, optimize=True).reshape(
+                        len(cells), -1)
+        vals.update((name, cls.per_cell(np.concatenate(ms))) for name, ms in local.items())
+        return vals
 
+    def _ensure_linear(self):
+        if self._linear is not None:
+            return self._linear
+        o = self.block_index
+        nc, na, nw = self.mesh.n_cells, self.V.cell_dofs.shape[1], self.W.cell_dofs.shape[1]
+        vals = self._element_values()  # its samples and tables are freed before the pattern's temporaries
         # same floats, transposed placement: bitwise (anti)symmetric pairs
         vals["wu_nu"] = -vals["uw_nu"].reshape(nc, na, nw).transpose(0, 2, 1)
         vals["pu"] = vals["up"].reshape(nc, na, -1).transpose(0, 2, 1)
-        vals = {name: vals.pop(name).ravel() for name in _PARTS if name in vals}
         rhs = np.zeros(o[4])
-        np.add.at(rhs, self.V.cell_dofs, f_local)
+        np.add.at(rhs, self.V.cell_dofs, vals.pop("f"))
         pmass = np.zeros(self.Q.n_dofs)
-        np.add.at(pmass, self.Q.cell_dofs, pmass_local)
+        np.add.at(pmass, self.Q.cell_dofs, vals.pop("pmass"))
+        vals = {name: vals.pop(name).ravel() for name in _PARTS if name in vals}
 
         dofs = {"u": self.V.cell_dofs, "w": self.W.cell_dofs + o[1], "p": self.Q.cell_dofs + o[2]}
         keys = {b: _block_keys(dofs[b[0]], dofs[b[1]]) for b in ("uu", "uw", "wu", "ww", "up", "pu")}
@@ -410,9 +445,10 @@ class SystemAssembler:
         ``newton``, also the values of the block differentiated in its
         advecting argument, ((u . grad) beta, v): (rows, cols, vals, dual).
 
-        Per class, T[c, a, b] = sum_q w_q det v_c . (grad v_b)^T v_a, and
-        the element values are beta_cell @ T; the dual swaps the roles of
-        v_c and v_b.
+        Per shared class, T[c, a, b] = sum_q w_q det v_c . (grad v_b)^T v_a,
+        and the element values are beta_cell @ T; the dual swaps the roles
+        of v_c and v_b.  The cells of other classes contract the same sum
+        one by one.
         """
         if beta.space is not self.V and beta.space.n_dofs != self.V.n_dofs:
             raise ValueError("advecting field must live on the velocity space")
@@ -420,18 +456,21 @@ class SystemAssembler:
         cls = self.classes
         nb = self.V.cell_dofs.shape[1]
         coefs = beta.coefficients[self.V.cell_dofs]
-        out = np.empty((len(coefs), (1 + newton) * nb * nb))
+        out = [np.empty((len(coefs), nb * nb)) for _ in range(1 + newton)]
         for ks, wdet, (vv, gv, _, _) in cls.blocks():
-            tables = [np.einsum("kq,kcqj,kbqij,kaqi->kcab", wdet, vv, gv, vv, optimize=True)]
-            if newton:
-                tables.append(np.einsum("kq,kcqij,kbqj,kaqi->kcab", wdet, gv, vv, vv, optimize=True))
-            table = np.concatenate([t.reshape(len(ks), nb, -1) for t in tables], axis=2)
-            for k, table_k in zip(ks, table):
-                at = cls.members[k]
-                out[at] = coefs[at] @ table_k
-        if newton:
-            return rows, cols, out[:, : nb * nb].ravel(), out[:, nb * nb :].ravel()
-        return rows, cols, out.ravel()
+            # beta's basis function c, then the advected and the test function; the dual swaps c and b
+            forms = [("kcqj,kbqij,kaqi", (vv, gv, vv)), ("kcqij,kbqj,kaqi", (gv, vv, vv))]
+            shared, cells, pos = cls.split(ks)
+            for vals, (sub, ops) in zip(out, forms):
+                if len(shared):
+                    tensors = np.einsum(f"kq,{sub}->kcab", wdet[shared], *(op[shared] for op in ops), optimize=True)
+                    for tensor, k in zip(tensors, ks[shared]):
+                        at = cls.members[k]
+                        vals[at] = coefs[at] @ tensor.reshape(nb, -1)
+                if len(cells):
+                    vals[cells] = np.einsum(f"kq,kc,{sub}->kab", wdet[pos], coefs[cells], *(op[pos] for op in ops),
+                                            optimize=True).reshape(len(cells), -1)
+        return (rows, cols, *(vals.ravel() for vals in out))
 
     def _elimination_order(self, matrix: sp.csr_matrix) -> np.ndarray:
         """Nested-dissection DOF order, multiplier last (it couples globally)."""

@@ -241,19 +241,6 @@ def test_triplet_reduction_matches_scipy_up_to_roundoff():
     assert np.allclose(m.data, ref.data, rtol=0.0, atol=1e-14)
 
 
-def test_patterns_too_large_to_pack_their_sort_keys_agree():
-    # (row, col, position) of 2000 keys in a 2 x 2^61 matrix does not fit one int64
-    rows = RNG.integers(0, 2, 2000)
-    cols = RNG.integers(0, 8, 2000)
-    vals = RNG.standard_normal(2000)
-    small = triplets_to_csr(rows, cols, vals, (2, 8))
-    large = triplets_to_csr(rows, cols, vals, (2, 2**61))
-    assert large.indices.dtype == np.int64
-    assert np.array_equal(large.indptr, small.indptr)
-    assert np.array_equal(large.indices, small.indices)
-    assert np.array_equal(large.data, small.data)
-
-
 def test_separate_assemblers_are_bit_identical():
     _, coeffs, spaces = example1_setup(n=3)
     state = RNG.standard_normal(SystemAssembler(spaces, coeffs).block_index[4])

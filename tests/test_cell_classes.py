@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from vvpflow.assembly import SystemAssembler, assemble_gram_X, default_quad_degree
+from vvpflow.assembly import SystemAssembler, VelocityClasses, assemble_gram_X, default_quad_degree
 from vvpflow.mesh import build_structured, geometry_arrays
 from vvpflow.quadrature import CellQuadrature, physical_points, quadrature
 from vvpflow.spaces import DiscreteField, eval_field, interpolate, method_spaces, physical_gradients, tabulate
@@ -178,3 +178,25 @@ def test_physical_gradients_are_the_plain_einsum_bit_for_bit():
     quad = CellQuadrature(V.mesh, default_quad_degree(V))
     tab = tabulate(V, quad.rule.points)
     assert np.array_equal(physical_gradients(tab, quad.inv), np.einsum("bqk,cki->cbqi", tab.dshapes, quad.inv))
+
+
+@pytest.mark.parametrize("mesh_name", sorted(MESHES))
+def test_split_sends_every_cell_through_one_path(mesh_name):
+    V = method_spaces(MESHES[mesh_name](), "taylor-hood", "dg1")[0]
+    quad = CellQuadrature(V.mesh, default_quad_degree(V))
+    classes = VelocityClasses(quad, tabulate(V, quad.rule.points))
+    nb = V.cell_dofs.shape[1]
+    seen = np.zeros(V.mesh.n_cells, dtype=int)
+    n_shared = 0
+    for ks, _, _ in classes.blocks():
+        shared, cells, pos = classes.split(ks)
+        assert np.all(ks[pos] == classes.label[cells])
+        assert all(len(classes.members[k]) >= nb for k in ks[shared])
+        assert np.all(np.bincount(classes.label)[classes.label[cells]] < nb)
+        for k in ks[shared]:
+            seen[classes.members[k]] += 1
+        seen[cells] += 1
+        n_shared += len(shared)
+    assert np.all(seen == 1)
+    # 23x23 mixes shared classes with classes of 9 < 12 cells; no perturbed cell shares its class
+    assert n_shared == (24 if mesh_name == "23x23" else 0)
