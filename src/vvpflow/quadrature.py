@@ -4,9 +4,9 @@ Rules are built as conical products of Gauss-Legendre and Gauss-Jacobi
 lines (exact by construction for any requested degree, all weights
 positive) and then symmetrised over the six vertex permutations of the
 triangle.  Weights sum to the reference area 1/2.  :class:`CellQuadrature`
-maps a rule onto every cell of a mesh; it is the one loop over cells that
-assembly, norms and integrals share, and it groups the cells into affine
-classes that share their physical basis tables.
+maps a rule onto every cell of a mesh; its chunks are the one loop over
+cells of the norms and integrals, and it groups the cells into the affine
+classes whose physical basis tables the assembly shares.
 """
 
 from __future__ import annotations

@@ -300,21 +300,23 @@ def eval_field(field: DiscreteField, tab: SpaceTabulation, cells, inv, grad: boo
     Returns values of shape (ncells, npts) or (ncells, npts, 2) and, when
     requested, gradients (ncells, npts, 2) or (ncells, npts, 2, 2) with
     layout grad[..., i, j] = d v_i / d x_j.
+
+    The field is contracted before it is mapped: the cell coefficients
+    (times the directions of a vector basis) meet the reference shapes and
+    gradients in one GEMM, then each cell's ``inv`` maps its gradients.
     """
-    coefs = field.coefficients[field.space.cell_dofs[cells]]
+    coefs = field.coefficients[field.space.cell_dofs[cells]][:, None, :]  # (cells, component, basis)
+    if field.space.vector:
+        coefs = coefs * chunk_dirs(tab, cells).transpose(0, 2, 1)
+    nc, ni, nb = coefs.shape
+    coefs = coefs.reshape(nc * ni, nb)
+    vals = (coefs @ tab.shapes).reshape(nc, ni, -1).transpose(0, 2, 1)
     if not field.space.vector:
-        vals = np.einsum("cb,bq->cq", coefs, tab.shapes)
-        if not grad:
-            return vals
-        dphys = physical_gradients(tab, inv)
-        return vals, np.einsum("cb,cbqj->cqj", coefs, dphys)
-    dirs = chunk_dirs(tab, cells)
-    vals = np.einsum("cb,bq,cbi->cqi", coefs, tab.shapes, dirs)
+        vals = vals[..., 0]
     if not grad:
         return vals
-    dphys = physical_gradients(tab, inv)
-    grads = np.einsum("cb,cbqj,cbi->cqij", coefs, dphys, dirs)
-    return vals, grads
+    grads = ((coefs @ tab.dshapes.reshape(nb, -1)).reshape(nc, -1, 2) @ inv).reshape(nc, ni, -1, 2)
+    return vals, (grads.transpose(0, 2, 1, 3) if field.space.vector else grads[:, 0])
 
 
 class EvalResult:
@@ -348,16 +350,12 @@ def eval_cell(field: DiscreteField, cell: int, point) -> EvalResult:
     pt = np.asarray(point, dtype=float).reshape(1, 2)
     if pt[0, 0] < -1e-12 or pt[0, 1] < -1e-12 or pt.sum() > 1.0 + 1e-12:
         raise ValueError(f"reference point {point} lies outside the reference triangle")
-    tab = tabulate(space, pt)
     _, inv_t, _ = cell_geometry(space.mesh, cell)
-    inv = inv_t.T[None]
-    cells = np.array([cell])
+    vals, grads = eval_field(field, tabulate(space, pt), np.array([cell]), inv_t.T[None], grad=True)
+    g = grads[0, 0]
     if space.vector:
-        vals, grads = eval_field(field, tab, cells, inv, grad=True)
-        g = grads[0, 0]
         return EvalResult(vals[0, 0], g, curl2d=g[1, 0] - g[0, 1], div2d=g[0, 0] + g[1, 1], vector=True)
-    vals, grads = eval_field(field, tab, cells, inv, grad=True)
-    return EvalResult(float(vals[0, 0]), grads[0, 0])
+    return EvalResult(float(vals[0, 0]), g)
 
 
 def vertex_values(field: DiscreteField) -> np.ndarray:

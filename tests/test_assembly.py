@@ -116,6 +116,14 @@ class TestProblemCoefficients:
         with pytest.raises(ValueError, match="bounds"):
             assemble_oseen(spaces, bad)
 
+    def test_sigma_leaving_bounds_caught_at_assembly(self):
+        case = example1_case_2d()
+        coeffs = coefficients_from_case(case)
+        coeffs.sigma = lambda x, y: 0.5 * case.sigma(x, y)  # the declared bounds stay
+        spaces = method_spaces(build_structured(4, 4), "taylor-hood", "dg1")
+        with pytest.raises(ValueError, match="sigma leaves its declared bounds"):
+            assemble_oseen(spaces, coeffs)
+
 
 def test_mismatched_meshes_rejected():
     m1, m2 = build_structured(2, 2), build_structured(2, 2)
@@ -259,12 +267,19 @@ def test_separate_assemblers_are_bit_identical():
             assert np.array_equal(m.data, group[0].data)
 
 
+def part_triplets(asm):
+    """The linear parts as COO triplets: the block keys the assembler keeps,
+    and the values recomputed by its producer (it keeps none)."""
+    keys = asm._ensure_linear()[0]
+    return {name: keys[name] + (vals,) for name, vals in asm._element_values()[0].items()}
+
+
 @pytest.mark.parametrize("n, family, vorticity", [(4, "taylor-hood", "dg1"), (3, "bernardi-raugel", "dg0")])
 def test_linear_matrix_is_one_in_order_binning_of_its_parts(n, family, vorticity):
     _, coeffs, spaces = example1_setup(n=n, family=family, vorticity=vorticity)
     asm = SystemAssembler(spaces, coeffs)
     matrix = asm.oseen().matrix
-    parts = asm._linear[0]
+    parts = part_triplets(asm)
     assert len(parts) == 13
     reference = triplets_to_csr(*(np.concatenate(t) for t in zip(*parts.values())), matrix.shape)
     assert np.array_equal(matrix.indptr, reference.indptr)
@@ -289,8 +304,29 @@ def test_linear_assembly_memory_per_assembled_value():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        values.append(sum(vals.nbytes for _, _, vals in asm._linear[0].values()))
+        values.append(sum(vals.nbytes for _, _, vals in part_triplets(asm).values()))
     assert (peaks[1] - peaks[0]) / (values[1] - values[0]) <= 6.0
+
+
+@pytest.mark.parametrize("family, vorticity", [("taylor-hood", "dg1"), ("bernardi-raugel", "dg0")])
+def test_linear_part_keeps_only_the_shared_block_keys(family, vorticity):
+    _, coeffs, spaces = example1_setup(n=3, family=family, vorticity=vorticity)
+    asm = SystemAssembler(spaces, coeffs)
+    asm.oseen()
+    keys = asm._linear[0]
+    assert len(keys) == 13
+    for name, entry in keys.items():
+        first = next(keys[other] for other in keys if other[:2] == name[:2])
+        assert len(entry) == 2 and entry[0] is first[0] and entry[1] is first[1]
+        assert not entry[0].flags.writeable and not entry[1].flags.writeable
+    # the part values are recomputed on each request, bit for bit
+    beta = interpolate(spaces[0], lambda x, y: np.stack([y, -x], axis=-1))
+    first, second = (asm.oseen(beta=beta, keep_parts=True).parts for _ in range(2))
+    assert first.keys() == second.keys() and len(first) == 14
+    for name, part in first.items():
+        assert np.array_equal(part.indptr, second[name].indptr)
+        assert np.array_equal(part.indices, second[name].indices)
+        assert np.array_equal(part.data, second[name].data)
 
 
 def test_cached_pattern_is_not_reused_for_other_triplets():

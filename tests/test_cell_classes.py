@@ -7,7 +7,16 @@ import scipy.sparse as sp
 from vvpflow.assembly import SystemAssembler, VelocityClasses, assemble_gram_X, default_quad_degree
 from vvpflow.mesh import build_structured, geometry_arrays
 from vvpflow.quadrature import CellQuadrature, physical_points, quadrature
-from vvpflow.spaces import DiscreteField, eval_field, interpolate, method_spaces, physical_gradients, tabulate
+from vvpflow.spaces import (
+    DiscreteField,
+    build_space,
+    eval_cell,
+    eval_field,
+    interpolate,
+    method_spaces,
+    physical_gradients,
+    tabulate,
+)
 from vvpflow.verify import coefficients_from_case, example1_case_2d
 
 RNG = np.random.default_rng(7)
@@ -171,6 +180,35 @@ def test_skew_pairing_identity_on_many_classes(mesh_name, family, vorticity):
     pairing = float(np.einsum("cq,cq,cqi,cqi->", wdet, gb[..., 0, 0] + gb[..., 1, 1], uq, vq))
     n1, n2 = float(v @ (K @ u)), float(u @ (K @ v))
     assert abs(n1 + n2 + pairing) / max(abs(n1), abs(n2), abs(pairing)) < 1e-10
+
+
+def per_cell_field(field, tab, inv):
+    """Values and gradients of a field from the per-cell physical basis."""
+    coefs = field.coefficients[field.space.cell_dofs]
+    dphys = physical_gradients(tab, inv)
+    if not field.space.vector:
+        return np.einsum("cb,bq->cq", coefs, tab.shapes), np.einsum("cb,cbqj->cqj", coefs, dphys)
+    dirs = np.broadcast_to(tab.dirs, (len(coefs),) + tab.dirs.shape[1:])
+    return np.einsum("cb,bq,cbi->cqi", coefs, tab.shapes, dirs), np.einsum("cb,cbqj,cbi->cqij", coefs, dphys, dirs)
+
+
+@pytest.mark.parametrize("family, vector", [("p2", True), ("p1bubble", True), ("bernardi-raugel", True),
+                                            ("p1", False), ("dg0", False), ("dg1", False)])
+def test_eval_field_matches_the_per_cell_basis(family, vector):
+    mesh = perturbed_mesh(6)
+    space = build_space(mesh, family, vector=vector)
+    field = DiscreteField(space, RNG.standard_normal(space.n_dofs))
+    _, inv, _ = geometry_arrays(mesh)
+    tab = tabulate(space, quadrature(6).points)
+    for got, ref in zip(eval_field(field, tab, np.arange(mesh.n_cells), inv, grad=True), per_cell_field(field, tab, inv)):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    # one interior point of one cell
+    cell, point = 17, np.array([0.2, 0.3])
+    value, gradient = (a[cell, 0] for a in per_cell_field(field, tabulate(space, point[None]), inv))
+    at = eval_cell(field, cell, point)
+    assert np.abs(at.value - value).max() <= 1e-13 * np.abs(value).max()
+    assert np.abs(at.gradient - gradient).max() <= 1e-13 * np.abs(gradient).max()
 
 
 def test_physical_gradients_are_the_plain_einsum_bit_for_bit():
