@@ -94,7 +94,9 @@ class ProblemCoefficients:
 
 @dataclass(eq=False)
 class AssembledSystem:
-    """Sparse block system over [velocity | vorticity | pressure | multiplier]."""
+    """Sparse block system over [velocity | vorticity | pressure | multiplier];
+    ``local`` (nc, k) holds the unknowns that couple only inside their cell,
+    which ``ordering`` puts first."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
@@ -102,6 +104,7 @@ class AssembledSystem:
     bc_applied: bool = False
     parts: dict | None = field(default=None, repr=False)
     ordering: np.ndarray | None = field(default=None, repr=False)
+    local: np.ndarray = field(default_factory=lambda: np.empty((0, 0), dtype=np.int64), repr=False)
 
     def __post_init__(self):
         n = self.block_index[-1]
@@ -333,6 +336,7 @@ class SystemAssembler:
         self.classes = VelocityClasses(self.quad, self.tab_v)
         n_u, n_w, n_p = self.V.n_dofs, self.W.n_dofs, self.Q.n_dofs
         self.block_index = (0, n_u, n_u + n_w, n_u + n_w + n_p, n_u + n_w + n_p + 1)
+        self.local = np.hstack([self.V.local_dofs, self.W.local_dofs + n_u])  # (nc, k) cell-local unknowns
         self._linear = None
         self._ordering = None
 
@@ -473,7 +477,8 @@ class SystemAssembler:
         return (rows, cols, *(vals.ravel() for vals in out))
 
     def _elimination_order(self, matrix: sp.csr_matrix) -> np.ndarray:
-        """Nested-dissection DOF order, multiplier last (it couples globally)."""
+        """The cell-local unknowns cell by cell, then the nested-dissection
+        order of the others, multiplier last (it couples globally)."""
         if self._ordering is None:
             centroids = self.mesh.vertices[self.mesh.cells].mean(axis=1)
             o = self.block_index
@@ -481,7 +486,7 @@ class SystemAssembler:
             for space, lo, hi in ((self.V, 0, o[1]), (self.W, o[1], o[2]), (self.Q, o[2], o[3])):
                 coords[lo:hi] = dof_support_centroids(space.n_dofs, space.cell_dofs, centroids)
             coords[o[3]] = centroids.mean(axis=0)
-            self._ordering = nested_dissection(matrix, coords, last=np.array([o[3]]))
+            self._ordering = nested_dissection(matrix, coords, last=np.array([o[3]]), first=self.local)
         return self._ordering
 
     def oseen(self, beta: DiscreteField | None = None, pressure_target: float = 0.0, keep_parts: bool = False,
@@ -505,7 +510,7 @@ class SystemAssembler:
                 coo["uu_conv"] = conv_triplets
             parts = {name: triplets_to_csr(*triplets, matrix.shape) for name, triplets in coo.items()}
         ordering = self._elimination_order(matrix)
-        return AssembledSystem(matrix, full_rhs, self.block_index, parts=parts, ordering=ordering)
+        return AssembledSystem(matrix, full_rhs, self.block_index, parts=parts, ordering=ordering, local=self.local)
 
     def _matrix(self, conv_triplets) -> sp.csr_matrix:
         """Linear part plus convection triplets (rows, cols, vals), added at
@@ -546,7 +551,8 @@ class SystemAssembler:
         system = self.oseen(conv_triplets=conv[:3], pressure_target=pressure_target)
         residual = system.rhs - system.matrix @ state
         residual[self.V.dirichlet_dofs] = 0.0
-        jac = AssembledSystem(self.jacobian(conv), system.rhs, self.block_index, ordering=system.ordering)
+        jac = AssembledSystem(self.jacobian(conv), system.rhs, self.block_index, ordering=system.ordering,
+                              local=self.local)
         return jac, residual
 
     def gram_x(self) -> sp.csr_matrix:
@@ -610,4 +616,5 @@ def apply_dirichlet(system: AssembledSystem, space: FunctionSpace, g) -> Assembl
     data = a.data * keep[np.repeat(np.arange(n), np.diff(a.indptr))] * keep[a.indices]
     # the sum drops the zeroed entries
     matrix = (sp.csr_matrix((data, a.indices, a.indptr), shape=a.shape) + sp.diags(1.0 - keep)).tocsr()
-    return AssembledSystem(matrix, rhs, system.block_index, bc_applied=True, ordering=system.ordering)
+    return AssembledSystem(matrix, rhs, system.block_index, bc_applied=True, ordering=system.ordering,
+                           local=system.local)

@@ -124,15 +124,16 @@ class VectorElement:
         dshapes = np.repeat(sg, 2, axis=0)
         return shapes, dshapes
 
-    def directions(self, mesh) -> np.ndarray:
-        """Component direction of every local function, broadcastable to
-        (n_cells, n_local, 2)."""
+    def directions(self, mesh, cells=slice(None)) -> np.ndarray:
+        """Component direction of every local function on ``cells`` (all by
+        default), broadcastable to (n_cells, n_local, 2)."""
         if self.family == "bernardi-raugel":
-            dirs = np.zeros((mesh.n_cells, 9, 2))
+            edges = mesh.cell_edges[cells]
+            dirs = np.zeros((len(edges), 9, 2))
             dirs[:, 0:6:2, 0] = 1.0
             dirs[:, 1:6:2, 1] = 1.0
             # one shared normal per global edge keeps the bubble continuous
-            dirs[:, 6:9, :] = mesh.edge_normals[mesh.cell_edges]
+            dirs[:, 6:9, :] = mesh.edge_normals[edges]
             return dirs
         nl = self.scalar.n_local
         dirs = np.zeros((1, 2 * nl, 2))

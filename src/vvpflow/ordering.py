@@ -6,7 +6,9 @@ median of its widest coordinate axis, peel off the vertex separator
 halves.  On 2D meshes this keeps LU fill near the O(n log n) optimum,
 which the default column orderings miss badly for saddle systems.  Any
 globally coupled rows (the pressure-mean multiplier) must be placed
-last by the caller.
+last by the caller.  Unknowns that couple only inside their own cell can
+be put first, to be condensed out before the factorisation; the others
+keep their place in the dissection of the whole graph.
 """
 
 from __future__ import annotations
@@ -27,11 +29,12 @@ def dof_support_centroids(n_dofs: int, cell_dofs: np.ndarray, cell_centroids: np
     return coords / counts[:, None]
 
 
-def nested_dissection(matrix: sp.spmatrix, coords: np.ndarray, last: np.ndarray | None = None) -> np.ndarray:
+def nested_dissection(matrix: sp.spmatrix, coords: np.ndarray, last: np.ndarray | None = None, first=()) -> np.ndarray:
     """Permutation (old indices in elimination order) for ``matrix``.
 
     ``coords``: (n, 2) DOF positions guiding the bisection; ``last``:
-    indices forced to the end of the ordering (dense rows).
+    indices forced to the end of the ordering (dense rows); ``first``:
+    indices moved to the front, in their given order.
     """
     n = matrix.shape[0]
     structure = matrix.tocsr().astype(bool)
@@ -67,4 +70,7 @@ def nested_dissection(matrix: sp.spmatrix, coords: np.ndarray, last: np.ndarray 
     recurse(ids, adj[ids][:, ids].tocsr(), coords[ids])
     if last is not None and len(last):
         order.append(np.asarray(last, dtype=np.int64))
-    return np.concatenate(order)
+    order, first = np.concatenate(order), np.asarray(first, dtype=np.int64).ravel()
+    moved = np.zeros(n, dtype=bool)
+    moved[first] = True
+    return np.concatenate([first, order[~moved[order]]])

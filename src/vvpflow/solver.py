@@ -6,6 +6,13 @@ zero initial state with the boundary values lifted in.  Both methods
 stop when the full nonlinear residual drops below the tolerance in
 either absolute or relative (to the first residual) max norm, whichever
 triggers first.
+
+Each linear system is solved directly.  Above 2,000 unknowns the
+cell-local unknowns (dg vorticity, MINI bubbles) are eliminated cell by
+cell with batched inverses of their blocks (static condensation: Wilson,
+IJNME 8, 1974), and SuperLU factors only the Schur complement, in
+nested-dissection order with static pivots.  Iterative refinement always
+runs against the full matrix.
 """
 
 from __future__ import annotations
@@ -59,9 +66,12 @@ class SolveReport:
     failure: str | None = None
 
 
-def _refined_solve(factor_of: sp.csc_matrix, a: sp.spmatrix, b: np.ndarray, norm_a: float, **factor_opts):
+def _refined_solve(factor_of: sp.csc_matrix, a: sp.spmatrix, b: np.ndarray, norm_a: float, expand=None,
+                   **factor_opts):
     """Factor ``factor_of``, refine against the true matrix ``a``.
 
+    ``expand(lu, r)``, when given, solves ``a`` for ``r`` with the factor of
+    a condensed matrix; by default the factor solves ``a`` itself.
     Returns (x, fill, None) when the residual contract is met, else
     (None, fill, reason).
     """
@@ -70,7 +80,8 @@ def _refined_solve(factor_of: sp.csc_matrix, a: sp.spmatrix, b: np.ndarray, norm
     except (RuntimeError, ValueError) as exc:
         return None, 0, str(exc)
     fill = int(getattr(lu, "nnz", 0))
-    x = lu.solve(b)
+    solve = lu.solve if expand is None else (lambda r: expand(lu, r))
+    x = solve(b)
     for _ in range(8):
         if not np.all(np.isfinite(x)):
             return None, fill, "factorisation produced non-finite values"
@@ -78,8 +89,47 @@ def _refined_solve(factor_of: sp.csc_matrix, a: sp.spmatrix, b: np.ndarray, norm
         bound = LINEAR_RESIDUAL_FACTOR * (norm_a * np.abs(x).max() + np.abs(b).max())
         if np.abs(res).max() <= bound:
             return x, fill, None
-        x = x + lu.solve(res)
+        x = x + solve(res)
     return None, fill, f"refined residual {np.abs(b - a @ x).max():.3e} exceeds the contract bound"
+
+
+def _condense(a: sp.csr_matrix, local: np.ndarray, order: np.ndarray, shift_below: float):
+    """Eliminate the cell-local unknowns ``local`` (nc, k) of ``a`` cell by cell.
+
+    With L the local and G the other unknowns, in the order they take in
+    ``order``, returns the Schur complement S = A_GG - A_GL A_LL^-1 A_LG in
+    CSC, with ``shift_below`` added to its diagonal entries smaller than
+    that, and ``expand(lu, r)``, which solves ``a x = r`` given the factor of
+    S.  A_LL is block diagonal, one (k, k) block per cell, and is inverted
+    batched; a singular block raises ``np.linalg.LinAlgError``.
+    """
+    (nc, k), flat = local.shape, local.ravel()
+    is_local = np.zeros(a.shape[0], dtype=bool)
+    is_local[flat] = True
+    rest = order[~is_local[order]]
+    a_g, a_l = a[rest], a[flat]
+    gl, lg, ll = a_g[:, flat], a_l[:, rest], a_l[:, flat].tocoo()
+    blocks = np.zeros((nc, k, k))
+    blocks[ll.row // k, ll.row % k, ll.col % k] = ll.data
+    try:
+        inv = np.linalg.inv(blocks)
+    except np.linalg.LinAlgError:
+        bad = np.flatnonzero(np.linalg.slogdet(blocks)[0] == 0.0)
+        reason = f"singular cell-local block in {len(bad)} of {nc} cells {bad[:5].tolist()}"
+        raise np.linalg.LinAlgError(reason) from None
+    nl = len(flat)
+    cell_cols = np.repeat(np.arange(nl).reshape(nc, 1, k), k, axis=1).ravel()
+    schur = a_g[:, rest] - gl @ (sp.csr_matrix((inv.ravel(), cell_cols, np.arange(nl + 1) * k), shape=(nl, nl)) @ lg)
+    schur = (schur + sp.diags(np.where(np.abs(schur.diagonal()) < shift_below, shift_below, 0.0))).tocsc()
+
+    def expand(lu, r):
+        y = (inv @ r[local][..., None]).ravel()
+        x = np.empty(len(r))
+        x[rest] = lu.solve(r[rest] - gl @ y)
+        x[flat] = y - (inv @ (lg @ x[rest]).reshape(nc, k, 1)).ravel()
+        return x
+
+    return schur, expand
 
 
 def solve_linear(system: AssembledSystem, stats: dict | None = None) -> np.ndarray:
@@ -88,49 +138,52 @@ def solve_linear(system: AssembledSystem, stats: dict | None = None) -> np.ndarr
     Contract: the returned x satisfies
     ||A x - b||_inf <= 1e-10 (||A||_inf ||x||_inf + ||b||_inf).
 
-    Assembled systems carry a nested-dissection elimination order with
-    the multiplier last; the factorisation respects it by pivoting
-    statically (structurally zero diagonals are lifted by a tiny shift,
-    and refinement against the unshifted matrix restores full accuracy).
-    The stock column ordering remains as a fallback, counted in
-    ``stats["fallbacks"]``; if it fails too, the error names both reasons.
-    ``stats``, when given, accumulates fill and solve counters.
+    Assembled systems carry their cell-local unknowns and an elimination
+    order that puts them first, then nested dissection with the multiplier
+    last.  Above 2,000 unknowns the local unknowns are condensed out and the
+    Schur complement is factored in that order with static pivots
+    (structurally zero diagonals are lifted by a tiny shift, and refinement
+    against the full unshifted matrix restores full accuracy); a system
+    without local unknowns takes the same path.  The stock column ordering
+    of the full matrix remains as a fallback, counted in
+    ``stats["fallbacks"]`` with the reason the first path failed (a singular
+    local block is one) in ``stats["fallback_reason"]``; if it fails too,
+    the error names both reasons.  ``stats``, when given, accumulates fill
+    (of the factor), condensed unknowns and solve counters.
     """
     if not system.bc_applied:
         raise ValueError("apply Dirichlet data before solving")
     b = system.rhs
     a = system.matrix.tocsr()
     norm_a = float(np.abs(a).sum(axis=1).max())
+    stats = {} if stats is None else stats
 
-    def book(fill):
-        if stats is not None:
-            stats["n_solves"] = stats.get("n_solves", 0) + 1
-            stats["fill"] = stats.get("fill", 0) + fill
+    def book(**counts):
+        for key, count in counts.items():
+            stats[key] = stats.get(key, 0) + count
 
     nd_reason = None
     if system.ordering is not None and system.n > 2000:
-        perm = system.ordering
-        ap = a[perm][:, perm].tocsr()
-        eps = 1e-8 * norm_a
-        diag = ap.diagonal()
-        shift = np.where(np.abs(diag) < eps, eps, 0.0)
-        xp, fill, nd_reason = _refined_solve(
-            (ap + sp.diags(shift)).tocsc(), ap, b[perm], norm_a,
-            permc_spec="NATURAL", options={"SymmetricMode": True, "DiagPivotThresh": 0.0},
-        )
-        if xp is not None:
-            book(fill)
-            x = np.empty_like(xp)
-            x[perm] = xp
-            return x
-        if stats is not None:
-            stats["fallbacks"] = stats.get("fallbacks", 0) + 1
+        try:
+            schur, expand = _condense(a, system.local, system.ordering, 1e-8 * norm_a)
+        except np.linalg.LinAlgError as exc:
+            nd_reason = str(exc)
+        else:
+            x, fill, nd_reason = _refined_solve(
+                schur, a, b, norm_a, expand=expand,
+                permc_spec="NATURAL", options={"SymmetricMode": True, "DiagPivotThresh": 0.0},
+            )
+            if x is not None:
+                book(n_solves=1, fill=fill, condensed=system.local.size)
+                return x
+        book(fallbacks=1)
+        stats["fallback_reason"] = nd_reason
     x, fill, reason = _refined_solve(a.tocsc(), a, b, norm_a)
     if x is None:
         if nd_reason is not None:
             reason = f"{reason} (after the nested-dissection path failed: {nd_reason})"
         raise SolverFailure(f"sparse direct solve failed: {reason}")
-    book(fill)
+    book(n_solves=1, fill=fill)
     return x
 
 
@@ -148,7 +201,7 @@ def _solve_nonlinear(spaces, coeffs, settings, g, pressure_target):
     o = assembler.block_index
     V = assembler.V
     gram = assembler.gram_x()
-    report = SolveReport(linear_stats={"n_solves": 0, "fill": 0, "fallbacks": 0, "factor_time": 0.0})
+    report = SolveReport(linear_stats={"n_solves": 0, "fill": 0, "condensed": 0, "fallbacks": 0, "factor_time": 0.0})
     newton = settings.method == "newton"
     state = np.zeros(o[4])
     if settings.initial_guess is not None:
@@ -174,7 +227,7 @@ def _solve_nonlinear(spaces, coeffs, settings, g, pressure_target):
         try:
             if newton:
                 # homogeneous elimination: the state already satisfies the data
-                jac = AssembledSystem(assembler.jacobian(conv), res, o, ordering=system.ordering)
+                jac = AssembledSystem(assembler.jacobian(conv), res, o, ordering=system.ordering, local=system.local)
                 new_state = state + solve_linear(apply_dirichlet(jac, V, None), stats=report.linear_stats)
             else:
                 new_state = solve_linear(apply_dirichlet(system, V, g), stats=report.linear_stats)

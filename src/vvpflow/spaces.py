@@ -48,6 +48,15 @@ class FunctionSpace:
         kind = "vector" if self.vector else "scalar"
         return f"FunctionSpace({self.family}, {kind}, {self.n_dofs} dofs)"
 
+    @property
+    def local_dofs(self) -> np.ndarray:
+        """The DOFs that couple only inside their own cell, (nc, k): all of a
+        discontinuous space's and the MINI bubbles; none of p1, p2 or
+        Bernardi-Raugel, whose edge bubbles are shared between cells."""
+        nl = self.cell_dofs.shape[1]
+        k = {"dg0": nl, "dg1": nl, "p1bubble": 2 if self.vector else 1}.get(self.family, 0)
+        return self.cell_dofs[:, nl - k :]
+
 
 @dataclass(eq=False)
 class DiscreteField:
@@ -279,9 +288,10 @@ class SpaceTabulation:
     dirs: np.ndarray | None  # (nc | 1, n_local, 2) for vector spaces
 
 
-def tabulate(space: FunctionSpace, points: np.ndarray) -> SpaceTabulation:
+def tabulate(space: FunctionSpace, points: np.ndarray, cells=slice(None)) -> SpaceTabulation:
+    """Reference tabulation, with the basis directions of ``cells`` only."""
     shapes, dshapes = space.element.tabulate(points)
-    dirs = space.element.directions(space.mesh) if space.vector else None
+    dirs = space.element.directions(space.mesh, cells) if space.vector else None
     return SpaceTabulation(space, np.atleast_2d(points), shapes, dshapes, dirs)
 
 
@@ -351,7 +361,8 @@ def eval_cell(field: DiscreteField, cell: int, point) -> EvalResult:
     if pt[0, 0] < -1e-12 or pt[0, 1] < -1e-12 or pt.sum() > 1.0 + 1e-12:
         raise ValueError(f"reference point {point} lies outside the reference triangle")
     _, inv_t, _ = cell_geometry(space.mesh, cell)
-    vals, grads = eval_field(field, tabulate(space, pt), np.array([cell]), inv_t.T[None], grad=True)
+    cells = np.array([cell])
+    vals, grads = eval_field(field, tabulate(space, pt, cells), cells, inv_t.T[None], grad=True)
     g = grads[0, 0]
     if space.vector:
         return EvalResult(vals[0, 0], g, curl2d=g[1, 0] - g[0, 1], div2d=g[0, 0] + g[1, 1], vector=True)

@@ -64,14 +64,12 @@ def forcing_from_momentum(case: ManufacturedCase, x, y) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    u = np.asarray(case.u(x, y), dtype=float)
-    gu = np.asarray(case.grad_u(x, y), dtype=float)
-    gw = np.asarray(case.grad_omega(x, y), dtype=float)
-    gp = np.asarray(case.grad_p(x, y), dtype=float)
-    nu = np.asarray(case.nu(x, y), dtype=float)
-    gnu = np.asarray(case.grad_nu(x, y), dtype=float)
-    sig = np.asarray(case.sigma(x, y), dtype=float)
+    fields = (case.u, case.grad_u, case.grad_omega, case.grad_p, case.nu, case.grad_nu, case.sigma)
+    return _momentum(*(np.asarray(fn(x, y), dtype=float) for fn in fields))
 
+
+def _momentum(u, gu, gw, gp, nu, gnu, sig) -> np.ndarray:
+    """The forcing of :func:`forcing_from_momentum` from sampled fields."""
     curl_w = np.stack([gw[..., 1], -gw[..., 0]], axis=-1)
     eps = 0.5 * (gu + np.swapaxes(gu, -1, -2))
     return sig[..., None] * u + nu[..., None] * curl_w + _matvec(gu, u) - 2.0 * _matvec(eps, gnu) + gp
@@ -92,38 +90,31 @@ def example1_case_2d(nu0: float = 0.1, nu1: float = 1.0, perm: float = 0.1) -> M
     pi = np.pi
     dnu = nu1 - nu0
 
-    def u(x, y):
-        return np.stack([np.cos(pi * x) * np.sin(pi * y), -np.sin(pi * x) * np.cos(pi * y)], axis=-1)
+    # u, grad u, grad p and grad omega from the sines and cosines of pi x and pi y
+    def trig(x, y):
+        return np.sin(pi * x), np.cos(pi * x), np.sin(pi * y), np.cos(pi * y)
 
-    def grad_u(x, y):
-        sx, cx = np.sin(pi * x), np.cos(pi * x)
-        sy, cy = np.sin(pi * y), np.cos(pi * y)
-        g = np.empty(np.shape(x) + (2, 2))
-        g[..., 0, 0] = -pi * sx * sy
-        g[..., 0, 1] = pi * cx * cy
-        g[..., 1, 0] = -pi * cx * cy
-        g[..., 1, 1] = pi * sx * sy
-        return g
+    def u(sx, cx, sy, cy):
+        return np.stack([cx * sy, -sx * cy], axis=-1)
+
+    def grad_u(sx, cx, sy, cy):
+        return np.stack([np.stack([-pi * sx * sy, pi * cx * cy], axis=-1),
+                         np.stack([-pi * cx * cy, pi * sx * sy], axis=-1)], axis=-2)
+
+    def grad_p(sx, cx, sy, cy):
+        return np.stack([pi * cx * sy, pi * sx * cy], axis=-1)
+
+    def grad_omega(sx, cx, sy, cy):
+        return np.stack([2.0 * pi**2 * sx * cy, 2.0 * pi**2 * cx * sy], axis=-1)
+
+    def of_xy(fn):
+        return lambda x, y: fn(*trig(x, y))
 
     def p(x, y):
         return np.sin(pi * x) * np.sin(pi * y)
 
-    def grad_p(x, y):
-        return np.stack(
-            [pi * np.cos(pi * x) * np.sin(pi * y), pi * np.sin(pi * x) * np.cos(pi * y)], axis=-1
-        )
-
     def omega(x, y):
         return -2.0 * pi * np.cos(pi * x) * np.cos(pi * y)
-
-    def grad_omega(x, y):
-        return np.stack(
-            [
-                2.0 * pi**2 * np.sin(pi * x) * np.cos(pi * y),
-                2.0 * pi**2 * np.cos(pi * x) * np.sin(pi * y),
-            ],
-            axis=-1,
-        )
 
     def nu(x, y):
         return nu0 + dnu * np.cos(pi * x * y) ** 2
@@ -135,15 +126,21 @@ def example1_case_2d(nu0: float = 0.1, nu1: float = 1.0, perm: float = 0.1) -> M
     def sigma(x, y):
         return nu(x, y) / perm
 
+    def f(x, y):
+        # forcing_from_momentum's operations, with each distinct sine and cosine evaluated once
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        t, nu_xy = trig(x, y), nu(x, y)
+        return _momentum(u(*t), grad_u(*t), grad_omega(*t), grad_p(*t), nu_xy, grad_nu(x, y), nu_xy / perm)
+
     return ManufacturedCase(
         name="example1-2d",
         rect=(0.0, 0.0, 1.0, 1.0),
-        u=u,
-        grad_u=grad_u,
+        u=of_xy(u),
+        grad_u=of_xy(grad_u),
         p=p,
-        grad_p=grad_p,
+        grad_p=of_xy(grad_p),
         omega=omega,
-        grad_omega=grad_omega,
+        grad_omega=of_xy(grad_omega),
         nu=nu,
         grad_nu=grad_nu,
         sigma=sigma,
@@ -152,6 +149,7 @@ def example1_case_2d(nu0: float = 0.1, nu1: float = 1.0, perm: float = 0.1) -> M
         sigma0=nu0 / perm,
         sigma1=nu1 / perm,
         pressure_integral=4.0 / np.pi**2,
+        f=f,
     )
 
 

@@ -221,3 +221,21 @@ def test_coefficient_length_validated():
     space = build_space(mesh, "p1")
     with pytest.raises(ValueError):
         DiscreteField(space, np.zeros(space.n_dofs + 1))
+
+
+@pytest.mark.parametrize("family", ["p2", "p1bubble", "bernardi-raugel"])
+def test_eval_cell_matches_the_whole_mesh_tabulation_bit_for_bit(family):
+    # eval_cell tabulates the basis directions of its one cell only
+    from vvpflow.mesh import cell_geometry
+    from vvpflow.spaces import eval_field, tabulate
+
+    mesh = build_structured(5, 4)
+    space = build_space(mesh, family, vector=True)
+    field = DiscreteField(space, RNG.standard_normal(space.n_dofs))
+    for cell, point in zip(RNG.integers(0, mesh.n_cells, 12), RNG.random((12, 2)) * 0.5):
+        res = eval_cell(field, int(cell), point)
+        inv_t = cell_geometry(mesh, int(cell))[1]
+        vals, grads = eval_field(field, tabulate(space, point[None]), np.array([cell]), inv_t.T[None], grad=True)
+        g = grads[0, 0]
+        assert np.array_equal(res.value, vals[0, 0]) and np.array_equal(res.gradient, g)
+        assert res.curl2d == g[1, 0] - g[0, 1] and res.div2d == g[0, 0] + g[1, 1]

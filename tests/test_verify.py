@@ -394,3 +394,25 @@ class TestCavity:
         p = fields["pressure"]
         p_norm = l2_error(p, lambda x, y: np.zeros_like(x), quad_degree=4)
         assert abs(integral(p)) <= 1e-10 * p_norm
+
+
+def test_example1_forcing_is_the_momentum_forcing_bit_for_bit():
+    # the case's f shares its sines and cosines across fields; it must give
+    # the floats of forcing_from_momentum over the case's own callables, and
+    # those must be the closed forms evaluated term by term
+    case = example1_case_2d()
+    x, y = RNG.random((2, 64, 9)) * 1.4 - 0.2
+    pi = np.pi
+    sx, cx, sy, cy = np.sin(pi * x), np.cos(pi * x), np.sin(pi * y), np.cos(pi * y)
+    closed = {
+        "u": np.stack([np.cos(pi * x) * np.sin(pi * y), -np.sin(pi * x) * np.cos(pi * y)], axis=-1),
+        "grad_u": np.stack([np.stack([-pi * sx * sy, pi * cx * cy], axis=-1),
+                            np.stack([-pi * cx * cy, pi * sx * sy], axis=-1)], axis=-2),
+        "grad_p": np.stack([pi * np.cos(pi * x) * np.sin(pi * y), pi * np.sin(pi * x) * np.cos(pi * y)], axis=-1),
+        "grad_omega": np.stack([2.0 * pi**2 * np.sin(pi * x) * np.cos(pi * y),
+                                2.0 * pi**2 * np.cos(pi * x) * np.sin(pi * y)], axis=-1),
+    }
+    for name, expected in closed.items():
+        assert np.array_equal(getattr(case, name)(x, y), expected), name
+    assert np.array_equal(case.f(x, y), forcing_from_momentum(case, x, y))
+    assert np.array_equal(case.f(x[0, 0], y[0, 0]), forcing_from_momentum(case, x[0, 0], y[0, 0]))
