@@ -39,6 +39,8 @@ its values on the slots of the uu keys; Dirichlet elimination masks the data.
 
 from __future__ import annotations
 
+import functools
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,6 +198,18 @@ def _check_spaces(spaces):
     return V, W, Q
 
 
+@functools.lru_cache(maxsize=1024)
+def _einsum_path(subscripts: str, *shapes) -> tuple:
+    return tuple(np.einsum_path(subscripts, *(np.broadcast_to(0.0, s) for s in shapes), optimize=True)[0])
+
+
+def _contract(subscripts: str, *operands) -> np.ndarray:
+    """``np.einsum(subscripts, *operands, optimize=True)``, with its
+    contraction path searched once per subscripts and operand shapes
+    instead of on every call; the same path gives the same floats."""
+    return np.einsum(subscripts, *operands, optimize=_einsum_path(subscripts, *(op.shape for op in operands)))
+
+
 def _block_keys(rows_map, cols_map):
     """Read-only COO (rows, cols) of a block whose local matrices, over all
     cells, sit at the global ``rows_map`` (nc, na) x ``cols_map`` (nc, nb);
@@ -274,11 +288,11 @@ def gram_matrix(classes: VelocityClasses, W: FunctionSpace) -> sp.csr_matrix:
     local_u, local_w = [], []
     for _, wdet, (vv, _, curl, div) in classes.blocks():
         local_u.append(
-            np.einsum("cq,caqi,cbqi->cab", wdet, vv, vv, optimize=True)
-            + np.einsum("cq,caq,cbq->cab", wdet, curl, curl, optimize=True)
-            + np.einsum("cq,caq,cbq->cab", wdet, div, div, optimize=True)
+            _contract("cq,caqi,cbqi->cab", wdet, vv, vv)
+            + _contract("cq,caq,cbq->cab", wdet, curl, curl)
+            + _contract("cq,caq,cbq->cab", wdet, div, div)
         )
-        local_w.append(np.einsum("cq,aq,bq->cab", wdet, wvals, wvals, optimize=True))
+        local_w.append(_contract("cq,aq,bq->cab", wdet, wvals, wvals))
     vals_u, vals_w = (classes.per_cell(np.concatenate(local)).ravel() for local in (local_u, local_w))
     # the two blocks share no key, so their order does not change a sum
     uu, ww = (_block_keys(dofs, dofs) for dofs in (V.cell_dofs, W.cell_dofs + V.n_dofs))
@@ -339,6 +353,7 @@ class SystemAssembler:
         self.local = np.hstack([self.V.local_dofs, self.W.local_dofs + n_u])  # (nc, k) cell-local unknowns
         self._linear = None
         self._ordering = None
+        self.ordering_time = 0.0  # seconds the last _elimination_order call spent (0 once cached)
 
     def _coefficient_samples(self, xq):
         c = self.coeffs
@@ -378,12 +393,12 @@ class SystemAssembler:
         for ks, wdet, (vv, gv, curl, div) in cls.blocks():
             # constant coefficients: one element matrix per class
             terms = {"pmass": np.einsum("cq,bq->cb", wdet, pvals),
-                     "up": -np.einsum("cq,caq,bq->cab", wdet, div, pvals, optimize=True)}
+                     "up": -_contract("cq,caq,bq->cab", wdet, div, pvals)}
             if k1 != 0.0:
-                terms["uu_curl"] = k1 * np.einsum("cq,caq,cbq->cab", wdet, curl, curl, optimize=True)
-                terms["uw_kappa1"] = -k1 * np.einsum("cq,caq,bq->cab", wdet, curl, wvals, optimize=True)
+                terms["uu_curl"] = k1 * _contract("cq,caq,cbq->cab", wdet, curl, curl)
+                terms["uw_kappa1"] = -k1 * _contract("cq,caq,bq->cab", wdet, curl, wvals)
             if k2 != 0.0:
-                terms["uu_div"] = k2 * np.einsum("cq,caq,cbq->cab", wdet, div, div, optimize=True)
+                terms["uu_div"] = k2 * _contract("cq,caq,cbq->cab", wdet, div, div)
             for name, m in terms.items():
                 local.setdefault(name, []).append(m)
 
@@ -399,14 +414,14 @@ class SystemAssembler:
                 ops = list(zip(basis[name], sub.split(",")))  # operands with a leading k index classes
                 if len(shared):
                     ops_k = [op[shared] if s[0] == "k" else op for op, s in ops]
-                    tables = np.einsum(f"kq,{sub}->k{points}{ab}", wdet[shared], *ops_k, optimize=True)
+                    tables = _contract(f"kq,{sub}->k{points}{ab}", wdet[shared], *ops_k)
                     for table, k in zip(tables.reshape(len(shared), -1, width[name]), ks[shared]):
                         at = cls.members[k]
                         vals[name][at] = sample[at].reshape(len(at), -1) @ table
                 if len(cells):
                     ops_c = [op[pos] if s[0] == "k" else op for op, s in ops]
                     weighted = wdet[pos].reshape(wdet[pos].shape + (1,) * (len(points) - 1)) * sample[cells]
-                    vals[name][cells] = np.einsum(f"k{points},{sub}->k{ab}", weighted, *ops_c, optimize=True).reshape(
+                    vals[name][cells] = _contract(f"k{points},{sub}->k{ab}", weighted, *ops_c).reshape(
                         len(cells), -1)
         vals.update((name, cls.per_cell(np.concatenate(ms))) for name, ms in local.items())
 
@@ -467,18 +482,19 @@ class SystemAssembler:
             shared, cells, pos = cls.split(ks)
             for vals, (sub, ops) in zip(out, forms):
                 if len(shared):
-                    tensors = np.einsum(f"kq,{sub}->kcab", wdet[shared], *(op[shared] for op in ops), optimize=True)
+                    tensors = _contract(f"kq,{sub}->kcab", wdet[shared], *(op[shared] for op in ops))
                     for tensor, k in zip(tensors, ks[shared]):
                         at = cls.members[k]
                         vals[at] = coefs[at] @ tensor.reshape(nb, -1)
                 if len(cells):
-                    vals[cells] = np.einsum(f"kq,kc,{sub}->kab", wdet[pos], coefs[cells], *(op[pos] for op in ops),
-                                            optimize=True).reshape(len(cells), -1)
+                    vals[cells] = _contract(f"kq,kc,{sub}->kab", wdet[pos], coefs[cells],
+                                            *(op[pos] for op in ops)).reshape(len(cells), -1)
         return (rows, cols, *(vals.ravel() for vals in out))
 
     def _elimination_order(self, matrix: sp.csr_matrix) -> np.ndarray:
         """The cell-local unknowns cell by cell, then the nested-dissection
         order of the others, multiplier last (it couples globally)."""
+        self.ordering_time, t0 = 0.0, time.perf_counter()
         if self._ordering is None:
             centroids = self.mesh.vertices[self.mesh.cells].mean(axis=1)
             o = self.block_index
@@ -487,6 +503,7 @@ class SystemAssembler:
                 coords[lo:hi] = dof_support_centroids(space.n_dofs, space.cell_dofs, centroids)
             coords[o[3]] = centroids.mean(axis=0)
             self._ordering = nested_dissection(matrix, coords, last=np.array([o[3]]), first=self.local)
+            self.ordering_time = time.perf_counter() - t0
         return self._ordering
 
     def oseen(self, beta: DiscreteField | None = None, pressure_target: float = 0.0, keep_parts: bool = False,

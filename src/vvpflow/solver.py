@@ -5,7 +5,9 @@ advecting field at the previous velocity) or by Newton's method from a
 zero initial state with the boundary values lifted in.  Both methods
 stop when the full nonlinear residual drops below the tolerance in
 either absolute or relative (to the first residual) max norm, whichever
-triggers first.
+triggers first.  A run that uses up its iterations, meets a non-finite
+residual or cannot solve a linear system stops with the reason in
+``SolveReport.failure``.
 
 Each linear system is solved directly.  Above 2,000 unknowns the
 cell-local unknowns (dg vorticity, MINI bubbles) are eliminated cell by
@@ -201,7 +203,8 @@ def _solve_nonlinear(spaces, coeffs, settings, g, pressure_target):
     o = assembler.block_index
     V = assembler.V
     gram = assembler.gram_x()
-    report = SolveReport(linear_stats={"n_solves": 0, "fill": 0, "condensed": 0, "fallbacks": 0, "factor_time": 0.0})
+    report = SolveReport(linear_stats={"n_solves": 0, "fill": 0, "condensed": 0, "fallbacks": 0, "factor_time": 0.0,
+                                       "ordering_time": 0.0})
     newton = settings.method == "newton"
     state = np.zeros(o[4])
     if settings.initial_guess is not None:
@@ -213,15 +216,20 @@ def _solve_nonlinear(spaces, coeffs, settings, g, pressure_target):
     while True:
         conv = assembler._convection(DiscreteField(V, beta), newton=newton)
         system = assembler.oseen(conv_triplets=conv[:3], pressure_target=pressure_target)
+        report.linear_stats["ordering_time"] += assembler.ordering_time
         res = system.rhs - system.matrix @ state
         res[V.dirichlet_dofs] = 0.0
         res_norm = float(np.abs(res).max())
         report.residual_history.append(res_norm)
+        if not np.isfinite(res_norm):
+            report.failure = f"non-finite residual at iteration {report.iterations}"
+            break
         # absolute or relative to the first residual, whichever is looser
         if report.iterations and res_norm <= settings.tol * max(1.0, report.residual_history[0]):
             report.converged = True
             break
         if report.iterations == settings.max_iters:
+            report.failure = f"no convergence in {settings.max_iters} iterations (last residual {res_norm:.3e})"
             break
         t0 = time.perf_counter()
         try:

@@ -8,6 +8,8 @@ from vvpflow.assembly import (
     AssembledSystem,
     ProblemCoefficients,
     SystemAssembler,
+    _contract,
+    _einsum_path,
     apply_dirichlet,
     assemble_gram_X,
     assemble_newton,
@@ -619,3 +621,18 @@ class TestGramMatrix:
             x = RNG.standard_normal(self.G.shape[0])
             assert x @ (self.G @ x) > 0.0
         assert np.zeros(self.G.shape[0]) @ (self.G @ np.zeros(self.G.shape[0])) == 0.0
+
+
+@pytest.mark.parametrize("subscripts,shapes", [
+    ("kq,kcqj,kbqij,kaqi->kcab", [(2, 12), (2, 12, 12, 2), (2, 12, 12, 2, 2), (2, 12, 12, 2)]),
+    ("kq,kc,kcqij,kbqj,kaqi->kab", [(40, 12), (40, 12), (40, 12, 12, 2, 2), (40, 12, 12, 2), (40, 12, 12, 2)]),
+    ("kq,kbqij,kaqi->kqjab", [(3, 12), (3, 12, 12, 2, 2), (3, 12, 12, 2)]),
+    ("cq,caq,bq->cab", [(5, 12), (5, 12, 12), (3, 12)]),
+])
+def test_cached_contraction_path_gives_the_same_floats(subscripts, shapes):
+    ops = [RNG.standard_normal(s) for s in shapes]
+    expected = np.einsum(subscripts, *ops, optimize=True)
+    assert np.array_equal(_contract(subscripts, *ops), expected)
+    hits = _einsum_path.cache_info().hits
+    assert np.array_equal(_contract(subscripts, *ops), expected)
+    assert _einsum_path.cache_info().hits == hits + 1

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -338,3 +340,35 @@ def _plain_coefficients(sigma0, nu0, kappa1, kappa2):
         sigma0=sigma0,
         sigma1=sigma0,
     )
+
+
+def test_exhausted_iterations_give_a_stated_reason():
+    case, coeffs, spaces = example1_problem(4)
+    _, _, _, rep = solve_newton(spaces, coeffs, NonlinearSettings(max_iters=1), g=case.u,
+                                pressure_target=case.pressure_integral)
+    assert not rep.converged and rep.iterations == 1
+    assert rep.failure == f"no convergence in 1 iterations (last residual {rep.residual_history[-1]:.3e})"
+
+
+def test_non_finite_residual_stops_before_the_jacobian(monkeypatch):
+    case, coeffs, spaces = example1_problem(4)
+    coeffs = dataclasses.replace(coeffs, f=lambda x, y: np.full(np.shape(x) + (2,), np.nan), validate=False)
+
+    def no_jacobian(self, conv):
+        raise AssertionError("a Jacobian was assembled at a non-finite residual")
+
+    monkeypatch.setattr(SystemAssembler, "jacobian", no_jacobian)
+    _, _, _, rep = solve_newton(spaces, coeffs, g=case.u, pressure_target=case.pressure_integral)
+    assert not rep.converged and rep.iterations == 0 and len(rep.residual_history) == 1
+    assert rep.failure == "non-finite residual at iteration 0"
+
+
+def test_solve_reports_its_ordering_time():
+    case, coeffs, spaces = example1_problem(4)
+    asm = SystemAssembler(spaces, coeffs)
+    asm.oseen()
+    assert asm.ordering_time > 0.0
+    asm.oseen()
+    assert asm.ordering_time == 0.0  # cached
+    _, _, _, rep = solve_newton(spaces, coeffs, g=case.u, pressure_target=case.pressure_integral)
+    assert rep.linear_stats["ordering_time"] > 0.0
