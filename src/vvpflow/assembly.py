@@ -15,17 +15,17 @@ th = (dy th, -dx th), and a x b = a1 b2 - a2 b1.
 
 The mesh is affine, so a cell's physical velocity basis depends on the
 cell only through its affine class (:meth:`CellQuadrature.classes`), and
-:class:`VelocityClasses` tabulates it once per class.  Every element
-matrix is then a GEMM against a class table (the reference-tensor form of
-Kirby & Logg): a constant-coefficient term is one element matrix per
-class; a sampled coefficient (sigma, nu, grad nu, f), sampled at every
-point of every cell, is one (cells, points) @ (points, na nb) product per
-class of the weighted samples and the pointwise basis products; the
-convection is one (cells, nb) @ (nb, na nb) product per class of the cell
-coefficients of beta and the class's trilinear tensor, weights and cell
-area included.  A class of fewer than nb cells would not repay its tables,
-so its cells are contracted one by one instead.  The results fill the
-element values in cell order.
+:class:`VelocityClasses` tabulates it once per class.  Every form (linear,
+convection, Gram) is written once as its coefficient, the coefficient's
+axes, the subscripts of its basis operands and the operands, and one
+kernel, :meth:`VelocityClasses.fill`, writes its element values in cell
+order.  A class of at least nb cells gets a table (the reference-tensor
+form of Kirby & Logg) and its cells one GEMM against it: a constant gives
+each cell the table, sampled sigma, nu, grad nu or f a (cells, points) @
+(points, na nb) product and beta's cell coefficients a (cells, nb) @
+(nb, na nb) product with the trilinear tensor.  The cells of smaller
+classes, which would not repay a table, are contracted one by one; no
+other code makes that choice.
 
 Every term falls on one block (uu, uw, wu, ww, up, pu, mp or pm).  One key
 array per block, built once from the DOF maps in cell order, is shared by
@@ -220,24 +220,23 @@ def _block_keys(rows_map, cols_map):
 
 class VelocityClasses:
     """The velocity basis in physical coordinates, tabulated once per affine
-    cell class of a :class:`CellQuadrature` (see its ``classes``).
+    cell class of a :class:`CellQuadrature` (see its ``classes``), and the
+    kernel that turns a form into element values.
 
     ``label`` is the class of each cell and ``members`` the cells of each
     class, in cell order.  ``tables(ks)`` returns the values (nk, nb, nq, 2),
     gradients (nk, nb, nq, 2, 2) with grad[..., i, j] = d v_i / d x_j,
     curls and divergences (nk, nb, nq) of the classes ``ks``, batched over
-    them.  ``blocks`` yields ``(ks, wdet, tables(ks))`` for CHUNK // nb
-    classes at a time, so that the pointwise basis products (nq, nb, nb)
-    built per block take about the memory of the per-cell gradients of a
-    chunk of CHUNK cells; ``wdet`` (nk, nq) are the weights times the cell
-    area of each class.
+    them.  ``blocks`` yields ``(block, tables)``: the shared classes, then
+    the cells of the other classes, CHUNK // nb rows at a time, so that the
+    pointwise basis products (nq, nb, nb) built per block take about the
+    memory of the per-cell gradients of a chunk of CHUNK cells.
 
-    A class table pays only for a class of at least nb cells: the
-    trilinear convection tensor of a class costs nb^3 nq operations, what
-    nb cells contracted one by one cost.  ``split`` tells such shared
-    classes from the cells of smaller ones, which are assembled cell by
-    cell from their class's basis; so a mesh whose cells all differ costs
-    what a per-cell assembly does.
+    A class table pays only for a class of at least nb cells (``shared``):
+    the trilinear convection tensor of a class costs nb^3 nq operations,
+    what nb cells contracted one by one cost.  ``fill`` alone acts on that
+    choice; a mesh whose cells all differ costs what a per-cell assembly
+    does.
     """
 
     def __init__(self, quad: CellQuadrature, tab_v):
@@ -256,24 +255,46 @@ class VelocityClasses:
         return vals, grads, curl, div
 
     def blocks(self):
+        """``block`` is (ks, None, wdet) for shared classes ``ks`` and (ks, cells,
+        wdet) for cells of small classes, ks their labels; ``wdet`` (nk, nq)
+        and the tables have one row per class or cell."""
         w, det = self.quad.rule.weights, self.quad.det
         size = max(1, CHUNK // len(self.tab_v.shapes))
-        for k0 in range(0, len(self.first), size):
-            ks = np.arange(k0, min(k0 + size, len(self.first)))
-            yield ks, w[None, :] * det[self.first[ks], None], self.tables(ks)
+        for ids, by_cell in ((np.flatnonzero(self.shared), False), (np.flatnonzero(~self.shared[self.label]), True)):
+            for i0 in range(0, len(ids), size):
+                at = ids[i0:i0 + size]
+                ks = self.label[at] if by_cell else at
+                yield (ks, at if by_cell else None, w[None, :] * det[self.first[ks], None]), self.tables(ks)
 
-    def split(self, ks):
-        """The positions in ``ks`` of its shared classes, and the cells of its
-        other classes with the position of each cell's class."""
-        few = np.flatnonzero(~self.shared[ks])
-        cells = [self.members[k] for k in ks[few]]
-        return np.flatnonzero(self.shared[ks]), np.concatenate([np.empty(0, np.intp)] + cells), np.repeat(
-            few, [len(c) for c in cells]).astype(np.intp)
-
-    def per_cell(self, local: np.ndarray) -> np.ndarray:
-        """The element matrices of all cells, one row per cell, from those
-        of the classes (nk, ...): a cell has its class's."""
-        return local[self.label].reshape(len(self.label), -1)
+    def fill(self, out, block, sub: str, ops, coef=1.0, axes: str = ""):
+        """Write into the rows of ``out`` (nc, width) of the cells of ``block``
+        the element values of sum_q w det coef times the basis operands
+        ``ops``, contracted by ``sub`` (k the class or cell, a the test and
+        b the trial function; terms joined by "+" are summed, each taking
+        its operands in turn).  ``coef`` is a constant if ``axes`` is empty,
+        else it has a row per cell and the axes ``axes``: points ("q",
+        "qi", ...) of a sampled coefficient, "c" of a cell vector.  A
+        shared class contracts its table once, with the coefficient axes as
+        rows, and its cells get ``coef[cells] @ table``; the cells of small
+        classes are contracted one by one, samples weighted by w det first.
+        """
+        ks, cells, wdet = block
+        ab = "".join(x for x in "ab" if x in sub)
+        lead = {"kq": wdet}  # the operands ahead of the basis, by their subscripts
+        if cells is not None and "q" in axes:
+            lead = {f"k{axes}": wdet.reshape(wdet.shape + (1,) * (len(axes) - 1)) * coef[cells]}
+        elif cells is not None and axes:
+            lead[f"k{axes}"] = coef[cells]
+        result, ops = f"k{axes}{ab}" if cells is None else f"k{ab}", iter(ops)
+        values = functools.reduce(np.add, [
+            _contract(f"{','.join(lead)},{term}->{result}", *lead.values(), *(next(ops) for _ in term.split(",")))
+            for term in sub.split("+")])
+        if cells is not None:
+            out[cells] = (values if axes else coef * values).reshape(len(cells), -1)
+            return
+        for table, k in zip(values.reshape(len(ks), -1, out.shape[1]), ks):
+            at = self.members[k]
+            out[at] = coef[at].reshape(len(at), -1) @ table if axes else coef * table
 
 
 def gram_matrix(classes: VelocityClasses, W: FunctionSpace) -> sp.csr_matrix:
@@ -285,34 +306,15 @@ def gram_matrix(classes: VelocityClasses, W: FunctionSpace) -> sp.csr_matrix:
     """
     V = classes.tab_v.space
     wvals = tabulate(W, classes.quad.rule.points).shapes
-    local_u, local_w = [], []
-    for _, wdet, (vv, _, curl, div) in classes.blocks():
-        local_u.append(
-            _contract("cq,caqi,cbqi->cab", wdet, vv, vv)
-            + _contract("cq,caq,cbq->cab", wdet, curl, curl)
-            + _contract("cq,caq,cbq->cab", wdet, div, div)
-        )
-        local_w.append(_contract("cq,aq,bq->cab", wdet, wvals, wvals))
-    vals_u, vals_w = (classes.per_cell(np.concatenate(local)).ravel() for local in (local_u, local_w))
+    vals_u, vals_w = (np.empty((len(classes.label), S.cell_dofs.shape[1] ** 2)) for S in (V, W))
+    for block, (vv, _, curl, div) in classes.blocks():
+        classes.fill(vals_u, block, "kaqi,kbqi+kaq,kbq+kaq,kbq", (vv, vv, curl, curl, div, div))
+        classes.fill(vals_w, block, "aq,bq", (wvals, wvals))
     # the two blocks share no key, so their order does not change a sum
     uu, ww = (_block_keys(dofs, dofs) for dofs in (V.cell_dofs, W.cell_dofs + V.n_dofs))
     n = V.n_dofs + W.n_dofs
-    return triplets_to_csr(*(np.concatenate(t) for t in zip(uu, ww)), np.concatenate([vals_u, vals_w]), (n, n))
+    return triplets_to_csr(*map(np.concatenate, zip(uu, ww)), np.concatenate([vals_u, vals_w], axis=None), (n, n))
 
-
-# The sampled-coefficient forms: the point axes of their samples and the
-# subscripts of their basis operands (k the class or cell, a the test and
-# b the trial function).  Weighted by w (k, q), a form keeps its point axes
-# and gives the class tables, rows (points) by columns (a, b); weighted by
-# w times the samples of single cells, it gives their element matrices.
-_SAMPLED = {
-    "uu_sigma": ("q", "kaqi,kbqi"),  # (sigma v_b, v_a)
-    "uw_nu": ("q", "kaq,bq"),  # (nu w_b, curl v_a)
-    "ww_nu": ("q", "aq,bq"),  # (nu w_b, th_a)
-    "uu_gradnu": ("qj", "kbqij,kaqi"),  # -2 (eps(v_b) grad nu, v_a): basis -(grad v_b + grad v_b^T)
-    "uw_gradnu": ("qj", "kaqj,bq"),  # (w_b, grad nu x v_a): basis (v_a2, -v_a1)
-    "f": ("qi", "kaqi"),  # (f, v_a)
-}
 
 # the linear parts in the order of their sums; a part's block is its name's first two letters
 _PARTS = ("uu_sigma", "uu_curl", "uu_div", "uu_gradnu", "uw_gradnu", "uw_nu", "wu_nu", "uw_kappa1", "ww_nu", "up", "pu")
@@ -324,15 +326,13 @@ class SystemAssembler:
     One instance groups the cells into affine classes, tabulates the
     velocity basis per class and bins the linear part once into its CSR
     pattern.  It keeps the block keys, the pattern and the binned data, not
-    the part values; ``oseen(keep_parts=True)`` recomputes those.  Every
-    element matrix comes from a class table: a constant-coefficient term is
-    one element matrix per class, a sampled coefficient (sigma, nu, grad
-    nu, f) one (cells, points) GEMM per class and the convection one
-    (cells, basis) GEMM per class; the cells of classes too small to repay
-    a table are contracted one by one.  Oseen and Newton matrices then only
-    add the convection values on their slots.  Instances hold no mutable
-    state besides caches and may be shared across sequential solves;
-    distinct instances are fully independent.
+    the part values; ``oseen(keep_parts=True)`` recomputes those.  Each
+    form is one entry of a table handed to :meth:`VelocityClasses.fill`,
+    which alone chooses between a class table and cell-by-cell
+    contraction.  Oseen and Newton matrices then only add the convection
+    values on their slots.  Instances hold no mutable state besides caches
+    and may be shared across sequential solves; distinct instances are
+    fully independent.
     """
 
     def __init__(self, spaces, coeffs: ProblemCoefficients, quad_degree: int | None = None):
@@ -375,55 +375,36 @@ class SystemAssembler:
         floats; "mp" and "pm" both hold the pressure integral."""
         k1, k2 = self.coeffs.kappa1, self.coeffs.kappa2
         cls, nc = self.classes, self.mesh.n_cells
-        na, nw = self.V.cell_dofs.shape[1], self.W.cell_dofs.shape[1]
-        wvals = self.tab_w.shapes  # vorticity/pressure bases are affine-invariant
-        pvals = self.tab_q.shapes
+        na, nw, npr = (s.cell_dofs.shape[1] for s in (self.V, self.W, self.Q))
+        wvals, pvals = self.tab_w.shapes, self.tab_q.shapes  # vorticity/pressure bases are affine-invariant
 
         # all points mapped at once, sampled CHUNK cells at a time: small temporaries sample a third faster
         xq = physical_points(self.rule, self.quad.jac, self.mesh.vertices[self.mesh.cells[:, 0]])
         nu, sig, gnu, fq = (None if s[0] is None else np.concatenate(s) for s in zip(
             *(self._coefficient_samples(xq[c0:c0 + CHUNK]) for c0 in range(0, nc, CHUNK))))
-        samples = {"uu_sigma": sig, "uw_nu": nu, "ww_nu": nu, "uu_gradnu": gnu, "uw_gradnu": gnu, "f": fq}
-        if gnu is None:
-            del samples["uu_gradnu"], samples["uw_gradnu"]
-        width = {"uu_sigma": na * na, "uw_nu": na * nw, "ww_nu": nw * nw, "uu_gradnu": na * na,
-                 "uw_gradnu": na * nw, "f": na}
-        vals = {name: np.empty((nc, width[name])) for name in samples}
-        local: dict[str, list] = {}
-        for ks, wdet, (vv, gv, curl, div) in cls.blocks():
-            # constant coefficients: one element matrix per class
-            terms = {"pmass": np.einsum("cq,bq->cb", wdet, pvals),
-                     "up": -_contract("cq,caq,bq->cab", wdet, div, pvals)}
-            if k1 != 0.0:
-                terms["uu_curl"] = k1 * _contract("cq,caq,cbq->cab", wdet, curl, curl)
-                terms["uw_kappa1"] = -k1 * _contract("cq,caq,bq->cab", wdet, curl, wvals)
-            if k2 != 0.0:
-                terms["uu_div"] = k2 * _contract("cq,caq,cbq->cab", wdet, div, div)
-            for name, m in terms.items():
-                local.setdefault(name, []).append(m)
-
-            # sampled coefficients: a shared class gives its cells one (cells, points) @ (points, a b)
-            # GEMM against its table; the cells of the other classes are contracted one by one
-            shared, cells, pos = cls.split(ks)
-            basis = {"uu_sigma": (vv, vv), "uw_nu": (curl, wvals), "ww_nu": (wvals, wvals),
-                     "uu_gradnu": (-(gv + gv.swapaxes(-1, -2)), vv),
-                     "uw_gradnu": (np.stack([vv[..., 1], -vv[..., 0]], axis=-1), wvals), "f": (vv,)}
-            for name, sample in samples.items():
-                points, sub = _SAMPLED[name]
-                ab = "".join(x for x in "ab" if x in sub)
-                ops = list(zip(basis[name], sub.split(",")))  # operands with a leading k index classes
-                if len(shared):
-                    ops_k = [op[shared] if s[0] == "k" else op for op, s in ops]
-                    tables = _contract(f"kq,{sub}->k{points}{ab}", wdet[shared], *ops_k)
-                    for table, k in zip(tables.reshape(len(shared), -1, width[name]), ks[shared]):
-                        at = cls.members[k]
-                        vals[name][at] = sample[at].reshape(len(at), -1) @ table
-                if len(cells):
-                    ops_c = [op[pos] if s[0] == "k" else op for op, s in ops]
-                    weighted = wdet[pos].reshape(wdet[pos].shape + (1,) * (len(points) - 1)) * sample[cells]
-                    vals[name][cells] = _contract(f"k{points},{sub}->k{ab}", weighted, *ops_c).reshape(
-                        len(cells), -1)
-        vals.update((name, cls.per_cell(np.concatenate(ms))) for name, ms in local.items())
+        width = {"uu": na * na, "uw": na * nw, "ww": nw * nw, "up": na * npr, "f": na}
+        vals = {}
+        for block, (vv, gv, curl, div) in cls.blocks():
+            # name: (coefficient, its axes, basis subscripts, operands); k the class or cell, a the test
+            # and b the trial function
+            forms = {
+                "uu_sigma": (sig, "q", "kaqi,kbqi", (vv, vv)),  # (sigma v_b, v_a)
+                "uu_curl": (k1, "", "kaq,kbq", (curl, curl)),  # k1 (curl v_b, curl v_a)
+                "uu_div": (k2, "", "kaq,kbq", (div, div)),  # k2 (div v_b, div v_a)
+                # -2 (eps(v_b) grad nu, v_a): basis -(grad v_b + grad v_b^T)
+                "uu_gradnu": (gnu, "qj", "kbqij,kaqi", (-(gv + gv.swapaxes(-1, -2)), vv)),
+                # (w_b, grad nu x v_a): basis (v_a2, -v_a1)
+                "uw_gradnu": (gnu, "qj", "kaqj,bq", (np.stack([vv[..., 1], -vv[..., 0]], axis=-1), wvals)),
+                "uw_nu": (nu, "q", "kaq,bq", (curl, wvals)),  # (nu w_b, curl v_a)
+                "uw_kappa1": (-k1, "", "kaq,bq", (curl, wvals)),  # -k1 (w_b, curl v_a)
+                "ww_nu": (nu, "q", "aq,bq", (wvals, wvals)),  # (nu w_b, th_a)
+                "up": (-1.0, "", "kaq,bq", (div, pvals)),  # -(p_b, div v_a)
+                "f": (fq, "qi", "kaqi", (vv,)),  # (f, v_a)
+            }
+            for name, (coef, axes, sub, ops) in forms.items():
+                if coef is not None and (axes or coef):  # no grad nu, or a zero kappa, drops its forms
+                    cls.fill(vals.setdefault(name, np.empty((nc, width[name[:2]]))), block, sub, ops, coef, axes)
+        vals["pmass"] = np.einsum("cq,bq->cb", self.rule.weights[None, :] * self.quad.det[:, None], pvals)
 
         # same floats, transposed placement: bitwise (anti)symmetric pairs
         vals["wu_nu"] = -vals["uw_nu"].reshape(nc, na, nw).transpose(0, 2, 1)
@@ -464,31 +445,20 @@ class SystemAssembler:
         ``newton``, also the values of the block differentiated in its
         advecting argument, ((u . grad) beta, v): (rows, cols, vals, dual).
 
-        Per shared class, T[c, a, b] = sum_q w_q det v_c . (grad v_b)^T v_a,
-        and the element values are beta_cell @ T; the dual swaps the roles
-        of v_c and v_b.  The cells of other classes contract the same sum
-        one by one.
+        Per class, T[c, a, b] = sum_q w_q det v_c . (grad v_b)^T v_a, and
+        the element values are beta_cell @ T (see :meth:`VelocityClasses.fill`);
+        the dual swaps the roles of v_c and v_b.
         """
         if beta.space is not self.V and beta.space.n_dofs != self.V.n_dofs:
             raise ValueError("advecting field must live on the velocity space")
         rows, cols = self._ensure_linear()[0]["uu_sigma"]
-        cls = self.classes
         nb = self.V.cell_dofs.shape[1]
         coefs = beta.coefficients[self.V.cell_dofs]
         out = [np.empty((len(coefs), nb * nb)) for _ in range(1 + newton)]
-        for ks, wdet, (vv, gv, _, _) in cls.blocks():
+        for block, (vv, gv, _, _) in self.classes.blocks():
             # beta's basis function c, then the advected and the test function; the dual swaps c and b
-            forms = [("kcqj,kbqij,kaqi", (vv, gv, vv)), ("kcqij,kbqj,kaqi", (gv, vv, vv))]
-            shared, cells, pos = cls.split(ks)
-            for vals, (sub, ops) in zip(out, forms):
-                if len(shared):
-                    tensors = _contract(f"kq,{sub}->kcab", wdet[shared], *(op[shared] for op in ops))
-                    for tensor, k in zip(tensors, ks[shared]):
-                        at = cls.members[k]
-                        vals[at] = coefs[at] @ tensor.reshape(nb, -1)
-                if len(cells):
-                    vals[cells] = _contract(f"kq,kc,{sub}->kab", wdet[pos], coefs[cells],
-                                            *(op[pos] for op in ops)).reshape(len(cells), -1)
+            for vals, sub, ops in zip(out, ("kcqj,kbqij,kaqi", "kcqij,kbqj,kaqi"), ((vv, gv, vv), (gv, vv, vv))):
+                self.classes.fill(vals, block, sub, ops, coefs, "c")
         return (rows, cols, *(vals.ravel() for vals in out))
 
     def _elimination_order(self, matrix: sp.csr_matrix) -> np.ndarray:

@@ -94,15 +94,18 @@ class Mesh:
             [self.cells[:, [0, 1]], self.cells[:, [1, 2]], self.cells[:, [2, 0]]]
         )
         canon = np.sort(pairs, axis=1)
-        edges, inverse = np.unique(canon, axis=0, return_inverse=True)
-        self.edges = edges
+        nv = len(self.vertices)  # the key v0 nv + v1 sorts as the pairs (v0, v1) do
+        keys, inverse = np.unique(canon[:, 0] * nv + canon[:, 1], return_inverse=True)
+        self.edges = edges = np.column_stack([keys // nv, keys % nv])
         self.cell_edges = inverse.reshape(3, nc).T.copy()
 
-        edge_cells = np.full((len(edges), 2), -1, dtype=np.int64)
-        for c in range(nc):
-            for e in self.cell_edges[c]:
-                edge_cells[e, 0 if edge_cells[e, 0] < 0 else 1] = c
-        self.edge_cells = edge_cells
+        # each edge's occurrences in cell order: its first cell goes in column 0
+        order = np.argsort(self.cell_edges.ravel(), kind="stable")
+        e = self.cell_edges.ravel()[order]
+        first = np.r_[True, e[1:] != e[:-1]]
+        self.edge_cells = np.full((len(edges), 2), -1, dtype=np.int64)
+        self.edge_cells[e[first], 0] = order[first] // 3
+        self.edge_cells[e[~first], 1] = order[~first] // 3
 
         t = self.vertices[edges[:, 1]] - self.vertices[edges[:, 0]]
         length = np.hypot(t[:, 0], t[:, 1])

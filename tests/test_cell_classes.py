@@ -218,23 +218,29 @@ def test_physical_gradients_are_the_plain_einsum_bit_for_bit():
     assert np.array_equal(physical_gradients(tab, quad.inv), np.einsum("bqk,cki->cbqi", tab.dshapes, quad.inv))
 
 
-@pytest.mark.parametrize("mesh_name", sorted(MESHES))
-def test_split_sends_every_cell_through_one_path(mesh_name):
-    V = method_spaces(MESHES[mesh_name](), "taylor-hood", "dg1")[0]
+@pytest.mark.parametrize("mesh_name", ["8x8"] + sorted(MESHES))
+def test_blocks_cover_every_cell_once_and_fill_writes_them_all(mesh_name):
+    mesh = build_structured(8, 8) if mesh_name == "8x8" else MESHES[mesh_name]()
+    V = method_spaces(mesh, "taylor-hood", "dg1")[0]
     quad = CellQuadrature(V.mesh, default_quad_degree(V))
     classes = VelocityClasses(quad, tabulate(V, quad.rule.points))
     nb = V.cell_dofs.shape[1]
+    sizes = np.bincount(classes.label)
     seen = np.zeros(V.mesh.n_cells, dtype=int)
+    out = np.full((V.mesh.n_cells, nb * nb), np.nan)
     n_shared = 0
-    for ks, _, _ in classes.blocks():
-        shared, cells, pos = classes.split(ks)
-        assert np.all(ks[pos] == classes.label[cells])
-        assert all(len(classes.members[k]) >= nb for k in ks[shared])
-        assert np.all(np.bincount(classes.label)[classes.label[cells]] < nb)
-        for k in ks[shared]:
-            seen[classes.members[k]] += 1
-        seen[cells] += 1
-        n_shared += len(shared)
+    for block, (vv, _, _, _) in classes.blocks():
+        ks, cells, _ = block
+        if cells is None:  # shared classes
+            assert np.all(sizes[ks] >= nb)
+            for k in ks:
+                seen[classes.members[k]] += 1
+            n_shared += len(ks)
+        else:  # single cells, with their classes
+            assert np.all(classes.label[cells] == ks) and np.all(sizes[ks] < nb)
+            seen[cells] += 1
+        classes.fill(out, block, "kaqi,kbqi", (vv, vv))
     assert np.all(seen == 1)
+    assert not np.isnan(out).any()
     # 23x23 mixes shared classes with classes of 9 < 12 cells; no perturbed cell shares its class
-    assert n_shared == (24 if mesh_name == "23x23" else 0)
+    assert n_shared == {"8x8": 2, "23x23": 24, "perturbed": 0}[mesh_name]

@@ -156,3 +156,25 @@ def test_deterministic_construction():
     assert np.array_equal(a.edges, b.edges)
     assert np.array_equal(a.cell_edges, b.cell_edges)
     assert a.boundary_tags == b.boundary_tags
+
+
+def loop_connectivity(cells):
+    """Edges, cell edges and edge cells as the pair-wise unique and the
+    cell loop build them: the reference for the vectorised construction."""
+    nc = len(cells)
+    pairs = np.concatenate([cells[:, [0, 1]], cells[:, [1, 2]], cells[:, [2, 0]]])
+    edges, inverse = np.unique(np.sort(pairs, axis=1), axis=0, return_inverse=True)
+    cell_edges = inverse.reshape(3, nc).T.copy()
+    edge_cells = np.full((len(edges), 2), -1, dtype=np.int64)
+    for c in range(nc):
+        for e in cell_edges[c]:
+            edge_cells[e, 0 if edge_cells[e, 0] < 0 else 1] = c
+    return edges, cell_edges, edge_cells
+
+
+@pytest.mark.parametrize("nx, ny, rect", [(1, 1, (0.0, 0.0, 1.0, 1.0)), (3, 2, (0.0, 0.0, 1.0, 1.0)),
+                                          (23, 23, (0.0, 0.0, 1.0, 1.0)), (64, 32, (0.0, 0.0, 2.0, 1.0))])
+def test_connectivity_matches_the_cell_loop(nx, ny, rect):
+    m = build_structured(nx, ny, rect)
+    for got, ref in zip((m.edges, m.cell_edges, m.edge_cells), loop_connectivity(m.cells)):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
