@@ -9,12 +9,17 @@ triggers first.  A run that uses up its iterations, meets a non-finite
 residual or cannot solve a linear system stops with the reason in
 ``SolveReport.failure``.
 
-Each linear system is solved directly.  Above 2,000 unknowns the
-cell-local unknowns (dg vorticity, MINI bubbles) are eliminated cell by
-cell with batched inverses of their blocks (static condensation: Wilson,
-IJNME 8, 1974), and SuperLU factors only the Schur complement, in
-nested-dissection order with static pivots.  Iterative refinement always
-runs against the full matrix.
+Each linear system is solved directly.  The cell-local unknowns (dg
+vorticity, MINI bubbles) are eliminated cell by cell with batched
+inverses of their blocks (static condensation: Wilson, IJNME 8, 1974),
+and SuperLU factors only the Schur complement, in nested-dissection
+order with static pivots.  Iterative refinement always runs against the
+full matrix.
+
+The nonlinear loop holds the last factor it made and refines each later
+system against it while it contracts (the chord and Shamanskii variants
+of Newton's method: Kelley, SIAM 2003, ch. 5); ``solve_linear`` says
+when it refactors and what ``linear_stats`` counts.
 """
 
 from __future__ import annotations
@@ -31,6 +36,11 @@ from .quadrature import CellQuadrature
 from .spaces import DiscreteField, boundary_values
 
 LINEAR_RESIDUAL_FACTOR = 1e-10
+#: Refinement steps (solves after the first) before a factor is given up.
+REFINE_STEPS = 8
+#: A held factor of an earlier matrix is refactored once a refinement step
+#: cuts the residual by less than this.
+STALE_CONTRACTION = 4.0
 
 
 class SolverFailure(RuntimeError):
@@ -68,31 +78,65 @@ class SolveReport:
     failure: str | None = None
 
 
+def _book(stats: dict, **amounts):
+    for key, amount in amounts.items():
+        stats[key] = stats.get(key, 0) + amount
+
+
+def _refine(solve, a: sp.spmatrix, b: np.ndarray, norm_a: float, stats: dict, stale: bool = False):
+    """Iterative refinement of ``solve(b)`` against ``a`` under the residual contract.
+
+    ``solve`` applies a factor.  With ``stale`` it is the factor of an
+    earlier matrix, given up as soon as a step cuts the residual by less
+    than ``STALE_CONTRACTION`` (the first step against ``||b||``).  Returns
+    (x, steps, None) when the contract is met, else (None, steps, reason);
+    the steps are the solves with the factor.  Their time and that of the
+    residual products is booked in ``stats["refine_time"]``.
+    """
+    t0 = time.perf_counter()
+    try:
+        x, last, steps = solve(b), np.abs(b).max(), 1
+        while True:
+            if not np.all(np.isfinite(x)):
+                return None, steps, "factorisation produced non-finite values"
+            res = b - a @ x
+            size = np.abs(res).max()
+            if size <= LINEAR_RESIDUAL_FACTOR * (norm_a * np.abs(x).max() + np.abs(b).max()):
+                return x, steps, None
+            if steps > REFINE_STEPS:
+                return None, steps, f"refined residual {size:.3e} exceeds the contract bound after {steps} solves"
+            if stale and STALE_CONTRACTION * size > last:
+                return None, steps, f"stale factor contracted {last / size:.1f}x < {STALE_CONTRACTION:g}x at step {steps}"
+            x, last, steps = x + solve(res), size, steps + 1
+    finally:
+        _book(stats, refine_time=time.perf_counter() - t0)
+
+
 def _refined_solve(factor_of: sp.csc_matrix, a: sp.spmatrix, b: np.ndarray, norm_a: float, expand=None,
-                   **factor_opts):
+                   held: dict | None = None, stats: dict | None = None, **factor_opts):
     """Factor ``factor_of``, refine against the true matrix ``a``.
 
     ``expand(lu, r)``, when given, solves ``a`` for ``r`` with the factor of
     a condensed matrix; by default the factor solves ``a`` itself.
     Returns (x, fill, None) when the residual contract is met, else
-    (None, fill, reason).
+    (None, fill, reason).  On success the factor's solve and the system
+    size are kept in ``held``, when given.  ``stats`` books the factor
+    and refinement times.
     """
+    stats = {} if stats is None else stats
+    t0 = time.perf_counter()
     try:
         lu = spla.splu(factor_of, **factor_opts)
     except (RuntimeError, ValueError) as exc:
         return None, 0, str(exc)
+    finally:
+        _book(stats, factor_time=time.perf_counter() - t0)
     fill = int(getattr(lu, "nnz", 0))
     solve = lu.solve if expand is None else (lambda r: expand(lu, r))
-    x = solve(b)
-    for _ in range(8):
-        if not np.all(np.isfinite(x)):
-            return None, fill, "factorisation produced non-finite values"
-        res = b - a @ x
-        bound = LINEAR_RESIDUAL_FACTOR * (norm_a * np.abs(x).max() + np.abs(b).max())
-        if np.abs(res).max() <= bound:
-            return x, fill, None
-        x = x + solve(res)
-    return None, fill, f"refined residual {np.abs(b - a @ x).max():.3e} exceeds the contract bound"
+    x, _, reason = _refine(solve, a, b, norm_a, stats)
+    if x is not None and held is not None:
+        held.update(solve=solve, n=len(b))
+    return x, fill, reason
 
 
 def _condense(a: sp.csr_matrix, local: np.ndarray, order: np.ndarray, shift_below: float):
@@ -134,7 +178,7 @@ def _condense(a: sp.csr_matrix, local: np.ndarray, order: np.ndarray, shift_belo
     return schur, expand
 
 
-def solve_linear(system: AssembledSystem, stats: dict | None = None) -> np.ndarray:
+def solve_linear(system: AssembledSystem, stats: dict | None = None, held: dict | None = None) -> np.ndarray:
     """Direct sparse solve with iterative refinement.
 
     Contract: the returned x satisfies
@@ -142,16 +186,28 @@ def solve_linear(system: AssembledSystem, stats: dict | None = None) -> np.ndarr
 
     Assembled systems carry their cell-local unknowns and an elimination
     order that puts them first, then nested dissection with the multiplier
-    last.  Above 2,000 unknowns the local unknowns are condensed out and the
-    Schur complement is factored in that order with static pivots
-    (structurally zero diagonals are lifted by a tiny shift, and refinement
-    against the full unshifted matrix restores full accuracy); a system
-    without local unknowns takes the same path.  The stock column ordering
-    of the full matrix remains as a fallback, counted in
+    last.  The local unknowns are condensed out and the Schur complement is
+    factored in that order with static pivots (structurally zero diagonals
+    are lifted by a tiny shift, and refinement against the full unshifted
+    matrix restores full accuracy); a system without local unknowns takes
+    the same path.  The stock column ordering of the full matrix serves
+    systems without an ordering and remains as a fallback, counted in
     ``stats["fallbacks"]`` with the reason the first path failed (a singular
     local block is one) in ``stats["fallback_reason"]``; if it fails too,
-    the error names both reasons.  ``stats``, when given, accumulates fill
-    (of the factor), condensed unknowns and solve counters.
+    the error names both reasons.
+
+    ``held``, when given, keeps the solve of the last factor made and the
+    size of its system.  A held factor of this size is tried first, as a
+    preconditioner refined against this system under the same contract;
+    once a step contracts the residual by less than ``STALE_CONTRACTION``,
+    or after ``REFINE_STEPS`` steps, it is released and the system is
+    factored afresh, counted in ``stats["refactors"]`` with the reason in
+    ``stats["refactor_reason"]``.  ``stats``, when given, accumulates
+    solves, factors made (``factors``) and reused (``reused``), the solves
+    with a held factor (``stale_steps``), the fill of the factors made, the
+    condensed unknowns per factor, the time of condensation plus
+    factorisation (``factor_time``) and of every solve with a factor plus
+    its residual products (``refine_time``).
     """
     if not system.bc_applied:
         raise ValueError("apply Dirichlet data before solving")
@@ -160,32 +216,40 @@ def solve_linear(system: AssembledSystem, stats: dict | None = None) -> np.ndarr
     norm_a = float(np.abs(a).sum(axis=1).max())
     stats = {} if stats is None else stats
 
-    def book(**counts):
-        for key, count in counts.items():
-            stats[key] = stats.get(key, 0) + count
-
+    if held and held["n"] == system.n:
+        x, steps, reason = _refine(held["solve"], a, b, norm_a, stats, stale=True)
+        _book(stats, stale_steps=steps)
+        if x is not None:
+            _book(stats, n_solves=1, reused=1)
+            return x
+        _book(stats, refactors=1)
+        stats["refactor_reason"] = reason
+    if held is not None:
+        held.clear()  # never two factors at once
     nd_reason = None
-    if system.ordering is not None and system.n > 2000:
+    if system.ordering is not None:
+        t0 = time.perf_counter()
         try:
             schur, expand = _condense(a, system.local, system.ordering, 1e-8 * norm_a)
         except np.linalg.LinAlgError as exc:
-            nd_reason = str(exc)
-        else:
+            schur, nd_reason = None, str(exc)
+        _book(stats, factor_time=time.perf_counter() - t0)
+        if schur is not None:
             x, fill, nd_reason = _refined_solve(
-                schur, a, b, norm_a, expand=expand,
+                schur, a, b, norm_a, expand=expand, held=held, stats=stats,
                 permc_spec="NATURAL", options={"SymmetricMode": True, "DiagPivotThresh": 0.0},
             )
             if x is not None:
-                book(n_solves=1, fill=fill, condensed=system.local.size)
+                _book(stats, n_solves=1, factors=1, fill=fill, condensed=system.local.size)
                 return x
-        book(fallbacks=1)
+        _book(stats, fallbacks=1)
         stats["fallback_reason"] = nd_reason
-    x, fill, reason = _refined_solve(a.tocsc(), a, b, norm_a)
+    x, fill, reason = _refined_solve(a.tocsc(), a, b, norm_a, held=held, stats=stats)
     if x is None:
         if nd_reason is not None:
             reason = f"{reason} (after the nested-dissection path failed: {nd_reason})"
         raise SolverFailure(f"sparse direct solve failed: {reason}")
-    book(n_solves=1, fill=fill)
+    _book(stats, n_solves=1, factors=1, fill=fill)
     return x
 
 
@@ -197,14 +261,16 @@ def _velocity_norm(gram, du, n_u, n_w):
 
 def _solve_nonlinear(spaces, coeffs, settings, g, pressure_target):
     """Both linearisations in one loop.  Each state is assembled once; the
-    Oseen matrix gives the residual, and Picard solves it for the next
-    state while Newton solves the Jacobian system for the update."""
+    Oseen matrix gives the residual, and the update solves it (Picard) or
+    the Jacobian system (Newton) for that residual."""
     assembler = SystemAssembler(spaces, coeffs)
     o = assembler.block_index
     V = assembler.V
     gram = assembler.gram_x()
-    report = SolveReport(linear_stats={"n_solves": 0, "fill": 0, "condensed": 0, "fallbacks": 0, "factor_time": 0.0,
-                                       "ordering_time": 0.0})
+    report = SolveReport(linear_stats={"n_solves": 0, "factors": 0, "reused": 0, "stale_steps": 0, "refactors": 0,
+                                       "fill": 0, "condensed": 0, "fallbacks": 0, "factor_time": 0.0,
+                                       "refine_time": 0.0, "ordering_time": 0.0})
+    held = {}  # the last factor made, refined against later systems while it contracts
     newton = settings.method == "newton"
     state = np.zeros(o[4])
     if settings.initial_guess is not None:
@@ -231,23 +297,20 @@ def _solve_nonlinear(spaces, coeffs, settings, g, pressure_target):
         if report.iterations == settings.max_iters:
             report.failure = f"no convergence in {settings.max_iters} iterations (last residual {res_norm:.3e})"
             break
-        t0 = time.perf_counter()
+        # both solve for the update, with homogeneous elimination (the state
+        # already satisfies the data): Picard with the Oseen matrix, Newton
+        # with the Jacobian
+        matrix = assembler.jacobian(conv) if newton else system.matrix
+        step = AssembledSystem(matrix, res, o, ordering=system.ordering, local=system.local)
         try:
-            if newton:
-                # homogeneous elimination: the state already satisfies the data
-                jac = AssembledSystem(assembler.jacobian(conv), res, o, ordering=system.ordering, local=system.local)
-                new_state = state + solve_linear(apply_dirichlet(jac, V, None), stats=report.linear_stats)
-            else:
-                new_state = solve_linear(apply_dirichlet(system, V, g), stats=report.linear_stats)
+            update = solve_linear(apply_dirichlet(step, V, None), report.linear_stats, held)
         except SolverFailure as exc:
             # report the breakdown instead of raising: the caller sees a
             # non-converged history and the failure note
             report.failure = str(exc)
             break
-        report.linear_stats["factor_time"] += time.perf_counter() - t0
-        du = new_state[: o[1]] - state[: o[1]]
-        report.velocity_increments.append(_velocity_norm(gram, du, o[1], o[2] - o[1]))
-        state = new_state
+        report.velocity_increments.append(_velocity_norm(gram, update[: o[1]], o[1], o[2] - o[1]))
+        state = state + update
         beta = state[: o[1]]
         report.iterations += 1
 

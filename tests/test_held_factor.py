@@ -1,0 +1,127 @@
+"""The factor held across the systems of one nonlinear solve.
+
+The nonlinear loop keeps the last factor it made and refines each later
+system against it under the unchanged residual contract; it refactors
+once a refinement step contracts the residual by less than
+``STALE_CONTRACTION``.
+"""
+
+import numpy as np
+import pytest
+
+import vvpflow.solver
+from vvpflow.assembly import SystemAssembler, apply_dirichlet
+from vvpflow.mesh import build_structured
+from vvpflow.solver import NonlinearSettings, solve_linear, solve_newton, solve_picard
+from vvpflow.spaces import interpolate, method_spaces
+from vvpflow.verify import coefficients_from_case, example1_case_2d
+
+
+def example1(n):
+    case = example1_case_2d()
+    return case, coefficients_from_case(case), method_spaces(build_structured(n, n), "taylor-hood", "dg1")
+
+
+def assert_contract(system, x):
+    a, b = system.matrix, system.rhs
+    norm_a = np.abs(a).sum(axis=1).max()
+    assert np.abs(a @ x - b).max() <= 1e-10 * (norm_a * np.abs(x).max() + np.abs(b).max())
+
+
+def refuse_every_stale_factor(monkeypatch):
+    # no step can contract the residual infinitely, so every held factor is refactored at its first step
+    monkeypatch.setattr(vvpflow.solver, "STALE_CONTRACTION", np.inf)
+
+
+def test_newton_factors_once_and_each_step_meets_the_contract(monkeypatch):
+    case, coeffs, spaces = example1(16)
+    checked = []
+
+    def checking(system, stats=None, held=None):
+        x = original(system, stats, held)
+        assert_contract(system, x)
+        checked.append(system.n)
+        return x
+
+    original = vvpflow.solver.solve_linear
+    monkeypatch.setattr(vvpflow.solver, "solve_linear", checking)
+    u, w, p, rep = solve_newton(spaces, coeffs, g=case.u, pressure_target=case.pressure_integral)
+    stats = rep.linear_stats
+    assert rep.converged and len(checked) == rep.iterations == 3
+    assert stats["factors"] == 1 and stats["reused"] == rep.iterations - 1
+    assert stats["refactors"] == 0 and stats["fallbacks"] == 0
+    assert stats["stale_steps"] >= stats["reused"] and stats["refine_time"] > 0.0
+
+    refuse_every_stale_factor(monkeypatch)
+    uf, wf, pf, fresh = solve_newton(spaces, coeffs, g=case.u, pressure_target=case.pressure_integral)
+    assert fresh.linear_stats["factors"] == fresh.iterations == rep.iterations
+    assert fresh.linear_stats["reused"] == 0 and fresh.linear_stats["refactors"] == fresh.iterations - 1
+    assert "contracted" in fresh.linear_stats["refactor_reason"]
+    # the histories agree to 1e-8 of the first residual; the last entries are at roundoff
+    h, hf = np.array(rep.residual_history), np.array(fresh.residual_history)
+    assert np.abs(h - hf).max() <= 1e-8 * h[0]
+    for field, ref in [(u, uf), (w, wf), (p, pf)]:
+        assert np.abs(field.coefficients - ref.coefficients).max() <= 1e-8 * np.abs(ref.coefficients).max()
+
+
+def test_slow_contraction_refactors_with_its_reason():
+    """The beta = 0 Oseen factor preconditions the Jacobian at 50 times the
+    exact velocity too poorly: the solve refactors, not falls back."""
+    case = example1_case_2d()
+    spaces = method_spaces(build_structured(8, 8), "taylor-hood", "dg1")
+    asm = SystemAssembler(spaces, coefficients_from_case(case))
+    held = {}
+    solve_linear(apply_dirichlet(asm.oseen(), spaces[0], case.u), {}, held)
+    assert held["n"] == asm.block_index[4]
+    oseen_solve = held["solve"]
+
+    state = np.zeros(asm.block_index[4])
+    state[: asm.block_index[1]] = 50.0 * interpolate(spaces[0], case.u).coefficients
+    jac, residual = asm.newton_system(state)
+    jac.rhs[:] = residual
+    system = apply_dirichlet(jac, spaces[0], None)
+    stats = {}
+    x = solve_linear(system, stats, held)
+    assert stats["refactors"] == 1 and stats["factors"] == 1 and stats.get("reused", 0) == 0
+    assert stats["refactor_reason"].startswith("stale factor contracted")
+    assert stats["refactor_reason"].endswith("< 4x at step 1")
+    assert stats.get("fallbacks", 0) == 0 and stats["n_solves"] == 1
+    assert held["solve"] is not oseen_solve  # the new factor is held
+    assert_contract(system, x)
+
+
+def test_picard_reuses_its_factor_in_as_many_iterations(monkeypatch):
+    case, coeffs, spaces = example1(8)
+    settings = NonlinearSettings(method="picard", tol=1e-8, max_iters=25)
+    *_, rep = solve_picard(spaces, coeffs, settings, g=case.u, pressure_target=case.pressure_integral)
+    refuse_every_stale_factor(monkeypatch)
+    *_, fresh = solve_picard(spaces, coeffs, settings, g=case.u, pressure_target=case.pressure_integral)
+    assert rep.converged and fresh.converged
+    assert rep.iterations == fresh.iterations
+    assert rep.linear_stats["reused"] >= 1
+    assert fresh.linear_stats["reused"] == 0 and fresh.linear_stats["factors"] == fresh.iterations
+
+
+def test_a_factor_of_another_size_is_never_used():
+    case, coeffs, spaces = example1(4)
+    system = apply_dirichlet(SystemAssembler(spaces, coeffs).oseen(), spaces[0], case.u)
+
+    def foreign(r):
+        raise AssertionError("a factor of another size was applied")
+
+    held, stats = {"solve": foreign, "n": system.n + 1}, {}
+    x = solve_linear(system, stats, held)
+    assert stats["factors"] == 1 and stats.get("reused", 0) == 0 and stats.get("stale_steps", 0) == 0
+    assert held["n"] == system.n and held["solve"] is not foreign
+    assert_contract(system, x)
+
+
+@pytest.mark.parametrize("held", [None, {}])
+def test_without_a_held_factor_every_solve_factors(held):
+    case, coeffs, spaces = example1(4)
+    system = apply_dirichlet(SystemAssembler(spaces, coeffs).oseen(), spaces[0], case.u)
+    stats = {}
+    x = solve_linear(system, stats, held)
+    assert stats["factors"] == 1 and stats["n_solves"] == 1 and "reused" not in stats
+    assert stats["factor_time"] > 0.0 and stats["refine_time"] > 0.0
+    assert_contract(system, x)
