@@ -1,18 +1,21 @@
 """Gauss quadrature on the reference triangle {(0,0), (1,0), (0,1)}.
 
-Rules are built as conical products of Gauss-Legendre and Gauss-Jacobi
-lines (exact by construction for any requested degree, all weights
-positive) and then symmetrised over the six vertex permutations of the
-triangle.  Weights sum to the reference area 1/2.  :class:`CellQuadrature`
-maps a rule onto every cell of a mesh; its chunks are the one loop over
-cells of the norms and integrals, and it groups the cells into the affine
-classes whose physical basis tables the assembly shares.
+Every rule is invariant under the six vertex permutations of the triangle,
+has positive weights summing to the reference area 1/2 and interior
+points.  Degrees 6, 8 and 9 use fitted table rules of 12, 16 and 19
+points; every other degree is a conical product of Gauss-Legendre and
+Gauss-Jacobi lines (exact by construction), symmetrised.
+:class:`CellQuadrature` maps a rule onto every cell of a mesh; its chunks
+are the one loop over cells of the norms and integrals, and it groups the
+cells into the affine classes whose physical basis tables the assembly
+shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -70,16 +73,43 @@ def _symmetrise(points: np.ndarray, weights: np.ndarray):
     return uniq[:, 1:].copy(), merged
 
 
+#: Table rules, fitted by ``tests/symmetric_rules.py``.  Per degree: the
+#: centroid weight (or None), S21 orbits (w, a) of the barycentric points
+#: (a, a, 1-2a) and S111 orbits (w, a, b) of (a, b, 1-a-b); w per point.
+_SYMMETRIC = {
+    6: (None, ((0.08566656207649287, 0.2194299825497825), (0.0403655447965139, 0.48013796411221765)),
+        ((0.020317279896829944, 0.01937172436124135, 0.14161901592396578),)),
+    8: (0.07215780383886254, ((0.01622924881160083, 0.050547228317031206), (0.05160868526735705, 0.17056930775171963),
+                              (0.047545817133662106, 0.45929258829268366)),
+        ((0.013615157087212917, 0.008394777409914678, 0.2631128296347523),)),
+    9: (0.04856789814294913, ((0.012788837829320802, 0.04472951339440362), (0.03982386946362754, 0.1882035356196183),
+                              (0.03891377050295231, 0.43708959149511023), (0.01566735011228034, 0.48968251920015615)),
+        ((0.021641769688751318, 0.0368384120549751, 0.2219629891604772),)),
+}
+
+
+def _orbits(centroid, s21, s111):
+    orbits = [(centroid, [(1 / 3, 1 / 3, 1 / 3)])] if centroid is not None else []
+    orbits += [(w, [(a, a, 1 - 2 * a), (a, 1 - 2 * a, a), (1 - 2 * a, a, a)]) for w, a in s21]
+    orbits += [(w, list(permutations((a, b, 1 - a - b)))) for w, a, b in s111]
+    lam = np.array([point for _, points in orbits for point in points])
+    return lam[:, 1:].copy(), np.array([w for w, points in orbits for _ in points])
+
+
 @lru_cache(maxsize=None)
 def quadrature(degree: int) -> QuadratureRule:
-    """Symmetric rule integrating total degree ``degree`` exactly."""
+    """Symmetric rule integrating total degree ``degree`` exactly: the table
+    rule of 12, 16 or 19 points at degree 6, 8 or 9, else the conical one."""
     if degree < 0:
         raise ValueError(f"quadrature degree must be >= 0, got {degree}")
     if degree > MAX_DEGREE:
         raise ValueError(
             f"quadrature degree {degree} exceeds supported maximum {MAX_DEGREE}"
         )
-    points, weights = _symmetrise(*_conical_rule(max(degree, 1)))
+    if degree in _SYMMETRIC:
+        points, weights = _orbits(*_SYMMETRIC[degree])
+    else:
+        points, weights = _symmetrise(*_conical_rule(max(degree, 1)))
     points.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(points=points, weights=weights, degree=degree)

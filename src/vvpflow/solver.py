@@ -88,25 +88,33 @@ def _refine(solve, a: sp.spmatrix, b: np.ndarray, norm_a: float, stats: dict, st
 
     ``solve`` applies a factor.  With ``stale`` it is the factor of an
     earlier matrix, given up as soon as a step cuts the residual by less
-    than ``STALE_CONTRACTION`` (the first step against ``||b||``).  Returns
+    than ``STALE_CONTRACTION`` (the first step against ``||b||``), or from
+    step 2 on once its mean contraction since ``||b||`` projects a residual
+    above the contract bound after the steps left.  Returns
     (x, steps, None) when the contract is met, else (None, steps, reason);
     the steps are the solves with the factor.  Their time and that of the
     residual products is booked in ``stats["refine_time"]``.
     """
     t0 = time.perf_counter()
     try:
-        x, last, steps = solve(b), np.abs(b).max(), 1
+        norm_b = np.abs(b).max()
+        x, last, steps = solve(b), norm_b, 1
         while True:
             if not np.all(np.isfinite(x)):
                 return None, steps, "factorisation produced non-finite values"
             res = b - a @ x
             size = np.abs(res).max()
-            if size <= LINEAR_RESIDUAL_FACTOR * (norm_a * np.abs(x).max() + np.abs(b).max()):
+            bound = LINEAR_RESIDUAL_FACTOR * (norm_a * np.abs(x).max() + norm_b)
+            if size <= bound:
                 return x, steps, None
             if steps > REFINE_STEPS:
                 return None, steps, f"refined residual {size:.3e} exceeds the contract bound after {steps} solves"
             if stale and STALE_CONTRACTION * size > last:
                 return None, steps, f"stale factor contracted {last / size:.1f}x < {STALE_CONTRACTION:g}x at step {steps}"
+            left = REFINE_STEPS + 1 - steps
+            if stale and steps > 1 and size * (size / norm_b) ** (left / steps) > bound:
+                return None, steps, (f"stale factor at its mean contraction {(norm_b / size) ** (1 / steps):.1f}x "
+                                     f"projects residual > bound {bound:.3e} after {left} more solves")
             x, last, steps = x + solve(res), size, steps + 1
     finally:
         _book(stats, refine_time=time.perf_counter() - t0)

@@ -90,6 +90,38 @@ def test_slow_contraction_refactors_with_its_reason():
     assert_contract(system, x)
 
 
+def test_a_hopeless_stale_factor_is_given_up_by_its_projection():
+    """At 1.8 times the exact velocity the beta = 0 Oseen factor contracts
+    more than 4x per step, but too slowly to meet the contract within the
+    refinement steps left: it is refactored at step 2, not after 9 solves."""
+    case = example1_case_2d()
+    spaces = method_spaces(build_structured(8, 8), "taylor-hood", "dg1")
+    asm = SystemAssembler(spaces, coefficients_from_case(case))
+    held = {}
+    solve_linear(apply_dirichlet(asm.oseen(), spaces[0], case.u), {}, held)
+    oseen_solve = held["solve"]
+
+    state = np.zeros(asm.block_index[4])
+    state[: asm.block_index[1]] = 1.8 * interpolate(spaces[0], case.u).coefficients
+    jac, residual = asm.newton_system(state)
+    jac.rhs[:] = residual
+    system = apply_dirichlet(jac, spaces[0], None)
+    a = system.matrix.tocsr()
+    norm_a = np.abs(a).sum(axis=1).max()
+    # run to the step cap, the held factor does not meet the contract
+    x, steps, reason = vvpflow.solver._refine(oseen_solve, a, system.rhs, norm_a, {})
+    assert x is None and steps == vvpflow.solver.REFINE_STEPS + 1 and "exceeds the contract bound" in reason
+
+    stats = {}
+    x = solve_linear(system, stats, held)
+    assert stats["refactors"] == 1 and stats["factors"] == 1 and stats.get("reused", 0) == 0
+    assert stats["stale_steps"] == 2
+    assert stats["refactor_reason"].startswith("stale factor at its mean contraction")
+    assert "projects residual" in stats["refactor_reason"]
+    assert stats.get("fallbacks", 0) == 0 and held["solve"] is not oseen_solve
+    assert_contract(system, x)
+
+
 def test_picard_reuses_its_factor_in_as_many_iterations(monkeypatch):
     case, coeffs, spaces = example1(8)
     settings = NonlinearSettings(method="picard", tol=1e-8, max_iters=25)

@@ -1,10 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from vvpflow.mesh import build_structured
-from vvpflow.quadrature import MAX_DEGREE, CellQuadrature, quadrature
+from vvpflow.spaces import interpolate, method_spaces
+from vvpflow.verify import coefficients_from_case, error_norms, example1_case_2d
+import symmetric_rules
+import vvpflow.verify
+from vvpflow.assembly import SystemAssembler
+from vvpflow.quadrature import _SYMMETRIC, MAX_DEGREE, CellQuadrature, quadrature
 
 
 def monomial_integral(a, b):
@@ -72,6 +78,85 @@ def test_rules_are_cached_and_immutable():
     assert a is b
     with pytest.raises(ValueError):
         a.points[0, 0] = 0.0
+
+
+TABLE_RULES = {6: (12, {3: 2, 6: 1}), 8: (16, {1: 1, 3: 3, 6: 1}), 9: (19, {1: 1, 3: 4, 6: 1})}
+PERMUTATIONS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+
+
+def barycentric(rule):
+    return np.column_stack([1.0 - rule.points.sum(axis=1), rule.points])
+
+
+@pytest.mark.parametrize("degree", sorted(TABLE_RULES))
+def test_table_rules_have_their_orbit_layout(degree):
+    npts, layout = TABLE_RULES[degree]
+    rule = quadrature(degree)
+    assert len(rule) == npts
+    orbits = {}
+    for lam, w in zip(barycentric(rule), rule.weights):
+        orbits.setdefault(tuple(np.round(np.sort(lam), 12)), []).append(w)
+    sizes = [len(ws) for ws in orbits.values()]
+    assert {size: sizes.count(size) for size in set(sizes)} == layout
+    for key, ws in orbits.items():
+        assert np.ptp(ws) == 0.0
+        assert len(set(key)) == {1: 1, 3: 2, 6: 3}[len(ws)]  # distinct coordinates of the orbit's points
+
+
+@pytest.mark.parametrize("degree", sorted(TABLE_RULES))
+def test_table_rules_are_invariant_under_vertex_permutations(degree):
+    rule = quadrature(degree)
+    lam = barycentric(rule)
+    for perm in PERMUTATIONS:
+        moved = lam[:, perm]
+        # each permuted point is a point of the rule with the same weight
+        dist = np.abs(moved[:, None, :] - lam[None, :, :]).max(axis=-1)
+        match = dist.argmin(axis=1)
+        assert dist.min(axis=1).max() <= 1e-15
+        assert np.array_equal(np.sort(match), np.arange(len(rule)))
+        assert np.array_equal(rule.weights[match], rule.weights)
+
+
+@pytest.mark.parametrize("degree", sorted(TABLE_RULES))
+def test_generator_reproduces_the_table_rules(degree):
+    seed, start = symmetric_rules.RECORDED[degree]
+    centroid, s21, s111 = symmetric_rules.fit(degree, seed, start)
+    table = _SYMMETRIC[degree]
+    assert (centroid is None) == (table[0] is None)
+    assert centroid is None or abs(centroid - table[0]) <= 1e-13
+    for fitted, stored in [(s21, table[1]), (s111, table[2])]:
+        assert np.shape(fitted) == np.shape(stored)
+        assert np.abs(np.subtract(fitted, stored)).max() <= 1e-13
+
+
+def stack(family, vorticity):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # Bernardi-Raugel with dg1 is outside the proven pairings
+        return method_spaces(build_structured(2, 2), family, vorticity)
+
+
+@pytest.mark.parametrize("family, vorticity, npts", [
+    ("taylor-hood", "dg1", 12), ("bernardi-raugel", "dg1", 12), ("mini", "cg1", 16),
+])
+def test_assembly_runs_on_the_table_rules(family, vorticity, npts):
+    asm = SystemAssembler(stack(family, vorticity), coefficients_from_case(example1_case_2d()))
+    assert len(asm.quad.rule) == npts
+
+
+@pytest.mark.parametrize("family", ["taylor-hood", "bernardi-raugel"])
+def test_error_norms_run_on_the_19_point_rule(family, monkeypatch):
+    case = example1_case_2d()
+    spaces = stack(family, "dg1")
+    rules = []
+
+    class Recording(CellQuadrature):
+        def __init__(self, mesh, degree):
+            super().__init__(mesh, degree)
+            rules.append(len(self.rule))
+
+    monkeypatch.setattr(vvpflow.verify, "CellQuadrature", Recording)
+    error_norms(*(interpolate(space, fn) for space, fn in zip(spaces, (case.u, case.omega, case.p))), case)
+    assert rules and set(rules) == {19}
 
 
 # 23 x 23 squares give 1,058 cells: two full chunks of 512 and a partial one
