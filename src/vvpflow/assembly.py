@@ -47,7 +47,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .ordering import dof_support_centroids, nested_dissection
-from .quadrature import CHUNK, CellQuadrature, groups, physical_points
+from .quadrature import CHUNK, CellQuadrature, groups
 from .spaces import DiscreteField, FunctionSpace, boundary_values, chunk_dirs, physical_gradients, tabulate
 
 
@@ -79,19 +79,20 @@ class ProblemCoefficients:
             self.check_bounds()
 
     def check_bounds(self):
-        """Reject bounds and weights outside 0 < sigma0 <= sigma1, 0 < nu0 <= nu1,
-        kappa1 in (0, 2/3 nu0] and kappa2 > 0.  The upper end of kappa1 is
-        admissible: the ellipticity margin kappa1 - 3 kappa1^2 / (4 nu0) is
-        still nu0 / 3 there."""
-        if not (0.0 < self.sigma0 <= self.sigma1):
-            raise ValueError(f"sigma bounds must satisfy 0 < sigma0 <= sigma1, got ({self.sigma0}, {self.sigma1})")
-        if not (0.0 < self.nu0 <= self.nu1):
-            raise ValueError(f"viscosity bounds must satisfy 0 < nu0 <= nu1, got ({self.nu0}, {self.nu1})")
+        """Reject bounds and weights outside 0 < nu0 <= nu1 < inf,
+        0 < sigma0 <= sigma1 < inf, kappa1 in (0, 2/3 nu0] and 0 < kappa2 < inf;
+        NaN fails every comparison.  The upper end of kappa1 is admissible:
+        the ellipticity margin kappa1 - 3 kappa1^2 / (4 nu0) is still nu0 / 3
+        there."""
+        if not (0.0 < self.nu0 <= self.nu1 < np.inf):
+            raise ValueError(f"viscosity bounds must satisfy 0 < nu0 <= nu1 < inf, got {self.nu0, self.nu1}")
+        if not (0.0 < self.sigma0 <= self.sigma1 < np.inf):
+            raise ValueError(f"sigma bounds must satisfy 0 < sigma0 <= sigma1 < inf, got {self.sigma0, self.sigma1}")
         limit = (2.0 / 3.0) * self.nu0
         if not (0.0 < self.kappa1 <= limit * (1.0 + 1e-12)):
             raise ValueError(f"kappa1 = {self.kappa1} outside the admissible interval (0, {limit}] = (0, 2/3 nu0]")
-        if self.kappa2 <= 0.0:
-            raise ValueError(f"kappa2 must be positive, got {self.kappa2}")
+        if not (0.0 < self.kappa2 < np.inf):
+            raise ValueError(f"kappa2 must be positive and finite, got {self.kappa2}")
 
 
 @dataclass(eq=False)
@@ -128,13 +129,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _keys(rows, cols, shape) -> np.ndarray:
-    rows = rows.astype(np.int64, copy=False)
-    if len(rows) and (rows.min() < 0 or rows.max() >= shape[0] or cols.min() < 0 or cols.max() >= shape[1]):
-        raise ValueError(f"COO indices outside a {shape[0]} x {shape[1]} matrix")
-    return rows * shape[1] + cols
-
-
 class CSRPattern:
     """Canonical CSR pattern of a list of COO (row, col) keys.
 
@@ -142,13 +136,15 @@ class CSRPattern:
     of its key among the distinct keys, found by one sort.  Summed into
     their slots left to right (``np.bincount``, ``np.add.at``), the values
     of an entry depend only on their own order, never on the other entries
-    of a row; every key is kept, zero sums included.  ``locate`` finds the
-    slots of other keys of the pattern.
+    of a row; every key is kept, zero sums included.
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]):
         self.shape = shape
-        key = _keys(rows, cols, shape)
+        rows = rows.astype(np.int64, copy=False)
+        if len(rows) and (rows.min() < 0 or rows.max() >= shape[0] or cols.min() < 0 or cols.max() >= shape[1]):
+            raise ValueError(f"COO indices outside a {shape[0]} x {shape[1]} matrix")
+        key = rows * shape[1] + cols
         order = np.argsort(key)  # equal keys get one rank in any order
         key = key[order]
         first = np.empty(len(key), dtype=bool)
@@ -161,15 +157,6 @@ class CSRPattern:
         self.indices = (key % shape[1]).astype(idx)
         self.indptr = np.zeros(shape[0] + 1, dtype=idx)
         np.cumsum(np.bincount(key // shape[1], minlength=shape[0]), out=self.indptr[1:])
-
-    def locate(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Slots of other (row, col) keys, found by binary search."""
-        keys = _keys(np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.indices, self.shape)
-        query = _keys(rows, cols, self.shape)
-        slot = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-        if np.any(keys[slot] != query):
-            raise ValueError("COO keys outside the sparsity pattern")
-        return slot
 
     def csr(self, data: np.ndarray) -> sp.csr_matrix:
         """CSR matrix with the entries ``data``, in slot order."""
@@ -335,14 +322,13 @@ class SystemAssembler:
     fully independent.
     """
 
-    def __init__(self, spaces, coeffs: ProblemCoefficients, quad_degree: int | None = None):
+    def __init__(self, spaces, coeffs: ProblemCoefficients):
         self.V, self.W, self.Q = _check_spaces(spaces)
         if coeffs.validate:  # guards against post-construction mutation
             coeffs.check_bounds()
         self.coeffs = coeffs
         self.mesh = self.V.mesh
-        degree = default_quad_degree(self.V) if quad_degree is None else quad_degree
-        self.quad = CellQuadrature(self.mesh, degree)
+        self.quad = CellQuadrature(self.mesh, default_quad_degree(self.V))
         self.rule = self.quad.rule
         self.tab_v = tabulate(self.V, self.rule.points)
         self.tab_w = tabulate(self.W, self.rule.points)
@@ -378,10 +364,9 @@ class SystemAssembler:
         na, nw, npr = (s.cell_dofs.shape[1] for s in (self.V, self.W, self.Q))
         wvals, pvals = self.tab_w.shapes, self.tab_q.shapes  # vorticity/pressure bases are affine-invariant
 
-        # all points mapped at once, sampled CHUNK cells at a time: small temporaries sample a third faster
-        xq = physical_points(self.rule, self.quad.jac, self.mesh.vertices[self.mesh.cells[:, 0]])
+        # sampled chunk by chunk: small temporaries sample a third faster
         nu, sig, gnu, fq = (None if s[0] is None else np.concatenate(s) for s in zip(
-            *(self._coefficient_samples(xq[c0:c0 + CHUNK]) for c0 in range(0, nc, CHUNK))))
+            *(self._coefficient_samples(xq) for _, _, xq, _ in self.quad.chunks())))
         width = {"uu": na * na, "uw": na * nw, "ww": nw * nw, "up": na * npr, "f": na}
         vals = {}
         for block, (vv, gv, curl, div) in cls.blocks():
@@ -480,9 +465,9 @@ class SystemAssembler:
               conv_triplets=None) -> AssembledSystem:
         """Assemble the linearised system with frozen advecting field ``beta``.
 
-        ``conv_triplets`` short-circuits the convection assembly with
-        precomputed COO data (the solver loop passes those of its own
-        convection pass).
+        ``conv_triplets`` short-circuits the convection assembly with the
+        (rows, cols, vals) of an earlier :meth:`_convection` call of this
+        assembler (the solver loop passes those of its own convection pass).
         """
         keys, rhs = self._ensure_linear()
         if conv_triplets is None and beta is not None:
@@ -502,13 +487,15 @@ class SystemAssembler:
     def _matrix(self, conv_triplets) -> sp.csr_matrix:
         """Linear part plus convection triplets (rows, cols, vals), added at
         their slots in triplet order after the linear sums, as one bincount
-        of all triplets would.  Other keys must belong to the pattern."""
+        of all triplets would.  The keys must be the very arrays that
+        :meth:`_convection` returns."""
         own_rows, own_cols = self._ensure_linear()[0]["uu_sigma"]
         data = self._data.copy()
         if conv_triplets is not None:
             rows, cols, vals = conv_triplets
-            own = rows is own_rows and cols is own_cols
-            np.add.at(data, self._conv_slots if own else self._pattern.locate(rows, cols), vals)
+            if rows is not own_rows or cols is not own_cols:
+                raise ValueError("convection keys outside the assembler's pattern: pass those of its _convection")
+            np.add.at(data, self._conv_slots, vals)
         return self._pattern.csr(data)
 
     def jacobian(self, conv_triplets) -> sp.csr_matrix:
@@ -552,11 +539,10 @@ def assemble_oseen(
     coeffs: ProblemCoefficients,
     beta: DiscreteField | None = None,
     pressure_target: float = 0.0,
-    quad_degree: int | None = None,
     keep_parts: bool = False,
 ) -> AssembledSystem:
     """One-shot Oseen assembly; see :class:`SystemAssembler` for solver loops."""
-    return SystemAssembler(spaces, coeffs, quad_degree).oseen(
+    return SystemAssembler(spaces, coeffs).oseen(
         beta=beta, pressure_target=pressure_target, keep_parts=keep_parts
     )
 
@@ -566,18 +552,17 @@ def assemble_newton(
     coeffs: ProblemCoefficients,
     state: np.ndarray,
     pressure_target: float = 0.0,
-    quad_degree: int | None = None,
 ):
     """Jacobian system and nonlinear residual at a full state vector."""
-    return SystemAssembler(spaces, coeffs, quad_degree).newton_system(
+    return SystemAssembler(spaces, coeffs).newton_system(
         state, pressure_target=pressure_target
     )
 
 
-def assemble_gram_X(spaces, quad_degree: int | None = None):
+def assemble_gram_X(spaces):
     """Gram matrix of the velocity/vorticity product norm (see gram_matrix)."""
     V, W, _ = _check_spaces(spaces)
-    quad = CellQuadrature(V.mesh, default_quad_degree(V) if quad_degree is None else quad_degree)
+    quad = CellQuadrature(V.mesh, default_quad_degree(V))
     return gram_matrix(VelocityClasses(quad, tabulate(V, quad.rule.points)), W)
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 SCALAR_FAMILIES = ("p1", "p2", "p1bubble", "dg0", "dg1")
-VECTOR_FAMILIES = ("p1", "p2", "p1bubble", "bernardi-raugel")
 
 GRAD_LAMBDA = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 

@@ -61,8 +61,8 @@ class NonlinearSettings:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown nonlinear method {self.method!r}")
-        if self.tol <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tol < np.inf:  # NaN fails every comparison
+            raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -399,9 +399,9 @@ def lp_norm(mesh, fn, p: float, quad_degree: int) -> float:
     return CellQuadrature(mesh, quad_degree).integrate(integrand) ** (1.0 / p)
 
 
-def grad_nu_norm(mesh, coeffs: ProblemCoefficients, r_star: float, quad_degree: int = 8) -> float:
-    """|| grad nu ||_{0, r*} over the mesh by quadrature."""
-    return 0.0 if coeffs.grad_nu is None else lp_norm(mesh, coeffs.grad_nu, r_star, quad_degree)
+def grad_nu_norm(mesh, coeffs: ProblemCoefficients, r_star: float) -> float:
+    """|| grad nu ||_{0, r*} over the mesh by degree-8 quadrature."""
+    return 0.0 if coeffs.grad_nu is None else lp_norm(mesh, coeffs.grad_nu, r_star, 8)
 
 
 def check_small_data(coeffs: ProblemCoefficients, diag: DiagnosticsConfig, f_norm: float) -> SmallDataReport:

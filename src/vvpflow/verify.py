@@ -210,21 +210,18 @@ def velocity_error_norm(u_h: DiscreteField, case: ManufacturedCase, quad_degree:
     return math.sqrt(quad.integrate(integrand))
 
 
-def error_norms(u_h: DiscreteField, w_h: DiscreteField, p_h: DiscreteField, case: ManufacturedCase, quad_degree: int | None = None):
+def error_norms(u_h: DiscreteField, w_h: DiscreteField, p_h: DiscreteField, case: ManufacturedCase):
     """(e_u, e_w, e_p) against the case, at assembly degree + 3."""
-    if quad_degree is None:
-        quad_degree = default_quad_degree(u_h.space) + 3
+    quad_degree = default_quad_degree(u_h.space) + 3
     e_u = velocity_error_norm(u_h, case, quad_degree)
     e_w = l2_error(w_h, case.omega, quad_degree)
     e_p = l2_error(p_h, case.p, quad_degree)
     return e_u, e_w, e_p
 
 
-def div_norm(u_h: DiscreteField, quad_degree: int | None = None) -> float:
-    """||div u_h||_0; the augmentation controls but never nullifies it."""
-    if quad_degree is None:
-        quad_degree = default_quad_degree(u_h.space)
-    quad = CellQuadrature(u_h.space.mesh, quad_degree)
+def div_norm(u_h: DiscreteField) -> float:
+    """||div u_h||_0, at the assembly degree; the augmentation controls but never nullifies it."""
+    quad = CellQuadrature(u_h.space.mesh, default_quad_degree(u_h.space))
     tab = tabulate(u_h.space, quad.rule.points)
 
     def integrand(cells, wdet, xq, inv):
@@ -287,10 +284,6 @@ class ConvergenceReport:
             raise ValueError("need one rate tuple per consecutive level pair")
         if any(e < 0.0 for row in self.errors for e in row):
             raise ValueError("error norms cannot be negative")
-
-    def columns(self):
-        e = np.array(self.errors)
-        return e[:, 0], e[:, 1], e[:, 2]
 
 
 def run_convergence(

@@ -81,6 +81,16 @@ class TestProblemCoefficients:
         with pytest.raises(ValueError):
             constant_coefficients(kappa2=0.0)
 
+    @pytest.mark.parametrize("kappa2", [np.nan, np.inf])
+    def test_non_finite_kappa2_rejected(self, kappa2):
+        with pytest.raises(ValueError, match="kappa2"):
+            constant_coefficients(kappa2=kappa2)
+
+    def test_infinite_nu1_rejected(self):
+        with pytest.raises(ValueError, match="viscosity"):
+            ProblemCoefficients(nu=lambda x, y: np.ones_like(x), sigma=lambda x, y: np.ones_like(x), f=zero_vector,
+                                kappa1=0.1, kappa2=0.1, nu0=1.0, nu1=np.inf, sigma0=1.0, sigma1=1.0)
+
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
             ProblemCoefficients(
@@ -337,20 +347,15 @@ def test_cached_pattern_is_not_reused_for_other_triplets():
     beta = interpolate(spaces[0], lambda x, y: np.stack([y, -x], axis=-1))
     rows, cols, vals = asm._convection(beta)
     reference = asm.oseen(conv_triplets=(rows, cols, vals)).matrix
-    tol = 1e-14 * abs(reference).max()
-    # the same entries in reverse order, written into the very arrays a
-    # fresh assembler built its pattern from
+    # the same entries copied to a fresh assembler, reversed, or only the
+    # diagonal ones: none are the keys the slots were cached for
     fresh = SystemAssembler(spaces, coeffs)
-    r2, c2, v2 = rows.copy(), cols.copy(), vals.copy()
-    fresh.oseen(conv_triplets=(r2, c2, v2))
-    r2[:], c2[:], v2[:] = rows[::-1], cols[::-1], vals[::-1]
-    assert abs(fresh.oseen(conv_triplets=(r2, c2, v2)).matrix - reference).max() <= tol
-    # only the diagonal entries
     diag = rows == cols
-    partial = asm.oseen(conv_triplets=(rows[diag], cols[diag], vals[diag])).matrix
-    n = asm.block_index[4]
-    off = sp.coo_matrix((vals[~diag], (rows[~diag], cols[~diag])), shape=(n, n)).tocsr()
-    assert abs(partial + off - reference).max() <= tol
+    for target, triplets in ((fresh, (rows.copy(), cols.copy(), vals.copy())),
+                             (asm, (rows[::-1], cols[::-1], vals[::-1])),
+                             (asm, (rows[diag], cols[diag], vals[diag]))):
+        with pytest.raises(ValueError, match="outside.*pattern"):
+            target.oseen(conv_triplets=triplets)
     assert np.array_equal(asm.oseen(conv_triplets=(rows, cols, vals)).matrix.data, reference.data)
 
 
@@ -360,11 +365,9 @@ def test_convection_keys_are_located_in_the_fixed_pattern():
     beta = interpolate(spaces[0], lambda x, y: np.stack([y, -x], axis=-1))
     rows, cols, vals = asm._convection(beta)
     own = asm.oseen(conv_triplets=(rows, cols, vals)).matrix
-    # writable copies take the search path; it must find the same slots
-    copied = asm.oseen(conv_triplets=(rows.copy(), cols.copy(), vals)).matrix
-    assert np.array_equal(copied.indptr, own.indptr)
-    assert np.array_equal(copied.indices, own.indices)
-    assert np.array_equal(copied.data, own.data)
+    # writable copies of the own keys are not the own keys: no slot search
+    with pytest.raises(ValueError, match="outside.*pattern"):
+        asm.oseen(conv_triplets=(rows.copy(), cols.copy(), vals))
     # a velocity-pressure pair whose supports do not meet has no slot
     o = asm.block_index
     absent = np.setdiff1d(np.arange(o[2], o[3]), own[[0]].indices)[0]

@@ -225,6 +225,12 @@ class TestMain:
         assert main(["convergence", "--kappa1", "0.08"]) == 2
         assert "kappa1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("tol", "inf"), ("tol", "nan"), ("kappa2", "nan"), ("kappa2", "inf"),
+                                             ("nu1", "inf")])
+    def test_non_finite_value_exit_code(self, flag, value, capsys):
+        assert main(["convergence", "--levels", "2", f"--{flag}", value]) == 2
+        assert flag in capsys.readouterr().err
+
     def test_bad_flag_exit_code(self):
         assert main(["convergence", "--family", "powell-sabin"]) == 2
 

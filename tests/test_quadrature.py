@@ -10,7 +10,7 @@ from vvpflow.verify import coefficients_from_case, error_norms, example1_case_2d
 import symmetric_rules
 import vvpflow.verify
 from vvpflow.assembly import SystemAssembler
-from vvpflow.quadrature import _SYMMETRIC, MAX_DEGREE, CellQuadrature, quadrature
+from vvpflow.quadrature import _SYMMETRIC, MAX_DEGREE, CellQuadrature, physical_points, quadrature
 
 
 def monomial_integral(a, b):
@@ -172,6 +172,15 @@ def test_cell_chunks_visit_every_cell_once():
     for cells, wdet, xq, inv in chunks:
         assert wdet.shape == (len(cells), len(quad.rule)) and xq.shape == wdet.shape + (2,)
         assert inv.shape == (len(cells), 2, 2)
+
+
+def test_chunk_points_are_the_whole_mesh_points():
+    # the assembly samples its coefficients chunk by chunk; the points must
+    # be those of one whole-mesh mapping, bit for bit
+    mesh = build_structured(**CELL_QUAD_MESH)
+    quad = CellQuadrature(mesh, 6)
+    whole = physical_points(quad.rule, quad.jac, mesh.vertices[mesh.cells[:, 0]])
+    assert np.array_equal(np.concatenate([xq for _, _, xq, _ in quad.chunks()]), whole)
 
 
 @pytest.mark.parametrize("degree", [2, 5])

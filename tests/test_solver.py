@@ -278,6 +278,12 @@ def test_settings_validation():
         NonlinearSettings(max_iters=0)
 
 
+@pytest.mark.parametrize("tol", [np.inf, np.nan])
+def test_non_finite_tolerance_rejected(tol):
+    with pytest.raises(ValueError, match="finite"):
+        NonlinearSettings(tol=tol)
+
+
 class TestSmallDataDiagnostics:
     def test_reference_arithmetic(self):
         coeffs = _plain_coefficients(sigma0=1.0, nu0=1.0, kappa1=0.5, kappa2=1.0)
