@@ -27,21 +27,22 @@ each cell the table, sampled sigma, nu, grad nu or f a (cells, points) @
 classes, which would not repay a table, are contracted one by one; no
 other code makes that choice.
 
-Every term falls on one block (uu, uw, wu, ww, up, pu, mp or pm).  One key
-array per block, built once from the DOF maps in cell order, is shared by
-all its terms.  :class:`CSRPattern` maps the keys to CSR slots, and each
-entry is the left-to-right sum of its contributions in part and cell
-order, whatever else shares its row.  Repeated assemblies are therefore
-bit-identical, and blocks built from the same floats in transposed
-placement are exact transposes.  Convection (Oseen and Newton alike) adds
-its values on the slots of the uu keys; Dirichlet elimination masks the data.
+Every term falls on one block (uu, uw, wu, ww, up, pu, mp or pm), whose
+COO keys follow from the DOF maps in cell order.  An assembler sorts them
+once into one :class:`CSRPattern`, bins the linear part on its slots and
+then keeps no keys: convection (Oseen and Newton alike) is passed as values
+in uu-key order and added on the uu slots.  Each entry is the
+left-to-right sum of its contributions in part and cell order, whatever
+else shares its row.  Repeated assemblies are therefore bit-identical, and
+blocks built from the same floats in transposed placement are exact
+transposes.  Dirichlet elimination masks the data.
 """
 
 from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -124,11 +125,6 @@ class AssembledSystem:
         return x[: o[1]], x[o[1] : o[2]], x[o[2] : o[3]], float(x[o[3]])
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 class CSRPattern:
     """Canonical CSR pattern of a list of COO (row, col) keys.
 
@@ -198,11 +194,11 @@ def _contract(subscripts: str, *operands) -> np.ndarray:
 
 
 def _block_keys(rows_map, cols_map):
-    """Read-only COO (rows, cols) of a block whose local matrices, over all
-    cells, sit at the global ``rows_map`` (nc, na) x ``cols_map`` (nc, nb);
-    in cell order, the order in which the chunks produce their values."""
+    """COO (rows, cols) of a block whose local matrices, over all cells, sit
+    at the global ``rows_map`` (nc, na) x ``cols_map`` (nc, nb); in cell
+    order, the order in which the chunks produce their values."""
     na, nb = rows_map.shape[1], cols_map.shape[1]
-    return _frozen(np.repeat(rows_map, nb, axis=1).ravel()), _frozen(np.tile(cols_map, (1, na)).ravel())
+    return np.repeat(rows_map, nb, axis=1).ravel(), np.tile(cols_map, (1, na)).ravel()
 
 
 class VelocityClasses:
@@ -284,12 +280,14 @@ class VelocityClasses:
             out[at] = coef[at].reshape(len(at), -1) @ table if axes else coef * table
 
 
-def gram_matrix(classes: VelocityClasses, W: FunctionSpace) -> sp.csr_matrix:
-    """Gram matrix of the combined velocity/vorticity norm, for the velocity
-    space of ``classes`` and the vorticity space ``W``.
+def gram_values(classes: VelocityClasses, W: FunctionSpace):
+    """Element values of the Gram matrix of the combined velocity/vorticity
+    norm, for the velocity space of ``classes`` and the vorticity space
+    ``W``: the velocity block (nc, nb^2) and the vorticity block (nc, nw^2),
+    each row a cell's matrix in row-major order.
 
-    For stacked coefficients [u | w], coef' G coef equals
-    ||u||^2 + ||curl u||^2 + ||div u||^2 + ||w||^2.
+    With d_c a cell's velocity coefficients and G_c its velocity block,
+    sum_c d_c' G_c d_c equals ||u||^2 + ||curl u||^2 + ||div u||^2.
     """
     V = classes.tab_v.space
     wvals = tabulate(W, classes.quad.rule.points).shapes
@@ -297,10 +295,7 @@ def gram_matrix(classes: VelocityClasses, W: FunctionSpace) -> sp.csr_matrix:
     for block, (vv, _, curl, div) in classes.blocks():
         classes.fill(vals_u, block, "kaqi,kbqi+kaq,kbq+kaq,kbq", (vv, vv, curl, curl, div, div))
         classes.fill(vals_w, block, "aq,bq", (wvals, wvals))
-    # the two blocks share no key, so their order does not change a sum
-    uu, ww = (_block_keys(dofs, dofs) for dofs in (V.cell_dofs, W.cell_dofs + V.n_dofs))
-    n = V.n_dofs + W.n_dofs
-    return triplets_to_csr(*map(np.concatenate, zip(uu, ww)), np.concatenate([vals_u, vals_w], axis=None), (n, n))
+    return vals_u, vals_w
 
 
 # the linear parts in the order of their sums; a part's block is its name's first two letters
@@ -311,15 +306,15 @@ class SystemAssembler:
     """Assembler of the saddle system with a cached advection-independent part.
 
     One instance groups the cells into affine classes, tabulates the
-    velocity basis per class and bins the linear part once into its CSR
-    pattern.  It keeps the block keys, the pattern and the binned data, not
-    the part values; ``oseen(keep_parts=True)`` recomputes those.  Each
-    form is one entry of a table handed to :meth:`VelocityClasses.fill`,
-    which alone chooses between a class table and cell-by-cell
-    contraction.  Oseen and Newton matrices then only add the convection
-    values on their slots.  Instances hold no mutable state besides caches
-    and may be shared across sequential solves; distinct instances are
-    fully independent.
+    velocity basis per class and bins the linear part once into its one CSR
+    pattern.  It keeps the pattern, the binned data, the rhs and the slots
+    of the uu keys, not the keys or the part values;
+    ``oseen(keep_parts=True)`` rebuilds those.  Each form is one entry of a
+    table handed to :meth:`VelocityClasses.fill`, which alone chooses
+    between a class table and cell-by-cell contraction.  Oseen and Newton
+    matrices then only add the convection values on the uu slots.
+    Instances hold no mutable state besides caches and may be shared across
+    sequential solves; distinct instances are fully independent.
     """
 
     def __init__(self, spaces, coeffs: ProblemCoefficients):
@@ -337,7 +332,7 @@ class SystemAssembler:
         n_u, n_w, n_p = self.V.n_dofs, self.W.n_dofs, self.Q.n_dofs
         self.block_index = (0, n_u, n_u + n_w, n_u + n_w + n_p, n_u + n_w + n_p + 1)
         self.local = np.hstack([self.V.local_dofs, self.W.local_dofs + n_u])  # (nc, k) cell-local unknowns
-        self._linear = None
+        self._rhs = None  # the linear part's rhs, set once it is binned
         self._ordering = None
         self.ordering_time = 0.0  # seconds the last _elimination_order call spent (0 once cached)
 
@@ -402,33 +397,38 @@ class SystemAssembler:
         parts["mp"] = parts["pm"] = pmass
         return parts, rhs
 
-    def _ensure_linear(self):
-        if self._linear is not None:
-            return self._linear
+    def _keys(self):
+        """COO (rows, cols) of each block, in cell order."""
         o = self.block_index
-        vals, rhs = self._element_values()  # its samples and tables are freed before the pattern's temporaries
         dofs = {"u": self.V.cell_dofs, "w": self.W.cell_dofs + o[1], "p": self.Q.cell_dofs + o[2]}
         keys = {b: _block_keys(dofs[b[0]], dofs[b[1]]) for b in ("uu", "uw", "wu", "ww", "up", "pu")}
         p_dofs, m_dofs = o[2] + np.arange(self.Q.n_dofs)[:, None], np.full((self.Q.n_dofs, 1), o[3])
         keys["mp"], keys["pm"] = _block_keys(m_dofs, p_dofs), _block_keys(p_dofs, m_dofs)
+        return keys
+
+    def _ensure_linear(self):
+        """Bin the linear part once; returns its rhs."""
+        if self._rhs is not None:
+            return self._rhs
+        o = self.block_index
+        vals, rhs = self._element_values()  # its samples and tables are freed before the pattern's temporaries
+        keys = self._keys()
         rows, cols = zip(*keys.values())
         pattern = CSRPattern(np.concatenate(rows), np.concatenate(cols), (o[4], o[4]))
         slots = dict(zip(keys, np.split(pattern.slot, np.cumsum([len(r) for r in rows])[:-1])))
+        del keys, rows, cols, pattern.slot
         # part by part from zeros: the same left-to-right sums as one bincount of all parts
         self._data = np.zeros(len(pattern.indices))
         for name, v in vals.items():
             np.add.at(self._data, slots[name[:2]], v)
-        self._conv_slots = slots["uu"].copy()  # the convection keys are the uu keys
-        del pattern.slot, slots
-        self._pattern = pattern
-        self._linear = ({name: keys[name[:2]] for name in vals}, rhs)  # the values are dropped once binned
-        return self._linear
+        self._conv_slots = slots["uu"].copy()  # convection values come in uu-key order
+        self._pattern, self._rhs = pattern, rhs  # the values are dropped once binned
+        return rhs
 
     def _convection(self, beta: DiscreteField, newton: bool = False):
-        """COO triplets (rows, cols, vals) of ((beta . grad) u, v), on the
-        read-only keys of the uu block (same cell layout).  With
-        ``newton``, also the values of the block differentiated in its
-        advecting argument, ((u . grad) beta, v): (rows, cols, vals, dual).
+        """Values of ((beta . grad) u, v) in the order of the uu keys, as a
+        1-tuple; with ``newton`` also those of the block differentiated in
+        its advecting argument, ((u . grad) beta, v): (direct, dual).
 
         Per class, T[c, a, b] = sum_q w_q det v_c . (grad v_b)^T v_a, and
         the element values are beta_cell @ T (see :meth:`VelocityClasses.fill`);
@@ -436,15 +436,14 @@ class SystemAssembler:
         """
         if beta.space is not self.V and beta.space.n_dofs != self.V.n_dofs:
             raise ValueError("advecting field must live on the velocity space")
-        rows, cols = self._ensure_linear()[0]["uu_sigma"]
-        nb = self.V.cell_dofs.shape[1]
+        self._ensure_linear()  # binned before the convection values are allocated: a lower peak
         coefs = beta.coefficients[self.V.cell_dofs]
-        out = [np.empty((len(coefs), nb * nb)) for _ in range(1 + newton)]
+        out = [np.empty((len(coefs), coefs.shape[1] ** 2)) for _ in range(1 + newton)]
         for block, (vv, gv, _, _) in self.classes.blocks():
             # beta's basis function c, then the advected and the test function; the dual swaps c and b
             for vals, sub, ops in zip(out, ("kcqj,kbqij,kaqi", "kcqij,kbqj,kaqi"), ((vv, gv, vv), (gv, vv, vv))):
                 self.classes.fill(vals, block, sub, ops, coefs, "c")
-        return (rows, cols, *(vals.ravel() for vals in out))
+        return tuple(vals.ravel() for vals in out)
 
     def _elimination_order(self, matrix: sp.csr_matrix) -> np.ndarray:
         """The cell-local unknowns cell by cell, then the nested-dissection
@@ -462,52 +461,57 @@ class SystemAssembler:
         return self._ordering
 
     def oseen(self, beta: DiscreteField | None = None, pressure_target: float = 0.0, keep_parts: bool = False,
-              conv_triplets=None) -> AssembledSystem:
+              conv_values=None) -> AssembledSystem:
         """Assemble the linearised system with frozen advecting field ``beta``.
 
-        ``conv_triplets`` short-circuits the convection assembly with the
-        (rows, cols, vals) of an earlier :meth:`_convection` call of this
-        assembler (the solver loop passes those of its own convection pass).
+        ``conv_values`` short-circuits the convection assembly with the
+        values, in uu-key order, of an earlier :meth:`_convection` call.
+        ``keep_parts`` rebuilds each part's keys and values as a CSR matrix.
         """
-        keys, rhs = self._ensure_linear()
-        if conv_triplets is None and beta is not None:
-            conv_triplets = self._convection(beta)
-        matrix = self._matrix(conv_triplets)
+        rhs = self._ensure_linear()
+        if conv_values is None and beta is not None:
+            conv_values = self._convection(beta)[0]
+        matrix = self._matrix(conv_values)
         full_rhs = rhs.copy()
         full_rhs[-1] = pressure_target
         parts = None
-        if keep_parts:  # the linear part values are recomputed, not kept
-            coo = {name: keys[name] + (v,) for name, v in self._element_values()[0].items()}
-            if conv_triplets is not None:
-                coo["uu_conv"] = conv_triplets
+        if keep_parts:
+            keys = self._keys()
+            coo = {name: keys[name[:2]] + (v,) for name, v in self._element_values()[0].items()}
+            if conv_values is not None:
+                coo["uu_conv"] = keys["uu"] + (conv_values,)
             parts = {name: triplets_to_csr(*triplets, matrix.shape) for name, triplets in coo.items()}
         ordering = self._elimination_order(matrix)
         return AssembledSystem(matrix, full_rhs, self.block_index, parts=parts, ordering=ordering, local=self.local)
 
-    def _matrix(self, conv_triplets) -> sp.csr_matrix:
-        """Linear part plus convection triplets (rows, cols, vals), added at
-        their slots in triplet order after the linear sums, as one bincount
-        of all triplets would.  The keys must be the very arrays that
-        :meth:`_convection` returns."""
-        own_rows, own_cols = self._ensure_linear()[0]["uu_sigma"]
+    def _matrix(self, conv) -> sp.csr_matrix:
+        """Linear part plus the convection values ``conv`` in uu-key order,
+        added at their slots after the linear sums, as one bincount of all
+        triplets would."""
         data = self._data.copy()
-        if conv_triplets is not None:
-            rows, cols, vals = conv_triplets
-            if rows is not own_rows or cols is not own_cols:
-                raise ValueError("convection keys outside the assembler's pattern: pass those of its _convection")
-            np.add.at(data, self._conv_slots, vals)
+        if conv is not None:
+            np.add.at(data, self._conv_slots, conv)
         return self._pattern.csr(data)
 
-    def jacobian(self, conv_triplets) -> sp.csr_matrix:
+    def jacobian(self, conv) -> sp.csr_matrix:
         """Newton matrix at beta = u_h, on the Oseen pattern.
 
-        ``conv_triplets`` is (rows, cols, direct, dual) from
-        ``_convection(u_h, newton=True)``.  Each convection triplet carries
-        direct + dual, the convection block plus its derivative in the
-        advecting argument, so the matrix has the Oseen matrix's sparsity.
+        ``conv`` is (direct, dual) from ``_convection(u_h, newton=True)``.
+        Each uu slot gets direct + dual, the convection block plus its
+        derivative in the advecting argument, so the matrix has the Oseen
+        matrix's sparsity.
         """
-        rows, cols, direct, dual = conv_triplets
-        return self._matrix((rows, cols, direct + dual))
+        return self._matrix(conv[0] + conv[1])
+
+    def _step(self, beta: np.ndarray, state: np.ndarray, pressure_target: float, newton: bool):
+        """(Oseen system, convection values, residual): the convection at the
+        velocity coefficients ``beta`` (with its dual if ``newton``), the Oseen
+        system on it and the residual of ``state``, velocity Dirichlet rows zeroed."""
+        conv = self._convection(DiscreteField(self.V, beta), newton=newton)
+        system = self.oseen(conv_values=conv[0], pressure_target=pressure_target)
+        residual = system.rhs - system.matrix @ state
+        residual[self.V.dirichlet_dofs] = 0.0
+        return system, conv, residual
 
     def newton_system(self, state: np.ndarray, pressure_target: float = 0.0):
         """Jacobian and residual of the nonlinear map at ``state``.
@@ -521,17 +525,8 @@ class SystemAssembler:
         state = np.asarray(state, dtype=float)
         if state.shape != (self.block_index[4],):
             raise ValueError("state vector does not match the system size")
-        conv = self._convection(DiscreteField(self.V, state[: self.block_index[1]]), newton=True)
-        system = self.oseen(conv_triplets=conv[:3], pressure_target=pressure_target)
-        residual = system.rhs - system.matrix @ state
-        residual[self.V.dirichlet_dofs] = 0.0
-        jac = AssembledSystem(self.jacobian(conv), system.rhs, self.block_index, ordering=system.ordering,
-                              local=self.local)
-        return jac, residual
-
-    def gram_x(self) -> sp.csr_matrix:
-        """Gram matrix of the combined velocity/vorticity norm (see gram_matrix)."""
-        return gram_matrix(self.classes, self.W)
+        system, conv, residual = self._step(state[: self.block_index[1]], state, pressure_target, newton=True)
+        return replace(system, matrix=self.jacobian(conv)), residual
 
 
 def assemble_oseen(
@@ -560,10 +555,16 @@ def assemble_newton(
 
 
 def assemble_gram_X(spaces):
-    """Gram matrix of the velocity/vorticity product norm (see gram_matrix)."""
+    """Gram matrix of the velocity/vorticity product norm, :func:`gram_values`
+    binned: for stacked coefficients [u | w], coef' G coef equals
+    ||u||^2 + ||curl u||^2 + ||div u||^2 + ||w||^2."""
     V, W, _ = _check_spaces(spaces)
     quad = CellQuadrature(V.mesh, default_quad_degree(V))
-    return gram_matrix(VelocityClasses(quad, tabulate(V, quad.rule.points)), W)
+    vals_u, vals_w = gram_values(VelocityClasses(quad, tabulate(V, quad.rule.points)), W)
+    # the two blocks share no key, so their order does not change a sum
+    uu, ww = (_block_keys(dofs, dofs) for dofs in (V.cell_dofs, W.cell_dofs + V.n_dofs))
+    n = V.n_dofs + W.n_dofs
+    return triplets_to_csr(*map(np.concatenate, zip(uu, ww)), np.concatenate([vals_u, vals_w], axis=None), (n, n))
 
 
 def apply_dirichlet(system: AssembledSystem, space: FunctionSpace, g) -> AssembledSystem:

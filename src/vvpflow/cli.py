@@ -27,13 +27,14 @@ from .verify import (
     run_convergence,
 )
 
-_DEFAULT_VORTICITY = {"convergence": "dg1", "cavity": "cg1", "diagnostics": "dg1"}
+#: (family, vorticity) by command; the cavity demo runs only its own pair
+_DEFAULTS = {"convergence": ("taylor-hood", "dg1"), "cavity": ("mini", "cg1"), "diagnostics": ("taylor-hood", "dg1")}
 
 
 @dataclass
 class RunConfig:
     command: str = "convergence"
-    family: str = "taylor-hood"
+    family: str | None = None
     vorticity: str | None = None
     levels: int = 5
     nx: int = 64
@@ -49,11 +50,14 @@ class RunConfig:
     out: str = field(default=".", metadata={"help": "output directory"})
 
     def __post_init__(self):
-        if self.command not in _DEFAULT_VORTICITY:
+        if self.command not in _DEFAULTS:
             raise ValueError(f"unknown command {self.command!r}")
-        if self.vorticity is None:
-            self.vorticity = _DEFAULT_VORTICITY[self.command]
+        family, vorticity = _DEFAULTS[self.command]
+        self.family = family if self.family is None else self.family
+        self.vorticity = vorticity if self.vorticity is None else self.vorticity
         check_method(self.family, self.vorticity)
+        if self.command == "cavity" and (self.family, self.vorticity) != (family, vorticity):
+            raise ValueError(f"the cavity demo runs {family}/{vorticity} only, not {self.family}/{self.vorticity}")
         self.settings()
         if self.levels < 2:
             raise ValueError("--levels must be at least 2")

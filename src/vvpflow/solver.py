@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import AssembledSystem, ProblemCoefficients, SystemAssembler, apply_dirichlet
+from .assembly import AssembledSystem, ProblemCoefficients, SystemAssembler, apply_dirichlet, gram_values
 from .quadrature import CellQuadrature
 from .spaces import DiscreteField, boundary_values
 
@@ -261,12 +261,6 @@ def solve_linear(system: AssembledSystem, stats: dict | None = None, held: dict 
     return x
 
 
-def _velocity_norm(gram, du, n_u, n_w):
-    z = np.zeros(n_u + n_w)
-    z[:n_u] = du
-    return float(np.sqrt(z @ (gram @ z)))
-
-
 def _solve_nonlinear(spaces, coeffs, settings, g, pressure_target):
     """Both linearisations in one loop.  Each state is assembled once; the
     Oseen matrix gives the residual, and the update solves it (Picard) or
@@ -274,7 +268,8 @@ def _solve_nonlinear(spaces, coeffs, settings, g, pressure_target):
     assembler = SystemAssembler(spaces, coeffs)
     o = assembler.block_index
     V = assembler.V
-    gram = assembler.gram_x()
+    nb = V.cell_dofs.shape[1]
+    gram_u = gram_values(assembler.classes, assembler.W)[0].reshape(-1, nb, nb)  # the increments' norm
     report = SolveReport(linear_stats={"n_solves": 0, "factors": 0, "reused": 0, "stale_steps": 0, "refactors": 0,
                                        "fill": 0, "condensed": 0, "fallbacks": 0, "factor_time": 0.0,
                                        "refine_time": 0.0, "ordering_time": 0.0})
@@ -288,11 +283,8 @@ def _solve_nonlinear(spaces, coeffs, settings, g, pressure_target):
     beta = state[: o[1]] if newton or settings.initial_guess is not None else np.zeros(o[1])
 
     while True:
-        conv = assembler._convection(DiscreteField(V, beta), newton=newton)
-        system = assembler.oseen(conv_triplets=conv[:3], pressure_target=pressure_target)
+        system, conv, res = assembler._step(beta, state, pressure_target, newton)
         report.linear_stats["ordering_time"] += assembler.ordering_time
-        res = system.rhs - system.matrix @ state
-        res[V.dirichlet_dofs] = 0.0
         res_norm = float(np.abs(res).max())
         report.residual_history.append(res_norm)
         if not np.isfinite(res_norm):
@@ -317,7 +309,8 @@ def _solve_nonlinear(spaces, coeffs, settings, g, pressure_target):
             # non-converged history and the failure note
             report.failure = str(exc)
             break
-        report.velocity_increments.append(_velocity_norm(gram, update[: o[1]], o[1], o[2] - o[1]))
+        du = update[V.cell_dofs]
+        report.velocity_increments.append(float(np.sqrt(np.vdot(du, np.einsum("cab,cb->ca", gram_u, du)))))
         state = state + update
         beta = state[: o[1]]
         report.iterations += 1

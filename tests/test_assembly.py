@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from vvpflow.assembly import (
     AssembledSystem,
+    CSRPattern,
     ProblemCoefficients,
     SystemAssembler,
     _contract,
@@ -280,10 +281,10 @@ def test_separate_assemblers_are_bit_identical():
 
 
 def part_triplets(asm):
-    """The linear parts as COO triplets: the block keys the assembler keeps,
-    and the values recomputed by its producer (it keeps none)."""
-    keys = asm._ensure_linear()[0]
-    return {name: keys[name] + (vals,) for name, vals in asm._element_values()[0].items()}
+    """The linear parts as COO triplets: the block keys and the values,
+    both rebuilt by the assembler (it keeps neither)."""
+    keys = asm._keys()
+    return {name: keys[name[:2]] + (vals,) for name, vals in asm._element_values()[0].items()}
 
 
 @pytest.mark.parametrize("n, family, vorticity", [(4, "taylor-hood", "dg1"), (3, "bernardi-raugel", "dg0")])
@@ -297,10 +298,6 @@ def test_linear_matrix_is_one_in_order_binning_of_its_parts(n, family, vorticity
     assert np.array_equal(matrix.indptr, reference.indptr)
     assert np.array_equal(matrix.indices, reference.indices)
     assert np.array_equal(matrix.data, reference.data)
-    # the parts of one block share its key arrays
-    for name, (rows, cols, _) in parts.items():
-        first = next(parts[other] for other in parts if other[:2] == name[:2])
-        assert rows is first[0] and cols is first[1]
 
 
 def test_linear_assembly_memory_per_assembled_value():
@@ -320,18 +317,28 @@ def test_linear_assembly_memory_per_assembled_value():
     assert (peaks[1] - peaks[0]) / (values[1] - values[0]) <= 6.0
 
 
+def _held_arrays(value):
+    """The arrays an assembler holds, through its containers and its CSR pattern."""
+    if isinstance(value, (SystemAssembler, CSRPattern)):
+        value = vars(value)
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _held_arrays(item)
+
+
 @pytest.mark.parametrize("family, vorticity", [("taylor-hood", "dg1"), ("bernardi-raugel", "dg0")])
-def test_linear_part_keeps_only_the_shared_block_keys(family, vorticity):
+def test_assembler_holds_no_block_keys(family, vorticity):
     _, coeffs, spaces = example1_setup(n=3, family=family, vorticity=vorticity)
     asm = SystemAssembler(spaces, coeffs)
     asm.oseen()
-    keys = asm._linear[0]
-    assert len(keys) == 13
-    for name, entry in keys.items():
-        first = next(keys[other] for other in keys if other[:2] == name[:2])
-        assert len(entry) == 2 and entry[0] is first[0] and entry[1] is first[1]
-        assert not entry[0].flags.writeable and not entry[1].flags.writeable
-    # the part values are recomputed on each request, bit for bit
+    keys = [k for pair in asm._keys().values() for k in pair]
+    assert len(keys) == 16
+    assert not any(np.array_equal(held, key) for held in _held_arrays(asm) for key in keys)
+    # the parts are rebuilt on each request, bit for bit
     beta = interpolate(spaces[0], lambda x, y: np.stack([y, -x], axis=-1))
     first, second = (asm.oseen(beta=beta, keep_parts=True).parts for _ in range(2))
     assert first.keys() == second.keys() and len(first) == 14
@@ -339,43 +346,6 @@ def test_linear_part_keeps_only_the_shared_block_keys(family, vorticity):
         assert np.array_equal(part.indptr, second[name].indptr)
         assert np.array_equal(part.indices, second[name].indices)
         assert np.array_equal(part.data, second[name].data)
-
-
-def test_cached_pattern_is_not_reused_for_other_triplets():
-    _, coeffs, spaces = example1_setup(n=2)
-    asm = SystemAssembler(spaces, coeffs)
-    beta = interpolate(spaces[0], lambda x, y: np.stack([y, -x], axis=-1))
-    rows, cols, vals = asm._convection(beta)
-    reference = asm.oseen(conv_triplets=(rows, cols, vals)).matrix
-    # the same entries copied to a fresh assembler, reversed, or only the
-    # diagonal ones: none are the keys the slots were cached for
-    fresh = SystemAssembler(spaces, coeffs)
-    diag = rows == cols
-    for target, triplets in ((fresh, (rows.copy(), cols.copy(), vals.copy())),
-                             (asm, (rows[::-1], cols[::-1], vals[::-1])),
-                             (asm, (rows[diag], cols[diag], vals[diag]))):
-        with pytest.raises(ValueError, match="outside.*pattern"):
-            target.oseen(conv_triplets=triplets)
-    assert np.array_equal(asm.oseen(conv_triplets=(rows, cols, vals)).matrix.data, reference.data)
-
-
-def test_convection_keys_are_located_in_the_fixed_pattern():
-    _, coeffs, spaces = example1_setup(n=2)
-    asm = SystemAssembler(spaces, coeffs)
-    beta = interpolate(spaces[0], lambda x, y: np.stack([y, -x], axis=-1))
-    rows, cols, vals = asm._convection(beta)
-    own = asm.oseen(conv_triplets=(rows, cols, vals)).matrix
-    # writable copies of the own keys are not the own keys: no slot search
-    with pytest.raises(ValueError, match="outside.*pattern"):
-        asm.oseen(conv_triplets=(rows.copy(), cols.copy(), vals))
-    # a velocity-pressure pair whose supports do not meet has no slot
-    o = asm.block_index
-    absent = np.setdiff1d(np.arange(o[2], o[3]), own[[0]].indices)[0]
-    with pytest.raises(ValueError, match="pattern"):
-        asm.oseen(conv_triplets=(np.append(rows, 0), np.append(cols, absent), np.append(vals, 1.0)))
-    # a negative column must not alias the last entry of the previous row
-    with pytest.raises(ValueError, match="outside"):
-        asm.oseen(conv_triplets=(rows[:1] + 1, np.array([-1]), vals[:1]))
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from vvpflow.assembly import SystemAssembler, VelocityClasses, assemble_gram_X, default_quad_degree
+from vvpflow.assembly import SystemAssembler, VelocityClasses, assemble_gram_X, default_quad_degree, gram_values
 from vvpflow.mesh import build_structured, geometry_arrays
 from vvpflow.quadrature import CellQuadrature, physical_points, quadrature
 from vvpflow.spaces import (
@@ -154,7 +154,11 @@ def test_class_tables_match_the_per_cell_reference(mesh_name, family, vorticity)
     assert _relative_gap(system.matrix, oseen) <= 1e-13
     assert np.abs(system.rhs - rhs).max() <= 1e-13 * np.abs(rhs).max()
     assert _relative_gap(asm.newton_system(state)[0].matrix, newton) <= 1e-13
-    assert _relative_gap(asm.gram_x(), gram) <= 1e-13
+    # the velocity Gram values the solve's increment norms use, cell by cell
+    d = beta.coefficients[spaces[0].cell_dofs]
+    cellwise = np.einsum("ca,cab,cb->", d, gram_values(asm.classes, asm.W)[0].reshape(len(d), d.shape[1], -1), d)
+    x = np.concatenate([beta.coefficients, np.zeros(spaces[1].n_dofs)])
+    assert abs(cellwise - x @ (gram @ x)) <= 1e-13 * (x @ (gram @ x))
     assert _relative_gap(assemble_gram_X(spaces), gram) <= 1e-13
 
 

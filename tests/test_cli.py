@@ -60,6 +60,11 @@ class TestParseConfig:
         assert parse_config(["convergence"]).vorticity == "dg1"
         assert parse_config(["cavity"]).vorticity == "cg1"
 
+    def test_command_specific_family_defaults(self):
+        assert parse_config(["convergence"]).family == "taylor-hood"
+        assert parse_config(["cavity"]).family == "mini"
+        assert parse_config(["cavity", "--family", "mini", "--vorticity", "cg1"]).family == "mini"
+
     def test_round_trip(self, tmp_path):
         cfg = parse_config(
             ["cavity", "--nx", "32", "--ny", "16", "--nu0", "0.004", "--nu1", "0.008",
@@ -212,6 +217,14 @@ class TestMain:
     def test_cavity_below_8x8_exit_code(self, tmp_path, capsys):
         assert main(["cavity", "--nx", "4", "--ny", "4", "--out", str(tmp_path)]) == 2
         assert "at least 8x8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", [["--family", "taylor-hood", "--vorticity", "dg1"], ["--family", "taylor-hood"],
+                                        ["--vorticity", "dg1"]])
+    def test_cavity_rejects_any_other_method(self, method, tmp_path, capsys):
+        # the demo runs MINI/cg1 only: another pair must not run it under a wrong label
+        assert main(["cavity", *method, "--nx", "8", "--ny", "8", "--out", str(tmp_path)]) == 2
+        assert "mini/cg1 only" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_cavity_validates_its_own_coefficients(self, tmp_path):
         # the cavity's nu1 is 2 nu0, not Example 1's 1.0

@@ -1,9 +1,9 @@
 """Static condensation of the cell-local unknowns in ``solve_linear``.
 
 The dg vorticity and the MINI bubbles couple only inside their own cell.
-Above 2,000 unknowns ``solve_linear`` eliminates them cell by cell, factors
-the Schur complement and refines against the full matrix; these tests
-check that against a full-matrix SuperLU solve.
+For every system with an elimination order ``solve_linear`` eliminates them
+cell by cell, factors the Schur complement and refines against the full
+matrix; these tests check that against a full-matrix SuperLU solve.
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ from vvpflow.solver import solve_linear
 from vvpflow.spaces import build_space, interpolate, method_spaces
 from vvpflow.verify import coefficients_from_case, example1_case_2d
 
-# (family, vorticity, n, local unknowns per cell), each system above 2,000 unknowns
+# (family, vorticity, n, local unknowns per cell)
 STACKS = [
     ("taylor-hood", "dg1", 12, 3),
     ("mini", "cg1", 16, 2),

@@ -5,7 +5,15 @@ import pytest
 import scipy.sparse as sp
 
 import vvpflow.solver
-from vvpflow.assembly import AssembledSystem, SystemAssembler, apply_dirichlet, assemble_newton, assemble_oseen
+from vvpflow.assembly import (
+    AssembledSystem,
+    CSRPattern,
+    SystemAssembler,
+    apply_dirichlet,
+    assemble_gram_X,
+    assemble_newton,
+    assemble_oseen,
+)
 from vvpflow.mesh import build_structured
 from vvpflow.solver import (
     DiagnosticsConfig,
@@ -378,3 +386,45 @@ def test_solve_reports_its_ordering_time():
     assert asm.ordering_time == 0.0  # cached
     _, _, _, rep = solve_newton(spaces, coeffs, g=case.u, pressure_target=case.pressure_integral)
     assert rep.linear_stats["ordering_time"] > 0.0
+
+
+def test_a_solve_sorts_one_pattern(monkeypatch):
+    case, coeffs, spaces = example1_problem(8)
+    shapes = []
+    original = CSRPattern.__init__
+
+    def counting(self, rows, cols, shape):
+        shapes.append(shape)
+        original(self, rows, cols, shape)
+
+    monkeypatch.setattr(CSRPattern, "__init__", counting)
+    _, _, _, rep = solve_newton(spaces, coeffs, g=case.u, pressure_target=case.pressure_integral)
+    assert rep.converged and rep.iterations >= 2
+    n = SystemAssembler(spaces, coeffs).block_index[4]
+    assert shapes == [(n, n)]  # the linear part's; the increments' norm builds none
+
+
+@pytest.mark.filterwarnings("ignore:vorticity space")
+@pytest.mark.parametrize("family, vorticity, solve", [("taylor-hood", "dg1", solve_newton),
+                                                      ("bernardi-raugel", "dg1", solve_picard)])
+def test_velocity_increments_are_gram_norms_of_the_updates(monkeypatch, family, vorticity, solve):
+    case = example1_case_2d()
+    spaces = method_spaces(build_structured(4, 4), family, vorticity)
+    updates = []
+    original = vvpflow.solver.solve_linear
+
+    def recording(system, stats=None, held=None):
+        updates.append(original(system, stats, held))
+        return updates[-1]
+
+    monkeypatch.setattr(vvpflow.solver, "solve_linear", recording)
+    _, _, _, rep = solve(spaces, coeffs=coefficients_from_case(case), g=case.u,
+                         pressure_target=case.pressure_integral)
+    gram, n_u = assemble_gram_X(spaces), spaces[0].n_dofs
+    expected = []
+    for x in updates:
+        z = np.zeros(gram.shape[0])
+        z[:n_u] = x[:n_u]
+        expected.append(np.sqrt(z @ (gram @ z)))
+    assert rep.converged and len(updates) == rep.iterations >= 2
+    assert np.allclose(rep.velocity_increments, expected, rtol=1e-12, atol=0.0)
