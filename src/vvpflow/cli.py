@@ -84,7 +84,10 @@ class RunConfig:
         return NonlinearSettings(method=self.method, tol=self.tol, max_iters=self.max_iters)
 
 
-_FLAGS = fields(RunConfig)[1:]  # every field but the command, which is the subcommand
+#: the fields a command does not read: it takes no flag or config key for them
+#: (the cavity takes all, and the README names those it ignores)
+_UNREAD = {"convergence": {"nx", "ny"}, "cavity": set(),
+           "diagnostics": {"family", "vorticity", "levels", "tol", "max_iters", "method", "out"}}
 _CHOICES = {"family": list(STACKS), "vorticity": list(VORTICITY_SPACES), "method": list(METHODS)}
 
 
@@ -93,21 +96,26 @@ def _value_type(f) -> type:
     return {"int": int, "float": float}.get(f.type.partition(" ")[0], str)
 
 
+def _fields(command: str) -> list:
+    """The fields of RunConfig that ``command`` reads, the command itself first."""
+    return [f for f in fields(RunConfig) if f.name not in _UNREAD[command]]
+
+
 def serialize_config(cfg: RunConfig) -> str:
     lines = []
-    for f in fields(cfg):
+    for f in _fields(cfg.command):
         value = getattr(cfg, f.name)
         key = f.name.replace("_", "-")
         lines.append(f"{key}={value!r}" if isinstance(value, str) else f"{key}={value}")
     return "\n".join(lines) + "\n"
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(path: str, command: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
-    known = {f.name: f for f in fields(RunConfig)}
+    known = {f.name: f for f in _fields(command)}
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -119,7 +127,7 @@ def _read_config_file(path: str) -> dict:
         key = key.strip().replace("-", "_")
         value = value.strip().strip("'\"")
         if key not in known:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r} for {command}")
         try:
             out[key] = _value_type(known[key])(value)
         except ValueError as exc:
@@ -137,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="key=value file mirroring the flags")
-        for f in _FLAGS:
+        for f in _fields(name)[1:]:
             p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=_value_type(f), default=None,
                            choices=_CHOICES.get(f.name), help=f.metadata.get("help"))
     return parser
@@ -154,8 +162,8 @@ def parse_config(argv) -> RunConfig:
         return RunConfig()
     overrides = {}
     if args.config:
-        overrides.update(_read_config_file(args.config))
-    for f in _FLAGS:
+        overrides.update(_read_config_file(args.config, args.command))
+    for f in _fields(args.command)[1:]:
         value = getattr(args, f.name)
         if value is not None:
             overrides[f.name] = value

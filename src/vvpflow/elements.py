@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-SCALAR_FAMILIES = ("p1", "p2", "p1bubble", "dg0", "dg1")
-
 GRAD_LAMBDA = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 
 
@@ -69,11 +67,11 @@ def _dg0_tab(points):
 
 
 _SCALAR_TABULATORS = {
-    "p1": (_p1_tab, 3, 1, True),
-    "p2": (_p2_tab, 6, 2, True),
-    "p1bubble": (_p1bubble_tab, 4, 3, True),
-    "dg0": (_dg0_tab, 1, 0, False),
-    "dg1": (_p1_tab, 3, 1, False),
+    "p1": (_p1_tab, 3, 1),
+    "p2": (_p2_tab, 6, 2),
+    "p1bubble": (_p1bubble_tab, 4, 3),
+    "dg0": (_dg0_tab, 1, 0),
+    "dg1": (_p1_tab, 3, 1),
 }
 
 
@@ -82,7 +80,6 @@ class ScalarElement:
     family: str
     n_local: int
     degree: int
-    continuous: bool
 
     def tabulate(self, points):
         """Values (nl, npts) and reference gradients (nl, npts, 2)."""
@@ -96,7 +93,6 @@ class VectorElement:
     family: str
     n_local: int
     degree: int
-    continuous: bool = True
     scalar: ScalarElement | None = field(default=None, compare=False)
 
     def tabulate(self, points):
@@ -143,9 +139,9 @@ class VectorElement:
 
 def scalar_element(family: str) -> ScalarElement:
     if family not in _SCALAR_TABULATORS:
-        raise ValueError(f"unknown scalar family {family!r}; choose from {SCALAR_FAMILIES}")
-    _, nl, deg, cont = _SCALAR_TABULATORS[family]
-    return ScalarElement(family=family, n_local=nl, degree=deg, continuous=cont)
+        raise ValueError(f"unknown scalar family {family!r}; choose from {tuple(_SCALAR_TABULATORS)}")
+    _, nl, deg = _SCALAR_TABULATORS[family]
+    return ScalarElement(family=family, n_local=nl, degree=deg)
 
 
 def vector_element(family: str) -> VectorElement:
@@ -154,13 +150,7 @@ def vector_element(family: str) -> VectorElement:
     if family in ("dg0", "dg1"):
         raise ValueError(f"{family!r} is not supported as a velocity family")
     base = scalar_element(family)
-    return VectorElement(
-        family=family,
-        n_local=2 * base.n_local,
-        degree=base.degree,
-        continuous=base.continuous,
-        scalar=base,
-    )
+    return VectorElement(family=family, n_local=2 * base.n_local, degree=base.degree, scalar=base)
 
 
 def reference_basis(family: str, point):

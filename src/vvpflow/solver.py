@@ -120,42 +120,16 @@ def _refine(solve, a: sp.spmatrix, b: np.ndarray, norm_a: float, stats: dict, st
         _book(stats, refine_time=time.perf_counter() - t0)
 
 
-def _refined_solve(factor_of: sp.csc_matrix, a: sp.spmatrix, b: np.ndarray, norm_a: float, expand=None,
-                   held: dict | None = None, stats: dict | None = None, **factor_opts):
-    """Factor ``factor_of``, refine against the true matrix ``a``.
-
-    ``expand(lu, r)``, when given, solves ``a`` for ``r`` with the factor of
-    a condensed matrix; by default the factor solves ``a`` itself.
-    Returns (x, fill, None) when the residual contract is met, else
-    (None, fill, reason).  On success the factor's solve and the system
-    size are kept in ``held``, when given.  ``stats`` books the factor
-    and refinement times.
-    """
-    stats = {} if stats is None else stats
-    t0 = time.perf_counter()
-    try:
-        lu = spla.splu(factor_of, **factor_opts)
-    except (RuntimeError, ValueError) as exc:
-        return None, 0, str(exc)
-    finally:
-        _book(stats, factor_time=time.perf_counter() - t0)
-    fill = int(getattr(lu, "nnz", 0))
-    solve = lu.solve if expand is None else (lambda r: expand(lu, r))
-    x, _, reason = _refine(solve, a, b, norm_a, stats)
-    if x is not None and held is not None:
-        held.update(solve=solve, n=len(b))
-    return x, fill, reason
-
-
 def _condense(a: sp.csr_matrix, local: np.ndarray, order: np.ndarray, shift_below: float):
     """Eliminate the cell-local unknowns ``local`` (nc, k) of ``a`` cell by cell.
 
     With L the local and G the other unknowns, in the order they take in
-    ``order``, returns the Schur complement S = A_GG - A_GL A_LL^-1 A_LG in
-    CSC, with ``shift_below`` added to its diagonal entries smaller than
-    that, and ``expand(lu, r)``, which solves ``a x = r`` given the factor of
-    S.  A_LL is block diagonal, one (k, k) block per cell, and is inverted
-    batched; a singular block raises ``np.linalg.LinAlgError``.
+    ``order``, factors the Schur complement S = A_GG - A_GL A_LL^-1 A_LG,
+    with ``shift_below`` added to its diagonal entries smaller than that,
+    in that order with static pivots.  Returns the solve of ``a x = r``
+    through that factor and the factor's fill.  A_LL is block diagonal, one
+    (k, k) block per cell, and is inverted batched; a singular block raises
+    ``np.linalg.LinAlgError``.
     """
     (nc, k), flat = local.shape, local.ravel()
     is_local = np.zeros(a.shape[0], dtype=bool)
@@ -175,15 +149,16 @@ def _condense(a: sp.csr_matrix, local: np.ndarray, order: np.ndarray, shift_belo
     cell_cols = np.repeat(np.arange(nl).reshape(nc, 1, k), k, axis=1).ravel()
     schur = a_g[:, rest] - gl @ (sp.csr_matrix((inv.ravel(), cell_cols, np.arange(nl + 1) * k), shape=(nl, nl)) @ lg)
     schur = (schur + sp.diags(np.where(np.abs(schur.diagonal()) < shift_below, shift_below, 0.0))).tocsc()
+    lu = spla.splu(schur, permc_spec="NATURAL", options={"SymmetricMode": True, "DiagPivotThresh": 0.0})
 
-    def expand(lu, r):
+    def solve(r):
         y = (inv @ r[local][..., None]).ravel()
         x = np.empty(len(r))
         x[rest] = lu.solve(r[rest] - gl @ y)
         x[flat] = y - (inv @ (lg @ x[rest]).reshape(nc, k, 1)).ravel()
         return x
 
-    return schur, expand
+    return solve, lu.nnz
 
 
 def solve_linear(system: AssembledSystem, stats: dict | None = None, held: dict | None = None) -> np.ndarray:
@@ -204,9 +179,10 @@ def solve_linear(system: AssembledSystem, stats: dict | None = None, held: dict 
     local block is one) in ``stats["fallback_reason"]``; if it fails too,
     the error names both reasons.
 
-    ``held``, when given, keeps the solve of the last factor made and the
-    size of its system.  A held factor of this size is tried first, as a
-    preconditioner refined against this system under the same contract;
+    ``held``, when given, keeps the solve of the last factor that met the
+    contract and the size of its system (nothing once every path fails).
+    A held factor of this size is tried first, as a preconditioner
+    refined against this system under the same contract;
     once a step contracts the residual by less than ``STALE_CONTRACTION``,
     or after ``REFINE_STEPS`` steps, it is released and the system is
     factored afresh, counted in ``stats["refactors"]`` with the reason in
@@ -235,30 +211,34 @@ def solve_linear(system: AssembledSystem, stats: dict | None = None, held: dict 
     if held is not None:
         held.clear()  # never two factors at once
     nd_reason = None
-    if system.ordering is not None:
+    for condensed in (True, False) if system.ordering is not None else (False,):
+        x = reason = solve = None  # the failed attempt's factor goes before the next is made
         t0 = time.perf_counter()
         try:
-            schur, expand = _condense(a, system.local, system.ordering, 1e-8 * norm_a)
-        except np.linalg.LinAlgError as exc:
-            schur, nd_reason = None, str(exc)
+            if condensed:
+                solve, fill = _condense(a, system.local, system.ordering, 1e-8 * norm_a)
+            else:
+                lu = spla.splu(a.tocsc())
+                solve, fill = lu.solve, lu.nnz
+        except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
+            reason = str(exc)
         _book(stats, factor_time=time.perf_counter() - t0)
-        if schur is not None:
-            x, fill, nd_reason = _refined_solve(
-                schur, a, b, norm_a, expand=expand, held=held, stats=stats,
-                permc_spec="NATURAL", options={"SymmetricMode": True, "DiagPivotThresh": 0.0},
-            )
-            if x is not None:
-                _book(stats, n_solves=1, factors=1, fill=fill, condensed=system.local.size)
-                return x
-        _book(stats, fallbacks=1)
-        stats["fallback_reason"] = nd_reason
-    x, fill, reason = _refined_solve(a.tocsc(), a, b, norm_a, held=held, stats=stats)
-    if x is None:
-        if nd_reason is not None:
-            reason = f"{reason} (after the nested-dissection path failed: {nd_reason})"
-        raise SolverFailure(f"sparse direct solve failed: {reason}")
-    _book(stats, n_solves=1, factors=1, fill=fill)
-    return x
+        if reason is None:
+            x, _, reason = _refine(solve, a, b, norm_a, stats)
+        if x is not None:
+            if held is not None:
+                held.update(solve=solve, n=len(b))
+            _book(stats, n_solves=1, factors=1, fill=fill)
+            if condensed:
+                _book(stats, condensed=system.local.size)
+            return x
+        if condensed:
+            nd_reason = reason
+            _book(stats, fallbacks=1)
+            stats["fallback_reason"] = reason
+    if nd_reason is not None:
+        reason = f"{reason} (after the nested-dissection path failed: {nd_reason})"
+    raise SolverFailure(f"sparse direct solve failed: {reason}")
 
 
 def _solve_nonlinear(spaces, coeffs, settings, g, pressure_target):

@@ -12,10 +12,12 @@ indptr, indices and data:
 - every part of ``oseen(beta, keep_parts=True)``;
 - the Gram matrix of ``assemble_gram_X``;
 
-and the residual history, velocity increments and iteration count of a
-Newton solve.  ``--compare`` names the first array in which two dumps
-differ: every array must be bit-identical, except the velocity increments,
-which must agree to ``INCREMENT_RTOL`` relative.
+and of a Newton solve the residual history, velocity increments,
+iteration count, solution (u, w, p and the multiplier) and the integer
+``linear_stats`` counters ``COUNTERS``; the same again for a Picard solve
+of the first stack.  ``--compare`` names the first array in which two
+dumps differ: every array must be bit-identical, except the velocity
+increments, which must agree to ``INCREMENT_RTOL`` relative.
 
 Run it with the source tree to dump on the import path:
 
@@ -31,12 +33,23 @@ import numpy as np
 
 STACKS = (("taylor-hood", "dg1", 8), ("mini", "cg1", 3), ("bernardi-raugel", "dg0", 3), ("mini", "dg1", 16))
 INCREMENT_RTOL = 1e-12
+COUNTERS = ("n_solves", "factors", "reused", "stale_steps", "refactors", "fallbacks", "fill", "condensed")
 
 
 def _sparse(out: dict, name: str, matrix) -> None:
     matrix = matrix.tocsr()
     for attr in ("indptr", "indices", "data"):
         out[f"{name}.{attr}"] = getattr(matrix, attr)
+
+
+def _solution(out: dict, name: str, u, w, p, report) -> None:
+    out[f"{name}.residual_history"] = np.array(report.residual_history)
+    out[f"{name}.velocity_increments"] = np.array(report.velocity_increments)
+    out[f"{name}.iterations"] = np.array(report.iterations)
+    for label, field in (("u", u), ("w", w), ("p", p)):
+        out[f"{name}.{label}"] = field.coefficients
+    out[f"{name}.multiplier"] = np.array(report.multiplier)
+    out[f"{name}.linear_stats"] = np.array([report.linear_stats[key] for key in COUNTERS])
 
 
 def dump(path: str) -> None:
@@ -63,10 +76,10 @@ def dump(path: str) -> None:
         for name, part in asm.oseen(beta=beta, keep_parts=True).parts.items():
             _sparse(out, f"{tag}/parts/{name}", part)
         _sparse(out, f"{tag}/gram", vf.assemble_gram_X(spaces))
-        _, _, _, report = vf.solve_newton(spaces, coeffs, g=case.u, pressure_target=case.pressure_integral)
-        out[f"{tag}/newton.residual_history"] = np.array(report.residual_history)
-        out[f"{tag}/newton.velocity_increments"] = np.array(report.velocity_increments)
-        out[f"{tag}/newton.iterations"] = np.array(report.iterations)
+        _solution(out, f"{tag}/newton", *vf.solve_newton(spaces, coeffs, g=case.u, pressure_target=case.pressure_integral))
+        if (family, vorticity, n) == STACKS[0]:
+            picard = vf.solve_picard(spaces, coeffs, g=case.u, pressure_target=case.pressure_integral)
+            _solution(out, f"{tag}/picard", *picard)
     np.savez(path, **out)
 
 

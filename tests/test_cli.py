@@ -247,6 +247,27 @@ class TestMain:
     def test_bad_flag_exit_code(self):
         assert main(["convergence", "--family", "powell-sabin"]) == 2
 
+    @pytest.mark.parametrize("argv", [["diagnostics", "--family", "mini"], ["diagnostics", "--method", "picard"],
+                                      ["convergence", "--nx", "3"]])
+    def test_flag_the_command_does_not_read_exit_code(self, argv, capsys):
+        assert main(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_config_key_the_command_does_not_read_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("nx=8\nmethod=picard\n")
+        assert main(["diagnostics", "--config", str(path)]) == 2
+        assert "unknown key 'method' for diagnostics" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, unread", [("convergence", ["nx", "ny"]), ("diagnostics", ["family", "method", "out"])])
+    def test_config_holds_only_what_the_command_reads(self, command, unread, tmp_path):
+        cfg = parse_config([command])
+        text = serialize_config(cfg)
+        assert not [key for key in unread if f"\n{key}=" in text]
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert parse_config([command, "--config", str(path)]) == cfg
+
     def test_non_convergence_exit_code(self, tmp_path):
         code = main(
             ["cavity", "--nx", "16", "--ny", "8", "--max-iters", "1", "--out", str(tmp_path)]

@@ -11,7 +11,6 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-import vvpflow.solver
 from vvpflow.assembly import SystemAssembler, apply_dirichlet
 from vvpflow.mesh import build_structured
 from vvpflow.solver import solve_linear
@@ -121,16 +120,17 @@ def test_stack_without_local_unknowns_takes_the_same_path(monkeypatch):
     asm, system = newton_system("taylor-hood", "cg1", 15)
     assert system.n > 2000 and system.local.shape == (asm.mesh.n_cells, 0)
     calls = []
-    original = vvpflow.solver._refined_solve
+    original = spla.splu
 
-    def spy(factor_of, a, b, norm_a, **opts):
-        calls.append((factor_of.shape, opts.get("permc_spec"), opts.get("expand") is not None))
-        return original(factor_of, a, b, norm_a, **opts)
+    def spy(factor_of, **opts):
+        calls.append((factor_of.shape, opts.get("permc_spec")))
+        return original(factor_of, **opts)
 
-    monkeypatch.setattr(vvpflow.solver, "_refined_solve", spy)
+    monkeypatch.setattr(spla, "splu", spy)
     stats = {}
     x = solve_linear(system, stats=stats)
-    assert calls == [((system.n, system.n), "NATURAL", True)]
+    # one static-pivot factor of the (empty-)condensed complement, no fallback
+    assert calls == [((system.n, system.n), "NATURAL")]
     assert stats["condensed"] == 0 and stats.get("fallbacks", 0) == 0
     assert_contract(system, x)
     ref = full_solve(system)

@@ -8,11 +8,12 @@ once a refinement step contracts the residual by less than
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import vvpflow.solver
 from vvpflow.assembly import SystemAssembler, apply_dirichlet
 from vvpflow.mesh import build_structured
-from vvpflow.solver import NonlinearSettings, solve_linear, solve_newton, solve_picard
+from vvpflow.solver import NonlinearSettings, SolverFailure, solve_linear, solve_newton, solve_picard
 from vvpflow.spaces import interpolate, method_spaces
 from vvpflow.verify import coefficients_from_case, example1_case_2d
 
@@ -156,4 +157,48 @@ def test_without_a_held_factor_every_solve_factors(held):
     x = solve_linear(system, stats, held)
     assert stats["factors"] == 1 and stats["n_solves"] == 1 and "reused" not in stats
     assert stats["factor_time"] > 0.0 and stats["refine_time"] > 0.0
+    assert_contract(system, x)
+
+
+def refused_factor(system):
+    """A held factor of this system's size that solves nothing: refused at its first step."""
+    return {"solve": np.zeros_like, "n": system.n}
+
+
+def test_when_every_path_fails_nothing_is_held(monkeypatch):
+    case, coeffs, spaces = example1(4)
+    system = apply_dirichlet(SystemAssembler(spaces, coeffs).oseen(), spaces[0], case.u)
+    reasons = iter(["condensed reason", "full reason"])
+
+    def splu_fails(*args, **opts):
+        raise RuntimeError(next(reasons))
+
+    monkeypatch.setattr(spla, "splu", splu_fails)
+    held, stats = refused_factor(system), {}
+    with pytest.raises(SolverFailure, match="full reason.*condensed reason"):
+        solve_linear(system, stats, held)
+    assert stats["refactors"] == 1 and stats["fallbacks"] == 1
+    assert stats.get("factors", 0) == 0 and stats.get("n_solves", 0) == 0
+    assert held == {}
+
+
+def test_the_full_matrix_factor_is_held_after_the_condensed_one_fails(monkeypatch):
+    case, coeffs, spaces = example1(4)
+    system = apply_dirichlet(SystemAssembler(spaces, coeffs).oseen(), spaces[0], case.u)
+    made = []
+    original = spla.splu
+
+    def condensed_fails(matrix, **opts):
+        if opts.get("permc_spec") == "NATURAL":
+            raise RuntimeError("forced failure")
+        made.append(original(matrix, **opts))
+        return made[-1]
+
+    monkeypatch.setattr(spla, "splu", condensed_fails)
+    held, stats = refused_factor(system), {}
+    x = solve_linear(system, stats, held)
+    assert stats["refactors"] == 1 and stats["fallbacks"] == 1 and stats["fallback_reason"] == "forced failure"
+    assert stats["factors"] == 1 and "condensed" not in stats
+    assert len(made) == 1 and made[0].shape == (system.n, system.n)
+    assert held["n"] == system.n and held["solve"].__self__ is made[0]
     assert_contract(system, x)

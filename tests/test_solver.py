@@ -153,8 +153,9 @@ class TestNewton:
 
 
 class TestLinearFallback:
-    """Above 2,000 unknowns the nested-dissection path runs first; TH/dg1
-    at n = 12 has 2,284."""
+    """A system with an ordering takes the condensed path first, and SuperLU's
+    own column ordering of the full matrix second; TH/dg1 at n = 12 has
+    2,284 unknowns."""
 
     @pytest.fixture
     def system(self):
@@ -164,24 +165,25 @@ class TestLinearFallback:
         return system
 
     def test_fallback_is_counted(self, system, monkeypatch):
-        original = vvpflow.solver._refined_solve
+        def nd_fails(*args):
+            raise RuntimeError("forced failure")
 
-        def nd_fails(factor_of, a, b, norm_a, **opts):
-            if opts.get("permc_spec") == "NATURAL":
-                return None, 0, "forced failure"
-            return original(factor_of, a, b, norm_a, **opts)
-
-        monkeypatch.setattr(vvpflow.solver, "_refined_solve", nd_fails)
+        monkeypatch.setattr(vvpflow.solver, "_condense", nd_fails)
         stats = {}
         x = solve_linear(system, stats=stats)
         assert stats["fallbacks"] == 1 and stats["n_solves"] == 1
+        assert stats["fallback_reason"] == "forced failure"
         norm_a = np.abs(system.matrix).sum(axis=1).max()
         res = np.abs(system.matrix @ x - system.rhs).max()
         assert res <= 1e-10 * (norm_a * np.abs(x).max() + np.abs(system.rhs).max())
 
     def test_failure_names_both_reasons(self, system, monkeypatch):
         reasons = iter(["nested-dissection reason", "fallback reason"])
-        monkeypatch.setattr(vvpflow.solver, "_refined_solve", lambda *args, **opts: (None, 0, next(reasons)))
+
+        def splu_fails(*args, **opts):
+            raise RuntimeError(next(reasons))
+
+        monkeypatch.setattr("scipy.sparse.linalg.splu", splu_fails)
         stats = {}
         with pytest.raises(SolverFailure, match="fallback reason.*nested-dissection reason"):
             solve_linear(system, stats=stats)
