@@ -126,44 +126,50 @@ class AssembledSystem:
 
 
 class CSRPattern:
-    """Canonical CSR pattern of a list of COO (row, col) keys.
+    """Canonical CSR pattern of COO (row, col) keys, given as sequences of
+    per-block ``rows`` and ``cols`` arrays.
 
-    ``slot`` maps each of those keys to its place in the CSR data: the rank
-    of its key among the distinct keys, found by one sort.  Summed into
+    ``slot`` maps each key, in block order, to its place in the CSR data: the
+    rank of its key among the distinct keys, found by one sort.  Summed into
     their slots left to right (``np.bincount``, ``np.add.at``), the values
     of an entry depend only on their own order, never on the other entries
-    of a row; every key is kept, zero sums included.
+    of a row; every key is kept, zero sums included.  The matrices of
+    :meth:`csr` share the pattern's read-only ``indices`` and ``indptr``.
     """
 
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]):
+    def __init__(self, rows, cols, shape: tuple[int, int]):
         self.shape = shape
-        rows = rows.astype(np.int64, copy=False)
-        if len(rows) and (rows.min() < 0 or rows.max() >= shape[0] or cols.min() < 0 or cols.max() >= shape[1]):
-            raise ValueError(f"COO indices outside a {shape[0]} x {shape[1]} matrix")
-        key = rows * shape[1] + cols
+        key = np.empty(sum(len(r) for r in rows), dtype=np.int64)  # the one copy of the keys
+        idx = np.int32 if max(len(key), *shape) < 2**31 else np.int64
+        for r, c, end in zip(rows, cols, np.cumsum([len(r) for r in rows])):
+            if len(r) and (r.min() < 0 or r.max() >= shape[0] or c.min() < 0 or c.max() >= shape[1]):
+                raise ValueError(f"COO indices outside a {shape[0]} x {shape[1]} matrix")
+            np.multiply(r, shape[1], out=key[end - len(r):end], dtype=np.int64)
+            key[end - len(r):end] += c
         order = np.argsort(key)  # equal keys get one rank in any order
         key = key[order]
         first = np.empty(len(key), dtype=bool)
         first[:1] = True
         np.not_equal(key[1:], key[:-1], out=first[1:])
-        self.slot = np.empty(len(key), dtype=np.intp)
-        self.slot[order] = np.cumsum(first) - 1
         key = key[first]
-        idx = np.int32 if max(len(key), *shape) < 2**31 else np.int64
+        self.slot = np.empty(len(order), dtype=idx)
+        self.slot[order] = np.cumsum(first, dtype=idx)
+        self.slot -= 1
         self.indices = (key % shape[1]).astype(idx)
         self.indptr = np.zeros(shape[0] + 1, dtype=idx)
         np.cumsum(np.bincount(key // shape[1], minlength=shape[0]), out=self.indptr[1:])
+        self.indices.flags.writeable = self.indptr.flags.writeable = False
 
     def csr(self, data: np.ndarray) -> sp.csr_matrix:
         """CSR matrix with the entries ``data``, in slot order."""
-        matrix = sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=self.shape)
+        matrix = sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
         matrix.has_canonical_format = True
         return matrix
 
 
 def triplets_to_csr(rows, cols, vals, shape) -> sp.csr_matrix:
     """Canonical CSR of COO triplets, duplicates summed in input order."""
-    pattern = CSRPattern(rows, cols, shape)
+    pattern = CSRPattern([rows], [cols], shape)
     return pattern.csr(np.bincount(pattern.slot, weights=vals, minlength=len(pattern.indices)))
 
 
@@ -398,11 +404,13 @@ class SystemAssembler:
         return parts, rhs
 
     def _keys(self):
-        """COO (rows, cols) of each block, in cell order."""
+        """COO (rows, cols) of each block, in cell order; int32 where they fit."""
         o = self.block_index
+        idx = np.int32 if o[4] < 2**31 else np.int64
         dofs = {"u": self.V.cell_dofs, "w": self.W.cell_dofs + o[1], "p": self.Q.cell_dofs + o[2]}
+        dofs = {b: d.astype(idx, copy=False) for b, d in dofs.items()}
         keys = {b: _block_keys(dofs[b[0]], dofs[b[1]]) for b in ("uu", "uw", "wu", "ww", "up", "pu")}
-        p_dofs, m_dofs = o[2] + np.arange(self.Q.n_dofs)[:, None], np.full((self.Q.n_dofs, 1), o[3])
+        p_dofs, m_dofs = np.arange(o[2], o[3], dtype=idx)[:, None], np.full((self.Q.n_dofs, 1), o[3], dtype=idx)
         keys["mp"], keys["pm"] = _block_keys(m_dofs, p_dofs), _block_keys(p_dofs, m_dofs)
         return keys
 
@@ -411,18 +419,17 @@ class SystemAssembler:
         if self._rhs is not None:
             return self._rhs
         o = self.block_index
-        vals, rhs = self._element_values()  # its samples and tables are freed before the pattern's temporaries
-        keys = self._keys()
-        rows, cols = zip(*keys.values())
-        pattern = CSRPattern(np.concatenate(rows), np.concatenate(cols), (o[4], o[4]))
-        slots = dict(zip(keys, np.split(pattern.slot, np.cumsum([len(r) for r in rows])[:-1])))
-        del keys, rows, cols, pattern.slot
+        keys = self._keys()  # sorted before the values exist: its temporaries are gone before theirs
+        pattern = CSRPattern(*zip(*keys.values()), (o[4], o[4]))
+        slots = dict(zip(keys, np.split(pattern.slot, np.cumsum([len(r) for r, _ in keys.values()])[:-1])))
+        del keys, pattern.slot
+        vals, rhs = self._element_values()
         # part by part from zeros: the same left-to-right sums as one bincount of all parts
         self._data = np.zeros(len(pattern.indices))
-        for name, v in vals.items():
-            np.add.at(self._data, slots[name[:2]], v)
+        for name in list(vals):  # each part's values are dropped once binned
+            np.add.at(self._data, slots[name[:2]], vals.pop(name))
         self._conv_slots = slots["uu"].copy()  # convection values come in uu-key order
-        self._pattern, self._rhs = pattern, rhs  # the values are dropped once binned
+        self._pattern, self._rhs = pattern, rhs
         return rhs
 
     def _convection(self, beta: DiscreteField, newton: bool = False):
@@ -572,17 +579,18 @@ def apply_dirichlet(system: AssembledSystem, space: FunctionSpace, g) -> Assembl
 
     Constrained rows and columns are replaced by the identity, and the
     right-hand side absorbs the lifting, so symmetric sub-blocks stay
-    symmetric.  ``g`` follows :func:`vvpflow.spaces.boundary_values`.
+    symmetric.  ``g`` follows :func:`vvpflow.spaces.boundary_values`; None
+    (zero data) lifts nothing and skips the interpolation and the product.
     """
     if system.bc_applied:
         raise RuntimeError("Dirichlet data was already applied to this system")
     dofs = space.dirichlet_dofs
-    vals = boundary_values(space, g)
     n = system.n
-    lift = np.zeros(n)
-    lift[dofs] = vals
-    rhs = system.rhs - system.matrix @ lift
-    rhs[dofs] = vals
+    lift, rhs = np.zeros(n), system.rhs.copy()
+    if g is not None:
+        lift[dofs] = boundary_values(space, g)
+        rhs -= system.matrix @ lift
+    rhs[dofs] = lift[dofs]
     keep = np.ones(n)
     keep[dofs] = 0.0
     a = system.matrix.tocsr()

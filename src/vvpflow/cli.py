@@ -128,6 +128,8 @@ def _read_config_file(path: str, command: str) -> dict:
         value = value.strip().strip("'\"")
         if key not in known:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r} for {command}")
+        if key == "command" and value != command:
+            raise ValueError(f"{path}:{lineno}: the file is for command {value!r}, not {command!r}")
         try:
             out[key] = _value_type(known[key])(value)
         except ValueError as exc:

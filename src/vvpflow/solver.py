@@ -14,7 +14,8 @@ vorticity, MINI bubbles) are eliminated cell by cell with batched
 inverses of their blocks (static condensation: Wilson, IJNME 8, 1974),
 and SuperLU factors only the Schur complement, in nested-dissection
 order with static pivots.  Iterative refinement always runs against the
-full matrix.
+full matrix.  While SuperLU factors, the eliminated matrix is the only
+full one alive: the loop drops the others and the convection values first.
 
 The nonlinear loop holds the last factor it made and refines each later
 system against it while it contracts (the chord and Shamanskii variants
@@ -25,7 +26,7 @@ when it refactors and what ``linear_stats`` counts.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -139,6 +140,7 @@ def _condense(a: sp.csr_matrix, local: np.ndarray, order: np.ndarray, shift_belo
     gl, lg, ll = a_g[:, flat], a_l[:, rest], a_l[:, flat].tocoo()
     blocks = np.zeros((nc, k, k))
     blocks[ll.row // k, ll.row % k, ll.col % k] = ll.data
+    del a_l, ll
     try:
         inv = np.linalg.inv(blocks)
     except np.linalg.LinAlgError:
@@ -148,6 +150,7 @@ def _condense(a: sp.csr_matrix, local: np.ndarray, order: np.ndarray, shift_belo
     nl = len(flat)
     cell_cols = np.repeat(np.arange(nl).reshape(nc, 1, k), k, axis=1).ravel()
     schur = a_g[:, rest] - gl @ (sp.csr_matrix((inv.ravel(), cell_cols, np.arange(nl + 1) * k), shape=(nl, nl)) @ lg)
+    del a_g
     schur = (schur + sp.diags(np.where(np.abs(schur.diagonal()) < shift_below, shift_below, 0.0))).tocsc()
     lu = spla.splu(schur, permc_spec="NATURAL", options={"SymmetricMode": True, "DiagPivotThresh": 0.0})
 
@@ -197,7 +200,8 @@ def solve_linear(system: AssembledSystem, stats: dict | None = None, held: dict 
         raise ValueError("apply Dirichlet data before solving")
     b = system.rhs
     a = system.matrix.tocsr()
-    norm_a = float(np.abs(a).sum(axis=1).max())
+    # the max absolute row sum, each row summed as a.sum(axis=1) does, without a copy of a
+    norm_a = float(np.add.reduceat(np.abs(a.data), a.indptr[np.flatnonzero(np.diff(a.indptr))]).max(initial=0.0))
     stats = {} if stats is None else stats
 
     if held and held["n"] == system.n:
@@ -279,16 +283,22 @@ def _solve_nonlinear(spaces, coeffs, settings, g, pressure_target):
             break
         # both solve for the update, with homogeneous elimination (the state
         # already satisfies the data): Picard with the Oseen matrix, Newton
-        # with the Jacobian
-        matrix = assembler.jacobian(conv) if newton else system.matrix
-        step = AssembledSystem(matrix, res, o, ordering=system.ordering, local=system.local)
+        # with the Jacobian.  The Oseen matrix goes before the Jacobian is
+        # made, the convection values once it is and the un-eliminated
+        # matrix once it is eliminated: one full matrix is alive at the factor.
+        if newton:
+            system.matrix = None
+            system.matrix = assembler.jacobian(conv)
+        del conv
+        system = apply_dirichlet(replace(system, rhs=res), V, None)
         try:
-            update = solve_linear(apply_dirichlet(step, V, None), report.linear_stats, held)
+            update = solve_linear(system, report.linear_stats, held)
         except SolverFailure as exc:
             # report the breakdown instead of raising: the caller sees a
             # non-converged history and the failure note
             report.failure = str(exc)
             break
+        del system  # not alive through the next assembly
         du = update[V.cell_dofs]
         report.velocity_increments.append(float(np.sqrt(np.vdot(du, np.einsum("cab,cb->ca", gram_u, du)))))
         state = state + update

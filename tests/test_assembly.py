@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import vvpflow.assembly
 from vvpflow.assembly import (
     AssembledSystem,
     CSRPattern,
@@ -367,6 +368,33 @@ def test_dirichlet_elimination_matches_the_mask_product(n, family, vorticity):
     # the pattern stores exact-zero sums; elimination drops them, as the product did
     assert np.any(system.matrix.data == 0.0)
     assert np.all(eliminated.data != 0.0)
+
+
+@pytest.mark.parametrize("family, vorticity", [("taylor-hood", "dg1"), ("mini", "cg1")])
+def test_homogeneous_dirichlet_data_lifts_nothing(monkeypatch, family, vorticity):
+    case, coeffs, spaces = example1_setup(n=4, family=family, vorticity=vorticity)
+    system = SystemAssembler(spaces, coeffs).oseen(beta=interpolate(spaces[0], case.u))
+    zero = apply_dirichlet(system, spaces[0], (0.0, 0.0))
+
+    def no_interpolation(space, g):
+        raise AssertionError("zero data was interpolated")
+
+    monkeypatch.setattr(vvpflow.assembly, "boundary_values", no_interpolation)
+    none = apply_dirichlet(system, spaces[0], None)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(none.matrix, attr), getattr(zero.matrix, attr))
+    assert np.array_equal(none.rhs, zero.rhs) and np.any(system.rhs[spaces[0].dirichlet_dofs] != 0.0)
+
+
+def test_matrices_share_the_read_only_pattern():
+    _, coeffs, spaces = example1_setup(n=3)
+    asm = SystemAssembler(spaces, coeffs)
+    oseen, jacobian = asm.oseen().matrix, asm.newton_system(RNG.standard_normal(asm.block_index[4]))[0].matrix
+    for attr in ("indices", "indptr"):
+        assert np.shares_memory(getattr(oseen, attr), getattr(jacobian, attr))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(oseen, attr)[0] += 1
+    assert not np.shares_memory(oseen.data, jacobian.data)
 
 
 def test_multiplier_row_structure():

@@ -259,6 +259,18 @@ class TestMain:
         assert main(["diagnostics", "--config", str(path)]) == 2
         assert "unknown key 'method' for diagnostics" in capsys.readouterr().err
 
+    def test_config_for_another_command_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("command='cavity'\nnx=8\nny=8\n")
+        assert main(["diagnostics", "--config", str(path)]) == 2
+        assert "for command 'cavity', not 'diagnostics'" in capsys.readouterr().err
+
+    def test_config_for_the_same_command_is_read(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("command='diagnostics'\nnx=8\nny=8\n")
+        cfg = parse_config(["diagnostics", "--config", str(path)])
+        assert cfg == parse_config(["diagnostics", "--nx", "8", "--ny", "8"])
+
     @pytest.mark.parametrize("command, unread", [("convergence", ["nx", "ny"]), ("diagnostics", ["family", "method", "out"])])
     def test_config_holds_only_what_the_command_reads(self, command, unread, tmp_path):
         cfg = parse_config([command])

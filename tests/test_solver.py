@@ -1,8 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import vvpflow.solver
 from vvpflow.assembly import (
@@ -404,6 +406,31 @@ def test_a_solve_sorts_one_pattern(monkeypatch):
     assert rep.converged and rep.iterations >= 2
     n = SystemAssembler(spaces, coeffs).block_index[4]
     assert shapes == [(n, n)]  # the linear part's; the increments' norm builds none
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_one_full_matrix_is_alive_at_the_factor(monkeypatch, n):
+    # in multiples of the factored complement's CSC bytes: the numpy memory
+    # alive when SuperLU starts, and the traced peak of the whole solve
+    case, coeffs, spaces = example1_problem(n)
+    entries = []
+    original = spla.splu
+
+    def recording(a, *args, **kwargs):
+        entries.append((tracemalloc.get_traced_memory()[0], a.data.nbytes + a.indices.nbytes + a.indptr.nbytes))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording)
+    tracemalloc.start()
+    try:
+        _, _, _, rep = solve_newton(spaces, coeffs, g=case.u, pressure_target=case.pressure_integral)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.converged and rep.linear_stats["factors"] == len(entries) == 1
+    alive, csc = entries[0]
+    assert alive <= 9 * csc
+    assert peak <= 16 * csc
 
 
 @pytest.mark.filterwarnings("ignore:vorticity space")
