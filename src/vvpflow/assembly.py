@@ -146,8 +146,14 @@ class CSRPattern:
                 raise ValueError(f"COO indices outside a {shape[0]} x {shape[1]} matrix")
             np.multiply(r, shape[1], out=key[end - len(r):end], dtype=np.int64)
             key[end - len(r):end] += c
-        order = np.argsort(key)  # equal keys get one rank in any order
-        key = key[order]
+        place = max(len(key) - 1, 1).bit_length()
+        if (int(shape[0]) * int(shape[1]) - 1).bit_length() + place > 63:  # equal keys get one rank in any order
+            order = np.argsort(key)
+            key = key[order]
+        else:  # key << place | place, sorted in place: no gathered copy
+            np.bitwise_or(np.left_shift(key, place, out=key), np.arange(len(key)), out=key).sort()
+            order = (key & ((1 << place) - 1)).astype(idx)
+            key >>= place
         first = np.empty(len(key), dtype=bool)
         first[:1] = True
         np.not_equal(key[1:], key[:-1], out=first[1:])
@@ -503,12 +509,12 @@ class SystemAssembler:
     def jacobian(self, conv) -> sp.csr_matrix:
         """Newton matrix at beta = u_h, on the Oseen pattern.
 
-        ``conv`` is (direct, dual) from ``_convection(u_h, newton=True)``.
-        Each uu slot gets direct + dual, the convection block plus its
-        derivative in the advecting argument, so the matrix has the Oseen
-        matrix's sparsity.
+        ``conv`` is (direct, dual) from ``_convection(u_h, newton=True)``,
+        consumed: the dual is added into the direct values in place.  Each uu
+        slot gets direct + dual, the convection block plus its derivative in
+        the advecting argument, so the matrix has the Oseen matrix's sparsity.
         """
-        return self._matrix(conv[0] + conv[1])
+        return self._matrix(np.add(conv[0], conv[1], out=conv[0]))
 
     def _step(self, beta: np.ndarray, state: np.ndarray, pressure_target: float, newton: bool):
         """(Oseen system, convection values, residual): the convection at the
@@ -581,6 +587,8 @@ def apply_dirichlet(system: AssembledSystem, space: FunctionSpace, g) -> Assembl
     right-hand side absorbs the lifting, so symmetric sub-blocks stay
     symmetric.  ``g`` follows :func:`vvpflow.spaces.boundary_values`; None
     (zero data) lifts nothing and skips the interpolation and the product.
+    A boolean mask zeroes the constrained rows and columns, their stored diagonals
+    are set to 1 (each must store one), and one compaction drops every zero.
     """
     if system.bc_applied:
         raise RuntimeError("Dirichlet data was already applied to this system")
@@ -591,11 +599,18 @@ def apply_dirichlet(system: AssembledSystem, space: FunctionSpace, g) -> Assembl
         lift[dofs] = boundary_values(space, g)
         rhs -= system.matrix @ lift
     rhs[dofs] = lift[dofs]
-    keep = np.ones(n)
-    keep[dofs] = 0.0
+    keep = np.ones(n, dtype=bool)
+    keep[dofs] = False
     a = system.matrix.tocsr()
-    data = a.data * keep[np.repeat(np.arange(n), np.diff(a.indptr))] * keep[a.indices]
-    # the sum drops the zeroed entries
-    matrix = (sp.csr_matrix((data, a.indices, a.indptr), shape=a.shape) + sp.diags(1.0 - keep)).tocsr()
+    count = np.diff(a.indptr)
+    data = np.where(np.repeat(keep, count) & keep[a.indices], a.data, 0.0)
+    length = count[dofs]  # the entries of the constrained rows, then their diagonals
+    at = np.repeat(a.indptr[dofs] - np.cumsum(length) + length, length) + np.arange(length.sum())
+    at = at[a.indices[at] == np.repeat(dofs, length)]
+    if len(at) != len(dofs):
+        raise ValueError("each constrained row must store one diagonal entry")
+    data[at] = 1.0
+    matrix = sp.csr_matrix((data, a.indices.copy(), a.indptr.copy()), shape=a.shape)
+    matrix.eliminate_zeros()  # one compaction in place: the zeroed entries and the exact zeros
     return AssembledSystem(matrix, rhs, system.block_index, bc_applied=True, ordering=system.ordering,
                            local=system.local)

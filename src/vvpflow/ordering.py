@@ -10,11 +10,14 @@ which the default column orderings miss badly for saddle systems.
 It runs as a level sweep: all parts of one depth split together in
 whole-array operations, each part a contiguous segment of one array of
 live DOFs.  No edge joins two live parts (a core has no right-side
-neighbour by construction, and separators retire), so one product of the
-whole adjacency with the indicator of the right sides finds every
-separator of the level.  A part orders its core, then its right side,
-then its separator, so a DOF's position is known when it retires as a
-leaf or a separator.
+neighbour by construction, and separators retire), so one boolean product
+of the adjacency with the indicator of the right sides finds every
+separator of the level.  The adjacency is the input's stored pattern
+flagging its nonzeros, each flag joined in place with its mirror's where
+the pattern is its own transpose (every assembled system's is), else each
+level also multiplies by the transposed view: no symmetric copy is built.
+A part orders its core, then its right side, then its separator, so a
+DOF's position is known when it retires as a leaf or a separator.
 
 Any globally coupled rows (the pressure-mean multiplier) must be placed
 last by the caller.  Unknowns that couple only inside their own cell can
@@ -31,13 +34,10 @@ LEAF = 64
 
 
 def dof_support_centroids(n_dofs: int, cell_dofs: np.ndarray, cell_centroids: np.ndarray) -> np.ndarray:
-    """Mean centroid of the cells supporting each DOF (any element family)."""
-    coords = np.zeros((n_dofs, 2))
-    counts = np.zeros(n_dofs)
-    for k in range(cell_dofs.shape[1]):
-        np.add.at(coords, cell_dofs[:, k], cell_centroids)
-        np.add.at(counts, cell_dofs[:, k], 1.0)
-    return coords / counts[:, None]
+    """Mean centroid of the cells supporting each DOF (any element family), summed column by column."""
+    dofs, k = cell_dofs.T.ravel(), cell_dofs.shape[1]
+    coords = np.column_stack([np.bincount(dofs, np.tile(c, k), n_dofs) for c in cell_centroids.T])
+    return coords / np.bincount(dofs, minlength=n_dofs)[:, None]
 
 
 def nested_dissection(matrix: sp.spmatrix, coords: np.ndarray, last: np.ndarray | None = None, first=()) -> np.ndarray:
@@ -47,10 +47,14 @@ def nested_dissection(matrix: sp.spmatrix, coords: np.ndarray, last: np.ndarray 
     indices forced to the end of the ordering (dense rows); ``first``:
     indices moved to the front, in their given order.
     """
-    n = matrix.shape[0]
-    structure = matrix.tocsr().astype(bool)
-    adj = (structure + structure.T).tocsr()
-    adj = adj.astype(adj.indices.dtype)  # neighbour counts stay below nnz, which this dtype holds: no wrap
+    n, a = matrix.shape[0], matrix.tocsr()
+    adj = sp.csr_matrix((a.data != 0, a.indices, a.indptr), shape=a.shape)  # boolean products: any neighbour
+    mirror = adj.T.tocsr()
+    np.subtract(mirror.indices, a.indices, out=mirror.indices)  # compared in place: no temporary
+    symmetric = np.array_equal(mirror.indptr, a.indptr) and not mirror.indices.any()
+    if symmetric:  # each entry's mirror is at its place: one product per level
+        adj.data |= mirror.data
+    del mirror
     last = np.zeros(0, dtype=np.int64) if last is None else np.asarray(last, dtype=np.int64)
     live = np.ones(n, dtype=bool)
     live[last] = False
@@ -79,9 +83,9 @@ def nested_dissection(matrix: sp.spmatrix, coords: np.ndarray, last: np.ndarray 
             rank = np.empty(len(ids), dtype=np.int64)
             rank[order] = np.arange(len(ids)) - start[part]
             left[halve] = rank[halve] < (size // 2)[part[halve]]
-        right = np.zeros(n, dtype=adj.dtype)
-        right[ids[~left]] = 1
-        sep = left & ((adj @ right)[ids] > 0)
+        right = np.zeros(n, dtype=bool)
+        right[ids[~left]] = True
+        sep = left & (adj @ right if symmetric else (adj @ right) | (adj.T @ right))[ids]
         n_core, n_right = np.add.reduceat(left & ~sep, start), np.add.reduceat(~left, start)
         seen = np.cumsum(sep)
         position[ids[sep]] = (offset + n_core + n_right - (seen - sep)[start])[part[sep]] + seen[sep] - 1

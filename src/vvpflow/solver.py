@@ -15,7 +15,10 @@ inverses of their blocks (static condensation: Wilson, IJNME 8, 1974),
 and SuperLU factors only the Schur complement, in nested-dissection
 order with static pivots.  Iterative refinement always runs against the
 full matrix.  While SuperLU factors, the eliminated matrix is the only
-full one alive: the loop drops the others and the convection values first.
+full one alive: the loop drops the others and the convection values first,
+and condensation forms the complement in row blocks, with no whole A_GG.
+Beside a held factor a later step holds the binned linear part, the Jacobian
+(its dual convection added in place) and, while eliminating, the copy.
 
 The nonlinear loop holds the last factor it made and refines each later
 system against it while it contracts (the chord and Shamanskii variants
@@ -136,11 +139,12 @@ def _condense(a: sp.csr_matrix, local: np.ndarray, order: np.ndarray, shift_belo
     is_local = np.zeros(a.shape[0], dtype=bool)
     is_local[flat] = True
     rest = order[~is_local[order]]
-    a_g, a_l = a[rest], a[flat]
-    gl, lg, ll = a_g[:, flat], a_l[:, rest], a_l[:, flat].tocoo()
+    a_l = a[flat]
+    lg, ll = a_l[:, rest], a_l[:, flat].tocoo()
     blocks = np.zeros((nc, k, k))
     blocks[ll.row // k, ll.row % k, ll.col % k] = ll.data
     del a_l, ll
+    gl = a[rest][:, flat]
     try:
         inv = np.linalg.inv(blocks)
     except np.linalg.LinAlgError:
@@ -149,9 +153,14 @@ def _condense(a: sp.csr_matrix, local: np.ndarray, order: np.ndarray, shift_belo
         raise np.linalg.LinAlgError(reason) from None
     nl = len(flat)
     cell_cols = np.repeat(np.arange(nl).reshape(nc, 1, k), k, axis=1).ravel()
-    schur = a_g[:, rest] - gl @ (sp.csr_matrix((inv.ravel(), cell_cols, np.arange(nl + 1) * k), shape=(nl, nl)) @ lg)
-    del a_g
-    schur = (schur + sp.diags(np.where(np.abs(schur.diagonal()) < shift_below, shift_below, 0.0))).tocsc()
+    inv_lg = sp.csr_matrix((inv.ravel(), cell_cols, np.arange(nl + 1) * k), shape=(nl, nl)) @ lg
+    rows = np.linspace(0, len(rest), 5).astype(int)  # S in 4 row blocks, each copied to its size: no whole
+    # A_GG, correction or difference buffer of nnz(A_GG) + nnz(correction) exists
+    schur = [(a[rest[i:j]][:, rest] - gl[i:j] @ inv_lg).copy() for i, j in zip(rows[:-1], rows[1:])]
+    del blocks, cell_cols, inv_lg
+    schur = sp.vstack(schur, format="csr")
+    schur = schur.tocsc()  # once the blocks are gone; the shift's sum then allocates beside one complement
+    schur = schur + sp.diags(np.where(np.abs(schur.diagonal()) < shift_below, shift_below, 0.0), format="csc")
     lu = spla.splu(schur, permc_spec="NATURAL", options={"SymmetricMode": True, "DiagPivotThresh": 0.0})
 
     def solve(r):

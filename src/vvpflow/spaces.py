@@ -371,15 +371,12 @@ def eval_cell(field: DiscreteField, cell: int, point) -> EvalResult:
 
 def vertex_values(field: DiscreteField) -> np.ndarray:
     """Field sampled at mesh vertices; discontinuous fields are averaged
-    over the incident cells."""
+    over the incident cells, summed corner by corner in cell order."""
     mesh = field.space.mesh
     ref_corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     tab = tabulate(field.space, ref_corners)
     vals = eval_field(field, tab, slice(None), None, grad=False)
-    shape = (mesh.n_vertices, 2) if field.space.vector else (mesh.n_vertices,)
-    acc = np.zeros(shape)
-    count = np.zeros(mesh.n_vertices)
-    for k in range(3):
-        np.add.at(acc, mesh.cells[:, k], vals[:, k])
-        np.add.at(count, mesh.cells[:, k], 1.0)
-    return acc / (count[:, None] if field.space.vector else count)
+    corners, nv = mesh.cells.T.ravel(), mesh.n_vertices
+    acc = np.column_stack([np.bincount(corners, v, nv) for v in vals.swapaxes(0, 1).reshape(len(corners), -1).T])
+    acc /= np.bincount(corners, minlength=nv)[:, None]
+    return acc if field.space.vector else acc[:, 0]

@@ -11,6 +11,8 @@ indptr, indices and data:
   exact velocity);
 - every part of ``oseen(beta, keep_parts=True)``;
 - the Gram matrix of ``assemble_gram_X``;
+- the elimination order of the Oseen matrix at beta = 0 and, on a fresh
+  assembler, at the random beta;
 
 and of a Newton solve the residual history, velocity increments,
 iteration count, solution (u, w, p and the multiplier) and the integer
@@ -68,6 +70,8 @@ def dump(path: str) -> None:
         for label, system in (("oseen0", asm.oseen()), ("oseen", asm.oseen(beta=beta))):
             _sparse(out, f"{tag}/{label}", system.matrix)
             out[f"{tag}/{label}.rhs"] = system.rhs
+        out[f"{tag}/oseen0.ordering"] = asm.oseen().ordering
+        out[f"{tag}/oseen.ordering"] = vf.SystemAssembler(spaces, coeffs).oseen(beta=beta).ordering
         jac, residual = asm.newton_system(state)
         _sparse(out, f"{tag}/jacobian", jac.matrix)
         out[f"{tag}/residual"] = residual

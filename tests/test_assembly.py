@@ -252,6 +252,20 @@ def test_duplicates_sum_left_to_right_in_input_order():
         triplets_to_csr(rows, cols + 2, vals, (2, 4))
 
 
+def test_packed_sort_and_argsort_give_one_pattern(monkeypatch):
+    # keys and places of the wide shape do not fit 63 bits: it alone argsorts
+    rows = [RNG.integers(0, 300, 4000), RNG.integers(0, 300, 2000)]
+    cols = [RNG.integers(0, 300, 4000), RNG.integers(0, 300, 2000)]
+    calls, argsort = [], np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *args, **kwargs: calls.append(1) or argsort(*args, **kwargs))
+    packed = CSRPattern(rows, cols, (300, 300))
+    assert not calls
+    wide = CSRPattern(rows, cols, (300, 2**50))
+    assert calls
+    for attr in ("slot", "indices", "indptr"):
+        assert np.array_equal(getattr(packed, attr), getattr(wide, attr))
+
+
 def test_triplet_reduction_matches_scipy_up_to_roundoff():
     rows = RNG.integers(0, 40, 2000)
     cols = RNG.integers(0, 30, 2000)
@@ -368,6 +382,17 @@ def test_dirichlet_elimination_matches_the_mask_product(n, family, vorticity):
     # the pattern stores exact-zero sums; elimination drops them, as the product did
     assert np.any(system.matrix.data == 0.0)
     assert np.all(eliminated.data != 0.0)
+
+
+def test_a_constrained_row_without_a_diagonal_is_rejected():
+    _, coeffs, spaces = example1_setup(n=2)
+    system = SystemAssembler(spaces, coeffs).oseen()
+    matrix = system.matrix.tolil()
+    dof = spaces[0].dirichlet_dofs[3]
+    matrix[dof, dof] = 0.0  # removes the stored entry
+    system.matrix = matrix.tocsr()
+    with pytest.raises(ValueError, match="one diagonal entry"):
+        apply_dirichlet(system, spaces[0], None)
 
 
 @pytest.mark.parametrize("family, vorticity", [("taylor-hood", "dg1"), ("mini", "cg1")])

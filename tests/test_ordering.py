@@ -10,7 +10,7 @@ import vvpflow.assembly
 from test_cell_classes import perturbed_mesh
 from vvpflow.assembly import SystemAssembler
 from vvpflow.mesh import build_structured
-from vvpflow.ordering import LEAF, nested_dissection
+from vvpflow.ordering import LEAF, dof_support_centroids, nested_dissection
 from vvpflow.spaces import method_spaces
 from vvpflow.verify import coefficients_from_case, example1_case_2d
 
@@ -132,6 +132,35 @@ def test_duplicated_coordinates_take_the_stable_half():
     assert np.array_equal(perm, expected)
     structure = matrix.astype(bool)
     assert_splits_laid_out(perm, (structure + structure.T).tocsr(), splits)
+
+
+def test_exact_zeros_are_no_edges_with_one_product_or_two():
+    # a symmetric stored pattern takes one product per level; a stored zero
+    # off its mirror makes it unsymmetric, and two products give the same order
+    rng = np.random.default_rng(5)
+    matrix, _ = random_graph(1200, rng)
+    matrix = (matrix + matrix.T).tocsr()
+    matrix.data[rng.random(matrix.nnz) < 0.3] = 0.0  # exact zeros, most without a zero mirror
+    coords = rng.uniform(0.0, 1.0, (1200, 2))
+    expected = recursive_dissection(matrix, coords)
+    assert np.array_equal(nested_dissection(matrix, coords), expected)
+    j = next(j for j in range(1, 1200) if j not in matrix[[0]].indices and 0 not in matrix[[j]].indices)
+    coo = matrix.tocoo()
+    lopsided = sp.csr_matrix((np.append(coo.data, 0.0), (np.append(coo.row, 0), np.append(coo.col, j))))
+    assert lopsided.nnz == matrix.nnz + 1
+    assert np.array_equal(nested_dissection(lopsided, coords), expected)
+
+
+def test_support_centroids_sum_column_by_column_bit_for_bit():
+    mesh = perturbed_mesh(6)
+    centroids = mesh.vertices[mesh.cells].mean(axis=1)
+    for space in method_spaces(mesh, "taylor-hood", "dg1"):
+        coords, counts = np.zeros((space.n_dofs, 2)), np.zeros(space.n_dofs)
+        for k in range(space.cell_dofs.shape[1]):
+            np.add.at(coords, space.cell_dofs[:, k], centroids)
+            np.add.at(counts, space.cell_dofs[:, k], 1.0)
+        expected = coords / counts[:, None]
+        assert np.array_equal(dof_support_centroids(space.n_dofs, space.cell_dofs, centroids), expected)
 
 
 def test_no_first_and_no_last():

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import vvpflow.assembly
 import vvpflow.solver
 from vvpflow.assembly import (
     AssembledSystem,
@@ -431,6 +432,46 @@ def test_one_full_matrix_is_alive_at_the_factor(monkeypatch, n):
     alive, csc = entries[0]
     assert alive <= 9 * csc
     assert peak <= 16 * csc
+
+
+def test_no_phase_before_the_factor_peaks_far_above_what_the_factor_needs(monkeypatch):
+    # traced peak of each phase up to the first factor, over the numpy memory
+    # alive when SuperLU starts (TH/dg1, n = 32): set-up reads 1.23 and
+    # condensation 1.15; condensation read 1.54 while its whole sparse
+    # difference, shift and CSC copy each allocated beside the complement
+    case, coeffs, spaces = example1_problem(32)
+    peaks, alive = {}, []
+
+    def phase(name, function):
+        def traced(*args, **kwargs):
+            tracemalloc.reset_peak()
+            try:
+                return function(*args, **kwargs)
+            finally:
+                peaks.setdefault(name, tracemalloc.get_traced_memory()[1])
+        return traced
+
+    original = spla.splu
+
+    def factor(a, *args, **kwargs):
+        current, peak = tracemalloc.get_traced_memory()
+        alive.append(current)
+        peaks.setdefault("condensation", peak)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(SystemAssembler, "_ensure_linear", phase("set-up", SystemAssembler._ensure_linear))
+    monkeypatch.setattr(vvpflow.assembly, "nested_dissection", phase("ordering", vvpflow.assembly.nested_dissection))
+    monkeypatch.setattr(vvpflow.solver, "apply_dirichlet", phase("elimination", vvpflow.solver.apply_dirichlet))
+    monkeypatch.setattr(vvpflow.solver, "_condense", phase("condensation", vvpflow.solver._condense))
+    monkeypatch.setattr(spla, "splu", factor)
+    tracemalloc.start()
+    try:
+        _, _, _, rep = solve_newton(spaces, coeffs, g=case.u, pressure_target=case.pressure_integral)
+    finally:
+        tracemalloc.stop()
+    assert rep.converged and rep.linear_stats["factors"] == len(alive) == 1
+    assert peaks.keys() == {"set-up", "ordering", "elimination", "condensation"}
+    assert max(peaks.values()) <= 1.3 * alive[0], {name: peak / alive[0] for name, peak in peaks.items()}
 
 
 @pytest.mark.filterwarnings("ignore:vorticity space")

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from test_cell_classes import perturbed_mesh
 from vvpflow.mesh import build_structured
 from vvpflow.spaces import (
     boundary_values,
     build_space,
     eval_cell,
+    eval_field,
     interpolate,
     method_spaces,
+    tabulate,
     vertex_values,
     DiscreteField,
 )
@@ -179,6 +182,19 @@ def test_vertex_values_average_discontinuous_fields():
     assert vals[0] == pytest.approx(2.0)
     assert vals[3] == pytest.approx(2.0)
     assert sorted([vals[1], vals[2]]) == pytest.approx([1.0, 3.0])
+
+
+@pytest.mark.parametrize("family, vector", [("dg1", False), ("p2", True)])
+def test_vertex_values_sum_corner_by_corner_bit_for_bit(family, vector):
+    mesh = perturbed_mesh(6)
+    space = build_space(mesh, family, vector=vector)
+    field = DiscreteField(space, RNG.standard_normal(space.n_dofs))
+    vals = eval_field(field, tabulate(space, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])), slice(None), None)
+    acc, count = np.zeros((mesh.n_vertices,) + vals.shape[2:]), np.zeros(mesh.n_vertices)
+    for k in range(3):
+        np.add.at(acc, mesh.cells[:, k], vals[:, k])
+        np.add.at(count, mesh.cells[:, k], 1.0)
+    assert np.array_equal(vertex_values(field), acc / (count[:, None] if vector else count))
 
 
 @pytest.mark.parametrize("family", ["p2", "p1bubble", "bernardi-raugel"])
