@@ -1,23 +1,26 @@
 """Fill-reducing orderings for the saddle-point factorisation.
 
 Geometric nested dissection (George, SINUM 10, 1973): split the DOF cloud
-at the median of its widest coordinate axis, peel off the vertex
-separator (left-side DOFs with neighbours across the cut), order it after
-both halves and split the halves again, down to parts of at most LEAF
-DOFs.  On 2D meshes this keeps LU fill near the O(n log n) optimum,
-which the default column orderings miss badly for saddle systems.
+at the median of its widest coordinate axis, peel off the thinner of the
+cut's two boundary layers (one side's DOFs with neighbours across; the
+left's on a tie) as the vertex separator, its side becoming the core, order
+it after both halves and split the halves again, down to parts of at most
+LEAF DOFs.  Where the median falls on a row of P2 or Bernardi-Raugel edge
+DOFs, one layer is two mesh lines thick.  The sweep starts in point order
+(x, y, index), so the DOFs of a support point sit together in every leaf
+and separator and SuperLU forms wider supernodes.  On 2D meshes this keeps
+LU fill near the O(n log n) optimum, which column orderings miss badly.
 
 It runs as a level sweep: all parts of one depth split together in
 whole-array operations, each part a contiguous segment of one array of
-live DOFs.  No edge joins two live parts (a core has no right-side
-neighbour by construction, and separators retire), so one boolean product
-of the adjacency with the indicator of the right sides finds every
-separator of the level.  The adjacency is the input's stored pattern
-flagging its nonzeros, each flag joined in place with its mirror's where
-the pattern is its own transpose (every assembled system's is), else each
-level also multiplies by the transposed view: no symmetric copy is built.
-A part orders its core, then its right side, then its separator, so a
-DOF's position is known when it retires as a leaf or a separator.
+live DOFs.  No edge joins two live parts, so one product of the adjacency
+with a side vector (1 on the right, 1 << shift on the left) counts each
+DOF's neighbours across in the low or the high field, each wide enough for
+the largest live row or column.  The adjacency flags the stored nonzeros
+in the vector's type (no product casts), each joined in place with its
+mirror's where the pattern is its own transpose (every assembled system's
+is), else each level also ORs in the product with the transposed view.
+A part orders its core, then its other side, then its separator.
 
 Any globally coupled rows (the pressure-mean multiplier) must be placed
 last by the caller.  Unknowns that couple only inside their own cell can
@@ -48,17 +51,21 @@ def nested_dissection(matrix: sp.spmatrix, coords: np.ndarray, last: np.ndarray 
     indices moved to the front, in their given order.
     """
     n, a = matrix.shape[0], matrix.tocsr()
-    adj = sp.csr_matrix((a.data != 0, a.indices, a.indptr), shape=a.shape)  # boolean products: any neighbour
+    adj = sp.csr_matrix((a.data != 0, a.indices, a.indptr), shape=a.shape)  # flags: any neighbour
     mirror = adj.T.tocsr()
     np.subtract(mirror.indices, a.indices, out=mirror.indices)  # compared in place: no temporary
     symmetric = np.array_equal(mirror.indptr, a.indptr) and not mirror.indices.any()
     if symmetric:  # each entry's mirror is at its place: one product per level
         adj.data |= mirror.data
-    del mirror
     last = np.zeros(0, dtype=np.int64) if last is None else np.asarray(last, dtype=np.int64)
     live = np.ones(n, dtype=bool)
     live[last] = False
+    degree = max(np.diff(a.indptr)[live].max(initial=0), np.diff(mirror.indptr)[live].max(initial=0))
+    del mirror
+    shift = next(s for s in (8, 16, 32) if degree < 1 << (s - 1))  # a live DOF's counts keep to their fields
+    adj.data = adj.data.astype(f"i{shift // 4}")  # the side vector's type: the products cast nothing
     ids = np.flatnonzero(live)
+    ids = ids[np.lexsort(coords.take(ids, axis=0).T[::-1])]  # point order: DOFs of one support point adjacent
     size, offset = np.array([len(ids)]), np.zeros(1, dtype=np.int64)  # per part: its length, its first position
     position = np.empty(n, dtype=np.int64)
     while len(ids):
@@ -83,9 +90,12 @@ def nested_dissection(matrix: sp.spmatrix, coords: np.ndarray, last: np.ndarray 
             rank = np.empty(len(ids), dtype=np.int64)
             rank[order] = np.arange(len(ids)) - start[part]
             left[halve] = rank[halve] < (size // 2)[part[halve]]
-        right = np.zeros(n, dtype=bool)
-        right[ids[~left]] = True
-        sep = left & (adj @ right if symmetric else (adj @ right) | (adj.T @ right))[ids]
+        side = np.zeros(n, dtype=adj.dtype)
+        side[ids] = np.where(left, 1 << shift, 1)  # counts neighbours on the right, and << shift those on the left
+        touch = (adj @ side if symmetric else (adj @ side) | (adj.T @ side))[ids]
+        layer = np.where(left, touch & ((1 << shift) - 1), touch >> shift) > 0  # DOFs with neighbours across
+        left ^= (np.add.reduceat(layer & ~left, start) < np.add.reduceat(layer & left, start))[part]  # thinner side
+        sep = left & layer
         n_core, n_right = np.add.reduceat(left & ~sep, start), np.add.reduceat(~left, start)
         seen = np.cumsum(sep)
         position[ids[sep]] = (offset + n_core + n_right - (seen - sep)[start])[part[sep]] + seen[sep] - 1

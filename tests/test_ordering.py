@@ -1,6 +1,8 @@
-"""The level-sweep nested dissection against the recursive dissection it
-replaced, kept here as the reference: the permutations must be equal
-element for element, so every factor and result stays bit-identical."""
+"""The level-sweep nested dissection against a recursive dissection kept
+here as the reference: from the DOFs in point order, each split cuts at
+the median and takes the smaller one-sided boundary layer as separator
+(the left one on a tie).  The permutations must be equal element for
+element, on assembled systems and on random graphs."""
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from test_cell_classes import perturbed_mesh
 from vvpflow.assembly import SystemAssembler
 from vvpflow.mesh import build_structured
 from vvpflow.ordering import LEAF, dof_support_centroids, nested_dissection
+from vvpflow.solver import solve_newton
 from vvpflow.spaces import method_spaces
 from vvpflow.verify import coefficients_from_case, example1_case_2d
 
@@ -27,7 +30,7 @@ def recursive_dissection(matrix, coords, last=None, first=(), splits=None, halve
     """
     n = matrix.shape[0]
     structure = matrix.tocsr().astype(bool)
-    adj = (structure + structure.T).astype(np.int8).tocsr()
+    adj = (structure + structure.T).tocsr()  # boolean products: any neighbour, whatever the degree
     order = []
 
     def recurse(ids, sub, xy):
@@ -43,8 +46,9 @@ def recursive_dissection(matrix, coords, last=None, first=(), splits=None, halve
             left = np.zeros(len(ids), dtype=bool)
             left[np.argsort(xy[:, axis], kind="stable")[: len(ids) // 2]] = True
         right = ~left
-        touch = sub @ right.astype(np.int8)
-        sep = left & (touch > 0)
+        sep, across = left & (sub @ right), right & (sub @ left)
+        if across.sum() < sep.sum():  # the thinner of the two boundary layers
+            left, right, sep = right, left, across
         core = left & ~sep
         if splits is not None:
             splits.append((ids[core], ids[right], ids[sep]))
@@ -60,6 +64,7 @@ def recursive_dissection(matrix, coords, last=None, first=(), splits=None, halve
         mask = np.ones(n, dtype=bool)
         mask[last] = False
         ids = ids[mask]
+    ids = ids[np.lexsort((ids, coords[ids, 1], coords[ids, 0]))]  # point order: x, then y, then index
     recurse(ids, adj[ids][:, ids].tocsr(), coords[ids])
     if last is not None and len(last):
         order.append(np.asarray(last, dtype=np.int64))
@@ -87,11 +92,13 @@ def assembler_call(family, vorticity, mesh, monkeypatch):
 
 def assert_splits_laid_out(perm, adj, splits):
     """Each split is contiguous in ``perm`` as core, right side, separator,
-    and no edge joins its core to its right side."""
+    no edge joins its core to its right side, and the separator is no larger
+    than the right side's layer of DOFs with neighbours in core or separator."""
     where = np.empty(len(perm), dtype=np.int64)
     where[perm] = np.arange(len(perm))
     for core, right, sep in splits:
         assert adj[core][:, right].nnz == 0
+        assert len(sep) <= np.count_nonzero(adj[right][:, np.concatenate([core, sep])].getnnz(axis=1))
         at = np.sort(where[np.concatenate([core, right, sep])])
         assert at[-1] - at[0] == len(at) - 1
         assert where[core].max(initial=-1) < where[right].min()
@@ -177,3 +184,31 @@ def test_small_graph_is_one_leaf():
     coords = np.zeros((LEAF + 1, 2))
     assert np.array_equal(nested_dissection(matrix, coords, last=np.array([3])),
                           np.concatenate([np.delete(np.arange(LEAF + 1), 3), [3]]))
+
+
+@pytest.mark.parametrize("half", [1 << 8, 1 << 16])
+def test_a_hub_packs_no_count_into_the_other_field(half):
+    # the hub sits left of the median with `half` neighbours on the right: in
+    # fields of log2(half) bits its count of them would wrap to 0 and drop it
+    # from the separator, whose one DOF it is
+    y = np.arange(half) / (2.0 * half)
+    coords = np.vstack([[0.0, 0.0], np.column_stack([np.zeros(half), y]), np.column_stack([np.ones(half), y])])
+    leaves = np.arange(1, 2 * half + 1)
+    star = sp.coo_matrix((np.ones(4 * half), (np.r_[np.zeros(2 * half, dtype=int), leaves],
+                                              np.r_[leaves, np.zeros(2 * half, dtype=int)]))).tocsr()
+    perm = nested_dissection(star, coords)
+    assert perm[-1] == 0
+    assert np.array_equal(perm, recursive_dissection(star, coords))
+
+
+@pytest.mark.filterwarnings("ignore:vorticity space")
+@pytest.mark.parametrize("family,vorticity,bound", [("taylor-hood", "dg1", 235_000), ("bernardi-raugel", "dg0", 120_000)])
+def test_condensed_newton_fill_per_factor(family, vorticity, bound):
+    # 16x16: 227,256 (TH/dg1) and 113,230 (BR/dg0) nonzeros per factor; a
+    # separator always on the left side reads 289,458 and 156,256
+    case = example1_case_2d()
+    spaces = method_spaces(build_structured(16, 16), family, vorticity)
+    _, _, _, rep = solve_newton(spaces, coefficients_from_case(case), g=case.u, pressure_target=case.pressure_integral)
+    stats = rep.linear_stats
+    assert rep.converged and stats["condensed"] and stats["fallbacks"] == 0
+    assert stats["fill"] <= bound * stats["factors"]
