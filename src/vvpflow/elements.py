@@ -66,12 +66,15 @@ def _dg0_tab(points):
     return np.ones((1, n)), np.zeros((1, n, 2))
 
 
+#: Tabulator, degree and layout row of each scalar family.  A layout row
+#: counts the DOFs per vertex, per edge and per cell; ``spaces`` numbers
+#: every DOF from it, and the table in its module docstring spells it out.
 _SCALAR_TABULATORS = {
-    "p1": (_p1_tab, 3, 1),
-    "p2": (_p2_tab, 6, 2),
-    "p1bubble": (_p1bubble_tab, 4, 3),
-    "dg0": (_dg0_tab, 1, 0),
-    "dg1": (_p1_tab, 3, 1),
+    "p1": (_p1_tab, 1, (1, 0, 0)),
+    "p2": (_p2_tab, 2, (1, 1, 0)),
+    "p1bubble": (_p1bubble_tab, 3, (1, 0, 1)),
+    "dg0": (_dg0_tab, 0, (0, 0, 1)),
+    "dg1": (_p1_tab, 1, (0, 0, 3)),
 }
 
 
@@ -80,6 +83,7 @@ class ScalarElement:
     family: str
     n_local: int
     degree: int
+    layout: tuple[int, int, int]  # DOFs per vertex, per edge, per cell
 
     def tabulate(self, points):
         """Values (nl, npts) and reference gradients (nl, npts, 2)."""
@@ -93,31 +97,26 @@ class VectorElement:
     family: str
     n_local: int
     degree: int
-    scalar: ScalarElement | None = field(default=None, compare=False)
+    layout: tuple[int, int, int]  # DOFs per vertex, per edge, per cell
+    scalar: ScalarElement = field(compare=False)  # vector P1 under the Bernardi-Raugel bubbles
 
     def tabulate(self, points):
         """Scalar shapes (nl, npts) and their reference gradients."""
-        if self.family == "bernardi-raugel":
-            lam = barycentric(points)
-            n = len(lam)
-            sv, sg = _p1_tab(points)
-            shapes = np.empty((9, n))
-            dshapes = np.empty((9, n, 2))
-            for k in range(3):
-                shapes[2 * k] = shapes[2 * k + 1] = sv[k]
-                dshapes[2 * k] = dshapes[2 * k + 1] = sg[k]
-            for k in range(3):  # quadratic bubble of local edge k = (k, k+1)
-                i, j = k, (k + 1) % 3
-                shapes[6 + k] = lam[:, i] * lam[:, j]
-                dshapes[6 + k] = (
-                    lam[:, i][:, None] * GRAD_LAMBDA[j]
-                    + lam[:, j][:, None] * GRAD_LAMBDA[i]
-                )
-            return shapes, dshapes
         sv, sg = self.scalar.tabulate(points)
         shapes = np.repeat(sv, 2, axis=0)
         dshapes = np.repeat(sg, 2, axis=0)
-        return shapes, dshapes
+        if self.family != "bernardi-raugel":
+            return shapes, dshapes
+        lam = barycentric(points)
+        bubbles, dbubbles = [], []
+        for k in range(3):  # quadratic bubble of local edge k = (k, k+1)
+            i, j = k, (k + 1) % 3
+            bubbles.append(lam[:, i] * lam[:, j])
+            dbubbles.append(
+                lam[:, i][:, None] * GRAD_LAMBDA[j]
+                + lam[:, j][:, None] * GRAD_LAMBDA[i]
+            )
+        return np.concatenate([shapes, bubbles]), np.concatenate([dshapes, dbubbles])
 
     def directions(self, mesh, cells=slice(None)) -> np.ndarray:
         """Component direction of every local function on ``cells`` (all by
@@ -130,8 +129,7 @@ class VectorElement:
             # one shared normal per global edge keeps the bubble continuous
             dirs[:, 6:9, :] = mesh.edge_normals[edges]
             return dirs
-        nl = self.scalar.n_local
-        dirs = np.zeros((1, 2 * nl, 2))
+        dirs = np.zeros((1, self.n_local, 2))
         dirs[0, 0::2, 0] = 1.0
         dirs[0, 1::2, 1] = 1.0
         return dirs
@@ -140,17 +138,27 @@ class VectorElement:
 def scalar_element(family: str) -> ScalarElement:
     if family not in _SCALAR_TABULATORS:
         raise ValueError(f"unknown scalar family {family!r}; choose from {tuple(_SCALAR_TABULATORS)}")
-    _, nl, deg = _SCALAR_TABULATORS[family]
-    return ScalarElement(family=family, n_local=nl, degree=deg)
+    _, deg, layout = _SCALAR_TABULATORS[family]
+    return ScalarElement(family=family, n_local=3 * (layout[0] + layout[1]) + layout[2], degree=deg, layout=layout)
 
 
 def vector_element(family: str) -> VectorElement:
+    """Vector Lagrange doubles its scalar layout row; Bernardi-Raugel is vector P1 plus edge bubbles."""
     if family == "bernardi-raugel":
-        return VectorElement(family=family, n_local=9, degree=2)
+        return VectorElement(family=family, n_local=9, degree=2, layout=(2, 1, 0), scalar=scalar_element("p1"))
     if family in ("dg0", "dg1"):
         raise ValueError(f"{family!r} is not supported as a velocity family")
     base = scalar_element(family)
-    return VectorElement(family=family, n_local=2 * base.n_local, degree=base.degree, scalar=base)
+    layout = tuple(2 * k for k in base.layout)
+    return VectorElement(family=family, n_local=2 * base.n_local, degree=base.degree, layout=layout, scalar=base)
+
+
+def reference_point(point) -> np.ndarray:
+    """``point`` as a (1, 2) array, if it lies in the closed reference triangle."""
+    pt = np.asarray(point, dtype=float).reshape(1, 2)
+    if np.any(barycentric(pt) < -1e-12):
+        raise ValueError(f"point {point} lies outside the reference triangle")
+    return pt
 
 
 def reference_basis(family: str, point):
@@ -158,10 +166,5 @@ def reference_basis(family: str, point):
 
     The point must lie in the closed reference triangle.
     """
-    pt = np.asarray(point, dtype=float)
-    lam = barycentric(pt.reshape(1, 2))[0]
-    if np.any(lam < -1e-12):
-        raise ValueError(f"point {point} lies outside the reference triangle")
-    elem = scalar_element(family)
-    vals, grads = elem.tabulate(pt.reshape(1, 2))
+    vals, grads = scalar_element(family).tabulate(reference_point(point))
     return vals[:, 0].copy(), grads[:, 0, :].copy()

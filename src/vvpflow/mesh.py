@@ -115,21 +115,14 @@ class Mesh:
     def _tag_boundary(self):
         x0, y0, x1, y1 = self.rect
         tol = 1e-12 * max(x1 - x0, y1 - y0)
-        self.boundary_tags: dict[int, str] = {}
         boundary = np.nonzero(self.edge_cells[:, 1] < 0)[0]
         mid = 0.5 * (self.vertices[self.edges[boundary, 0]] + self.vertices[self.edges[boundary, 1]])
-        for e, (mx, my) in zip(boundary, mid):
-            if abs(my - y0) < tol:
-                tag = "bottom"
-            elif abs(mx - x1) < tol:
-                tag = "right"
-            elif abs(my - y1) < tol:
-                tag = "top"
-            elif abs(mx - x0) < tol:
-                tag = "left"
-            else:  # pragma: no cover - structured construction precludes this
-                raise ValueError(f"boundary edge {e} lies on no rectangle side")
-            self.boundary_tags[int(e)] = tag
+        # one column per side in BOUNDARY_TAGS order; an edge takes its first side
+        on_side = np.abs(mid[:, [1, 0, 1, 0]] - [y0, x1, y1, x0]) < tol
+        if not on_side.any(axis=1).all():  # pragma: no cover - structured construction precludes this
+            raise ValueError(f"boundary edge {boundary[~on_side.any(axis=1)][0]} lies on no rectangle side")
+        sides = on_side.argmax(axis=1).tolist()
+        self.boundary_tags: dict[int, str] = {e: BOUNDARY_TAGS[s] for e, s in zip(boundary.tolist(), sides)}
 
     def _cell_diameters(self) -> np.ndarray:
         p = self.vertices[self.cells]
@@ -183,13 +176,11 @@ def cell_geometry(mesh: Mesh, cell: int):
     Returns the Jacobian of the map from the reference triangle
     {(0,0), (1,0), (0,1)}, its inverse transpose, and the cell area.
     """
-    p = mesh.vertices[mesh.cells[cell]]
-    jac = np.column_stack([p[1] - p[0], p[2] - p[0]])
-    det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-    if det <= 0 or not np.isfinite(det):
-        raise ValueError(f"degenerate cell {cell}: |J| = {det}")
-    inv_t = np.array([[jac[1, 1], -jac[1, 0]], [-jac[0, 1], jac[0, 0]]]) / det
-    return jac, inv_t, 0.5 * det
+    with np.errstate(divide="ignore", invalid="ignore"):  # a degenerate cell is reported below
+        jac, inv, det = _affine_maps(mesh.vertices[mesh.cells[[cell]]])
+    if det[0] <= 0 or not np.isfinite(det[0]):
+        raise ValueError(f"degenerate cell {cell}: |J| = {det[0]}")
+    return jac[0], inv[0].T, 0.5 * det[0]
 
 
 def geometry_arrays(mesh: Mesh):
@@ -198,7 +189,11 @@ def geometry_arrays(mesh: Mesh):
     Returns ``(jac, inv, det)`` with shapes (nc, 2, 2), (nc, 2, 2), (nc,);
     ``inv`` is the plain inverse (not transposed).
     """
-    p = mesh.vertices[mesh.cells]
+    return _affine_maps(mesh.vertices[mesh.cells])
+
+
+def _affine_maps(p: np.ndarray):
+    """``(jac, inv, det)`` of the maps onto the triangles with corners ``p``, (n, 3, 2)."""
     jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
     det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
     inv = np.empty_like(jac)

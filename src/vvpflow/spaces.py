@@ -1,19 +1,21 @@
 """Global function spaces: DOF maps, boundary data, interpolation, evaluation.
 
-DOF numbering is entity-based and deterministic:
+DOF numbering is entity-based and deterministic: vertices, then edges, then
+cells, each entity's DOFs consecutive, as many as the element's layout row
+(DOFs per vertex, per edge, per cell) gives:
 
-==============  =======================================================
-family          global numbering
-==============  =======================================================
-p1 (cont.)      vertex index
-p2 (cont.)      vertices, then edge midpoints (nv + edge)
-p1bubble        vertices, then cell bubbles (nv + cell)
-dg1             3 * cell + local vertex
-dg0             cell
-vector          2 * scalar dof + component (interleaved)
-bernardi-raugel interleaved vertex components, then edge bubbles
-                (2 * nv + edge)
-==============  =======================================================
+===============  =========  ==============================================
+family           layout     global numbering
+===============  =========  ==============================================
+p1 (cont.)       (1, 0, 0)  vertex index
+p2 (cont.)       (1, 1, 0)  vertices, then edge midpoints (nv + edge)
+p1bubble         (1, 0, 1)  vertices, then cell bubbles (nv + cell)
+dg1              (0, 0, 3)  3 * cell + local vertex
+dg0              (0, 0, 1)  cell
+vector           2 x row    2 * scalar dof + component (interleaved)
+bernardi-raugel  (2, 1, 0)  interleaved vertex components, then edge
+                            bubbles (2 * nv + edge)
+===============  =========  ==============================================
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elements import ScalarElement, VectorElement, scalar_element, vector_element
-from .mesh import TAG_APPLICATION_ORDER, Mesh
+from .elements import ScalarElement, VectorElement, reference_point, scalar_element, vector_element
+from .mesh import TAG_APPLICATION_ORDER, Mesh, cell_geometry
 
 # 3-point Gauss-Legendre on [0, 1], for the edge fluxes of the Bernardi-Raugel interpolant
 _EDGE_QP = 0.5 * (1.0 + np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)]))
@@ -50,12 +52,9 @@ class FunctionSpace:
 
     @property
     def local_dofs(self) -> np.ndarray:
-        """The DOFs that couple only inside their own cell, (nc, k): all of a
-        discontinuous space's and the MINI bubbles; none of p1, p2 or
-        Bernardi-Raugel, whose edge bubbles are shared between cells."""
-        nl = self.cell_dofs.shape[1]
-        k = {"dg0": nl, "dg1": nl, "p1bubble": 2 if self.vector else 1}.get(self.family, 0)
-        return self.cell_dofs[:, nl - k :]
+        """The DOFs that couple only inside their own cell, (nc, k): the cell
+        DOFs, which are all of a discontinuous space's and the MINI bubbles."""
+        return self.cell_dofs[:, self.cell_dofs.shape[1] - self.element.layout[2] :]
 
 
 @dataclass(eq=False)
@@ -72,19 +71,24 @@ class DiscreteField:
             )
 
 
-def _scalar_cell_dofs(mesh: Mesh, family: str):
-    nv, nc = mesh.n_vertices, mesh.n_cells
-    if family == "p1":
-        return mesh.cells.copy(), nv
-    if family == "p2":
-        return np.hstack([mesh.cells, nv + mesh.cell_edges]), nv + mesh.n_edges
-    if family == "p1bubble":
-        return np.hstack([mesh.cells, (nv + np.arange(nc))[:, None]]), nv + nc
-    if family == "dg1":
-        return np.arange(3 * nc).reshape(nc, 3), 3 * nc
-    if family == "dg0":
-        return np.arange(nc)[:, None], nc
-    raise ValueError(f"unknown scalar family {family!r}")
+def _cell_dofs(mesh: Mesh, layout) -> tuple[np.ndarray, int]:
+    """The cell DOF map and DOF count of a layout row, written column by column
+    (one long strided pass each), or at once where one entity fills the row."""
+    nc = mesh.n_cells
+    cell_dofs = np.empty((nc, 3 * (layout[0] + layout[1]) + layout[2]), dtype=np.int64)
+    columns = iter(cell_dofs.T)
+    entities = ((mesh.cells, mesh.n_vertices), (mesh.cell_edges, mesh.n_edges), (np.arange(nc)[:, None], nc))
+    offset = 0
+    for (ids, count), k in zip(entities, layout):
+        if k == 1 and ids.shape == cell_dofs.shape:
+            np.add(ids, offset, out=cell_dofs)
+        else:
+            for local in ids.T if k else ():  # the k DOFs of each local entity
+                scaled = k * local
+                for j in range(k):
+                    np.add(scaled, offset + j, out=next(columns))
+        offset += k * count
+    return cell_dofs, offset
 
 
 def build_space(mesh: Mesh, family: str, vector: bool = False) -> FunctionSpace:
@@ -93,42 +97,23 @@ def build_space(mesh: Mesh, family: str, vector: bool = False) -> FunctionSpace:
     Velocity (vector) spaces also collect the DOFs with nonzero boundary
     trace, ready for Dirichlet elimination.
     """
-    if family == "bernardi-raugel" or vector:
-        elem = vector_element(family)
-        if family == "bernardi-raugel":
-            nv = mesh.n_vertices
-            vpart = np.empty((mesh.n_cells, 6), dtype=np.int64)
-            vpart[:, 0::2] = 2 * mesh.cells
-            vpart[:, 1::2] = 2 * mesh.cells + 1
-            cell_dofs = np.hstack([vpart, 2 * nv + mesh.cell_edges])
-            n_dofs = 2 * nv + mesh.n_edges
-        else:
-            scalar_dofs, n_scalar = _scalar_cell_dofs(mesh, family)
-            cell_dofs = np.empty((mesh.n_cells, 2 * scalar_dofs.shape[1]), dtype=np.int64)
-            cell_dofs[:, 0::2] = 2 * scalar_dofs
-            cell_dofs[:, 1::2] = 2 * scalar_dofs + 1
-            n_dofs = 2 * n_scalar
-        space = FunctionSpace(mesh, family, elem, True, cell_dofs, n_dofs)
+    vector = vector or family == "bernardi-raugel"
+    elem = vector_element(family) if vector else scalar_element(family)
+    space = FunctionSpace(mesh, family, elem, vector, *_cell_dofs(mesh, elem.layout))
+    if vector:
         space.dirichlet_dofs = _edge_dofs(space, mesh.boundary_edges())
-        return space
-
-    elem = scalar_element(family)
-    cell_dofs, n_dofs = _scalar_cell_dofs(mesh, family)
-    return FunctionSpace(mesh, family, elem, False, cell_dofs, n_dofs)
+    return space
 
 
 def _edge_dofs(space: FunctionSpace, edges: np.ndarray) -> np.ndarray:
-    """The velocity DOFs with nonzero trace on the given edges."""
+    """The velocity DOFs with nonzero trace on the given edges: those of the
+    edges and their vertices (the interior MINI bubble has zero trace)."""
     mesh = space.mesh
+    per_vertex, per_edge, _ = space.element.layout
     verts = np.unique(mesh.edges[edges].ravel())
-    dofs = [2 * verts, 2 * verts + 1]
-    if space.family == "p2":
-        mids = 2 * (mesh.n_vertices + edges)
-        dofs += [mids, mids + 1]
-    elif space.family == "bernardi-raugel":
-        dofs.append(2 * mesh.n_vertices + edges)
-    # the interior MINI bubble has zero trace and stays unconstrained
-    return np.unique(np.concatenate(dofs))
+    dofs = [per_vertex * verts + j for j in range(per_vertex)]
+    dofs += [per_vertex * mesh.n_vertices + per_edge * edges + j for j in range(per_edge)]
+    return np.sort(np.concatenate(dofs))  # the edges are distinct, so this is np.unique
 
 
 #: Element stacks by name: velocity family, pressure family, and the
@@ -237,39 +222,24 @@ def interpolate(space: FunctionSpace, fn) -> DiscreteField:
     value, and the edge-normal bubbles by matching edge-mean normal flux.
     """
     mesh = space.mesh
-    vx, vy = mesh.vertices[:, 0], mesh.vertices[:, 1]
-    coefs = np.zeros(space.n_dofs)
     if space.vector:
         fn = _as_vector_fn(fn)
-        if space.family != "bernardi-raugel":  # Lagrange: componentwise
-            scalar = build_space(mesh, space.family)
-            for i in range(2):
-                coefs[i::2] = interpolate(scalar, lambda x, y, i=i: fn(x, y)[..., i]).coefficients
-            return DiscreteField(space, coefs)
-        gv = fn(vx, vy)
-        coefs[: 2 * mesh.n_vertices] = gv.ravel()
-        coefs[2 * mesh.n_vertices :] = _edge_flux_coefficients(mesh, fn, gv)
-        return DiscreteField(space, coefs)
-
-    centroids = mesh.vertices[mesh.cells].mean(axis=1)
-    if space.family == "p1":
-        coefs[:] = fn(vx, vy)
-    elif space.family == "p2":
-        coefs[: mesh.n_vertices] = fn(vx, vy)
-        mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
-        coefs[mesh.n_vertices :] = fn(mids[:, 0], mids[:, 1])
-    elif space.family == "p1bubble":
-        gv = fn(vx, vy)
-        coefs[: mesh.n_vertices] = gv
-        gc = fn(centroids[:, 0], centroids[:, 1])
-        coefs[mesh.n_vertices :] = 27.0 * (gc - gv[mesh.cells].mean(axis=1))
-    elif space.family == "dg1":
-        p = mesh.vertices[mesh.cells]
-        coefs[:] = fn(p[..., 0], p[..., 1]).ravel()
-    elif space.family == "dg0":
-        coefs[:] = fn(centroids[:, 0], centroids[:, 1])
-    else:  # pragma: no cover
-        raise ValueError(f"interpolation not implemented for {space.family!r}")
+    # the Lagrange nodes of the scalar element (P1 under the Bernardi-Raugel
+    # edge bubbles): vertices, edge midpoints, and a cell's corners or centroid
+    per_vertex, per_edge, per_cell = (space.element.scalar if space.vector else space.element).layout
+    corners = mesh.vertices[mesh.cells]
+    mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
+    cell_nodes = corners if per_cell == 3 else corners.mean(axis=1, keepdims=True)
+    entity_nodes = zip((mesh.vertices[:, None], mids[:, None], cell_nodes), (per_vertex, per_edge, per_cell))
+    nodes = np.concatenate([x[:, :k].reshape(-1, 2) for x, k in entity_nodes])
+    values = np.zeros((len(nodes), 2) if space.vector else len(nodes))
+    values[:] = fn(nodes[:, 0], nodes[:, 1])
+    if space.family == "p1bubble":  # the bubble carries the centroid value less the vertex mean
+        nv = mesh.n_vertices
+        values[nv:] = 27.0 * (values[nv:] - values[:nv][mesh.cells].mean(axis=1))
+    coefs = values.ravel()  # vector components interleaved
+    if space.family == "bernardi-raugel":
+        coefs = np.concatenate([coefs, _edge_flux_coefficients(mesh, fn, values)])
     return DiscreteField(space, coefs)
 
 
@@ -354,12 +324,8 @@ class EvalResult:
 
 def eval_cell(field: DiscreteField, cell: int, point) -> EvalResult:
     """Evaluate a field inside one cell at a reference point."""
-    from .mesh import cell_geometry
-
     space = field.space
-    pt = np.asarray(point, dtype=float).reshape(1, 2)
-    if pt[0, 0] < -1e-12 or pt[0, 1] < -1e-12 or pt.sum() > 1.0 + 1e-12:
-        raise ValueError(f"reference point {point} lies outside the reference triangle")
+    pt = reference_point(point)
     _, inv_t, _ = cell_geometry(space.mesh, cell)
     cells = np.array([cell])
     vals, grads = eval_field(field, tabulate(space, pt, cells), cells, inv_t.T[None], grad=True)

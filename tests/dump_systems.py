@@ -14,13 +14,18 @@ indptr, indices and data:
 - the elimination order of the Oseen matrix at beta = 0 and, on a fresh
   assembler, at the random beta;
 
+the ``cell_dofs``, ``dirichlet_dofs`` and ``local_dofs`` of each space and the
+interpolants of the exact u, w and p;
+
 and of a Newton solve the residual history, velocity increments,
 iteration count, solution (u, w, p and the multiplier) and the integer
 ``linear_stats`` counters ``COUNTERS``; the same again for a Picard solve
 of the first stack.  ``--compare`` lists every array in which two dumps
-differ, with the count of differing entries and the largest relative gap,
-and exits 1 if there is one: every array must be bit-identical, except the
-velocity increments, which must agree to ``INCREMENT_RTOL`` relative.
+differ, with the count of differing entries, the largest relative gap and
+the largest gap over the array's largest magnitude (which tells roundoff of
+a near-zero entry from a moved array), and exits 1 if there is one: every
+array must be bit-identical, except the velocity increments, which must
+agree to ``INCREMENT_RTOL`` relative.
 
 Run it with the source tree to dump on the import path:
 
@@ -64,6 +69,10 @@ def dump(path: str) -> None:
     for family, vorticity, n in STACKS:
         tag = f"{family}/{vorticity}/{n}"
         spaces = vf.method_spaces(vf.build_structured(n, n), family, vorticity)
+        for label, space, exact in zip("uwp", spaces, (case.u, case.omega, case.p)):
+            for name in ("cell_dofs", "dirichlet_dofs", "local_dofs"):
+                out[f"{tag}/{label}.{name}"] = getattr(space, name)
+            out[f"{tag}/{label}.interpolant"] = vf.interpolate(space, exact).coefficients
         asm = vf.SystemAssembler(spaces, coeffs)
         state = np.random.default_rng(n).standard_normal(asm.block_index[4])
         beta = vf.DiscreteField(spaces[0], state[: asm.block_index[1]])
@@ -91,7 +100,8 @@ def dump(path: str) -> None:
 def differences(a_path: str, b_path: str) -> list[str]:
     """One line per array that differs between two dumps, in the order of the
     first (then the arrays only the second has): its name, how many entries
-    differ and the largest relative gap |x - y| / max(|x|, |y|) among them."""
+    differ, the largest relative gap |x - y| / max(|x|, |y|) among them and
+    the largest |x - y| over the largest |x| or |y| of the whole array."""
     lines = []
     with np.load(a_path) as a, np.load(b_path) as b:
         for name in a.files + [name for name in b.files if name not in a.files]:
@@ -107,7 +117,11 @@ def differences(a_path: str, b_path: str) -> list[str]:
             gap = np.abs(x - y)[differ] / np.maximum(np.abs(x), np.abs(y))[differ]
             tolerated = name.endswith("velocity_increments") and np.all(gap <= INCREMENT_RTOL)
             if differ.any() and not tolerated:
-                lines.append(f"{name}: {differ.sum()} of {x.size} entries differ, largest relative gap {gap.max():.3e}")
+                scaled = np.abs(x - y).max() / max(np.abs(x).max(), np.abs(y).max())
+                lines.append(
+                    f"{name}: {differ.sum()} of {x.size} entries differ, largest relative gap {gap.max():.3e}, "
+                    f"largest gap over the largest entry {scaled:.3e}"
+                )
     return lines
 
 

@@ -178,3 +178,24 @@ def test_connectivity_matches_the_cell_loop(nx, ny, rect):
     m = build_structured(nx, ny, rect)
     for got, ref in zip((m.edges, m.cell_edges, m.edge_cells), loop_connectivity(m.cells)):
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+def loop_boundary_tags(m):
+    """Side of each boundary edge as an edge loop finds it: the first side,
+    in the order bottom, right, top, left, that its midpoint lies on."""
+    x0, y0, x1, y1 = m.rect
+    tol = 1e-12 * max(x1 - x0, y1 - y0)
+    tags = {}
+    for e in np.nonzero(m.edge_cells[:, 1] < 0)[0]:
+        mx, my = 0.5 * (m.vertices[m.edges[e, 0]] + m.vertices[m.edges[e, 1]])
+        sides = (abs(my - y0) < tol, abs(mx - x1) < tol, abs(my - y1) < tol, abs(mx - x0) < tol)
+        tags[int(e)] = ("bottom", "right", "top", "left")[sides.index(True)]
+    return tags
+
+
+@pytest.mark.parametrize("nx, ny, rect", [(1, 1, (0.0, 0.0, 1.0, 1.0)), (3, 2, (-1.0, 0.5, 2.0, 1.3)),
+                                          (64, 32, (0.0, 0.0, 2.0, 1.0)), (5, 7, (1e3, -2e-3, 1e3 + 1e-2, 0.0))])
+def test_boundary_tags_match_the_edge_loop(nx, ny, rect):
+    m = build_structured(nx, ny, rect)
+    assert list(m.boundary_tags.items()) == list(loop_boundary_tags(m).items())
+    assert all(type(e) is int and type(t) is str for e, t in m.boundary_tags.items())

@@ -255,3 +255,42 @@ def test_eval_cell_matches_the_whole_mesh_tabulation_bit_for_bit(family):
         g = grads[0, 0]
         assert np.array_equal(res.value, vals[0, 0]) and np.array_equal(res.gradient, g)
         assert res.curl2d == g[1, 0] - g[0, 1] and res.div2d == g[0, 0] + g[1, 1]
+
+
+def _interleaved(scalar_dofs):
+    """2 * scalar dof + component, components of one scalar DOF side by side."""
+    return np.stack([2 * scalar_dofs, 2 * scalar_dofs + 1], axis=-1).reshape(len(scalar_dofs), -1)
+
+
+def test_dof_numbering_follows_the_docstring_table():
+    mesh = build_structured(2, 1)
+    nv, ne, nc = mesh.n_vertices, mesh.n_edges, mesh.n_cells
+    verts, edges, cell = mesh.cells, mesh.cell_edges, np.arange(nc)[:, None]
+    scalar = {  # family: (cell_dofs, n_dofs, local_dofs)
+        "p1": (verts, nv, np.empty((nc, 0))),
+        "p2": (np.hstack([verts, nv + edges]), nv + ne, np.empty((nc, 0))),
+        "p1bubble": (np.hstack([verts, nv + cell]), nv + nc, nv + cell),
+        "dg1": (3 * cell + np.arange(3), 3 * nc, 3 * cell + np.arange(3)),
+        "dg0": (cell, nc, cell),
+    }
+    for family, (cell_dofs, n_dofs, local) in scalar.items():
+        space = build_space(mesh, family)
+        assert np.array_equal(space.cell_dofs, cell_dofs) and space.n_dofs == n_dofs, family
+        assert np.array_equal(space.local_dofs, local) and space.dirichlet_dofs.size == 0, family
+
+    bnd = mesh.boundary_edges()
+    bnd_verts = np.unique(mesh.edges[bnd])
+    vertex_trace = np.concatenate([2 * bnd_verts, 2 * bnd_verts + 1])
+    vector = {  # family: (cell_dofs, n_dofs, local_dofs, dirichlet_dofs)
+        "p1": (_interleaved(verts), 2 * nv, np.empty((nc, 0)), vertex_trace),
+        "p2": (_interleaved(np.hstack([verts, nv + edges])), 2 * (nv + ne), np.empty((nc, 0)),
+               np.concatenate([vertex_trace, 2 * (nv + bnd), 2 * (nv + bnd) + 1])),
+        "p1bubble": (_interleaved(np.hstack([verts, nv + cell])), 2 * (nv + nc), _interleaved(nv + cell), vertex_trace),
+        "bernardi-raugel": (np.hstack([_interleaved(verts), 2 * nv + edges]), 2 * nv + ne, np.empty((nc, 0)),
+                            np.concatenate([vertex_trace, 2 * nv + bnd])),
+    }
+    for family, (cell_dofs, n_dofs, local, trace) in vector.items():
+        space = build_space(mesh, family, vector=True)
+        assert np.array_equal(space.cell_dofs, cell_dofs) and space.n_dofs == n_dofs, family
+        assert np.array_equal(space.local_dofs, local), family
+        assert np.array_equal(space.dirichlet_dofs, np.unique(trace)), family
