@@ -35,7 +35,12 @@ in uu-key order and added on the uu slots.  Each entry is the
 left-to-right sum of its contributions in part and cell order, whatever
 else shares its row.  Repeated assemblies are therefore bit-identical, and
 blocks built from the same floats in transposed placement are exact
-transposes.  Dirichlet elimination masks the data.
+transposes.  Dirichlet elimination masks the data on that pattern, its
+zeros kept.  With the elimination order the assembler derives, once, a
+:class:`CondensationPlan` from the slots of the blocks that touch the
+cell-local unknowns: the second pattern, the Schur complement's, and the
+slot maps that condense any matrix on the first without a sparse product,
+sum or slice.
 """
 
 from __future__ import annotations
@@ -99,16 +104,13 @@ class ProblemCoefficients:
 @dataclass(eq=False)
 class AssembledSystem:
     """Sparse block system over [velocity | vorticity | pressure | multiplier];
-    ``local`` (nc, k) holds the unknowns that couple only inside their cell,
-    which ``ordering`` puts first."""
+    ``plan`` condenses its cell-local unknowns (see :class:`CondensationPlan`)."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     block_index: tuple[int, int, int, int, int]
     bc_applied: bool = False
-    parts: dict | None = field(default=None, repr=False)
-    ordering: np.ndarray | None = field(default=None, repr=False)
-    local: np.ndarray = field(default_factory=lambda: np.empty((0, 0), dtype=np.int64), repr=False)
+    plan: CondensationPlan | None = field(default=None, repr=False)
 
     def __post_init__(self):
         n = self.block_index[-1]
@@ -118,6 +120,16 @@ class AssembledSystem:
     @property
     def n(self) -> int:
         return self.block_index[-1]
+
+    @property
+    def ordering(self) -> np.ndarray | None:
+        """The elimination order: the cell-local unknowns first, cell by cell."""
+        return None if self.plan is None else self.plan.order
+
+    @property
+    def local(self) -> np.ndarray:
+        """(nc, k) unknowns that couple only inside their cell."""
+        return np.empty((0, 0), dtype=np.int64) if self.plan is None else self.plan.local
 
     def split(self, x: np.ndarray):
         """Split a solution vector into (u, w, p, m) coefficient blocks."""
@@ -177,6 +189,100 @@ def triplets_to_csr(rows, cols, vals, shape) -> sp.csr_matrix:
     """Canonical CSR of COO triplets, duplicates summed in input order."""
     pattern = CSRPattern([rows], [cols], shape)
     return pattern.csr(np.bincount(pattern.slot, weights=vals, minlength=len(pattern.indices)))
+
+
+def _absent(slots):
+    """(slots, absent): ``slots`` with each -1 (no key) at slot 0, and the
+    flat places of those, which read zero."""
+    return np.where(slots < 0, 0, slots), np.flatnonzero(slots < 0)
+
+
+class CondensationPlan:
+    """Static condensation of the cell-local unknowns on the slots of
+    patterns the mesh fixes.
+
+    ``order`` puts ``local`` (nc, k), the unknowns that couple only inside
+    their cell, first, cell by cell; the others, ``rest``, follow in its
+    order.  Their Schur complement S = A_GG - A_GL A_LL^-1 A_LG is kept as
+    CSC in the order of ``rest`` (``indices``, ``indptr``) on a structural
+    pattern: A_GG's keys without the off-diagonals of the ``constrained``
+    rows and columns, every diagonal (the shift may lift any), and per cell
+    the pairs of G unknowns that share a key with its local unknowns, pairs
+    that no block stores included (MINI's pressure and vorticity pairs).
+    It is derived once, by integer ids of the full pattern's slots carried
+    through a row and column selection and a CSC conversion.
+
+    ``gather`` (S's entries, then a sink), ``ll``, ``gl`` and ``lg`` (each
+    cell's A_LL (nc, k, k), A_GL (nc, r, k) and A_LG (nc, k, s)) are
+    (slots, absent) pairs that read a matrix's data; the flat places in
+    ``absent`` store no key and read zero.  ``pairs`` (nc, r, s) are the S
+    slots of each cell's correction in cell order, the sink for a pair off
+    S's pattern (a constrained row's or column's), ``diagonal`` those of
+    S's diagonal, and ``rows`` (nc, r) and ``cols`` (nc, s) place A_GL's
+    rows and A_LG's columns in ``rest``.  A matrix is on the plan if it
+    has the full ``pattern`` (:meth:`mismatch`) with its constrained rows
+    and columns eliminated, as :func:`apply_dirichlet` leaves them; any
+    other complement the refinement against the full matrix rejects.
+    """
+
+    def __init__(self, pattern: CSRPattern, order: np.ndarray, local: np.ndarray, couplings, constrained):
+        ll, gl, lg, pairs, rows, cols = couplings
+        n, ptr, idx = pattern.shape[0], pattern.indptr, pattern.indices
+        self.pattern, self.order, self.local, self.rest = pattern, order, local, order[local.size:]
+        ng, fixed = len(self.rest), np.zeros(n, dtype=bool)
+        fixed[constrained] = True
+        pos = np.empty(n, dtype=idx.dtype)
+        pos[self.rest] = np.arange(ng)
+        # A_GG's ids (a slot + 1), 0 at the constrained off-diagonals, which S leaves out
+        ids = sp.csr_matrix((np.arange(1, len(idx) + 1, dtype=idx.dtype), idx, ptr), shape=pattern.shape)
+        on = np.flatnonzero(np.repeat(fixed, np.diff(ptr)) | fixed[idx])  # in a constrained row or column
+        row = np.searchsorted(ptr, on, side="right") - 1
+        ids.data[on[idx[on] != row]] = 0
+        ids = ids[self.rest]
+        ids = ids[:, self.rest]
+        ids.eliminate_zeros()
+        # fresh entries, ids past the pattern's: the free pairs of a cell that no block stores and the
+        # diagonals no key stores (pressure, multiplier)
+        self.rows, self.cols, fixed = pos[rows], pos[cols], fixed[self.rest]
+        ii, jj = np.nonzero(pairs[0] < 0)
+        a, b = self.rows[:, ii], self.cols[:, jj]
+        free = ~(fixed[a] | fixed[b])
+        keys = a[free].astype(np.int64) * ng + b[free]
+        del a, b
+        fresh, inverse = np.unique(np.concatenate([keys, np.flatnonzero(ids.diagonal() == 0) * (ng + 1)]),
+                                   return_inverse=True)
+        fresh_slots = np.arange(len(idx), len(idx) + len(fresh), dtype=idx.dtype)  # stand-ins past the pattern
+        fresh_pairs = np.full(free.shape, -1, dtype=idx.dtype)
+        fresh_pairs[free] = fresh_slots[inverse[: len(keys)]]
+        del keys, inverse
+        ids = ids + sp.csr_matrix((fresh_slots + 1, np.divmod(fresh, ng)), shape=(ng, ng))
+        ids = ids.tocsc()
+        self.indices, self.indptr, slots = ids.indices, ids.indptr, ids.data - 1
+        self.indices.flags.writeable = self.indptr.flags.writeable = False
+        del ids
+        ns = len(slots)
+        self.diagonal = np.flatnonzero(self.indices == np.repeat(np.arange(ng), np.diff(self.indptr)))
+        to_s = np.full(len(idx) + len(fresh) + 1, ns, dtype=idx.dtype)  # a slot's S slot; the last, -1's, the sink
+        to_s[slots] = np.arange(ns, dtype=idx.dtype)
+        self.pairs = to_s[pairs]
+        self.pairs[:, ii, jj] = to_s[fresh_pairs]
+        del to_s
+        absent = np.flatnonzero(slots >= len(idx))
+        slots[absent] = 0
+        self.gather = np.append(slots, slots.dtype.type(0)), np.append(absent, ns)  # S's entries, then the sink
+        self.ll, self.gl, self.lg = map(_absent, (ll, gl, lg))
+
+    def mismatch(self, matrix: sp.csr_matrix) -> str | None:
+        """Why ``matrix`` is not on the plan, or None if it is."""
+        if np.array_equal(matrix.indptr, self.pattern.indptr) and np.array_equal(matrix.indices, self.pattern.indices):
+            return None
+        return "the matrix is not on the condensation plan's pattern"
+
+    def complement(self, data: np.ndarray) -> sp.csc_matrix:
+        """S with the entries ``data``, in slot order."""
+        matrix = sp.csc_matrix((data, self.indices, self.indptr), shape=(len(self.rest),) * 2)
+        matrix.has_canonical_format = True
+        return matrix
 
 
 def default_quad_degree(velocity_space: FunctionSpace) -> int:
@@ -319,9 +425,10 @@ class SystemAssembler:
 
     One instance groups the cells into affine classes, tabulates the
     velocity basis per class and bins the linear part once into its one CSR
-    pattern.  It keeps the pattern, the binned data, the rhs and the slots
-    of the uu keys, not the keys or the part values;
-    ``oseen(keep_parts=True)`` rebuilds those.  Each form is one entry of a
+    pattern.  It keeps the pattern, the binned data, the rhs, the slots of
+    the uu keys and, once it has ordered a matrix, the condensation plan;
+    not the keys or the part values, which ``_keys`` and ``_element_values``
+    rebuild on request.  Each form is one entry of a
     table handed to :meth:`VelocityClasses.fill`, which alone chooses
     between a class table and cell-by-cell contraction.  Oseen and Newton
     matrices then only add the convection values on the uu slots.
@@ -345,7 +452,7 @@ class SystemAssembler:
         self.block_index = (0, n_u, n_u + n_w, n_u + n_w + n_p, n_u + n_w + n_p + 1)
         self.local = np.hstack([self.V.local_dofs, self.W.local_dofs + n_u])  # (nc, k) cell-local unknowns
         self._rhs = None  # the linear part's rhs, set once it is binned
-        self._ordering = None
+        self._ordering = self._plan = None
         self.ordering_time = 0.0  # seconds the last _elimination_order call spent (0 once cached)
 
     def _coefficient_samples(self, xq):
@@ -435,8 +542,35 @@ class SystemAssembler:
         for name in list(vals):  # each part's values are dropped once binned
             np.add.at(self._data, slots[name[:2]], vals.pop(name))
         self._conv_slots = slots["uu"].copy()  # convection values come in uu-key order
+        self._couplings = self._local_couplings(slots)  # held until the condensation plan is built
         self._pattern, self._rhs = pattern, rhs
         return rhs
+
+    def _local_couplings(self, slots):
+        """Per cell, the slots of A_LL (nc, k, k), A_GL (nc, r, k), A_LG (nc,
+        k, s) and of the G-G pairs (nc, r, s) its correction writes, -1 where
+        no block couples two DOFs, and the DOFs of those rows (nc, r) and
+        columns (nc, s).  A cell's local DOFs are the last columns of their
+        space's cell map; its rows and columns are the G DOFs of the spaces
+        that share a block with a space of local DOFs."""
+        o, nc = self.block_index, self.mesh.n_cells
+        maps = {"u": self.V.cell_dofs, "w": self.W.cell_dofs + o[1], "p": self.Q.cell_dofs + o[2]}
+        k = {"u": self.V.local_dofs.shape[1], "w": self.W.local_dofs.shape[1], "p": 0}
+        loc = [(x, m.shape[1] - k[x], m.shape[1]) for x, m in maps.items() if k[x]]
+        rows = [(x, 0, m.shape[1] - k[x]) for x, m in maps.items() if any(x + y in slots for y, _, _ in loc)]
+        cols = [(y, 0, m.shape[1] - k[y]) for y, m in maps.items() if any(x + y in slots for x, _, _ in loc)]
+
+        def take(xs, ys):
+            out = np.full((nc, sum(b - a for _, a, b in xs), sum(b - a for _, a, b in ys)), -1, dtype=slots["uu"].dtype)
+            for (x, a, b), i in zip(xs, np.cumsum([0] + [b - a for _, a, b in xs])):
+                for (y, c, d), j in zip(ys, np.cumsum([0] + [d - c for _, c, d in ys])):
+                    if x + y in slots:
+                        out[:, i:i + b - a, j:j + d - c] = slots[x + y].reshape(nc, maps[x].shape[1], -1)[:, a:b, c:d]
+            return out
+
+        dofs = [np.hstack([maps[x][:, a:b] for x, a, b in spans] + [np.empty((nc, 0), dtype=np.int64)])
+                for spans in (rows, cols)]
+        return take(loc, loc), take(rows, loc), take(loc, cols), take(rows, cols), *dofs
 
     def _convection(self, beta: DiscreteField, newton: bool = False):
         """Values of ((beta . grad) u, v) in the order of the uu keys, as a
@@ -458,9 +592,10 @@ class SystemAssembler:
                 self.classes.fill(vals, block, sub, ops, coefs, "c")
         return tuple(vals.ravel() for vals in out)
 
-    def _elimination_order(self, matrix: sp.csr_matrix) -> np.ndarray:
-        """The cell-local unknowns cell by cell, then the nested-dissection
-        order of the others, multiplier last (it couples globally)."""
+    def _elimination_order(self, matrix: sp.csr_matrix) -> CondensationPlan:
+        """The condensation plan of the elimination order, derived once: the
+        cell-local unknowns cell by cell, then the nested-dissection order of
+        the others, multiplier last (it couples globally)."""
         self.ordering_time, t0 = 0.0, time.perf_counter()
         if self._ordering is None:
             centroids = self.mesh.vertices[self.mesh.cells].mean(axis=1)
@@ -470,16 +605,18 @@ class SystemAssembler:
                 coords[lo:hi] = dof_support_centroids(space.n_dofs, space.cell_dofs, centroids)
             coords[o[3]] = centroids.mean(axis=0)
             self._ordering = nested_dissection(matrix, coords, last=np.array([o[3]]), first=self.local)
+            self._plan = CondensationPlan(self._pattern, self._ordering, self.local, self._couplings,
+                                          self.V.dirichlet_dofs)
+            del self._couplings
             self.ordering_time = time.perf_counter() - t0
-        return self._ordering
+        return self._plan
 
-    def oseen(self, beta: DiscreteField | None = None, pressure_target: float = 0.0, keep_parts: bool = False,
+    def oseen(self, beta: DiscreteField | None = None, pressure_target: float = 0.0,
               conv_values=None) -> AssembledSystem:
         """Assemble the linearised system with frozen advecting field ``beta``.
 
         ``conv_values`` short-circuits the convection assembly with the
         values, in uu-key order, of an earlier :meth:`_convection` call.
-        ``keep_parts`` rebuilds each part's keys and values as a CSR matrix.
         """
         rhs = self._ensure_linear()
         if conv_values is None and beta is not None:
@@ -487,15 +624,7 @@ class SystemAssembler:
         matrix = self._matrix(conv_values)
         full_rhs = rhs.copy()
         full_rhs[-1] = pressure_target
-        parts = None
-        if keep_parts:
-            keys = self._keys()
-            coo = {name: keys[name[:2]] + (v,) for name, v in self._element_values()[0].items()}
-            if conv_values is not None:
-                coo["uu_conv"] = keys["uu"] + (conv_values,)
-            parts = {name: triplets_to_csr(*triplets, matrix.shape) for name, triplets in coo.items()}
-        ordering = self._elimination_order(matrix)
-        return AssembledSystem(matrix, full_rhs, self.block_index, parts=parts, ordering=ordering, local=self.local)
+        return AssembledSystem(matrix, full_rhs, self.block_index, plan=self._elimination_order(matrix))
 
     def _matrix(self, conv) -> sp.csr_matrix:
         """Linear part plus the convection values ``conv`` in uu-key order,
@@ -547,12 +676,9 @@ def assemble_oseen(
     coeffs: ProblemCoefficients,
     beta: DiscreteField | None = None,
     pressure_target: float = 0.0,
-    keep_parts: bool = False,
 ) -> AssembledSystem:
     """One-shot Oseen assembly; see :class:`SystemAssembler` for solver loops."""
-    return SystemAssembler(spaces, coeffs).oseen(
-        beta=beta, pressure_target=pressure_target, keep_parts=keep_parts
-    )
+    return SystemAssembler(spaces, coeffs).oseen(beta=beta, pressure_target=pressure_target)
 
 
 def assemble_newton(
@@ -587,8 +713,10 @@ def apply_dirichlet(system: AssembledSystem, space: FunctionSpace, g) -> Assembl
     right-hand side absorbs the lifting, so symmetric sub-blocks stay
     symmetric.  ``g`` follows :func:`vvpflow.spaces.boundary_values`; None
     (zero data) lifts nothing and skips the interpolation and the product.
-    A boolean mask zeroes the constrained rows and columns, their stored diagonals
-    are set to 1 (each must store one), and one compaction drops every zero.
+    A boolean mask zeroes the data of the constrained rows and columns and
+    their stored diagonals are set to 1 (each must store one).  The matrix
+    keeps its pattern, zeros included: it shares the read-only indices and
+    indptr of the matrix it eliminates.
     """
     if system.bc_applied:
         raise RuntimeError("Dirichlet data was already applied to this system")
@@ -610,7 +738,5 @@ def apply_dirichlet(system: AssembledSystem, space: FunctionSpace, g) -> Assembl
     if len(at) != len(dofs):
         raise ValueError("each constrained row must store one diagonal entry")
     data[at] = 1.0
-    matrix = sp.csr_matrix((data, a.indices.copy(), a.indptr.copy()), shape=a.shape)
-    matrix.eliminate_zeros()  # one compaction in place: the zeroed entries and the exact zeros
-    return AssembledSystem(matrix, rhs, system.block_index, bc_applied=True, ordering=system.ordering,
-                           local=system.local)
+    matrix = sp.csr_matrix((data, a.indices, a.indptr), shape=a.shape)
+    return replace(system, matrix=matrix, rhs=rhs, bc_applied=True)

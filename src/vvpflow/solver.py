@@ -13,12 +13,17 @@ Each linear system is solved directly.  The cell-local unknowns (dg
 vorticity, MINI bubbles) are eliminated cell by cell with batched
 inverses of their blocks (static condensation: Wilson, IJNME 8, 1974),
 and SuperLU factors only the Schur complement, in nested-dissection
-order with static pivots.  Iterative refinement always runs against the
-full matrix.  While SuperLU factors, the eliminated matrix is the only
-full one alive: the loop drops the others and the convection values first,
-and condensation forms the complement in row blocks, with no whole A_GG.
-Beside a held factor a later step holds the binned linear part, the Jacobian
-(its dual convection added in place) and, while eliminating, the copy.
+order with static pivots.  The complement lives on a pattern that its
+assembler's :class:`~vvpflow.assembly.CondensationPlan` fixes once
+(condensation onto a fixed global pattern: Cockburn, Gopalakrishnan &
+Lazarov, SINUM 47, 2009): forming it gathers from the eliminated matrix's
+data and subtracts each cell's correction on slots, with no sparse
+product, sum or slice, and its fill depends on the mesh only.  Iterative
+refinement always runs against the full matrix.  While SuperLU factors,
+the eliminated matrix is the only full one alive: the loop drops the
+others and the convection values first.  Beside a held factor a later
+step holds the binned linear part, the Jacobian (its dual convection added
+in place) and, while eliminating, the masked data.
 
 The nonlinear loop holds the last factor it made and refines each later
 system against it while it contracts (the chord and Shamanskii variants
@@ -35,7 +40,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import AssembledSystem, ProblemCoefficients, SystemAssembler, apply_dirichlet, gram_values
+from .assembly import (AssembledSystem, CondensationPlan, ProblemCoefficients, SystemAssembler, apply_dirichlet,
+                       gram_values)
 from .quadrature import CellQuadrature
 from .spaces import DiscreteField, boundary_values
 
@@ -124,50 +130,51 @@ def _refine(solve, a: sp.spmatrix, b: np.ndarray, norm_a: float, stats: dict, st
         _book(stats, refine_time=time.perf_counter() - t0)
 
 
-def _condense(a: sp.csr_matrix, local: np.ndarray, order: np.ndarray, shift_below: float):
-    """Eliminate the cell-local unknowns ``local`` (nc, k) of ``a`` cell by cell.
+def _gather(data: np.ndarray, slots: np.ndarray, absent: np.ndarray) -> np.ndarray:
+    """``data`` at ``slots``, zero at the flat places ``absent`` (no key)."""
+    values = data[slots]
+    values.flat[absent] = 0.0
+    return values
 
-    With L the local and G the other unknowns, in the order they take in
-    ``order``, factors the Schur complement S = A_GG - A_GL A_LL^-1 A_LG,
-    with ``shift_below`` added to its diagonal entries smaller than that,
-    in that order with static pivots.  Returns the solve of ``a x = r``
-    through that factor and the factor's fill.  A_LL is block diagonal, one
-    (k, k) block per cell, and is inverted batched; a singular block raises
-    ``np.linalg.LinAlgError``.
+
+def _condense(a: sp.csr_matrix, plan: CondensationPlan, shift_below: float):
+    """Eliminate the cell-local unknowns of ``a`` cell by cell, on ``plan``.
+
+    With L the local and G the other unknowns, in the order ``plan`` gives
+    them, factors the Schur complement S = A_GG - A_GL A_LL^-1 A_LG, with
+    ``shift_below`` added to its diagonal entries smaller than that, in that
+    order with static pivots.  Every block is a gather from ``a.data``: A_LL
+    is block diagonal, one (k, k) block per cell, inverted batched (a
+    singular block raises ``np.linalg.LinAlgError``), and each cell's
+    correction is subtracted on S's slots in cell order.  Returns the solve
+    of ``a x = r`` through that factor and the factor's fill; a matrix off
+    the plan raises ``ValueError``.
     """
-    (nc, k), flat = local.shape, local.ravel()
-    is_local = np.zeros(a.shape[0], dtype=bool)
-    is_local[flat] = True
-    rest = order[~is_local[order]]
-    a_l = a[flat]
-    lg, ll = a_l[:, rest], a_l[:, flat].tocoo()
-    blocks = np.zeros((nc, k, k))
-    blocks[ll.row // k, ll.row % k, ll.col % k] = ll.data
-    del a_l, ll
-    gl = a[rest][:, flat]
+    reason = plan.mismatch(a)
+    if reason:
+        raise ValueError(reason)
+    blocks, gl, lg = (_gather(a.data, *slots) for slots in (plan.ll, plan.gl, plan.lg))
     try:
         inv = np.linalg.inv(blocks)
     except np.linalg.LinAlgError:
         bad = np.flatnonzero(np.linalg.slogdet(blocks)[0] == 0.0)
-        reason = f"singular cell-local block in {len(bad)} of {nc} cells {bad[:5].tolist()}"
+        reason = f"singular cell-local block in {len(bad)} of {len(blocks)} cells {bad[:5].tolist()}"
         raise np.linalg.LinAlgError(reason) from None
-    nl = len(flat)
-    cell_cols = np.repeat(np.arange(nl).reshape(nc, 1, k), k, axis=1).ravel()
-    inv_lg = sp.csr_matrix((inv.ravel(), cell_cols, np.arange(nl + 1) * k), shape=(nl, nl)) @ lg
-    rows = np.linspace(0, len(rest), 5).astype(int)  # S in 4 row blocks, each copied to its size: no whole
-    # A_GG, correction or difference buffer of nnz(A_GG) + nnz(correction) exists
-    schur = [(a[rest[i:j]][:, rest] - gl[i:j] @ inv_lg).copy() for i, j in zip(rows[:-1], rows[1:])]
-    del blocks, cell_cols, inv_lg
-    schur = sp.vstack(schur, format="csr")
-    schur = schur.tocsc()  # once the blocks are gone; the shift's sum then allocates beside one complement
-    schur = schur + sp.diags(np.where(np.abs(schur.diagonal()) < shift_below, shift_below, 0.0), format="csc")
-    lu = spla.splu(schur, permc_spec="NATURAL", options={"SymmetricMode": True, "DiagPivotThresh": 0.0})
+    inv_lg = inv @ lg
+    del blocks, lg
+    schur = _gather(a.data, *plan.gather)  # S's entries, then the sink of the pairs without one
+    np.subtract.at(schur, plan.pairs.ravel(), (gl @ inv_lg).ravel())  # 1-D: numpy's fast path
+    diagonal = schur[plan.diagonal]
+    schur[plan.diagonal] = np.where(np.abs(diagonal) < shift_below, diagonal + shift_below, diagonal)
+    lu = spla.splu(plan.complement(schur[:-1]), permc_spec="NATURAL",
+                   options={"SymmetricMode": True, "DiagPivotThresh": 0.0})
+    rest, local, rows, cols = plan.rest, plan.local, plan.rows.ravel().astype(np.intp), plan.cols
 
     def solve(r):
-        y = (inv @ r[local][..., None]).ravel()
+        y = np.einsum("ckl,cl->ck", inv, r[local])
         x = np.empty(len(r))
-        x[rest] = lu.solve(r[rest] - gl @ y)
-        x[flat] = y - (inv @ (lg @ x[rest]).reshape(nc, k, 1)).ravel()
+        x[rest] = x_g = lu.solve(r[rest] - np.bincount(rows, np.einsum("crk,ck->cr", gl, y).ravel(), len(rest)))
+        x[local] = y - np.einsum("cks,cs->ck", inv_lg, x_g[cols])
         return x
 
     return solve, lu.nnz
@@ -224,14 +231,17 @@ def solve_linear(system: AssembledSystem, stats: dict | None = None, held: dict 
     if held is not None:
         held.clear()  # never two factors at once
     nd_reason = None
-    for condensed in (True, False) if system.ordering is not None else (False,):
+    for condensed in (True, False) if system.plan is not None else (False,):
         x = reason = solve = None  # the failed attempt's factor goes before the next is made
         t0 = time.perf_counter()
         try:
             if condensed:
-                solve, fill = _condense(a, system.local, system.ordering, 1e-8 * norm_a)
+                solve, fill = _condense(a, system.plan, 1e-8 * norm_a)
             else:
-                lu = spla.splu(a.tocsc())
+                full = a.tocsc()
+                full.eliminate_zeros()  # the copy's: the pattern keeps its zeros
+                lu = spla.splu(full)
+                del full
                 solve, fill = lu.solve, lu.nnz
         except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
             reason = str(exc)

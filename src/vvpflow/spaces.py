@@ -188,9 +188,9 @@ def boundary_values(space: FunctionSpace, g) -> np.ndarray:
     else:
         groups = [(None, g)]
     values = np.zeros(space.n_dofs)
-    for tag, fn in groups:
+    for tag, fn in groups:  # a None group writes its zeros without interpolating
         dofs = _edge_dofs(space, space.mesh.boundary_edges(tag))
-        values[dofs] = interpolate(space, fn).coefficients[dofs]
+        values[dofs] = 0.0 if fn is None else interpolate(space, fn).coefficients[dofs]
     return values[space.dirichlet_dofs]
 
 

@@ -11,7 +11,8 @@ import warnings
 import numpy as np
 import pytest
 
-from vvpflow.assembly import SystemAssembler, assemble_oseen
+from assembled_parts import parts
+from vvpflow.assembly import SystemAssembler
 from vvpflow.mesh import build_structured, geometry_arrays
 from vvpflow.quadrature import quadrature
 from vvpflow.solver import NonlinearSettings, solve_newton, solve_picard
@@ -134,12 +135,12 @@ def test_criterion_6_property_suite():
     V = spaces[0]
 
     # block antisymmetry of the viscous coupling, bitwise
-    system = assemble_oseen(spaces, coeffs, keep_parts=True)
-    assert (system.parts["uw_nu"] + system.parts["wu_nu"].T).count_nonzero() == 0
+    system = parts(SystemAssembler(spaces, coeffs))
+    assert (system["uw_nu"] + system["wu_nu"].T).count_nonzero() == 0
 
     # skew pairing of the convection form on zero-trace polynomial data
     beta = interpolate(V, lambda x, y: np.stack([x**2 + 2.0 * y, x + y], axis=-1))
-    conv = assemble_oseen(spaces, coeffs, beta=beta, keep_parts=True).parts["uu_conv"]
+    conv = parts(SystemAssembler(spaces, coeffs), beta)["uu_conv"]
     K = conv[: V.n_dofs, : V.n_dofs]
     free = np.setdiff1d(np.arange(V.n_dofs), V.dirichlet_dofs)
     u = np.zeros(V.n_dofs)

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import vvpflow.assembly
+from assembled_parts import part_triplets, parts
 from vvpflow.assembly import (
     AssembledSystem,
     CSRPattern,
@@ -170,7 +171,7 @@ def test_kappa_blocks_match_hand_outer_products():
     W = build_space(mesh, "dg0")
     Q = build_space(mesh, "p1")
     k1, k2 = 0.5, 1.0
-    system = assemble_oseen((V, W, Q), constant_coefficients(kappa1=k1, kappa2=k2), keep_parts=True)
+    system = parts(SystemAssembler((V, W, Q), constant_coefficients(kappa1=k1, kappa2=k2)))
     expected = np.zeros((V.n_dofs, V.n_dofs))
     for cell in range(mesh.n_cells):
         _, inv_t, area = cell_geometry(mesh, cell)
@@ -185,7 +186,7 @@ def test_kappa_blocks_match_hand_outer_products():
         local = area * (k1 * np.outer(c_vec, c_vec) + k2 * np.outer(d_vec, d_vec))
         dofs = V.cell_dofs[cell]
         expected[np.ix_(dofs, dofs)] += local
-    got = (system.parts["uu_curl"] + system.parts["uu_div"]).toarray()[: V.n_dofs, : V.n_dofs]
+    got = (system["uu_curl"] + system["uu_div"]).toarray()[: V.n_dofs, : V.n_dofs]
     assert np.allclose(got, expected, atol=1e-14)
 
 
@@ -205,18 +206,18 @@ def _bitwise_negated_transpose(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
 
 def test_viscous_coupling_blocks_are_exact_negated_transposes():
     _, coeffs, spaces = example1_setup(n=2)
-    system = assemble_oseen(spaces, coeffs, keep_parts=True)
-    assert _bitwise_negated_transpose(system.parts["uw_nu"], system.parts["wu_nu"])
+    system = parts(SystemAssembler(spaces, coeffs))
+    assert _bitwise_negated_transpose(system["uw_nu"], system["wu_nu"])
     # and the composite blocks cancel exactly when added
-    total = system.parts["uw_nu"] + system.parts["wu_nu"].T
+    total = system["uw_nu"] + system["wu_nu"].T
     assert total.count_nonzero() == 0
 
 
 def test_pressure_blocks_are_exact_transposes():
     _, coeffs, spaces = example1_setup(n=2)
-    system = assemble_oseen(spaces, coeffs, keep_parts=True)
-    up = system.parts["up"].tocsr()
-    pu_t = system.parts["pu"].T.tocsr()
+    system = parts(SystemAssembler(spaces, coeffs))
+    up = system["up"].tocsr()
+    pu_t = system["pu"].T.tocsr()
     up.sort_indices()
     pu_t.sort_indices()
     assert np.array_equal(up.indptr, pu_t.indptr)
@@ -227,13 +228,13 @@ def test_pressure_blocks_are_exact_transposes():
 @pytest.mark.parametrize("family,vorticity", [("mini", "cg1"), ("bernardi-raugel", "dg0")])
 def test_transposed_blocks_are_exact_on_other_families(family, vorticity):
     _, coeffs, spaces = example1_setup(n=3, family=family, vorticity=vorticity)
-    system = assemble_oseen(spaces, coeffs, keep_parts=True)
-    up, pu_t = system.parts["up"], system.parts["pu"].T.tocsr()
+    system = parts(SystemAssembler(spaces, coeffs))
+    up, pu_t = system["up"], system["pu"].T.tocsr()
     pu_t.sort_indices()
     assert np.array_equal(up.indptr, pu_t.indptr)
     assert np.array_equal(up.indices, pu_t.indices)
     assert np.array_equal(up.data, pu_t.data)
-    assert _bitwise_negated_transpose(system.parts["uw_nu"], system.parts["wu_nu"])
+    assert _bitwise_negated_transpose(system["uw_nu"], system["wu_nu"])
 
 
 def test_duplicates_sum_left_to_right_in_input_order():
@@ -295,13 +296,6 @@ def test_separate_assemblers_are_bit_identical():
             assert np.array_equal(m.data, group[0].data)
 
 
-def part_triplets(asm):
-    """The linear parts as COO triplets: the block keys and the values,
-    both rebuilt by the assembler (it keeps neither)."""
-    keys = asm._keys()
-    return {name: keys[name[:2]] + (vals,) for name, vals in asm._element_values()[0].items()}
-
-
 @pytest.mark.parametrize("n, family, vorticity", [(4, "taylor-hood", "dg1"), (3, "bernardi-raugel", "dg0")])
 def test_linear_matrix_is_one_in_order_binning_of_its_parts(n, family, vorticity):
     _, coeffs, spaces = example1_setup(n=n, family=family, vorticity=vorticity)
@@ -355,7 +349,7 @@ def test_assembler_holds_no_block_keys(family, vorticity):
     assert not any(np.array_equal(held, key) for held in _held_arrays(asm) for key in keys)
     # the parts are rebuilt on each request, bit for bit
     beta = interpolate(spaces[0], lambda x, y: np.stack([y, -x], axis=-1))
-    first, second = (asm.oseen(beta=beta, keep_parts=True).parts for _ in range(2))
+    first, second = (parts(asm, beta) for _ in range(2))
     assert first.keys() == second.keys() and len(first) == 14
     for name, part in first.items():
         assert np.array_equal(part.indptr, second[name].indptr)
@@ -374,14 +368,17 @@ def test_dirichlet_elimination_matches_the_mask_product(n, family, vorticity):
     keep[spaces[0].dirichlet_dofs] = 0.0
     mask = sp.diags(keep)
     reference = (mask @ system.matrix @ mask + sp.diags(1.0 - keep)).tocsr()
-    for m in (eliminated, reference):
-        m.sort_indices()
-    assert np.array_equal(eliminated.indptr, reference.indptr)
-    assert np.array_equal(eliminated.indices, reference.indices)
-    assert np.array_equal(eliminated.data, reference.data)
-    # the pattern stores exact-zero sums; elimination drops them, as the product did
+    # the pattern stores exact-zero sums; elimination keeps them and the pattern, which the product does not
     assert np.any(system.matrix.data == 0.0)
-    assert np.all(eliminated.data != 0.0)
+    for attr in ("indices", "indptr"):
+        assert np.shares_memory(getattr(eliminated, attr), getattr(system.matrix, attr))
+    compacted = eliminated.copy()
+    compacted.eliminate_zeros()
+    for m in (compacted, reference):
+        m.sort_indices()
+    assert np.array_equal(compacted.indptr, reference.indptr)
+    assert np.array_equal(compacted.indices, reference.indices)
+    assert np.array_equal(compacted.data, reference.data)
 
 
 def test_a_constrained_row_without_a_diagonal_is_rejected():
@@ -442,8 +439,7 @@ def test_skew_pairing_identity():
     V = spaces[0]
     # quadratic advecting field with nonvanishing divergence 2x + 1
     beta = interpolate(V, lambda x, y: np.stack([x**2 + 2.0 * y, x + y], axis=-1))
-    system = assemble_oseen(spaces, coeffs, beta=beta, keep_parts=True)
-    K = system.parts["uu_conv"][: V.n_dofs, : V.n_dofs]
+    K = parts(SystemAssembler(spaces, coeffs), beta)["uu_conv"][: V.n_dofs, : V.n_dofs]
 
     free = np.setdiff1d(np.arange(V.n_dofs), V.dirichlet_dofs)
     u = np.zeros(V.n_dofs)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from assembled_parts import parts
 from vvpflow.assembly import SystemAssembler, VelocityClasses, assemble_gram_X, default_quad_degree, gram_values
 from vvpflow.mesh import build_structured, geometry_arrays
 from vvpflow.quadrature import CellQuadrature, physical_points, quadrature
@@ -170,7 +171,7 @@ def test_skew_pairing_identity_on_many_classes(mesh_name, family, vorticity):
     spaces = method_spaces(MESHES[mesh_name](), family, vorticity)
     V = spaces[0]
     beta = interpolate(V, lambda x, y: np.stack([x**2 + 2.0 * y, x + y], axis=-1))
-    K = SystemAssembler(spaces, coeffs).oseen(beta=beta, keep_parts=True).parts["uu_conv"][: V.n_dofs, : V.n_dofs]
+    K = parts(SystemAssembler(spaces, coeffs), beta)["uu_conv"][: V.n_dofs, : V.n_dofs]
     free = np.setdiff1d(np.arange(V.n_dofs), V.dirichlet_dofs)
     u, v = np.zeros(V.n_dofs), np.zeros(V.n_dofs)
     u[free], v[free] = RNG.standard_normal((2, len(free)))

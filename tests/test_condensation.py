@@ -1,20 +1,23 @@
 """Static condensation of the cell-local unknowns in ``solve_linear``.
 
 The dg vorticity and the MINI bubbles couple only inside their own cell.
-For every system with an elimination order ``solve_linear`` eliminates them
-cell by cell, factors the Schur complement and refines against the full
-matrix; these tests check that against a full-matrix SuperLU solve.
+For every system with a condensation plan ``solve_linear`` eliminates them
+cell by cell on the plan's fixed patterns, factors the Schur complement and
+refines against the full matrix; these tests check that against a
+full-matrix SuperLU solve, and the plan's patterns and checks.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from vvpflow.assembly import SystemAssembler, apply_dirichlet
+from vvpflow.assembly import CondensationPlan, SystemAssembler, apply_dirichlet
 from vvpflow.mesh import build_structured
-from vvpflow.solver import solve_linear
-from vvpflow.spaces import build_space, interpolate, method_spaces
+from vvpflow.solver import _condense, solve_linear, solve_newton
+from vvpflow.spaces import DiscreteField, build_space, interpolate, method_spaces
 from vvpflow.verify import coefficients_from_case, example1_case_2d
 
 # (family, vorticity, n, local unknowns per cell)
@@ -152,3 +155,60 @@ def test_singular_local_block_is_a_counted_fallback():
     assert "singular cell-local block in 1 of" in stats["fallback_reason"]
     assert f"[{cell}]" in stats["fallback_reason"]
     assert_contract(system, x)
+
+
+@pytest.mark.parametrize("family,vorticity,n", [("mini", "cg1", 6), ("taylor-hood", "dg1", 8)])
+def test_the_fill_depends_on_the_mesh_only(family, vorticity, n):
+    # two states whose sums round differently; with the complement formed numerically, which drops
+    # the exact zeros its products and differences happen to give, MINI/cg1 at n = 6 factored 29,031
+    # nonzeros at beta = 0 (after a failed condensed factor) against 7,144
+    spaces = method_spaces(build_structured(n, n), family, vorticity)
+    asm = SystemAssembler(spaces, coefficients_from_case(example1_case_2d()))
+    beta = DiscreteField(spaces[0], np.random.default_rng(1).standard_normal(spaces[0].n_dofs))
+    systems = [apply_dirichlet(asm.oseen(beta=b), spaces[0], None) for b in (None, beta)]
+    assert not np.array_equal(systems[0].matrix.data, systems[1].matrix.data)
+    stats = [{}, {}]
+    for system, st in zip(systems, stats):
+        for attr in ("indices", "indptr"):
+            assert np.shares_memory(getattr(system.matrix, attr), getattr(asm._pattern, attr))
+        assert_contract(system, solve_linear(system, stats=st))
+    assert stats[0]["fill"] == stats[1]["fill"] and stats[0]["condensed"] == stats[1]["condensed"] > 0
+    assert "fallbacks" not in stats[0] and "fallbacks" not in stats[1]
+
+
+def test_a_compacted_matrix_is_off_the_plan_and_a_counted_fallback():
+    asm, system = newton_system("taylor-hood", "dg1", 12)
+    compacted = system.matrix.copy()
+    compacted.eliminate_zeros()
+    assert compacted.nnz < system.matrix.nnz
+    system.matrix = compacted
+    stats = {}
+    x = solve_linear(system, stats=stats)
+    assert stats["fallbacks"] == 1 and stats["n_solves"] == 1 and "condensed" not in stats
+    assert stats["fallback_reason"] == "the matrix is not on the condensation plan's pattern"
+    assert_contract(system, x)
+
+
+@pytest.mark.parametrize("family,vorticity,n,k", STACKS)
+def test_condensation_reads_only_the_arrays_of_the_matrix(family, vorticity, n, k):
+    # no sparse product, sum, slice or conversion of the matrix: its bare arrays condense alike
+    _, system = newton_system(family, vorticity, n)
+    a = system.matrix
+    bare = SimpleNamespace(data=a.data, indices=a.indices, indptr=a.indptr)
+    (solve, fill), (bare_solve, bare_fill) = (_condense(m, system.plan, 1e-6) for m in (a, bare))
+    assert fill == bare_fill and np.array_equal(solve(system.rhs), bare_solve(system.rhs))
+
+
+def test_one_plan_per_assembler(monkeypatch):
+    built = []
+    original = CondensationPlan.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(CondensationPlan, "__init__", counting)
+    case = example1_case_2d()
+    spaces = method_spaces(build_structured(8, 8), "mini", "cg1")
+    _, _, _, rep = solve_newton(spaces, coefficients_from_case(case), g=case.u, pressure_target=case.pressure_integral)
+    assert rep.converged and rep.iterations >= 2 and len(built) == 1

@@ -68,7 +68,7 @@ class TestSolveLinear:
             system.matrix @ x_star,
             system.block_index,
             bc_applied=True,
-            ordering=system.ordering,
+            plan=system.plan,
         )
         x = solve_linear(sys2)
         assert np.abs(x - x_star).max() / np.abs(x_star).max() < 1e-9
@@ -77,7 +77,7 @@ class TestSolveLinear:
         _, coeffs, spaces = example1_problem(4)
         system = apply_dirichlet(assemble_oseen(spaces, coeffs), spaces[0], None)
         b = RNG.standard_normal(system.n)
-        sys2 = AssembledSystem(system.matrix, b, system.block_index, True, ordering=system.ordering)
+        sys2 = AssembledSystem(system.matrix, b, system.block_index, True, plan=system.plan)
         x = solve_linear(sys2)
         norm_a = np.abs(system.matrix).sum(axis=1).max()
         res = np.abs(system.matrix @ x - b).max()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import vvpflow.spaces
 from test_cell_classes import perturbed_mesh
 from vvpflow.mesh import build_structured
 from vvpflow.spaces import (
@@ -171,6 +172,30 @@ def test_corner_tiebreak_lid_wins():
             assert lookup[2 * v] == 1.0 and lookup[2 * v + 1] == 0.0
         elif x in (0.0, 1.0) or y == 0.0:
             assert lookup[2 * v] == 0.0
+
+
+@pytest.mark.parametrize("family", ["p2", "p1bubble", "bernardi-raugel"])
+def test_boundary_values_interpolate_only_the_groups_with_data(monkeypatch, family):
+    mesh = build_structured(4, 2, (0.0, 0.0, 2.0, 1.0))
+    space = build_space(mesh, family, vector=True)
+    lid = {"right": lambda x, y: np.stack([y, x * y], axis=-1), "top": (1.0, 0.0)}
+    calls = []
+    original = vvpflow.spaces.interpolate
+
+    def counting(space, fn):
+        calls.append(fn)
+        return original(space, fn)
+
+    monkeypatch.setattr(vvpflow.spaces, "interpolate", counting)
+    values = boundary_values(space, lid)
+    assert len(calls) == 2
+    monkeypatch.setattr(vvpflow.spaces, "interpolate", original)
+    # each group's interpolant, the None ones' too, applied bottom, right, left, top
+    expected = np.zeros(space.n_dofs)
+    for tag in ("bottom", "right", "left", "top"):
+        dofs = vvpflow.spaces._edge_dofs(space, mesh.boundary_edges(tag))
+        expected[dofs] = interpolate(space, lid.get(tag)).coefficients[dofs]
+    assert np.array_equal(values, expected[space.dirichlet_dofs])
 
 
 def test_vertex_values_average_discontinuous_fields():
