@@ -257,19 +257,20 @@ class CondensationPlan:
         del keys, inverse
         ids = ids + sp.csr_matrix((fresh_slots + 1, np.divmod(fresh, ng)), shape=(ng, ng))
         ids = ids.tocsc()
-        self.indices, self.indptr, slots = ids.indices, ids.indptr, ids.data - 1
+        self.indices, self.indptr, ns = ids.indices, ids.indptr, len(ids.data)
         self.indices.flags.writeable = self.indptr.flags.writeable = False
+        gather = np.full(ns + 1, len(idx), dtype=idx.dtype)  # the slots of S's entries, then of the sink
+        np.subtract(ids.data, 1, out=gather[:ns])
         del ids
-        ns = len(slots)
-        self.diagonal = np.flatnonzero(self.indices == np.repeat(np.arange(ng), np.diff(self.indptr)))
+        self.diagonal = np.flatnonzero(self.indices == np.repeat(np.arange(ng, dtype=idx.dtype), np.diff(self.indptr)))
         to_s = np.full(len(idx) + len(fresh) + 1, ns, dtype=idx.dtype)  # a slot's S slot; the last, -1's, the sink
-        to_s[slots] = np.arange(ns, dtype=idx.dtype)
+        to_s[gather[:ns]] = np.arange(ns, dtype=idx.dtype)
         self.pairs = to_s[pairs]
         self.pairs[:, ii, jj] = to_s[fresh_pairs]
         del to_s
-        absent = np.flatnonzero(slots >= len(idx))
-        slots[absent] = 0
-        self.gather = np.append(slots, slots.dtype.type(0)), np.append(absent, ns)  # S's entries, then the sink
+        absent = np.flatnonzero(gather >= len(idx))  # the fresh entries and the sink read zero
+        gather[absent] = 0
+        self.gather = gather, absent
         self.ll, self.gl, self.lg = map(_absent, (ll, gl, lg))
 
     def mismatch(self, matrix: sp.csr_matrix) -> str | None:
