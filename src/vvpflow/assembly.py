@@ -191,12 +191,6 @@ def triplets_to_csr(rows, cols, vals, shape) -> sp.csr_matrix:
     return pattern.csr(np.bincount(pattern.slot, weights=vals, minlength=len(pattern.indices)))
 
 
-def _absent(slots):
-    """(slots, absent): ``slots`` with each -1 (no key) at slot 0, and the
-    flat places of those, which read zero."""
-    return np.where(slots < 0, 0, slots), np.flatnonzero(slots < 0)
-
-
 class CondensationPlan:
     """Static condensation of the cell-local unknowns on the slots of
     patterns the mesh fixes.
@@ -215,12 +209,12 @@ class CondensationPlan:
     ``gather`` (S's entries, then a sink), ``ll``, ``gl`` and ``lg`` (each
     cell's A_LL (nc, k, k), A_GL (nc, r, k) and A_LG (nc, k, s)) are
     (slots, absent) pairs that read a matrix's data; the flat places in
-    ``absent`` store no key and read zero.  ``pairs`` (nc, r, s) are the S
+    ``absent`` store no key (-1 in the couplings) and read zero.  ``pairs`` (nc, r, s) are the S
     slots of each cell's correction in cell order, the sink for a pair off
     S's pattern (a constrained row's or column's), ``diagonal`` those of
     S's diagonal, and ``rows`` (nc, r) and ``cols`` (nc, s) place A_GL's
     rows and A_LG's columns in ``rest``.  A matrix is on the plan if it
-    has the full ``pattern`` (:meth:`mismatch`) with its constrained rows
+    has the full ``pattern`` (:meth:`check`) with its constrained rows
     and columns eliminated, as :func:`apply_dirichlet` leaves them; any
     other complement the refinement against the full matrix rejects.
     """
@@ -271,13 +265,13 @@ class CondensationPlan:
         absent = np.flatnonzero(gather >= len(idx))  # the fresh entries and the sink read zero
         gather[absent] = 0
         self.gather = gather, absent
-        self.ll, self.gl, self.lg = map(_absent, (ll, gl, lg))
+        self.ll, self.gl, self.lg = ((np.where(s < 0, 0, s), np.flatnonzero(s < 0)) for s in (ll, gl, lg))
 
-    def mismatch(self, matrix: sp.csr_matrix) -> str | None:
-        """Why ``matrix`` is not on the plan, or None if it is."""
-        if np.array_equal(matrix.indptr, self.pattern.indptr) and np.array_equal(matrix.indices, self.pattern.indices):
-            return None
-        return "the matrix is not on the condensation plan's pattern"
+    def check(self, matrix: sp.csr_matrix):
+        """Raise ``ValueError`` unless ``matrix`` has the plan's full pattern."""
+        p = self.pattern
+        if not (np.array_equal(matrix.indptr, p.indptr) and np.array_equal(matrix.indices, p.indices)):
+            raise ValueError("the matrix is not on the condensation plan's pattern")
 
     def complement(self, data: np.ndarray) -> sp.csc_matrix:
         """S with the entries ``data``, in slot order."""

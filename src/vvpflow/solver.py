@@ -150,9 +150,7 @@ def _condense(a: sp.csr_matrix, plan: CondensationPlan, shift_below: float):
     of ``a x = r`` through that factor and the factor's fill; a matrix off
     the plan raises ``ValueError``.
     """
-    reason = plan.mismatch(a)
-    if reason:
-        raise ValueError(reason)
+    plan.check(a)
     blocks, gl, lg = (_gather(a.data, *slots) for slots in (plan.ll, plan.gl, plan.lg))
     try:
         inv = np.linalg.inv(blocks)
