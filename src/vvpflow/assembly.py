@@ -206,21 +206,24 @@ class CondensationPlan:
     It is derived once, by integer ids of the full pattern's slots carried
     through a row and column selection and a CSC conversion.
 
-    ``gather`` (S's entries, then a sink), ``ll``, ``gl`` and ``lg`` (each
-    cell's A_LL (nc, k, k), A_GL (nc, r, k) and A_LG (nc, k, s)) are
-    (slots, absent) pairs that read a matrix's data; the flat places in
-    ``absent`` store no key (-1 in the couplings) and read zero.  ``pairs`` (nc, r, s) are the S
-    slots of each cell's correction in cell order, the sink for a pair off
-    S's pattern (a constrained row's or column's), ``diagonal`` those of
-    S's diagonal, and ``rows`` (nc, r) and ``cols`` (nc, s) place A_GL's
-    rows and A_LG's columns in ``rest``.  A matrix is on the plan if it
-    has the full ``pattern`` (:meth:`check`) with its constrained rows
-    and columns eliminated, as :func:`apply_dirichlet` leaves them; any
-    other complement the refinement against the full matrix rejects.
+    ``slots`` (nc, m, m) and ``dofs`` (nc, m) are each cell's closure, g G
+    DOFs first and k local ones last.  ``gather`` (S's entries, then a sink),
+    ``ll``, ``gl`` and ``lg`` (A_LL (nc, k, k), A_GL (nc, g, k) and A_LG
+    (nc, k, g), sliced from ``slots``) are (slots, absent) pairs that read a
+    matrix's data; the flat places in ``absent`` store no key (-1 in
+    ``slots``) and read zero.  ``pairs`` (nc, g, g) are the S slots of each
+    cell's correction in cell order, the sink for a pair off S's pattern (a
+    constrained row's or column's), ``diagonal`` those of S's diagonal, and
+    ``dofs`` (nc, g) places A_GL's rows and A_LG's columns in ``rest``.  A
+    matrix is on the plan if it has the full ``pattern`` (:meth:`check`)
+    with its constrained rows and columns eliminated, as
+    :func:`apply_dirichlet` leaves them; any other complement the
+    refinement against the full matrix rejects.
     """
 
-    def __init__(self, pattern: CSRPattern, order: np.ndarray, local: np.ndarray, couplings, constrained):
-        ll, gl, lg, pairs, rows, cols = couplings
+    def __init__(self, pattern: CSRPattern, order: np.ndarray, local: np.ndarray, slots, dofs, constrained):
+        g = dofs.shape[1] - local.shape[1]  # a cell's G DOFs come first
+        ll, gl, lg, pairs = slots[:, g:, g:], slots[:, :g, g:], slots[:, g:, :g], slots[:, :g, :g]
         n, ptr, idx = pattern.shape[0], pattern.indptr, pattern.indices
         self.pattern, self.order, self.local, self.rest = pattern, order, local, order[local.size:]
         ng, fixed = len(self.rest), np.zeros(n, dtype=bool)
@@ -237,9 +240,9 @@ class CondensationPlan:
         ids.eliminate_zeros()
         # fresh entries, ids past the pattern's: the free pairs of a cell that no block stores and the
         # diagonals no key stores (pressure, multiplier)
-        self.rows, self.cols, fixed = pos[rows], pos[cols], fixed[self.rest]
+        self.dofs, fixed = pos[dofs[:, :g]], fixed[self.rest]
         ii, jj = np.nonzero(pairs[0] < 0)
-        a, b = self.rows[:, ii], self.cols[:, jj]
+        a, b = self.dofs[:, ii], self.dofs[:, jj]
         free = ~(fixed[a] | fixed[b])
         keys = a[free].astype(np.int64) * ng + b[free]
         del a, b
@@ -423,10 +426,10 @@ class SystemAssembler:
     pattern.  It keeps the pattern, the binned data, the rhs, the slots of
     the uu keys and, once it has ordered a matrix, the condensation plan;
     not the keys or the part values, which ``_keys`` and ``_element_values``
-    rebuild on request.  Each form is one entry of a
-    table handed to :meth:`VelocityClasses.fill`, which alone chooses
-    between a class table and cell-by-cell contraction.  Oseen and Newton
-    matrices then only add the convection values on the uu slots.
+    rebuild on request.  Each form is one entry of a table handed to
+    :meth:`VelocityClasses.fill`, which alone chooses between a class table
+    and cell-by-cell contraction.  Oseen and Newton matrices then only add
+    the convection values on the uu slots; a residual builds no matrix.
     Instances hold no mutable state besides caches and may be shared across
     sequential solves; distinct instances are fully independent.
     """
@@ -446,6 +449,7 @@ class SystemAssembler:
         n_u, n_w, n_p = self.V.n_dofs, self.W.n_dofs, self.Q.n_dofs
         self.block_index = (0, n_u, n_u + n_w, n_u + n_w + n_p, n_u + n_w + n_p + 1)
         self.local = np.hstack([self.V.local_dofs, self.W.local_dofs + n_u])  # (nc, k) cell-local unknowns
+        self._maps = {"u": self.V.cell_dofs, "w": self.W.cell_dofs + n_u, "p": self.Q.cell_dofs + n_u + n_w}
         self._rhs = None  # the linear part's rhs, set once it is binned
         self._ordering = self._plan = None
         self.ordering_time = 0.0  # seconds the last _elimination_order call spent (0 once cached)
@@ -515,8 +519,7 @@ class SystemAssembler:
         """COO (rows, cols) of each block, in cell order; int32 where they fit."""
         o = self.block_index
         idx = np.int32 if o[4] < 2**31 else np.int64
-        dofs = {"u": self.V.cell_dofs, "w": self.W.cell_dofs + o[1], "p": self.Q.cell_dofs + o[2]}
-        dofs = {b: d.astype(idx, copy=False) for b, d in dofs.items()}
+        dofs = {b: d.astype(idx, copy=False) for b, d in self._maps.items()}
         keys = {b: _block_keys(dofs[b[0]], dofs[b[1]]) for b in ("uu", "uw", "wu", "ww", "up", "pu")}
         p_dofs, m_dofs = np.arange(o[2], o[3], dtype=idx)[:, None], np.full((self.Q.n_dofs, 1), o[3], dtype=idx)
         keys["mp"], keys["pm"] = _block_keys(m_dofs, p_dofs), _block_keys(p_dofs, m_dofs)
@@ -537,35 +540,28 @@ class SystemAssembler:
         for name in list(vals):  # each part's values are dropped once binned
             np.add.at(self._data, slots[name[:2]], vals.pop(name))
         self._conv_slots = slots["uu"].copy()  # convection values come in uu-key order
-        self._couplings = self._local_couplings(slots)  # held until the condensation plan is built
+        self._closure = self._local_closure(slots)  # held until the condensation plan is built
         self._pattern, self._rhs = pattern, rhs
         return rhs
 
-    def _local_couplings(self, slots):
-        """Per cell, the slots of A_LL (nc, k, k), A_GL (nc, r, k), A_LG (nc,
-        k, s) and of the G-G pairs (nc, r, s) its correction writes, -1 where
-        no block couples two DOFs, and the DOFs of those rows (nc, r) and
-        columns (nc, s).  A cell's local DOFs are the last columns of their
-        space's cell map; its rows and columns are the G DOFs of the spaces
-        that share a block with a space of local DOFs."""
-        o, nc = self.block_index, self.mesh.n_cells
-        maps = {"u": self.V.cell_dofs, "w": self.W.cell_dofs + o[1], "p": self.Q.cell_dofs + o[2]}
+    def _local_closure(self, slots):
+        """Per cell, the slots (nc, m, m) of the blocks among the m DOFs (nc, m)
+        of its closure, -1 where no block couples two: first the G DOFs of
+        the spaces that share a block with a space of local DOFs, then its
+        local DOFs, the last columns of their space's cell map.  Blocks pair
+        up (uw and wu, up and pu), so one list spans the rows and columns."""
+        maps, nc = self._maps, self.mesh.n_cells
         k = {"u": self.V.local_dofs.shape[1], "w": self.W.local_dofs.shape[1], "p": 0}
-        loc = [(x, m.shape[1] - k[x], m.shape[1]) for x, m in maps.items() if k[x]]
-        rows = [(x, 0, m.shape[1] - k[x]) for x, m in maps.items() if any(x + y in slots for y, _, _ in loc)]
-        cols = [(y, 0, m.shape[1] - k[y]) for y, m in maps.items() if any(x + y in slots for x, _, _ in loc)]
-
-        def take(xs, ys):
-            out = np.full((nc, sum(b - a for _, a, b in xs), sum(b - a for _, a, b in ys)), -1, dtype=slots["uu"].dtype)
-            for (x, a, b), i in zip(xs, np.cumsum([0] + [b - a for _, a, b in xs])):
-                for (y, c, d), j in zip(ys, np.cumsum([0] + [d - c for _, c, d in ys])):
-                    if x + y in slots:
-                        out[:, i:i + b - a, j:j + d - c] = slots[x + y].reshape(nc, maps[x].shape[1], -1)[:, a:b, c:d]
-            return out
-
-        dofs = [np.hstack([maps[x][:, a:b] for x, a, b in spans] + [np.empty((nc, 0), dtype=np.int64)])
-                for spans in (rows, cols)]
-        return take(loc, loc), take(rows, loc), take(loc, cols), take(rows, cols), *dofs
+        local = [x for x in maps if k[x]]
+        spans = [(x, 0, maps[x].shape[1] - k[x]) for x in maps if any(x + y in slots for y in local)]
+        spans += [(x, maps[x].shape[1] - k[x], maps[x].shape[1]) for x in local]
+        start = np.cumsum([0] + [b - a for _, a, b in spans])
+        closure = np.full((nc, start[-1], start[-1]), -1, dtype=slots["uu"].dtype)
+        for (x, a, b), i in zip(spans, start):
+            for (y, c, d), j in zip(spans, start):
+                if x + y in slots:
+                    closure[:, i:i + b - a, j:j + d - c] = slots[x + y].reshape(nc, maps[x].shape[1], -1)[:, a:b, c:d]
+        return closure, np.hstack([maps[x][:, a:b] for x, a, b in spans] + [np.empty((nc, 0), dtype=np.int64)])
 
     def _convection(self, beta: DiscreteField, newton: bool = False):
         """Values of ((beta . grad) u, v) in the order of the uu keys, as a
@@ -595,31 +591,29 @@ class SystemAssembler:
         if self._ordering is None:
             centroids = self.mesh.vertices[self.mesh.cells].mean(axis=1)
             o = self.block_index
-            coords = np.empty((o[4], 2))
-            for space, lo, hi in ((self.V, 0, o[1]), (self.W, o[1], o[2]), (self.Q, o[2], o[3])):
-                coords[lo:hi] = dof_support_centroids(space.n_dofs, space.cell_dofs, centroids)
-            coords[o[3]] = centroids.mean(axis=0)
+            coords = np.vstack([dof_support_centroids(o[3], np.hstack(list(self._maps.values())), centroids),
+                                centroids.mean(axis=0)])
             self._ordering = nested_dissection(matrix, coords, last=np.array([o[3]]), first=self.local)
-            self._plan = CondensationPlan(self._pattern, self._ordering, self.local, self._couplings,
+            self._plan = CondensationPlan(self._pattern, self._ordering, self.local, *self._closure,
                                           self.V.dirichlet_dofs)
-            del self._couplings
+            del self._closure
             self.ordering_time = time.perf_counter() - t0
         return self._plan
 
-    def oseen(self, beta: DiscreteField | None = None, pressure_target: float = 0.0,
-              conv_values=None) -> AssembledSystem:
-        """Assemble the linearised system with frozen advecting field ``beta``.
+    def _system(self, matrix: sp.csr_matrix, rhs: np.ndarray) -> AssembledSystem:
+        """``matrix`` and ``rhs`` with the condensation plan of the elimination order."""
+        return AssembledSystem(matrix, rhs, self.block_index, plan=self._elimination_order(matrix))
 
-        ``conv_values`` short-circuits the convection assembly with the
-        values, in uu-key order, of an earlier :meth:`_convection` call.
-        """
-        rhs = self._ensure_linear()
-        if conv_values is None and beta is not None:
-            conv_values = self._convection(beta)[0]
-        matrix = self._matrix(conv_values)
-        full_rhs = rhs.copy()
-        full_rhs[-1] = pressure_target
-        return AssembledSystem(matrix, full_rhs, self.block_index, plan=self._elimination_order(matrix))
+    def _target_rhs(self, pressure_target: float) -> np.ndarray:
+        """The linear part's rhs with the pressure target in its last row."""
+        rhs = self._ensure_linear().copy()
+        rhs[-1] = pressure_target
+        return rhs
+
+    def oseen(self, beta: DiscreteField | None = None, pressure_target: float = 0.0) -> AssembledSystem:
+        """Assemble the linearised system with frozen advecting field ``beta``."""
+        rhs = self._target_rhs(pressure_target)
+        return self._system(self._matrix(None if beta is None else self._convection(beta)[0]), rhs)
 
     def _matrix(self, conv) -> sp.csr_matrix:
         """Linear part plus the convection values ``conv`` in uu-key order,
@@ -640,15 +634,17 @@ class SystemAssembler:
         """
         return self._matrix(np.add(conv[0], conv[1], out=conv[0]))
 
-    def _step(self, beta: np.ndarray, state: np.ndarray, pressure_target: float, newton: bool):
-        """(Oseen system, convection values, residual): the convection at the
-        velocity coefficients ``beta`` (with its dual if ``newton``), the Oseen
-        system on it and the residual of ``state``, velocity Dirichlet rows zeroed."""
-        conv = self._convection(DiscreteField(self.V, beta), newton=newton)
-        system = self.oseen(conv_values=conv[0], pressure_target=pressure_target)
-        residual = system.rhs - system.matrix @ state
-        residual[self.V.dirichlet_dofs] = 0.0
-        return system, conv, residual
+    def _residual(self, state: np.ndarray, conv: np.ndarray, pressure_target: float) -> np.ndarray:
+        """rhs - L state - N(beta) u, velocity Dirichlet rows zeroed, with no
+        matrix built: the binned linear part L read in place, N(beta) u summed
+        cell by cell from beta's convection values ``conv`` in uu-key order."""
+        res = self._target_rhs(pressure_target) - self._pattern.csr(self._data) @ state
+        dofs = self.V.cell_dofs
+        nb = dofs.shape[1]
+        res[: self.block_index[1]] -= np.bincount(
+            dofs.ravel(), np.einsum("cab,cb->ca", conv.reshape(-1, nb, nb), state[dofs]).ravel(), self.V.n_dofs)
+        res[self.V.dirichlet_dofs] = 0.0
+        return res
 
     def newton_system(self, state: np.ndarray, pressure_target: float = 0.0):
         """Jacobian and residual of the nonlinear map at ``state``.
@@ -662,8 +658,9 @@ class SystemAssembler:
         state = np.asarray(state, dtype=float)
         if state.shape != (self.block_index[4],):
             raise ValueError("state vector does not match the system size")
-        system, conv, residual = self._step(state[: self.block_index[1]], state, pressure_target, newton=True)
-        return replace(system, matrix=self.jacobian(conv)), residual
+        conv = self._convection(DiscreteField(self.V, state[: self.block_index[1]]), newton=True)
+        residual = self._residual(state, conv[0], pressure_target)
+        return self._system(self.jacobian(conv), self._target_rhs(pressure_target)), residual
 
 
 def assemble_oseen(

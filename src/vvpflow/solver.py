@@ -1,13 +1,14 @@
 """Nonlinear and linear solves, plus small-data diagnostics.
 
-The nonlinear problem is solved either by a Picard loop (refreezing the
-advecting field at the previous velocity) or by Newton's method from a
-zero initial state with the boundary values lifted in.  Both methods
-stop when the full nonlinear residual drops below the tolerance in
-either absolute or relative (to the first residual) max norm, whichever
-triggers first.  A run that uses up its iterations, meets a non-finite
-residual or cannot solve a linear system stops with the reason in
-``SolveReport.failure``.
+The nonlinear problem is solved by a Picard loop (refreezing the
+advecting field at the previous velocity) or by Newton's method, from a
+zero initial state with the boundary values lifted in, until the full
+residual drops below the tolerance in absolute or relative (to the first
+residual) max norm.  A residual needs no matrix, so each update
+assembles only the one it solves: the Oseen matrix (Picard) or the
+Jacobian (Newton).  A run that uses up its iterations, meets a
+non-finite residual or cannot solve a linear system stops with the
+reason in ``SolveReport.failure``.
 
 Each linear system is solved directly.  The cell-local unknowns (dg
 vorticity, MINI bubbles) are eliminated cell by cell with batched
@@ -20,10 +21,9 @@ Lazarov, SINUM 47, 2009): forming it gathers from the eliminated matrix's
 data and subtracts each cell's correction on slots, with no sparse
 product, sum or slice, and its fill depends on the mesh only.  Iterative
 refinement always runs against the full matrix.  While SuperLU factors,
-the eliminated matrix is the only full one alive: the loop drops the
-others and the convection values first.  Beside a held factor a later
-step holds the binned linear part, the Jacobian (its dual convection added
-in place) and, while eliminating, the masked data.
+the eliminated matrix is the only full one alive.  Beside a held factor
+a later step holds the binned linear part, its one matrix and, while
+eliminating, the masked data.
 
 The nonlinear loop holds the last factor it made and refines each later
 system against it while it contracts (the chord and Shamanskii variants
@@ -34,7 +34,7 @@ when it refactors and what ``linear_stats`` counts.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -73,8 +73,8 @@ class NonlinearSettings:
             raise ValueError(f"unknown nonlinear method {self.method!r}")
         if not 0.0 < self.tol < np.inf:  # NaN fails every comparison
             raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):  # the loop counts to it
+            raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters!r}")
 
 
 @dataclass
@@ -166,13 +166,13 @@ def _condense(a: sp.csr_matrix, plan: CondensationPlan, shift_below: float):
     schur[plan.diagonal] = np.where(np.abs(diagonal) < shift_below, diagonal + shift_below, diagonal)
     lu = spla.splu(plan.complement(schur[:-1]), permc_spec="NATURAL",
                    options={"SymmetricMode": True, "DiagPivotThresh": 0.0})
-    rest, local, rows, cols = plan.rest, plan.local, plan.rows.ravel().astype(np.intp), plan.cols
+    rest, local, dofs, rows = plan.rest, plan.local, plan.dofs, plan.dofs.ravel().astype(np.intp)
 
     def solve(r):
         y = np.einsum("ckl,cl->ck", inv, r[local])
         x = np.empty(len(r))
         x[rest] = x_g = lu.solve(r[rest] - np.bincount(rows, np.einsum("crk,ck->cr", gl, y).ravel(), len(rest)))
-        x[local] = y - np.einsum("cks,cs->ck", inv_lg, x_g[cols])
+        x[local] = y - np.einsum("cks,cs->ck", inv_lg, x_g[dofs])
         return x
 
     return solve, lu.nnz
@@ -263,9 +263,9 @@ def solve_linear(system: AssembledSystem, stats: dict | None = None, held: dict 
 
 
 def _solve_nonlinear(spaces, coeffs, settings, g, pressure_target):
-    """Both linearisations in one loop.  Each state is assembled once; the
-    Oseen matrix gives the residual, and the update solves it (Picard) or
-    the Jacobian system (Newton) for that residual."""
+    """Both linearisations in one loop.  Each state's residual is summed
+    without a matrix; the update then solves the one matrix it needs, the
+    Oseen matrix (Picard) or the Jacobian (Newton), for that residual."""
     assembler = SystemAssembler(spaces, coeffs)
     o = assembler.block_index
     V = assembler.V
@@ -284,8 +284,8 @@ def _solve_nonlinear(spaces, coeffs, settings, g, pressure_target):
     beta = state[: o[1]] if newton or settings.initial_guess is not None else np.zeros(o[1])
 
     while True:
-        system, conv, res = assembler._step(beta, state, pressure_target, newton)
-        report.linear_stats["ordering_time"] += assembler.ordering_time
+        conv = assembler._convection(DiscreteField(V, beta), newton=newton)
+        res = assembler._residual(state, conv[0], pressure_target)
         res_norm = float(np.abs(res).max())
         report.residual_history.append(res_norm)
         if not np.isfinite(res_norm):
@@ -300,14 +300,14 @@ def _solve_nonlinear(spaces, coeffs, settings, g, pressure_target):
             break
         # both solve for the update, with homogeneous elimination (the state
         # already satisfies the data): Picard with the Oseen matrix, Newton
-        # with the Jacobian.  The Oseen matrix goes before the Jacobian is
-        # made, the convection values once it is and the un-eliminated
-        # matrix once it is eliminated: one full matrix is alive at the factor.
-        if newton:
-            system.matrix = None
-            system.matrix = assembler.jacobian(conv)
+        # with the Jacobian.  The convection values go once the matrix is made
+        # and the un-eliminated matrix once it is eliminated: one full matrix
+        # is alive at the factor.
+        matrix = assembler.jacobian(conv) if newton else assembler._matrix(conv[0])
         del conv
-        system = apply_dirichlet(replace(system, rhs=res), V, None)
+        system = apply_dirichlet(assembler._system(matrix, res), V, None)
+        del matrix
+        report.linear_stats["ordering_time"] += assembler.ordering_time
         try:
             update = solve_linear(system, report.linear_stats, held)
         except SolverFailure as exc:
@@ -322,7 +322,8 @@ def _solve_nonlinear(spaces, coeffs, settings, g, pressure_target):
         beta = state[: o[1]]
         report.iterations += 1
 
-    u, w, p, report.multiplier = system.split(state)
+    u, w, p = np.split(state[: o[3]], o[1:3])
+    report.multiplier = float(state[o[3]])
     return DiscreteField(V, u), DiscreteField(assembler.W, w), DiscreteField(assembler.Q, p), report
 
 
@@ -364,10 +365,10 @@ class DiagnosticsConfig:
     grad_nu_Lrstar: float = 0.0
 
     def __post_init__(self):
-        if self.r <= 2.0:
-            raise ValueError("the exponent r must exceed 2")
-        if self.delta <= 0.0:
-            raise ValueError("the ball radius delta must be positive")
+        if not 2.0 < self.r < np.inf:  # NaN fails every comparison
+            raise ValueError(f"the exponent r must exceed 2 and be finite, got {self.r}")
+        if not 0.0 < self.delta < np.inf:
+            raise ValueError(f"the ball radius delta must be positive and finite, got {self.delta}")
 
     @property
     def r_star(self) -> float:

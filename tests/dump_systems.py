@@ -50,9 +50,10 @@ STACKS = (("taylor-hood", "dg1", 8), ("mini", "cg1", 3), ("bernardi-raugel", "dg
 COUNTERS = ("n_solves", "factors", "reused", "stale_steps", "refactors", "fallbacks", "fill", "condensed")
 TOL = 1e-8  # the dumped solves' tolerance, NonlinearSettings' default
 SOLUTION_GAP = 1e-8
-# what the change under comparison may move: the eliminated matrix keeps its exact zeros, and the
-# condensed complement's structural pattern, zeros included, sets the fill
-NAMED = ("dirichlet.indptr", "dirichlet.indices", "dirichlet.data")
+# what the change under comparison may move: the eliminated matrix keeps its exact zeros, the
+# condensed complement's structural pattern, zeros included, sets the fill, and the residual sums
+# rhs - L x - N(beta) u, the convection cell by cell, where it was rhs - (L + N(beta)) x
+NAMED = ("dirichlet.indptr", "dirichlet.indices", "dirichlet.data", "residual")
 NAMED_COUNTERS = ("fill",)
 # (class, pattern of the array names, bound); the first match decides
 GATE = (

@@ -658,3 +658,24 @@ def test_cached_contraction_path_gives_the_same_floats(subscripts, shapes):
     hits = _einsum_path.cache_info().hits
     assert np.array_equal(_contract(subscripts, *ops), expected)
     assert _einsum_path.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize("sigma0, sigma1", [(0.0, 1.0), (2.0, 1.0), (1.0, np.inf), (np.nan, 1.0)])
+def test_sigma_bounds_rejected(sigma0, sigma1):
+    with pytest.raises(ValueError, match="sigma bounds must satisfy"):
+        ProblemCoefficients(nu=lambda x, y: np.ones_like(x), sigma=lambda x, y: np.ones_like(x), f=zero_vector,
+                            kappa1=0.1, kappa2=0.1, nu0=1.0, nu1=1.0, sigma0=sigma0, sigma1=sigma1)
+
+
+def test_spaces_of_the_wrong_kind_rejected():
+    V, W, Q = method_spaces(build_structured(2, 2), "taylor-hood", "dg1")
+    for spaces in ((W, V, Q), (V, V, Q), (V, W, V)):
+        with pytest.raises(ValueError, match="expected"):
+            assemble_oseen(spaces, constant_coefficients())
+
+
+def test_advecting_field_on_another_space_rejected():
+    spaces = method_spaces(build_structured(2, 2), "taylor-hood", "dg1")
+    asm = SystemAssembler(spaces, constant_coefficients())
+    with pytest.raises(ValueError, match="advecting field must live on the velocity space"):
+        asm.oseen(beta=DiscreteField(spaces[2], np.ones(spaces[2].n_dofs)))

@@ -289,3 +289,51 @@ class TestMain:
     def test_io_error_exit_code(self, tmp_path, capsys):
         code = main(["convergence", "--levels", "2", "--out", str(tmp_path / "missing" / "dir")])
         assert code == 4
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(command="plot"), "unknown command 'plot'"),
+    (dict(levels=1), "--levels must be at least 2"),
+    (dict(command="diagnostics", nx=0), "--nx/--ny must be positive"),
+    (dict(command="diagnostics", ny=-2), "--nx/--ny must be positive"),
+    (dict(perm=0.0), "--perm must be positive"),
+    (dict(perm=-0.1), "--perm must be positive"),
+])
+def test_run_config_rejects_out_of_range_fields(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        RunConfig(**kwargs)
+
+
+class TestConfigFile:
+    def test_unreadable_file(self, tmp_path):
+        with pytest.raises(ValueError, match="cannot read config file"):
+            parse_config(["convergence", "--config", str(tmp_path / "missing.cfg")])
+
+    def test_comment_and_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("# a study on three levels\n\n  # indented\nlevels=3\n")
+        assert parse_config(["convergence", "--config", str(path)]).levels == 3
+
+    def test_line_without_equals_sign(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("levels 3\n")
+        with pytest.raises(ValueError, match=r"run.cfg:1: expected key=value, got 'levels 3'"):
+            parse_config(["convergence", "--config", str(path)])
+
+    def test_bad_value(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("# header\nlevels=three\n")
+        with pytest.raises(ValueError, match=r"run.cfg:2: bad value for 'levels': 'three'"):
+            parse_config(["convergence", "--config", str(path)])
+
+    def test_bad_value_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("tol=small\n")
+        assert main(["convergence", "--config", str(path)]) == 2
+        assert "bad value for 'tol'" in capsys.readouterr().err
+
+
+def test_unwritable_vtk_exit_code(tmp_path, capsys):
+    code = main(["cavity", "--nx", "8", "--ny", "8", "--out", str(tmp_path / "missing" / "dir")])
+    assert code == 4
+    assert "cannot write" in capsys.readouterr().err

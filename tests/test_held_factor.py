@@ -202,3 +202,15 @@ def test_the_full_matrix_factor_is_held_after_the_condensed_one_fails(monkeypatc
     assert len(made) == 1 and made[0].shape == (system.n, system.n)
     assert held["n"] == system.n and held["solve"].__self__ is made[0]
     assert_contract(system, x)
+
+
+def test_a_held_factor_with_non_finite_values_is_refactored():
+    case, coeffs, spaces = example1(4)
+    system = apply_dirichlet(SystemAssembler(spaces, coeffs).oseen(), spaces[0], case.u)
+    held = {"solve": lambda r: np.full(len(r), np.nan), "n": system.n}
+    stats = {}
+    x = solve_linear(system, stats, held)
+    assert stats["refactor_reason"] == "factorisation produced non-finite values"
+    assert stats["refactors"] == stats["stale_steps"] == stats["factors"] == 1 and stats.get("reused", 0) == 0
+    assert held["n"] == system.n and np.all(np.isfinite(held["solve"](system.rhs)))
+    assert_contract(system, x)

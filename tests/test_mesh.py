@@ -199,3 +199,8 @@ def test_boundary_tags_match_the_edge_loop(nx, ny, rect):
     m = build_structured(nx, ny, rect)
     assert list(m.boundary_tags.items()) == list(loop_boundary_tags(m).items())
     assert all(type(e) is int and type(t) is str for e, t in m.boundary_tags.items())
+
+
+def test_unknown_boundary_tag_rejected():
+    with pytest.raises(ValueError, match="unknown boundary tag 'north'"):
+        build_structured(2, 2).boundary_edges("north")

@@ -10,7 +10,7 @@ from vvpflow.verify import coefficients_from_case, error_norms, example1_case_2d
 import symmetric_rules
 import vvpflow.verify
 from vvpflow.assembly import SystemAssembler
-from vvpflow.quadrature import _SYMMETRIC, MAX_DEGREE, CellQuadrature, physical_points, quadrature
+from vvpflow.quadrature import _SYMMETRIC, MAX_DEGREE, CellQuadrature, QuadratureRule, physical_points, quadrature
 
 
 def monomial_integral(a, b):
@@ -196,3 +196,11 @@ def test_cell_integration_of_monomials(degree):
             value = quad.integrate(monomial)
             exact = (x1 ** (a + 1) - x0 ** (a + 1)) / (a + 1) * (y1 ** (b + 1) - y0 ** (b + 1)) / (b + 1)
             assert abs(value - exact) <= 1e-13 * abs(exact)
+
+
+@pytest.mark.parametrize("weights, message", [([0.6, -0.1], "positive"), ([0.25, 0.0, 0.25], "positive"),
+                                              ([0.2, 0.2], "sum to 1/2")])
+def test_rule_weights_are_checked(weights, message):
+    weights = np.array(weights)
+    with pytest.raises(ValueError, match=message):
+        QuadratureRule(np.full((len(weights), 2), 1.0 / 3.0), weights, 1)

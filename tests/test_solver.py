@@ -28,7 +28,7 @@ from vvpflow.solver import (
     solve_newton,
     solve_picard,
 )
-from vvpflow.spaces import method_spaces
+from vvpflow.spaces import DiscreteField, method_spaces
 from vvpflow.verify import coefficients_from_case, example1_case_2d, integral
 
 RNG = np.random.default_rng(99)
@@ -297,6 +297,20 @@ def test_non_finite_tolerance_rejected(tol):
         NonlinearSettings(tol=tol)
 
 
+@pytest.mark.parametrize("max_iters", [1.5, np.nan, 2.0, 0, -1])
+def test_max_iters_must_be_an_integer_of_at_least_one(max_iters):
+    # a fractional or NaN cap is never reached by the loop's count
+    with pytest.raises(ValueError, match="max_iters must be an integer of at least 1"):
+        NonlinearSettings(max_iters=max_iters)
+    assert NonlinearSettings(max_iters=np.int64(3)).max_iters == 3
+
+
+@pytest.mark.parametrize("field, value", [("r", np.nan), ("r", np.inf), ("delta", np.nan), ("delta", np.inf)])
+def test_diagnostics_range_checks_reject_non_finite_values(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        DiagnosticsConfig(**{field: value})
+
+
 class TestSmallDataDiagnostics:
     def test_reference_arithmetic(self):
         coeffs = _plain_coefficients(sigma0=1.0, nu0=1.0, kappa1=0.5, kappa2=1.0)
@@ -498,3 +512,34 @@ def test_velocity_increments_are_gram_norms_of_the_updates(monkeypatch, family, 
         expected.append(np.sqrt(z @ (gram @ z)))
     assert rep.converged and len(updates) == rep.iterations >= 2
     assert np.allclose(rep.velocity_increments, expected, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("solve", [solve_newton, solve_picard])
+def test_each_iteration_assembles_one_matrix(monkeypatch, solve):
+    # the residual of each state is summed without a matrix; only the update's matrix is built
+    case, coeffs, spaces = example1_problem(4)
+    calls = []
+    original = SystemAssembler._matrix
+
+    def counting(self, conv):
+        calls.append(conv)
+        return original(self, conv)
+
+    monkeypatch.setattr(SystemAssembler, "_matrix", counting)
+    _, _, _, rep = solve(spaces, coeffs, g=case.u, pressure_target=case.pressure_integral)
+    assert rep.converged and rep.iterations >= 2
+    assert len(calls) == rep.iterations
+
+
+@pytest.mark.parametrize("family, vorticity", [("taylor-hood", "dg1"), ("mini", "cg1")])
+def test_newton_residual_is_the_oseen_residual_of_the_state(family, vorticity):
+    case = example1_case_2d()
+    spaces = method_spaces(build_structured(6, 6), family, vorticity)
+    asm = SystemAssembler(spaces, coefficients_from_case(case))
+    state = RNG.standard_normal(asm.block_index[4])
+    _, residual = asm.newton_system(state, pressure_target=0.7)
+    oseen = asm.oseen(beta=DiscreteField(spaces[0], state[: asm.block_index[1]]), pressure_target=0.7)
+    expected = oseen.rhs - oseen.matrix @ state
+    expected[spaces[0].dirichlet_dofs] = 0.0
+    assert np.all(residual[spaces[0].dirichlet_dofs] == 0.0)
+    assert np.abs(residual - expected).max() <= 1e-14 * np.abs(expected).max()

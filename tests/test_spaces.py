@@ -6,6 +6,7 @@ from test_cell_classes import perturbed_mesh
 from vvpflow.mesh import build_structured
 from vvpflow.spaces import (
     boundary_values,
+    check_method,
     build_space,
     eval_cell,
     eval_field,
@@ -319,3 +320,24 @@ def test_dof_numbering_follows_the_docstring_table():
         assert np.array_equal(space.cell_dofs, cell_dofs) and space.n_dofs == n_dofs, family
         assert np.array_equal(space.local_dofs, local), family
         assert np.array_equal(space.dirichlet_dofs, np.unique(trace)), family
+
+
+@pytest.mark.parametrize("family, vorticity, message", [("powell-sabin", "dg1", "unknown element family 'powell-sabin'"),
+                                                        ("taylor-hood", "dg2", "unknown vorticity space 'dg2'")])
+def test_unknown_method_rejected(family, vorticity, message):
+    with pytest.raises(ValueError, match=message):
+        check_method(family, vorticity)
+    with pytest.raises(ValueError, match=message):
+        method_spaces(build_structured(1, 1), family, vorticity)
+
+
+def test_boundary_values_reject_a_scalar_space():
+    _, W, _ = method_spaces(build_structured(2, 2), "taylor-hood", "dg1")
+    with pytest.raises(ValueError, match="expects a velocity"):
+        boundary_values(W, (1.0, 0.0))
+
+
+def test_boundary_values_reject_unknown_tags():
+    V = method_spaces(build_structured(2, 2), "taylor-hood", "dg1")[0]
+    with pytest.raises(ValueError, match=r"unknown boundary tags \['lid', 'north'\]"):
+        boundary_values(V, {"top": (1.0, 0.0), "north": None, "lid": (1.0, 0.0)})

@@ -10,6 +10,7 @@ from vvpflow.quadrature import quadrature
 from vvpflow.solver import NonlinearSettings, solve_newton
 from vvpflow.spaces import interpolate, method_spaces
 from vvpflow.verify import (
+    ConvergenceReport,
     ManufacturedCase,
     cavity_coefficients,
     coefficients_from_case,
@@ -416,3 +417,14 @@ def test_example1_forcing_is_the_momentum_forcing_bit_for_bit():
         assert np.array_equal(getattr(case, name)(x, y), expected), name
     assert np.array_equal(case.f(x, y), forcing_from_momentum(case, x, y))
     assert np.array_equal(case.f(x[0, 0], y[0, 0]), forcing_from_momentum(case, x[0, 0], y[0, 0]))
+
+
+@pytest.mark.parametrize("change, message", [(dict(rates=[]), "one rate tuple per consecutive level pair"),
+                                             (dict(errors=[(0.5, 0.2, 0.1), (0.1, -1e-3, 0.05)]), "negative")])
+def test_convergence_report_checks(change, message):
+    fields = dict(family="taylor-hood", vorticity="dg1", levels=[(0.5, 84), (0.25, 284)],
+                  errors=[(0.5, 0.2, 0.1), (0.1, 0.05, 0.02)], rates=[(2.3, 2.0, 2.3)], iterations=[3, 3],
+                  converged=[True, True])
+    ConvergenceReport(**fields)
+    with pytest.raises(ValueError, match=message):
+        ConvergenceReport(**{**fields, **change})
