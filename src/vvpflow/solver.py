@@ -19,9 +19,16 @@ assembler's :class:`~vvpflow.assembly.CondensationPlan` fixes once
 (condensation onto a fixed global pattern: Cockburn, Gopalakrishnan &
 Lazarov, SINUM 47, 2009): forming it gathers from the eliminated matrix's
 data and subtracts each cell's correction on slots, with no sparse
-product, sum or slice, and its fill depends on the mesh only.  Iterative
-refinement always runs against the full matrix.  While SuperLU factors,
-the eliminated matrix is the only full one alive.  Beside a held factor
+product, sum or slice, and its fill depends on the mesh only.  SuperLU
+factors it in float32 first and iterative refinement, which always runs
+against the full float64 matrix, brings the solution to the
+double-precision contract (mixed-precision refinement: Buttari, Dongarra,
+Kurzak, Luszczek & Tomov, ACM TOMS 34, 2008; Carson & Higham, SISC 40,
+2018); a float32 factor that does not contract gives way to a float64
+one, and that to the full matrix.  S's exactly zero diagonals are lifted
+by a rule stated at ``CONDENSED``.  While SuperLU factors, the
+eliminated matrix is the only full one alive, and S only in the
+precision it is factored in.  Beside a held factor
 a later step holds the binned linear part, its one matrix and, while
 eliminating, the masked data.
 
@@ -42,7 +49,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import (AssembledSystem, CondensationPlan, ProblemCoefficients, SystemAssembler, apply_dirichlet,
                        gram_values)
-from .quadrature import CellQuadrature
+from .quadrature import CHUNK, CellQuadrature
 from .spaces import DiscreteField, boundary_values
 
 LINEAR_RESIDUAL_FACTOR = 1e-10
@@ -51,6 +58,12 @@ REFINE_STEPS = 8
 #: A held factor of an earlier matrix is refactored once a refinement step
 #: cuts the residual by less than this.
 STALE_CONTRACTION = 4.0
+#: The condensed rungs of a solve: the complement's precision and the lift, in units of
+#: ||A||_inf, that raises each diagonal of S below 1e-8 ||A||_inf (the exact zeros of the TH
+#: and BR pressure rows and of the multiplier).  float32 rounds a pivot of size ||A|| by up to
+#: 6e-8 ||A||, so its factor needs the larger lift; a lift of every diagonal below 1e-6 ||A||
+#: stalls the MINI cavity's float32 factors, whose pressure diagonals are that small.
+CONDENSED = ((np.float32, 1e-7), (np.float64, 1e-8))
 
 
 class SolverFailure(RuntimeError):
@@ -93,17 +106,20 @@ def _book(stats: dict, **amounts):
         stats[key] = stats.get(key, 0) + amount
 
 
-def _refine(solve, a: sp.spmatrix, b: np.ndarray, norm_a: float, stats: dict, stale: bool = False):
+def _refine(solve, a: sp.spmatrix, b: np.ndarray, norm_a: float, stats: dict, stale: bool = False,
+            projected: bool = False):
     """Iterative refinement of ``solve(b)`` against ``a`` under the residual contract.
 
     ``solve`` applies a factor.  With ``stale`` it is the factor of an
     earlier matrix, given up as soon as a step cuts the residual by less
     than ``STALE_CONTRACTION`` (the first step against ``||b||``), or from
     step 2 on once its mean contraction since ``||b||`` projects a residual
-    above the contract bound after the steps left.  Returns
-    (x, steps, None) when the contract is met, else (None, steps, reason);
-    the steps are the solves with the factor.  Their time and that of the
-    residual products is booked in ``stats["refine_time"]``.
+    above the contract bound after the steps left.  With ``projected`` (a
+    fresh float32 factor, whose first steps may contract unevenly) only
+    that projection gives it up.  Returns (x, steps, None) when the
+    contract is met, else (None, steps, reason); the steps are the solves
+    with the factor.  Their time and that of the residual products is
+    booked in ``stats["refine_time"]``.
     """
     t0 = time.perf_counter()
     try:
@@ -122,33 +138,38 @@ def _refine(solve, a: sp.spmatrix, b: np.ndarray, norm_a: float, stats: dict, st
             if stale and STALE_CONTRACTION * size > last:
                 return None, steps, f"stale factor contracted {last / size:.1f}x < {STALE_CONTRACTION:g}x at step {steps}"
             left = REFINE_STEPS + 1 - steps
-            if stale and steps > 1 and size * (size / norm_b) ** (left / steps) > bound:
-                return None, steps, (f"stale factor at its mean contraction {(norm_b / size) ** (1 / steps):.1f}x "
-                                     f"projects residual > bound {bound:.3e} after {left} more solves")
+            if (stale or projected) and steps > 1 and size * (size / norm_b) ** (left / steps) > bound:
+                return None, steps, (f"{'stale' if stale else 'float32'} factor at its mean contraction "
+                                     f"{(norm_b / size) ** (1 / steps):.1f}x projects residual > bound {bound:.3e} "
+                                     f"after {left} more solves")
             x, last, steps = x + solve(res), size, steps + 1
     finally:
         _book(stats, refine_time=time.perf_counter() - t0)
 
 
-def _gather(data: np.ndarray, slots: np.ndarray, absent: np.ndarray) -> np.ndarray:
-    """``data`` at ``slots``, zero at the flat places ``absent`` (no key)."""
-    values = data[slots]
+def _gather(data: np.ndarray, slots: np.ndarray, absent: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """``data`` at ``slots`` in ``dtype``, zero at the flat places ``absent`` (no key)."""
+    values = data[slots].astype(dtype, copy=False)
     values.flat[absent] = 0.0
     return values
 
 
-def _condense(a: sp.csr_matrix, plan: CondensationPlan, shift_below: float):
+def _condense(a: sp.csr_matrix, plan: CondensationPlan, shift_below: float, dtype=np.float64,
+              lift: float | None = None):
     """Eliminate the cell-local unknowns of ``a`` cell by cell, on ``plan``.
 
     With L the local and G the other unknowns, in the order ``plan`` gives
-    them, factors the Schur complement S = A_GG - A_GL A_LL^-1 A_LG, with
-    ``shift_below`` added to its diagonal entries smaller than that, in that
-    order with static pivots.  Every block is a gather from ``a.data``: A_LL
-    is block diagonal, one (k, k) block per cell, inverted batched (a
-    singular block raises ``np.linalg.LinAlgError``), and each cell's
-    correction is subtracted on S's slots in cell order.  Returns the solve
-    of ``a x = r`` through that factor and the factor's fill; a matrix off
-    the plan raises ``ValueError``.
+    them, factors the Schur complement S = A_GG - A_GL A_LL^-1 A_LG in
+    ``dtype``, its diagonal entries smaller than ``shift_below`` raised by
+    ``lift`` (``shift_below`` if not given), in that order with static
+    pivots.  Every block is a gather from ``a.data``: A_LL is block
+    diagonal, one (k, k) block per cell, inverted batched in float64 (a
+    singular block raises ``np.linalg.LinAlgError``); S is gathered and
+    each cell's correction formed and subtracted on its slots in cell
+    order, in ``dtype``.  Returns the solve of ``a x = r`` through that factor, which
+    eliminates the local unknowns in float64 and solves with S in
+    ``dtype``, and the factor's fill; a matrix off the plan raises
+    ``ValueError``.
     """
     plan.check(a)
     blocks, gl, lg = (_gather(a.data, *slots) for slots in (plan.ll, plan.gl, plan.lg))
@@ -160,18 +181,21 @@ def _condense(a: sp.csr_matrix, plan: CondensationPlan, shift_below: float):
         raise np.linalg.LinAlgError(reason) from None
     inv_lg = inv @ lg
     del blocks, lg
-    schur = _gather(a.data, *plan.gather)  # S's entries, then the sink of the pairs without one
-    np.subtract.at(schur, plan.pairs.ravel(), (gl @ inv_lg).ravel())  # 1-D: numpy's fast path
+    schur = _gather(a.data, *plan.gather, dtype)  # S's entries, then the sink of the pairs without one
+    # formed in S's type: 1-D and of one type is numpy's fast path
+    np.subtract.at(schur, plan.pairs.ravel(), (gl.astype(dtype, copy=False) @ inv_lg.astype(dtype, copy=False)).ravel())
     diagonal = schur[plan.diagonal]
-    schur[plan.diagonal] = np.where(np.abs(diagonal) < shift_below, diagonal + shift_below, diagonal)
+    lift = shift_below if lift is None else lift
+    schur[plan.diagonal] = np.where(np.abs(diagonal) < shift_below, diagonal + lift, diagonal)
     lu = spla.splu(plan.complement(schur[:-1]), permc_spec="NATURAL",
                    options={"SymmetricMode": True, "DiagPivotThresh": 0.0})
     rest, local, dofs, rows = plan.rest, plan.local, plan.dofs, plan.dofs.ravel().astype(np.intp)
 
     def solve(r):
         y = np.einsum("ckl,cl->ck", inv, r[local])
+        r_g = r[rest] - np.bincount(rows, np.einsum("crk,ck->cr", gl, y).ravel(), len(rest))
         x = np.empty(len(r))
-        x[rest] = x_g = lu.solve(r[rest] - np.bincount(rows, np.einsum("crk,ck->cr", gl, y).ravel(), len(rest)))
+        x[rest] = x_g = lu.solve(r_g.astype(dtype, copy=False)).astype(np.float64, copy=False)
         x[local] = y - np.einsum("cks,cs->ck", inv_lg, x_g[dofs])
         return x
 
@@ -187,19 +211,26 @@ def solve_linear(system: AssembledSystem, stats: dict | None = None, held: dict 
     Assembled systems carry their cell-local unknowns and an elimination
     order that puts them first, then nested dissection with the multiplier
     last.  The local unknowns are condensed out and the Schur complement is
-    factored in that order with static pivots (structurally zero diagonals
-    are lifted by a tiny shift, and refinement against the full unshifted
-    matrix restores full accuracy); a system without local unknowns takes
-    the same path.  The stock column ordering of the full matrix serves
-    systems without an ordering and remains as a fallback, counted in
-    ``stats["fallbacks"]`` with the reason the first path failed (a singular
-    local block is one) in ``stats["fallback_reason"]``; if it fails too,
-    the error names both reasons.
+    factored in that order with static pivots, its zero diagonals lifted
+    as ``CONDENSED`` states, and refinement against the full unshifted
+    float64 matrix restores full accuracy; a system without local
+    unknowns takes the same path.  Each rung of the ladder is taken when
+    the one before fails: the complement in float32, in float64, then the
+    full matrix in SuperLU's own column ordering, which also serves
+    systems without an ordering.  A fresh float32 factor is given up only
+    by the projection of :func:`_refine`, counted in
+    ``stats["float32_given_up"]`` with the reason in
+    ``stats["float32_reason"]``; one that meets the contract counts in
+    ``stats["float32_factors"]``.  Only the full-matrix rung is a
+    fallback, counted in ``stats["fallbacks"]`` with the reason the
+    float64 complement failed (a singular local block is one) in
+    ``stats["fallback_reason"]``; if every rung fails, the error names
+    each one's reason.
 
     ``held``, when given, keeps the solve of the last factor that met the
-    contract and the size of its system (nothing once every path fails).
-    A held factor of this size is tried first, as a preconditioner
-    refined against this system under the same contract;
+    contract, of either precision, and the size of its system (nothing
+    once every rung fails).  A held factor of this size is tried first, as
+    a preconditioner refined against this system under the same contract;
     once a step contracts the residual by less than ``STALE_CONTRACTION``,
     or after ``REFINE_STEPS`` steps, it is released and the system is
     factored afresh, counted in ``stats["refactors"]`` with the reason in
@@ -228,13 +259,13 @@ def solve_linear(system: AssembledSystem, stats: dict | None = None, held: dict 
         stats["refactor_reason"] = reason
     if held is not None:
         held.clear()  # never two factors at once
-    nd_reason = None
-    for condensed in (True, False) if system.plan is not None else (False,):
+    failed = []  # "rung: reason" of each rung that failed
+    for dtype, lift in (CONDENSED if system.plan is not None else ()) + ((None, None),):
         x = reason = solve = None  # the failed attempt's factor goes before the next is made
         t0 = time.perf_counter()
         try:
-            if condensed:
-                solve, fill = _condense(a, system.plan, 1e-8 * norm_a)
+            if dtype is not None:
+                solve, fill = _condense(a, system.plan, 1e-8 * norm_a, dtype, lift * norm_a)
             else:
                 full = a.tocsc()
                 full.eliminate_zeros()  # the copy's: the pattern keeps its zeros
@@ -245,21 +276,34 @@ def solve_linear(system: AssembledSystem, stats: dict | None = None, held: dict 
             reason = str(exc)
         _book(stats, factor_time=time.perf_counter() - t0)
         if reason is None:
-            x, _, reason = _refine(solve, a, b, norm_a, stats)
+            x, _, reason = _refine(solve, a, b, norm_a, stats, projected=dtype is np.float32)
         if x is not None:
             if held is not None:
                 held.update(solve=solve, n=len(b))
             _book(stats, n_solves=1, factors=1, fill=fill)
-            if condensed:
+            if dtype is not None:
                 _book(stats, condensed=system.local.size)
+            if dtype is np.float32:
+                _book(stats, float32_factors=1)
             return x
-        if condensed:
-            nd_reason = reason
+        failed.append(f"the {'full matrix' if dtype is None else np.dtype(dtype).name + ' complement'}: {reason}")
+        if dtype is np.float32:
+            _book(stats, float32_given_up=1)
+            stats["float32_reason"] = reason
+        elif dtype is np.float64:
             _book(stats, fallbacks=1)
             stats["fallback_reason"] = reason
-    if nd_reason is not None:
-        reason = f"{reason} (after the nested-dissection path failed: {nd_reason})"
-    raise SolverFailure(f"sparse direct solve failed: {reason}")
+    raise SolverFailure("sparse direct solve failed: " + "; ".join(reversed(failed)))
+
+
+def _gram_norm(blocks: np.ndarray, label: np.ndarray, du: np.ndarray) -> float:
+    """sqrt(sum_c du_c' G_c du_c) over the cells' coefficients ``du`` (nc, nb),
+    with G_c = ``blocks[label[c]]``, contracted CHUNK cells at a time."""
+    total = 0.0
+    for c0 in range(0, len(du), CHUNK):
+        d = du[c0:c0 + CHUNK]
+        total += np.vdot(d, np.einsum("cab,cb->ca", blocks[label[c0:c0 + CHUNK]], d))
+    return float(np.sqrt(total))
 
 
 def _solve_nonlinear(spaces, coeffs, settings, g, pressure_target):
@@ -270,9 +314,12 @@ def _solve_nonlinear(spaces, coeffs, settings, g, pressure_target):
     o = assembler.block_index
     V = assembler.V
     nb = V.cell_dofs.shape[1]
-    gram_u = gram_values(assembler.classes, assembler.W)[0].reshape(-1, nb, nb)  # the increments' norm
+    # the increments' norm: its form has constant coefficients, so one velocity block per affine class
+    first, label = assembler.classes.first, assembler.classes.label
+    gram_u = gram_values(assembler.classes, assembler.W)[0][first].reshape(-1, nb, nb)
     report = SolveReport(linear_stats={"n_solves": 0, "factors": 0, "reused": 0, "stale_steps": 0, "refactors": 0,
-                                       "fill": 0, "condensed": 0, "fallbacks": 0, "factor_time": 0.0,
+                                       "fill": 0, "condensed": 0, "fallbacks": 0, "float32_factors": 0,
+                                       "float32_given_up": 0, "factor_time": 0.0,
                                        "refine_time": 0.0, "ordering_time": 0.0})
     held = {}  # the last factor made, refined against later systems while it contracts
     newton = settings.method == "newton"
@@ -316,8 +363,7 @@ def _solve_nonlinear(spaces, coeffs, settings, g, pressure_target):
             report.failure = str(exc)
             break
         del system  # not alive through the next assembly
-        du = update[V.cell_dofs]
-        report.velocity_increments.append(float(np.sqrt(np.vdot(du, np.einsum("cab,cb->ca", gram_u, du)))))
+        report.velocity_increments.append(_gram_norm(gram_u, label, update[V.cell_dofs]))
         state = state + update
         beta = state[: o[1]]
         report.iterations += 1
@@ -369,6 +415,11 @@ class DiagnosticsConfig:
             raise ValueError(f"the exponent r must exceed 2 and be finite, got {self.r}")
         if not 0.0 < self.delta < np.inf:
             raise ValueError(f"the ball radius delta must be positive and finite, got {self.delta}")
+        for name, value in (("C_r", self.C_r), ("C_4", self.C_4)):  # delta_limit divides by C_4^2
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"the embedding constant {name} must be positive and finite, got {value}")
+        if not 0.0 <= self.grad_nu_Lrstar < np.inf:
+            raise ValueError(f"the norm grad_nu_Lrstar must be non-negative and finite, got {self.grad_nu_Lrstar}")
 
     @property
     def r_star(self) -> float:

@@ -19,7 +19,8 @@ interpolants of the exact u, w and p;
 
 and of a Newton solve the residual history, velocity increments,
 iteration count, solution (u, w, p and the multiplier) and the integer
-``linear_stats`` counters ``COUNTERS``; the same again for a Picard solve
+``linear_stats`` counters ``COUNTERS`` (0 for a counter the solver does not
+keep); the same again for a Picard solve
 of the first stack.  ``--compare`` lists every array in which two dumps
 differ, with the count of differing entries, the largest relative gap and
 the largest gap over the array's largest magnitude (which tells roundoff of
@@ -47,14 +48,17 @@ import sys
 import numpy as np
 
 STACKS = (("taylor-hood", "dg1", 8), ("mini", "cg1", 3), ("bernardi-raugel", "dg0", 3), ("mini", "dg1", 16))
-COUNTERS = ("n_solves", "factors", "reused", "stale_steps", "refactors", "fallbacks", "fill", "condensed")
+COUNTERS = ("n_solves", "factors", "reused", "stale_steps", "refactors", "fallbacks", "fill", "condensed",
+            "float32_factors", "float32_given_up")
 TOL = 1e-8  # the dumped solves' tolerance, NonlinearSettings' default
 SOLUTION_GAP = 1e-8
 # what the change under comparison may move: the eliminated matrix keeps its exact zeros, the
 # condensed complement's structural pattern, zeros included, sets the fill, and the residual sums
-# rhs - L x - N(beta) u, the convection cell by cell, where it was rhs - (L + N(beta)) x
+# rhs - L x - N(beta) u, the convection cell by cell, where it was rhs - (L + N(beta)) x; a float32
+# held factor refines later systems in more steps, and a tree that keeps no float32 counters dumps
+# them as 0
 NAMED = ("dirichlet.indptr", "dirichlet.indices", "dirichlet.data", "residual")
-NAMED_COUNTERS = ("fill",)
+NAMED_COUNTERS = ("fill", "stale_steps", "float32_factors")
 # (class, pattern of the array names, bound); the first match decides
 GATE = (
     ("named", "/(" + "|".join(map(re.escape, NAMED)) + ")$", "may move"),
@@ -79,7 +83,7 @@ def _solution(out: dict, name: str, u, w, p, report) -> None:
     for label, field in (("u", u), ("w", w), ("p", p)):
         out[f"{name}.{label}"] = field.coefficients
     out[f"{name}.multiplier"] = np.array(report.multiplier)
-    out[f"{name}.linear_stats"] = np.array([report.linear_stats[key] for key in COUNTERS])
+    out[f"{name}.linear_stats"] = np.array([report.linear_stats.get(key, 0) for key in COUNTERS])
 
 
 def dump(path: str) -> None:

@@ -168,16 +168,16 @@ def refused_factor(system):
 def test_when_every_path_fails_nothing_is_held(monkeypatch):
     case, coeffs, spaces = example1(4)
     system = apply_dirichlet(SystemAssembler(spaces, coeffs).oseen(), spaces[0], case.u)
-    reasons = iter(["condensed reason", "full reason"])
+    reasons = iter(["float32 reason", "float64 reason", "full reason"])
 
     def splu_fails(*args, **opts):
         raise RuntimeError(next(reasons))
 
     monkeypatch.setattr(spla, "splu", splu_fails)
     held, stats = refused_factor(system), {}
-    with pytest.raises(SolverFailure, match="full reason.*condensed reason"):
+    with pytest.raises(SolverFailure, match="full reason.*float64 reason.*float32 reason"):
         solve_linear(system, stats, held)
-    assert stats["refactors"] == 1 and stats["fallbacks"] == 1
+    assert stats["refactors"] == 1 and stats["fallbacks"] == 1 and stats["float32_given_up"] == 1
     assert stats.get("factors", 0) == 0 and stats.get("n_solves", 0) == 0
     assert held == {}
 

@@ -16,12 +16,14 @@ from vvpflow.assembly import (
     assemble_gram_X,
     assemble_newton,
     assemble_oseen,
+    gram_values,
 )
 from vvpflow.mesh import build_structured
 from vvpflow.solver import (
     DiagnosticsConfig,
     NonlinearSettings,
     SolverFailure,
+    _gram_norm,
     check_small_data,
     grad_nu_norm,
     solve_linear,
@@ -30,6 +32,7 @@ from vvpflow.solver import (
 )
 from vvpflow.spaces import DiscreteField, method_spaces
 from vvpflow.verify import coefficients_from_case, example1_case_2d, integral
+from test_cell_classes import perturbed_mesh
 
 RNG = np.random.default_rng(99)
 
@@ -180,17 +183,19 @@ class TestLinearFallback:
         res = np.abs(system.matrix @ x - system.rhs).max()
         assert res <= 1e-10 * (norm_a * np.abs(x).max() + np.abs(system.rhs).max())
 
-    def test_failure_names_both_reasons(self, system, monkeypatch):
-        reasons = iter(["nested-dissection reason", "fallback reason"])
+    def test_failure_names_every_reason(self, system, monkeypatch):
+        reasons = iter(["float32 reason", "float64 reason", "fallback reason"])
 
         def splu_fails(*args, **opts):
             raise RuntimeError(next(reasons))
 
         monkeypatch.setattr("scipy.sparse.linalg.splu", splu_fails)
         stats = {}
-        with pytest.raises(SolverFailure, match="fallback reason.*nested-dissection reason"):
+        with pytest.raises(SolverFailure, match="the full matrix: fallback reason; the float64 complement: "
+                                                "float64 reason; the float32 complement: float32 reason$"):
             solve_linear(system, stats=stats)
-        assert stats["fallbacks"] == 1
+        assert stats["fallbacks"] == stats["float32_given_up"] == 1
+        assert stats["fallback_reason"] == "float64 reason" and stats["float32_reason"] == "float32 reason"
 
 
 class TestPicard:
@@ -309,6 +314,17 @@ def test_max_iters_must_be_an_integer_of_at_least_one(max_iters):
 def test_diagnostics_range_checks_reject_non_finite_values(field, value):
     with pytest.raises(ValueError, match="finite"):
         DiagnosticsConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [("C_4", np.nan), ("C_4", 0.0), ("C_4", np.inf), ("C_r", np.nan),
+                                          ("C_r", -2.0), ("grad_nu_Lrstar", -1.0), ("grad_nu_Lrstar", np.nan),
+                                          ("grad_nu_Lrstar", np.inf)])
+def test_diagnostics_constants_must_suit_their_formulas(field, value):
+    # C_4 = 0 divided by zero in delta_limit, and NaN passed silently into alpha or delta_limit
+    rule = "non-negative and finite" if field == "grad_nu_Lrstar" else "positive and finite"
+    with pytest.raises(ValueError, match=f"{field} must be {rule}"):
+        DiagnosticsConfig(**{field: value})
+    assert DiagnosticsConfig(grad_nu_Lrstar=0.0).grad_nu_Lrstar == 0.0
 
 
 class TestSmallDataDiagnostics:
@@ -432,7 +448,8 @@ def test_one_full_matrix_is_alive_at_the_factor(monkeypatch, n):
     original = spla.splu
 
     def recording(a, *args, **kwargs):
-        entries.append((tracemalloc.get_traced_memory()[0], a.data.nbytes + a.indices.nbytes + a.indptr.nbytes))
+        # the complement's data at float64 size, whatever precision it is factored in
+        entries.append((tracemalloc.get_traced_memory()[0], 8 * a.data.size + a.indices.nbytes + a.indptr.nbytes))
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", recording)
@@ -512,6 +529,22 @@ def test_velocity_increments_are_gram_norms_of_the_updates(monkeypatch, family, 
         expected.append(np.sqrt(z @ (gram @ z)))
     assert rep.converged and len(updates) == rep.iterations >= 2
     assert np.allclose(rep.velocity_increments, expected, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("mesh", ["structured", "perturbed"])
+def test_gram_norm_takes_each_cell_block_from_its_class(mesh):
+    # one block per affine class gives the norm of the per-cell blocks; on the perturbed mesh every
+    # cell is its own class and keeps its own block
+    mesh = build_structured(8, 8) if mesh == "structured" else perturbed_mesh(6)
+    spaces = method_spaces(mesh, "taylor-hood", "dg1")
+    asm = SystemAssembler(spaces, coefficients_from_case(example1_case_2d()))
+    cls, nb = asm.classes, spaces[0].cell_dofs.shape[1]
+    per_cell = gram_values(cls, asm.W)[0].reshape(-1, nb, nb)
+    assert np.array_equal(per_cell, per_cell[cls.first][cls.label])  # a class's cells share their block
+    assert len(cls.first) == (2 if mesh.nx == 8 else mesh.n_cells)
+    du = RNG.standard_normal((mesh.n_cells, nb))
+    expected = np.sqrt(np.einsum("ca,cab,cb->", du, per_cell, du))
+    assert _gram_norm(per_cell[cls.first], cls.label, du) == pytest.approx(expected, rel=1e-13)
 
 
 @pytest.mark.parametrize("solve", [solve_newton, solve_picard])
