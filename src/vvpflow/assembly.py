@@ -131,11 +131,6 @@ class AssembledSystem:
         """(nc, k) unknowns that couple only inside their cell."""
         return np.empty((0, 0), dtype=np.int64) if self.plan is None else self.plan.local
 
-    def split(self, x: np.ndarray):
-        """Split a solution vector into (u, w, p, m) coefficient blocks."""
-        o = self.block_index
-        return x[: o[1]], x[o[1] : o[2]], x[o[2] : o[3]], float(x[o[3]])
-
 
 class CSRPattern:
     """Canonical CSR pattern of COO (row, col) keys, given as sequences of
@@ -414,10 +409,6 @@ def gram_values(classes: VelocityClasses, W: FunctionSpace):
     return vals_u, vals_w
 
 
-# the linear parts in the order of their sums; a part's block is its name's first two letters
-_PARTS = ("uu_sigma", "uu_curl", "uu_div", "uu_gradnu", "uw_gradnu", "uw_nu", "wu_nu", "uw_kappa1", "ww_nu", "up", "pu")
-
-
 class SystemAssembler:
     """Assembler of the saddle system with a cached advection-independent part.
 
@@ -469,9 +460,12 @@ class SystemAssembler:
     # ------------------------------------------------------------- assembly
 
     def _element_values(self):
-        """The linear part values in sum order, each flat in the order of its
-        block's keys, and the rhs.  Transposed parts reuse their originals'
-        floats; "mp" and "pm" both hold the pressure integral."""
+        """The linear part values, each flat in the order of its block's keys,
+        and the rhs.  A part's block is its name's first two letters; the
+        parts come in their sum order, the forms' own, then the transposed
+        parts, which reuse their originals' floats, and "mp" and "pm", which
+        both hold the pressure integral.  Distinct blocks share no slot, so
+        only the order of the parts of one block sets a sum."""
         k1, k2 = self.coeffs.kappa1, self.coeffs.kappa2
         cls, nc = self.classes, self.mesh.n_cells
         na, nw, npr = (s.cell_dofs.shape[1] for s in (self.V, self.W, self.Q))
@@ -511,7 +505,7 @@ class SystemAssembler:
         np.add.at(rhs, self.V.cell_dofs, vals.pop("f"))
         pmass = np.zeros(self.Q.n_dofs)
         np.add.at(pmass, self.Q.cell_dofs, vals.pop("pmass"))
-        parts = {name: vals.pop(name).ravel() for name in _PARTS if name in vals}
+        parts = {name: vals.pop(name).ravel() for name in list(vals)}
         parts["mp"] = parts["pm"] = pmass
         return parts, rhs
 

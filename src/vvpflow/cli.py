@@ -301,6 +301,8 @@ def _run_cavity(cfg: RunConfig) -> int:
         f"  converged={rep.converged} iterations={rep.iterations} "
         f"residual={rep.residual_history[-1]:.3e}"
     )
+    if not rep.converged:
+        print(f"  stopped: {rep.failure}")
     print(f"  pressure integral = {p_int:.3e}")
     print(f"  ||div u_h|| = {div_norm(fields_by_name['velocity']):.3e}")
     return 0 if rep.converged else 3

@@ -49,6 +49,8 @@ class Mesh:
         if nx < 1 or ny < 1:
             raise ValueError(f"subdivision counts must be >= 1, got nx={nx}, ny={ny}")
         x0, y0, x1, y1 = rect
+        if not np.all(np.isfinite(rect)):
+            raise ValueError(f"rectangle corners must be finite, got {rect}")
         if not (x1 > x0 and y1 > y0):
             raise ValueError(f"degenerate rectangle {rect}")
         self.nx = int(nx)
@@ -84,8 +86,8 @@ class Mesh:
         d1 = p[:, 1] - p[:, 0]
         d2 = p[:, 2] - p[:, 0]
         signed = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        if np.any(signed <= 0):
-            raise ValueError("mesh contains non-counterclockwise cells")
+        if not np.all(signed > 0):  # a NaN area fails too
+            raise ValueError("mesh contains non-counterclockwise or degenerate cells")
 
     def _build_edges(self):
         nc = len(self.cells)

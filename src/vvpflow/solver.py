@@ -25,12 +25,13 @@ against the full float64 matrix, brings the solution to the
 double-precision contract (mixed-precision refinement: Buttari, Dongarra,
 Kurzak, Luszczek & Tomov, ACM TOMS 34, 2008; Carson & Higham, SISC 40,
 2018); a float32 factor that does not contract gives way to a float64
-one, and that to the full matrix.  S's exactly zero diagonals are lifted
-by a rule stated at ``CONDENSED``.  While SuperLU factors, the
-eliminated matrix is the only full one alive, and S only in the
-precision it is factored in.  Beside a held factor
-a later step holds the binned linear part, its one matrix and, while
-eliminating, the masked data.
+one, and a solve whose float64 factor fails too raises
+:class:`SolverFailure` with both reasons.  S is the only matrix SuperLU
+ever factors.  Its exactly zero diagonals are lifted by a rule stated at
+``CONDENSED``.  While SuperLU factors, the eliminated matrix is the only
+full one alive, and S only in the precision it is factored in.  Beside a
+held factor a later step holds the binned linear part, its one matrix
+and, while eliminating, the masked data.
 
 The nonlinear loop holds the last factor it made and refines each later
 system against it while it contracts (the chord and Shamanskii variants
@@ -53,12 +54,12 @@ from .quadrature import CHUNK, CellQuadrature
 from .spaces import DiscreteField, boundary_values
 
 LINEAR_RESIDUAL_FACTOR = 1e-10
-#: Refinement steps (solves after the first) before a factor is given up.
+#: Refinement steps (solves after the first) a factor has to meet the contract.
 REFINE_STEPS = 8
 #: A held factor of an earlier matrix is refactored once a refinement step
 #: cuts the residual by less than this.
 STALE_CONTRACTION = 4.0
-#: The condensed rungs of a solve: the complement's precision and the lift, in units of
+#: The factors of a solve, in the order tried: the complement's precision and the lift, in units of
 #: ||A||_inf, that raises each diagonal of S below 1e-8 ||A||_inf (the exact zeros of the TH
 #: and BR pressure rows and of the multiplier).  float32 rounds a pivot of size ||A|| by up to
 #: 6e-8 ||A||, so its factor needs the larger lift; a lift of every diagonal below 1e-6 ||A||
@@ -106,20 +107,18 @@ def _book(stats: dict, **amounts):
         stats[key] = stats.get(key, 0) + amount
 
 
-def _refine(solve, a: sp.spmatrix, b: np.ndarray, norm_a: float, stats: dict, stale: bool = False,
-            projected: bool = False):
+def _refine(solve, a: sp.spmatrix, b: np.ndarray, norm_a: float, stats: dict, stale: bool = False):
     """Iterative refinement of ``solve(b)`` against ``a`` under the residual contract.
 
-    ``solve`` applies a factor.  With ``stale`` it is the factor of an
-    earlier matrix, given up as soon as a step cuts the residual by less
-    than ``STALE_CONTRACTION`` (the first step against ``||b||``), or from
-    step 2 on once its mean contraction since ``||b||`` projects a residual
-    above the contract bound after the steps left.  With ``projected`` (a
-    fresh float32 factor, whose first steps may contract unevenly) only
-    that projection gives it up.  Returns (x, steps, None) when the
-    contract is met, else (None, steps, reason); the steps are the solves
-    with the factor.  Their time and that of the residual products is
-    booked in ``stats["refine_time"]``.
+    ``solve`` applies a factor, which is given up from step 2 on once its
+    mean contraction since ``||b||`` projects a residual above the contract
+    bound after the ``REFINE_STEPS`` steps in all; at the last step that
+    projection is the residual itself.  With ``stale`` it is the factor of
+    an earlier matrix, also given up as soon as a step cuts the residual by
+    less than ``STALE_CONTRACTION`` (the first step against ``||b||``).
+    Returns (x, steps, None) when the contract is met, else (None, steps,
+    reason); the steps are the solves with the factor.  Their time and that
+    of the residual products is booked in ``stats["refine_time"]``.
     """
     t0 = time.perf_counter()
     try:
@@ -133,13 +132,13 @@ def _refine(solve, a: sp.spmatrix, b: np.ndarray, norm_a: float, stats: dict, st
             bound = LINEAR_RESIDUAL_FACTOR * (norm_a * np.abs(x).max() + norm_b)
             if size <= bound:
                 return x, steps, None
-            if steps > REFINE_STEPS:
-                return None, steps, f"refined residual {size:.3e} exceeds the contract bound after {steps} solves"
             if stale and STALE_CONTRACTION * size > last:
                 return None, steps, f"stale factor contracted {last / size:.1f}x < {STALE_CONTRACTION:g}x at step {steps}"
             left = REFINE_STEPS + 1 - steps
-            if (stale or projected) and steps > 1 and size * (size / norm_b) ** (left / steps) > bound:
-                return None, steps, (f"{'stale' if stale else 'float32'} factor at its mean contraction "
+            if steps > 1 and size * (size / norm_b) ** (left / steps) > bound:
+                if not left:
+                    return None, steps, f"refined residual {size:.3e} exceeds the contract bound after {steps} solves"
+                return None, steps, (f"{'stale' if stale else 'fresh'} factor at its mean contraction "
                                      f"{(norm_b / size) ** (1 / steps):.1f}x projects residual > bound {bound:.3e} "
                                      f"after {left} more solves")
             x, last, steps = x + solve(res), size, steps + 1
@@ -168,10 +167,9 @@ def _condense(a: sp.csr_matrix, plan: CondensationPlan, shift_below: float, dtyp
     each cell's correction formed and subtracted on its slots in cell
     order, in ``dtype``.  Returns the solve of ``a x = r`` through that factor, which
     eliminates the local unknowns in float64 and solves with S in
-    ``dtype``, and the factor's fill; a matrix off the plan raises
-    ``ValueError``.
+    ``dtype``, and the factor's fill.  ``a`` must be on the plan
+    (:meth:`~vvpflow.assembly.CondensationPlan.check`).
     """
-    plan.check(a)
     blocks, gl, lg = (_gather(a.data, *slots) for slots in (plan.ll, plan.gl, plan.lg))
     try:
         inv = np.linalg.inv(blocks)
@@ -208,33 +206,30 @@ def solve_linear(system: AssembledSystem, stats: dict | None = None, held: dict 
     Contract: the returned x satisfies
     ||A x - b||_inf <= 1e-10 (||A||_inf ||x||_inf + ||b||_inf).
 
-    Assembled systems carry their cell-local unknowns and an elimination
-    order that puts them first, then nested dissection with the multiplier
-    last.  The local unknowns are condensed out and the Schur complement is
-    factored in that order with static pivots, its zero diagonals lifted
-    as ``CONDENSED`` states, and refinement against the full unshifted
-    float64 matrix restores full accuracy; a system without local
-    unknowns takes the same path.  Each rung of the ladder is taken when
-    the one before fails: the complement in float32, in float64, then the
-    full matrix in SuperLU's own column ordering, which also serves
-    systems without an ordering.  A fresh float32 factor is given up only
-    by the projection of :func:`_refine`, counted in
+    ``system`` must carry the condensation plan of its assembler and a
+    matrix on that plan's pattern, as :func:`apply_dirichlet` leaves it;
+    anything else raises ``ValueError``.  The plan's elimination order puts
+    the cell-local unknowns first, then nested dissection with the
+    multiplier last.  The local unknowns are condensed out and the Schur
+    complement is factored in that order with static pivots, its zero
+    diagonals lifted as ``CONDENSED`` states, and refinement against the
+    full unshifted float64 matrix restores full accuracy; a system without
+    local unknowns takes the same path.  The complement is factored in
+    float32 and, if that factor fails, in float64: a failure is an error
+    of the factor (a singular local block is one) or a factor given up by
+    :func:`_refine`.  A float32 factor given up is counted in
     ``stats["float32_given_up"]`` with the reason in
     ``stats["float32_reason"]``; one that meets the contract counts in
-    ``stats["float32_factors"]``.  Only the full-matrix rung is a
-    fallback, counted in ``stats["fallbacks"]`` with the reason the
-    float64 complement failed (a singular local block is one) in
-    ``stats["fallback_reason"]``; if every rung fails, the error names
-    each one's reason.
+    ``stats["float32_factors"]``.  If the float64 factor fails too,
+    :class:`SolverFailure` names both reasons.
 
     ``held``, when given, keeps the solve of the last factor that met the
     contract, of either precision, and the size of its system (nothing
-    once every rung fails).  A held factor of this size is tried first, as
-    a preconditioner refined against this system under the same contract;
-    once a step contracts the residual by less than ``STALE_CONTRACTION``,
-    or after ``REFINE_STEPS`` steps, it is released and the system is
-    factored afresh, counted in ``stats["refactors"]`` with the reason in
-    ``stats["refactor_reason"]``.  ``stats``, when given, accumulates
+    once both fail).  A held factor of this size is tried first, as a
+    preconditioner refined against this system under the same contract;
+    once :func:`_refine` gives it up as ``stale``, it is released and the
+    system is factored afresh, counted in ``stats["refactors"]`` with the
+    reason in ``stats["refactor_reason"]``.  ``stats``, when given, accumulates
     solves, factors made (``factors``) and reused (``reused``), the solves
     with a held factor (``stale_steps``), the fill of the factors made, the
     condensed unknowns per factor, the time of condensation plus
@@ -243,8 +238,11 @@ def solve_linear(system: AssembledSystem, stats: dict | None = None, held: dict 
     """
     if not system.bc_applied:
         raise ValueError("apply Dirichlet data before solving")
+    if system.plan is None:
+        raise ValueError("the system has no condensation plan: assemble it with a SystemAssembler")
     b = system.rhs
     a = system.matrix.tocsr()
+    system.plan.check(a)
     # the max absolute row sum, each row summed as a.sum(axis=1) does, without a copy of a
     norm_a = float(np.add.reduceat(np.abs(a.data), a.indptr[np.flatnonzero(np.diff(a.indptr))]).max(initial=0.0))
     stats = {} if stats is None else stats
@@ -259,41 +257,29 @@ def solve_linear(system: AssembledSystem, stats: dict | None = None, held: dict 
         stats["refactor_reason"] = reason
     if held is not None:
         held.clear()  # never two factors at once
-    failed = []  # "rung: reason" of each rung that failed
-    for dtype, lift in (CONDENSED if system.plan is not None else ()) + ((None, None),):
+    failed = []  # "precision: reason" of each factor that failed
+    for dtype, lift in CONDENSED:
         x = reason = solve = None  # the failed attempt's factor goes before the next is made
         t0 = time.perf_counter()
         try:
-            if dtype is not None:
-                solve, fill = _condense(a, system.plan, 1e-8 * norm_a, dtype, lift * norm_a)
-            else:
-                full = a.tocsc()
-                full.eliminate_zeros()  # the copy's: the pattern keeps its zeros
-                lu = spla.splu(full)
-                del full
-                solve, fill = lu.solve, lu.nnz
-        except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
+            solve, fill = _condense(a, system.plan, 1e-8 * norm_a, dtype, lift * norm_a)
+        except (RuntimeError, np.linalg.LinAlgError) as exc:
             reason = str(exc)
         _book(stats, factor_time=time.perf_counter() - t0)
         if reason is None:
-            x, _, reason = _refine(solve, a, b, norm_a, stats, projected=dtype is np.float32)
+            x, _, reason = _refine(solve, a, b, norm_a, stats)
         if x is not None:
             if held is not None:
                 held.update(solve=solve, n=len(b))
-            _book(stats, n_solves=1, factors=1, fill=fill)
-            if dtype is not None:
-                _book(stats, condensed=system.local.size)
+            _book(stats, n_solves=1, factors=1, fill=fill, condensed=system.local.size)
             if dtype is np.float32:
                 _book(stats, float32_factors=1)
             return x
-        failed.append(f"the {'full matrix' if dtype is None else np.dtype(dtype).name + ' complement'}: {reason}")
+        failed.append(f"the {np.dtype(dtype).name} complement: {reason}")
         if dtype is np.float32:
             _book(stats, float32_given_up=1)
             stats["float32_reason"] = reason
-        elif dtype is np.float64:
-            _book(stats, fallbacks=1)
-            stats["fallback_reason"] = reason
-    raise SolverFailure("sparse direct solve failed: " + "; ".join(reversed(failed)))
+    raise SolverFailure("sparse direct solve failed: " + "; ".join(failed))
 
 
 def _gram_norm(blocks: np.ndarray, label: np.ndarray, du: np.ndarray) -> float:
@@ -318,7 +304,7 @@ def _solve_nonlinear(spaces, coeffs, settings, g, pressure_target):
     first, label = assembler.classes.first, assembler.classes.label
     gram_u = gram_values(assembler.classes, assembler.W)[0][first].reshape(-1, nb, nb)
     report = SolveReport(linear_stats={"n_solves": 0, "factors": 0, "reused": 0, "stale_steps": 0, "refactors": 0,
-                                       "fill": 0, "condensed": 0, "fallbacks": 0, "float32_factors": 0,
+                                       "fill": 0, "condensed": 0, "float32_factors": 0,
                                        "float32_given_up": 0, "factor_time": 0.0,
                                        "refine_time": 0.0, "ordering_time": 0.0})
     held = {}  # the last factor made, refined against later systems while it contracts

@@ -529,18 +529,6 @@ def test_elimination_order_is_permutation_with_multiplier_last():
     assert perm[-1] == system.block_index[3]
 
 
-def test_system_split_blocks():
-    _, coeffs, spaces = example1_setup(n=2)
-    system = assemble_oseen(spaces, coeffs)
-    x = np.arange(system.n, dtype=float)
-    u, w, p, m = system.split(x)
-    assert len(u) == spaces[0].n_dofs
-    assert len(w) == spaces[1].n_dofs
-    assert len(p) == spaces[2].n_dofs
-    assert m == float(system.n - 1)
-    assert np.array_equal(np.concatenate([u, w, p, [m]]), x)
-
-
 def test_size_mismatch_rejected():
     import scipy.sparse as sp2
 

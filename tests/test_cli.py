@@ -209,10 +209,19 @@ class TestMain:
         assert main(["convergence", "--levels", "2", "--out", str(tmp_path)]) == 0
         assert out.read_bytes() == first  # byte-identical rerun
 
-    def test_cavity_run_writes_vtk(self, tmp_path):
+    def test_cavity_run_writes_vtk(self, tmp_path, capsys):
         code = main(["cavity", "--nx", "16", "--ny", "8", "--out", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "cavity_16x8.vtk").exists()
+        assert "stopped" not in capsys.readouterr().out
+
+    def test_a_stopped_cavity_prints_why(self, tmp_path, capsys):
+        # undamped Newton diverges at nu0 = 0.001 until both precisions of a step's factor are given up
+        assert main(["cavity", "--nx", "32", "--ny", "16", "--nu0", "0.001", "--out", str(tmp_path)]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("  converged=False iterations=19 ")
+        assert lines[2].startswith("  stopped: sparse direct solve failed: the float32 complement: ")
+        assert "; the float64 complement: " in lines[2]
 
     def test_cavity_below_8x8_exit_code(self, tmp_path, capsys):
         assert main(["cavity", "--nx", "4", "--ny", "4", "--out", str(tmp_path)]) == 2
@@ -280,11 +289,12 @@ class TestMain:
         path.write_text(text)
         assert parse_config([command, "--config", str(path)]) == cfg
 
-    def test_non_convergence_exit_code(self, tmp_path):
+    def test_non_convergence_exit_code(self, tmp_path, capsys):
         code = main(
             ["cavity", "--nx", "16", "--ny", "8", "--max-iters", "1", "--out", str(tmp_path)]
         )
         assert code == 3
+        assert "  stopped: no convergence in 1 iterations" in capsys.readouterr().out
 
     def test_io_error_exit_code(self, tmp_path, capsys):
         code = main(["convergence", "--levels", "2", "--out", str(tmp_path / "missing" / "dir")])

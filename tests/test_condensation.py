@@ -4,7 +4,8 @@ The dg vorticity and the MINI bubbles couple only inside their own cell.
 For every system with a condensation plan ``solve_linear`` eliminates them
 cell by cell on the plan's fixed patterns, factors the Schur complement and
 refines against the full matrix; these tests check that against a
-full-matrix SuperLU solve, and the plan's patterns and checks.
+full-matrix SuperLU solve, and the plan's patterns and checks.  A system
+without a plan, or a matrix off it, is rejected.
 """
 
 from types import SimpleNamespace
@@ -17,7 +18,7 @@ import scipy.sparse.linalg as spla
 import vvpflow.solver
 from vvpflow.assembly import CondensationPlan, SystemAssembler, apply_dirichlet
 from vvpflow.mesh import build_structured
-from vvpflow.solver import _condense, solve_linear, solve_newton
+from vvpflow.solver import SolverFailure, _condense, solve_linear, solve_newton
 from vvpflow.spaces import DiscreteField, build_space, interpolate, method_spaces
 from vvpflow.verify import coefficients_from_case, example1_case_2d
 
@@ -89,7 +90,7 @@ def test_condensed_solve_matches_full_solve(monkeypatch, family, vorticity, n, k
     stats = {}
     x = solve_linear(system, stats=stats)
     assert stats["condensed"] == asm.mesh.n_cells * k
-    assert stats.get("fallbacks", 0) == 0 and "float32_factors" not in stats
+    assert stats["factors"] == 1 and "float32_factors" not in stats
     assert_contract(system, x)
     ref = full_solve(system)
     assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -104,7 +105,7 @@ def test_float32_condensed_solve_meets_the_contract(family, vorticity, n, k):
     x = solve_linear(system, stats=stats)
     assert stats["float32_factors"] == stats["factors"] == stats["n_solves"] == 1
     assert stats["condensed"] == asm.mesh.n_cells * k
-    assert stats.get("fallbacks", 0) == 0 and "float32_given_up" not in stats
+    assert "float32_given_up" not in stats
     assert_contract(system, x)
     ref = full_solve(system)
     assert np.abs(x - ref).max() <= 1e-9 * np.abs(ref).max()
@@ -156,15 +157,15 @@ def test_stack_without_local_unknowns_takes_the_same_path(monkeypatch):
     monkeypatch.setattr(spla, "splu", spy)
     stats = {}
     x = solve_linear(system, stats=stats)
-    # one static-pivot factor of the (empty-)condensed complement, no fallback
+    # one static-pivot factor of the (empty-)condensed complement
     assert calls == [((system.n, system.n), "NATURAL")]
-    assert stats["condensed"] == 0 and stats.get("fallbacks", 0) == 0
+    assert stats["condensed"] == 0
     assert_contract(system, x)
     ref = full_solve(system)
     assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_singular_local_block_is_a_counted_fallback():
+def test_a_singular_local_block_fails_both_precisions():
     asm, system = newton_system("taylor-hood", "dg1", 12)
     a = system.matrix.tocsr()
     cell = 7
@@ -174,11 +175,12 @@ def test_singular_local_block_is_a_counted_fallback():
     a.data[block] = 0.0  # the cell's vorticity still couples to its velocity
     system.matrix = a
     stats = {}
-    x = solve_linear(system, stats=stats)
-    assert stats["fallbacks"] == 1 and stats["n_solves"] == 1 and stats.get("condensed", 0) == 0
-    assert "singular cell-local block in 1 of" in stats["fallback_reason"]
-    assert f"[{cell}]" in stats["fallback_reason"]
-    assert_contract(system, x)
+    with pytest.raises(SolverFailure) as failure:
+        solve_linear(system, stats=stats)
+    reason = f"singular cell-local block in 1 of {asm.mesh.n_cells} cells [{cell}]"
+    assert str(failure.value).endswith(f"the float32 complement: {reason}; the float64 complement: {reason}")
+    assert stats["float32_given_up"] == 1 and stats["float32_reason"] == reason
+    assert "n_solves" not in stats and "condensed" not in stats
 
 
 @pytest.mark.parametrize("family,vorticity,n", [("mini", "cg1", 6), ("taylor-hood", "dg1", 8)])
@@ -197,20 +199,22 @@ def test_the_fill_depends_on_the_mesh_only(family, vorticity, n):
             assert np.shares_memory(getattr(system.matrix, attr), getattr(asm._pattern, attr))
         assert_contract(system, solve_linear(system, stats=st))
     assert stats[0]["fill"] == stats[1]["fill"] and stats[0]["condensed"] == stats[1]["condensed"] > 0
-    assert "fallbacks" not in stats[0] and "fallbacks" not in stats[1]
+    assert stats[0]["factors"] == stats[1]["factors"] == 1
 
 
-def test_a_compacted_matrix_is_off_the_plan_and_a_counted_fallback():
+def test_a_matrix_off_its_plan_is_rejected(monkeypatch):
+    # a compacted matrix is a caller's error: it is rejected before anything is factored
     asm, system = newton_system("taylor-hood", "dg1", 12)
     compacted = system.matrix.copy()
     compacted.eliminate_zeros()
     assert compacted.nnz < system.matrix.nnz
     system.matrix = compacted
+    calls = []
+    monkeypatch.setattr(spla, "splu", lambda *args, **opts: calls.append(opts))
     stats = {}
-    x = solve_linear(system, stats=stats)
-    assert stats["fallbacks"] == 1 and stats["n_solves"] == 1 and "condensed" not in stats
-    assert stats["fallback_reason"] == "the matrix is not on the condensation plan's pattern"
-    assert_contract(system, x)
+    with pytest.raises(ValueError, match="the matrix is not on the condensation plan's pattern"):
+        solve_linear(system, stats=stats)
+    assert calls == [] and stats == {}
 
 
 @pytest.mark.parametrize("family,vorticity,n,k", STACKS)

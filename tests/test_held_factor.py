@@ -50,7 +50,7 @@ def test_newton_factors_once_and_each_step_meets_the_contract(monkeypatch):
     stats = rep.linear_stats
     assert rep.converged and len(checked) == rep.iterations == 3
     assert stats["factors"] == 1 and stats["reused"] == rep.iterations - 1
-    assert stats["refactors"] == 0 and stats["fallbacks"] == 0
+    assert stats["refactors"] == 0 and stats["float32_given_up"] == 0
     assert stats["stale_steps"] >= stats["reused"] and stats["refine_time"] > 0.0
 
     refuse_every_stale_factor(monkeypatch)
@@ -67,7 +67,7 @@ def test_newton_factors_once_and_each_step_meets_the_contract(monkeypatch):
 
 def test_slow_contraction_refactors_with_its_reason():
     """The beta = 0 Oseen factor preconditions the Jacobian at 50 times the
-    exact velocity too poorly: the solve refactors, not falls back."""
+    exact velocity too poorly: the solve refactors."""
     case = example1_case_2d()
     spaces = method_spaces(build_structured(8, 8), "taylor-hood", "dg1")
     asm = SystemAssembler(spaces, coefficients_from_case(case))
@@ -86,7 +86,7 @@ def test_slow_contraction_refactors_with_its_reason():
     assert stats["refactors"] == 1 and stats["factors"] == 1 and stats.get("reused", 0) == 0
     assert stats["refactor_reason"].startswith("stale factor contracted")
     assert stats["refactor_reason"].endswith("< 4x at step 1")
-    assert stats.get("fallbacks", 0) == 0 and stats["n_solves"] == 1
+    assert stats["n_solves"] == 1
     assert held["solve"] is not oseen_solve  # the new factor is held
     assert_contract(system, x)
 
@@ -110,8 +110,10 @@ def test_a_hopeless_stale_factor_is_given_up_by_its_projection():
     a = system.matrix.tocsr()
     norm_a = np.abs(a).sum(axis=1).max()
     # run to the step cap, the held factor does not meet the contract
-    x, steps, reason = vvpflow.solver._refine(oseen_solve, a, system.rhs, norm_a, {})
-    assert x is None and steps == vvpflow.solver.REFINE_STEPS + 1 and "exceeds the contract bound" in reason
+    b, x = system.rhs, oseen_solve(system.rhs)
+    for _ in range(vvpflow.solver.REFINE_STEPS):
+        x += oseen_solve(b - a @ x)
+    assert np.abs(b - a @ x).max() > 1e-10 * (norm_a * np.abs(x).max() + np.abs(b).max())
 
     stats = {}
     x = solve_linear(system, stats, held)
@@ -119,7 +121,7 @@ def test_a_hopeless_stale_factor_is_given_up_by_its_projection():
     assert stats["stale_steps"] == 2
     assert stats["refactor_reason"].startswith("stale factor at its mean contraction")
     assert "projects residual" in stats["refactor_reason"]
-    assert stats.get("fallbacks", 0) == 0 and held["solve"] is not oseen_solve
+    assert held["solve"] is not oseen_solve
     assert_contract(system, x)
 
 
@@ -168,40 +170,18 @@ def refused_factor(system):
 def test_when_every_path_fails_nothing_is_held(monkeypatch):
     case, coeffs, spaces = example1(4)
     system = apply_dirichlet(SystemAssembler(spaces, coeffs).oseen(), spaces[0], case.u)
-    reasons = iter(["float32 reason", "float64 reason", "full reason"])
+    reasons = iter(["float32 reason", "float64 reason"])
 
     def splu_fails(*args, **opts):
         raise RuntimeError(next(reasons))
 
     monkeypatch.setattr(spla, "splu", splu_fails)
     held, stats = refused_factor(system), {}
-    with pytest.raises(SolverFailure, match="full reason.*float64 reason.*float32 reason"):
+    with pytest.raises(SolverFailure, match="float32 reason.*float64 reason"):
         solve_linear(system, stats, held)
-    assert stats["refactors"] == 1 and stats["fallbacks"] == 1 and stats["float32_given_up"] == 1
+    assert stats["refactors"] == 1 and stats["float32_given_up"] == 1
     assert stats.get("factors", 0) == 0 and stats.get("n_solves", 0) == 0
     assert held == {}
-
-
-def test_the_full_matrix_factor_is_held_after_the_condensed_one_fails(monkeypatch):
-    case, coeffs, spaces = example1(4)
-    system = apply_dirichlet(SystemAssembler(spaces, coeffs).oseen(), spaces[0], case.u)
-    made = []
-    original = spla.splu
-
-    def condensed_fails(matrix, **opts):
-        if opts.get("permc_spec") == "NATURAL":
-            raise RuntimeError("forced failure")
-        made.append(original(matrix, **opts))
-        return made[-1]
-
-    monkeypatch.setattr(spla, "splu", condensed_fails)
-    held, stats = refused_factor(system), {}
-    x = solve_linear(system, stats, held)
-    assert stats["refactors"] == 1 and stats["fallbacks"] == 1 and stats["fallback_reason"] == "forced failure"
-    assert stats["factors"] == 1 and "condensed" not in stats
-    assert len(made) == 1 and made[0].shape == (system.n, system.n)
-    assert held["n"] == system.n and held["solve"].__self__ is made[0]
-    assert_contract(system, x)
 
 
 def test_a_held_factor_with_non_finite_values_is_refactored():

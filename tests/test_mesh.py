@@ -47,6 +47,19 @@ def test_invalid_arguments(nx, ny, rect):
         build_structured(nx, ny, rect)
 
 
+@pytest.mark.parametrize("rect", [(0, 0, np.inf, 1), (-np.inf, 0, 1, 1), (0, -np.inf, 1, np.inf)])
+def test_rectangle_corners_must_be_finite(rect):
+    # x1 > x0 holds for an infinite x1: the mesh had NaN vertices and h = nan
+    with pytest.raises(ValueError, match="corners must be finite"):
+        build_structured(2, 2, rect)
+
+
+def test_cells_of_nan_area_fail_the_orientation_check():
+    # finite corners whose width overflows: linspace gives NaN vertices, and a NaN area is not positive
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="degenerate cells"):
+        build_structured(2, 2, (-1e308, 0, 1e308, 1))
+
+
 def test_refine_matches_double_resolution():
     m = build_structured(2, 2)
     r = refine_uniform(m)

@@ -2,9 +2,10 @@
 
 The condensed complement is factored in float32 first and refined against
 the full float64 matrix under the unchanged residual contract; a float32
-factor that does not contract gives way to a float64 one, and that to the
-full matrix, the only rung counted as a fallback.  S's exactly zero
-diagonals are lifted by 1e-7 ||A|| in float32 (``solver.CONDENSED``).
+factor that does not contract gives way to a float64 one, and a solve whose
+float64 factor fails too raises ``SolverFailure``.  No other matrix is
+factored.  S's exactly zero diagonals are lifted by 1e-7 ||A|| in float32
+(``solver.CONDENSED``).
 """
 
 import numpy as np
@@ -14,9 +15,9 @@ import scipy.sparse.linalg as spla
 
 import vvpflow.solver
 from vvpflow.mesh import build_structured
-from vvpflow.solver import _condense, _refine, solve_linear, solve_newton
+from vvpflow.solver import SolverFailure, _condense, _refine, solve_linear, solve_newton
 from vvpflow.spaces import method_spaces
-from vvpflow.verify import coefficients_from_case, example1_case_2d
+from vvpflow.verify import coefficients_from_case, example1_case_2d, run_cavity
 from test_condensation import assert_contract, newton_system
 
 
@@ -53,22 +54,39 @@ def test_every_newton_step_meets_the_contract_through_float32_factors(monkeypatc
     assert rep.converged and stats["n_solves"] == rep.iterations
     assert stats["float32_factors"] == stats["factors"] == len(made) >= 1
     assert all(dtype == np.float32 and spec == "NATURAL" for dtype, spec, _ in made)
-    assert stats["float32_given_up"] == stats["fallbacks"] == 0 and "float32_reason" not in stats
+    assert stats["float32_given_up"] == 0 and "float32_reason" not in stats
 
 
-def test_a_float32_factor_that_cannot_contract_gives_way_to_float64_then_to_the_full_matrix(monkeypatch):
-    # a lift of ||A|| on both condensed rungs factors a matrix too far from the system's to contract
+def test_a_complement_that_cannot_contract_fails_in_both_precisions(monkeypatch):
+    # a lift of 1e-3 ||A|| on both rungs factors a matrix too far from the system's to contract: each
+    # factor is given up by its projection at its second solve ("7 more"), and nothing else is factored
     _, system = newton_system("taylor-hood", "dg1", 8)
-    monkeypatch.setattr(vvpflow.solver, "CONDENSED", ((np.float32, 1.0), (np.float64, 1.0)))
+    monkeypatch.setattr(vvpflow.solver, "CONDENSED", ((np.float32, 1e-3), (np.float64, 1e-3)))
     made = recording_splu(monkeypatch)
-    stats = {}
-    x = solve_linear(system, stats)
-    assert [(dtype, spec) for dtype, spec, _ in made] == [(np.float32, "NATURAL"), (np.float64, "NATURAL"),
-                                                           (np.float64, "COLAMD")]
-    assert stats["float32_given_up"] == 1 and stats["float32_reason"].startswith("float32 factor at its mean")
-    assert stats["fallbacks"] == 1 and "exceeds the contract bound after 9 solves" in stats["fallback_reason"]
-    assert stats["factors"] == stats["n_solves"] == 1 and "float32_factors" not in stats and "condensed" not in stats
-    assert_contract(system, x)
+    held, stats = {}, {}
+    with pytest.raises(SolverFailure) as failure:
+        solve_linear(system, stats, held)
+    assert [(dtype, spec) for dtype, spec, _ in made] == [(np.float32, "NATURAL"), (np.float64, "NATURAL")]
+    float32, float64 = str(failure.value).removeprefix("sparse direct solve failed: ").split("; ")
+    assert float32 == "the float32 complement: " + stats["float32_reason"]
+    assert float32.startswith("the float32 complement: fresh factor at its mean contraction")
+    assert float64.startswith("the float64 complement: fresh factor at its mean contraction")
+    assert float32.endswith("after 7 more solves") and float64.endswith("after 7 more solves")
+    assert stats["float32_given_up"] == 1 and "factors" not in stats and "n_solves" not in stats
+    assert held == {}
+
+
+def test_a_diverging_cavity_stops_with_both_reasons_and_factors_no_full_matrix(monkeypatch):
+    # undamped Newton diverges on the 32x16 cavity at nu0 = 0.001 until both precisions of a step's
+    # complement are given up; SuperLU never orders or factors anything but a complement
+    made = recording_splu(monkeypatch)
+    _, rep = run_cavity(32, 16, nu0=0.001)
+    assert not rep.converged and rep.iterations == 19 and len(rep.residual_history) == 20
+    assert rep.failure.startswith("sparse direct solve failed: the float32 complement: ")
+    assert "; the float64 complement: " in rep.failure
+    V, W, Q = method_spaces(build_structured(32, 16, (0.0, 0.0, 2.0, 1.0)), "mini", "cg1")
+    complement = V.n_dofs + W.n_dofs + Q.n_dofs + 1 - V.local_dofs.size
+    assert made and all(spec == "NATURAL" and matrix.shape == (complement,) * 2 for _, spec, matrix in made)
 
 
 def test_a_float32_factor_given_up_is_no_fallback(monkeypatch):
@@ -78,7 +96,7 @@ def test_a_float32_factor_given_up_is_no_fallback(monkeypatch):
     held, stats = {}, {}
     x = solve_linear(system, stats, held)
     assert [(dtype, spec) for dtype, spec, _ in made] == [(np.float32, "NATURAL"), (np.float64, "NATURAL")]
-    assert stats["float32_given_up"] == 1 and "fallbacks" not in stats and "float32_factors" not in stats
+    assert stats["float32_given_up"] == 1 and "float32_factors" not in stats
     assert stats["factors"] == 1 and stats["condensed"] == asm.local.size
     assert held["n"] == system.n  # the float64 factor is held
     assert_contract(system, x)
@@ -86,30 +104,38 @@ def test_a_float32_factor_given_up_is_no_fallback(monkeypatch):
 
 def test_a_fresh_float32_factor_is_given_up_by_its_projection_only():
     # a solve whose first step contracts 2x and whose second is exact: the 4x rule of a stale factor
-    # refuses it at its first step, a fresh float32 factor meets the contract at its second
+    # refuses it at its first step, a fresh factor of either precision meets the contract at its second
     rng = np.random.default_rng(0)
     a = sp.csr_matrix(np.eye(30) * 4.0 + rng.uniform(-0.1, 0.1, (30, 30)))
     b = rng.standard_normal(30)
     exact = spla.splu(a.tocsc())
     calls = []
 
-    def damped_once(r):
-        calls.append(len(calls))
-        return exact.solve(r) * (0.5 if len(calls) == 1 else 1.0)
+    def damped(*factors):
+        """The exact solve, its i-th call times factors[i] (the last one thereafter): step i's
+        residual is (1 - factors[i]) times the one before."""
+        calls.clear()
+
+        def solve(r):
+            calls.append(len(calls))
+            return exact.solve(r) * factors[min(len(calls), len(factors)) - 1]
+
+        return solve
 
     norm_a = np.abs(a).sum(axis=1).max()
-    x, steps, reason = _refine(damped_once, a, b, norm_a, {}, stale=True)
+    x, steps, reason = _refine(damped(0.5, 1.0), a, b, norm_a, {}, stale=True)
     assert x is None and steps == 1 and reason.endswith("< 4x at step 1")
-    calls.clear()
-    x, steps, reason = _refine(damped_once, a, b, norm_a, {}, projected=True)
+    x, steps, reason = _refine(damped(0.5, 1.0), a, b, norm_a, {})
     assert reason is None and steps == 2
     assert np.abs(a @ x - b).max() <= 1e-10 * (norm_a * np.abs(x).max() + np.abs(b).max())
 
-    def contracting_2x(r):
-        return exact.solve(r) * 0.5
-
-    x, steps, reason = _refine(contracting_2x, a, b, norm_a, {}, projected=True)
-    assert x is None and steps == 2 and reason.startswith("float32 factor at its mean contraction 2.0x")
+    x, steps, reason = _refine(damped(0.5), a, b, norm_a, {})
+    assert x is None and steps == 2 and reason.startswith("fresh factor at its mean contraction 2.0x")
+    # a fast first step, then 2x a step: the mean contraction projects the contract until the last
+    # solve, where the residual itself exceeds the bound
+    x, steps, reason = _refine(damped(1 - 2e-7, 0.5), a, b, norm_a, {})
+    assert x is None and steps == len(calls) == vvpflow.solver.REFINE_STEPS + 1
+    assert reason.startswith("refined residual") and reason.endswith("exceeds the contract bound after 9 solves")
 
 
 @pytest.mark.filterwarnings("ignore:vorticity space")

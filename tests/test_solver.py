@@ -45,7 +45,7 @@ def example1_problem(n):
 
 
 class TestSolveLinear:
-    def test_identity_system(self):
+    def test_a_system_without_a_plan_is_rejected(self):
         n = 5
         sys = AssembledSystem(
             sp.identity(n, format="csr"),
@@ -53,8 +53,8 @@ class TestSolveLinear:
             (0, 2, 3, 4, 5),
             bc_applied=True,
         )
-        x = solve_linear(sys)
-        assert np.allclose(x, np.eye(n)[0])
+        with pytest.raises(ValueError, match="no condensation plan"):
+            solve_linear(sys)
 
     def test_requires_boundary_conditions(self):
         _, coeffs, spaces = example1_problem(2)
@@ -87,11 +87,12 @@ class TestSolveLinear:
         assert res <= 1e-10 * (norm_a * np.abs(x).max() + np.abs(b).max())
 
     def test_singular_matrix_raises(self):
-        n = 4
-        sys = AssembledSystem(
-            sp.csr_matrix((n, n)), np.ones(n), (0, 1, 2, 3, 4), bc_applied=True
-        )
-        with pytest.raises(SolverFailure):
+        _, coeffs, spaces = example1_problem(2)
+        system = apply_dirichlet(assemble_oseen(spaces, coeffs), spaces[0], None)
+        zero = system.matrix.copy()
+        zero.data[:] = 0.0  # on the plan's pattern: every cell-local block is singular
+        sys = dataclasses.replace(system, matrix=zero, rhs=np.ones(system.n))
+        with pytest.raises(SolverFailure, match="float32 complement: singular.*float64 complement: singular"):
             solve_linear(sys)
 
 
@@ -159,9 +160,9 @@ class TestNewton:
 
 
 class TestLinearFallback:
-    """A system with an ordering takes the condensed path first, and SuperLU's
-    own column ordering of the full matrix second; TH/dg1 at n = 12 has
-    2,284 unknowns."""
+    """There is no fallback past the condensed complement: a system whose
+    complement fails in float32 and in float64 raises with both reasons;
+    TH/dg1 at n = 12 has 2,284 unknowns."""
 
     @pytest.fixture
     def system(self):
@@ -170,32 +171,19 @@ class TestLinearFallback:
         assert system.n > 2000
         return system
 
-    def test_fallback_is_counted(self, system, monkeypatch):
-        def nd_fails(*args):
-            raise RuntimeError("forced failure")
-
-        monkeypatch.setattr(vvpflow.solver, "_condense", nd_fails)
-        stats = {}
-        x = solve_linear(system, stats=stats)
-        assert stats["fallbacks"] == 1 and stats["n_solves"] == 1
-        assert stats["fallback_reason"] == "forced failure"
-        norm_a = np.abs(system.matrix).sum(axis=1).max()
-        res = np.abs(system.matrix @ x - system.rhs).max()
-        assert res <= 1e-10 * (norm_a * np.abs(x).max() + np.abs(system.rhs).max())
-
     def test_failure_names_every_reason(self, system, monkeypatch):
-        reasons = iter(["float32 reason", "float64 reason", "fallback reason"])
+        reasons = iter(["float32 reason", "float64 reason"])
 
         def splu_fails(*args, **opts):
             raise RuntimeError(next(reasons))
 
         monkeypatch.setattr("scipy.sparse.linalg.splu", splu_fails)
         stats = {}
-        with pytest.raises(SolverFailure, match="the full matrix: fallback reason; the float64 complement: "
-                                                "float64 reason; the float32 complement: float32 reason$"):
+        with pytest.raises(SolverFailure, match="failed: the float32 complement: float32 reason; the float64 "
+                                                "complement: float64 reason$"):
             solve_linear(system, stats=stats)
-        assert stats["fallbacks"] == stats["float32_given_up"] == 1
-        assert stats["fallback_reason"] == "float64 reason" and stats["float32_reason"] == "float32 reason"
+        assert stats["float32_given_up"] == 1 and stats["float32_reason"] == "float32 reason"
+        assert "factors" not in stats and "n_solves" not in stats
 
 
 class TestPicard:
