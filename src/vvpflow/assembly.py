@@ -36,11 +36,11 @@ left-to-right sum of its contributions in part and cell order, whatever
 else shares its row.  Repeated assemblies are therefore bit-identical, and
 blocks built from the same floats in transposed placement are exact
 transposes.  Dirichlet elimination masks the data on that pattern, its
-zeros kept.  With the elimination order the assembler derives, once, a
-:class:`CondensationPlan` from the slots of the blocks that touch the
-cell-local unknowns: the second pattern, the Schur complement's, and the
-slot maps that condense any matrix on the first without a sparse product,
-sum or slice.
+zeros kept.  When it is built, the assembler also orders the unknowns on
+its linear part and derives a :class:`CondensationPlan` from the slots of
+the blocks that touch the cell-local unknowns: the second pattern, the
+Schur complement's, and the slot maps that condense every matrix it
+assembles without a sparse product, sum or slice.
 """
 
 from __future__ import annotations
@@ -410,19 +410,20 @@ def gram_values(classes: VelocityClasses, W: FunctionSpace):
 
 
 class SystemAssembler:
-    """Assembler of the saddle system with a cached advection-independent part.
+    """Assembler of the saddle system, complete once built.
 
-    One instance groups the cells into affine classes, tabulates the
-    velocity basis per class and bins the linear part once into its one CSR
-    pattern.  It keeps the pattern, the binned data, the rhs, the slots of
-    the uu keys and, once it has ordered a matrix, the condensation plan;
-    not the keys or the part values, which ``_keys`` and ``_element_values``
-    rebuild on request.  Each form is one entry of a table handed to
-    :meth:`VelocityClasses.fill`, which alone chooses between a class table
-    and cell-by-cell contraction.  Oseen and Newton matrices then only add
-    the convection values on the uu slots; a residual builds no matrix.
-    Instances hold no mutable state besides caches and may be shared across
-    sequential solves; distinct instances are fully independent.
+    Its construction groups the cells into affine classes, tabulates the
+    velocity basis per class, bins the linear part into its one CSR pattern
+    and derives the elimination order and its condensation plan
+    (:meth:`_ensure_linear`).  It keeps the pattern, the binned data, the
+    rhs, the slots of the uu keys and the plan; not the keys or the part
+    values, which ``_keys`` and ``_element_values`` rebuild on request.
+    Each form is one entry of a table handed to :meth:`VelocityClasses.fill`,
+    which alone chooses between a class table and cell-by-cell contraction.
+    Oseen and Newton matrices then only add the convection values on the uu
+    slots; a residual builds no matrix.  Instances hold no caches and set
+    nothing after construction, so they may be shared across sequential
+    solves; distinct instances are fully independent.
     """
 
     def __init__(self, spaces, coeffs: ProblemCoefficients):
@@ -441,9 +442,7 @@ class SystemAssembler:
         self.block_index = (0, n_u, n_u + n_w, n_u + n_w + n_p, n_u + n_w + n_p + 1)
         self.local = np.hstack([self.V.local_dofs, self.W.local_dofs + n_u])  # (nc, k) cell-local unknowns
         self._maps = {"u": self.V.cell_dofs, "w": self.W.cell_dofs + n_u, "p": self.Q.cell_dofs + n_u + n_w}
-        self._rhs = None  # the linear part's rhs, set once it is binned
-        self._ordering = self._plan = None
-        self.ordering_time = 0.0  # seconds the last _elimination_order call spent (0 once cached)
+        self._ensure_linear()
 
     def _coefficient_samples(self, xq):
         c = self.coeffs
@@ -520,9 +519,9 @@ class SystemAssembler:
         return keys
 
     def _ensure_linear(self):
-        """Bin the linear part once; returns its rhs."""
-        if self._rhs is not None:
-            return self._rhs
+        """Sort the one pattern, bin the linear part and its rhs on it, and
+        derive the elimination order from it (:meth:`_elimination_order`);
+        run by the constructor, once."""
         o = self.block_index
         keys = self._keys()  # sorted before the values exist: its temporaries are gone before theirs
         pattern = CSRPattern(*zip(*keys.values()), (o[4], o[4]))
@@ -534,9 +533,10 @@ class SystemAssembler:
         for name in list(vals):  # each part's values are dropped once binned
             np.add.at(self._data, slots[name[:2]], vals.pop(name))
         self._conv_slots = slots["uu"].copy()  # convection values come in uu-key order
-        self._closure = self._local_closure(slots)  # held until the condensation plan is built
         self._pattern, self._rhs = pattern, rhs
-        return rhs
+        closure = self._local_closure(slots)
+        del slots  # the pattern's slots go before the order is derived
+        self._elimination_order(closure)
 
     def _local_closure(self, slots):
         """Per cell, the slots (nc, m, m) of the blocks among the m DOFs (nc, m)
@@ -568,7 +568,6 @@ class SystemAssembler:
         """
         if beta.space is not self.V and beta.space.n_dofs != self.V.n_dofs:
             raise ValueError("advecting field must live on the velocity space")
-        self._ensure_linear()  # binned before the convection values are allocated: a lower peak
         coefs = beta.coefficients[self.V.cell_dofs]
         out = [np.empty((len(coefs), coefs.shape[1] ** 2)) for _ in range(1 + newton)]
         for block, (vv, gv, _, _) in self.classes.blocks():
@@ -577,30 +576,27 @@ class SystemAssembler:
                 self.classes.fill(vals, block, sub, ops, coefs, "c")
         return tuple(vals.ravel() for vals in out)
 
-    def _elimination_order(self, matrix: sp.csr_matrix) -> CondensationPlan:
-        """The condensation plan of the elimination order, derived once: the
+    def _elimination_order(self, closure):
+        """Set ``_plan``, the condensation plan on the cells' ``closure`` of the
+        elimination order, and ``ordering_time``, the seconds both took: the
         cell-local unknowns cell by cell, then the nested-dissection order of
-        the others, multiplier last (it couples globally)."""
-        self.ordering_time, t0 = 0.0, time.perf_counter()
-        if self._ordering is None:
-            centroids = self.mesh.vertices[self.mesh.cells].mean(axis=1)
-            o = self.block_index
-            coords = np.vstack([dof_support_centroids(o[3], np.hstack(list(self._maps.values())), centroids),
-                                centroids.mean(axis=0)])
-            self._ordering = nested_dissection(matrix, coords, last=np.array([o[3]]), first=self.local)
-            self._plan = CondensationPlan(self._pattern, self._ordering, self.local, *self._closure,
-                                          self.V.dirichlet_dofs)
-            del self._closure
-            self.ordering_time = time.perf_counter() - t0
-        return self._plan
+        the others on the linear part, multiplier last (it couples globally)."""
+        t0 = time.perf_counter()
+        centroids = self.mesh.vertices[self.mesh.cells].mean(axis=1)
+        o = self.block_index
+        coords = np.vstack([dof_support_centroids(o[3], np.hstack(list(self._maps.values())), centroids),
+                            centroids.mean(axis=0)])
+        order = nested_dissection(self._pattern.csr(self._data), coords, last=np.array([o[3]]), first=self.local)
+        self._plan = CondensationPlan(self._pattern, order, self.local, *closure, self.V.dirichlet_dofs)
+        self.ordering_time = time.perf_counter() - t0
 
     def _system(self, matrix: sp.csr_matrix, rhs: np.ndarray) -> AssembledSystem:
         """``matrix`` and ``rhs`` with the condensation plan of the elimination order."""
-        return AssembledSystem(matrix, rhs, self.block_index, plan=self._elimination_order(matrix))
+        return AssembledSystem(matrix, rhs, self.block_index, plan=self._plan)
 
     def _target_rhs(self, pressure_target: float) -> np.ndarray:
         """The linear part's rhs with the pressure target in its last row."""
-        rhs = self._ensure_linear().copy()
+        rhs = self._rhs.copy()
         rhs[-1] = pressure_target
         return rhs
 

@@ -101,15 +101,6 @@ def _fields(command: str) -> list:
     return [f for f in fields(RunConfig) if f.name not in _UNREAD[command]]
 
 
-def serialize_config(cfg: RunConfig) -> str:
-    lines = []
-    for f in _fields(cfg.command):
-        value = getattr(cfg, f.name)
-        key = f.name.replace("_", "-")
-        lines.append(f"{key}={value!r}" if isinstance(value, str) else f"{key}={value}")
-    return "\n".join(lines) + "\n"
-
-
 def _read_config_file(path: str, command: str) -> dict:
     try:
         text = Path(path).read_text()

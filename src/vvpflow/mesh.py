@@ -177,7 +177,11 @@ def cell_geometry(mesh: Mesh, cell: int):
 
     Returns the Jacobian of the map from the reference triangle
     {(0,0), (1,0), (0,1)}, its inverse transpose, and the cell area.
+    ``cell`` must be an integer in [0, n_cells): a negative one would
+    count from the end.
     """
+    if not (isinstance(cell, (int, np.integer)) and 0 <= cell < len(mesh.cells)):
+        raise ValueError(f"cell {cell!r} is not an integer in [0, {len(mesh.cells)})")
     with np.errstate(divide="ignore", invalid="ignore"):  # a degenerate cell is reported below
         jac, inv, det = _affine_maps(mesh.vertices[mesh.cells[[cell]]])
     if det[0] <= 0 or not np.isfinite(det[0]):

@@ -153,21 +153,20 @@ def _gather(data: np.ndarray, slots: np.ndarray, absent: np.ndarray, dtype=np.fl
     return values
 
 
-def _condense(a: sp.csr_matrix, plan: CondensationPlan, shift_below: float, dtype=np.float64,
-              lift: float | None = None):
+def _condense(a: sp.csr_matrix, plan: CondensationPlan, shift_below: float, dtype, lift: float):
     """Eliminate the cell-local unknowns of ``a`` cell by cell, on ``plan``.
 
     With L the local and G the other unknowns, in the order ``plan`` gives
     them, factors the Schur complement S = A_GG - A_GL A_LL^-1 A_LG in
     ``dtype``, its diagonal entries smaller than ``shift_below`` raised by
-    ``lift`` (``shift_below`` if not given), in that order with static
-    pivots.  Every block is a gather from ``a.data``: A_LL is block
-    diagonal, one (k, k) block per cell, inverted batched in float64 (a
-    singular block raises ``np.linalg.LinAlgError``); S is gathered and
-    each cell's correction formed and subtracted on its slots in cell
-    order, in ``dtype``.  Returns the solve of ``a x = r`` through that factor, which
-    eliminates the local unknowns in float64 and solves with S in
-    ``dtype``, and the factor's fill.  ``a`` must be on the plan
+    ``lift``, in that order with static pivots.  Every block is a gather
+    from ``a.data``: A_LL is block diagonal, one (k, k) block per cell,
+    inverted batched in float64 (a singular block raises
+    ``np.linalg.LinAlgError``); S is gathered and each cell's correction
+    formed and subtracted on its slots in cell order, in ``dtype``.
+    Returns the solve of ``a x = r`` through that factor, which eliminates
+    the local unknowns in float64 and solves with S in ``dtype``, and the
+    factor's fill.  ``a`` must be on the plan
     (:meth:`~vvpflow.assembly.CondensationPlan.check`).
     """
     blocks, gl, lg = (_gather(a.data, *slots) for slots in (plan.ll, plan.gl, plan.lg))
@@ -183,7 +182,6 @@ def _condense(a: sp.csr_matrix, plan: CondensationPlan, shift_below: float, dtyp
     # formed in S's type: 1-D and of one type is numpy's fast path
     np.subtract.at(schur, plan.pairs.ravel(), (gl.astype(dtype, copy=False) @ inv_lg.astype(dtype, copy=False)).ravel())
     diagonal = schur[plan.diagonal]
-    lift = shift_below if lift is None else lift
     schur[plan.diagonal] = np.where(np.abs(diagonal) < shift_below, diagonal + lift, diagonal)
     lu = spla.splu(plan.complement(schur[:-1]), permc_spec="NATURAL",
                    options={"SymmetricMode": True, "DiagPivotThresh": 0.0})
@@ -216,9 +214,10 @@ def solve_linear(system: AssembledSystem, stats: dict | None = None, held: dict 
     full unshifted float64 matrix restores full accuracy; a system without
     local unknowns takes the same path.  The complement is factored in
     float32 and, if that factor fails, in float64: a failure is an error
-    of the factor (a singular local block is one) or a factor given up by
-    :func:`_refine`.  A float32 factor given up is counted in
-    ``stats["float32_given_up"]`` with the reason in
+    of the factor or a factor given up by :func:`_refine`.  A singular
+    cell-local block raises :class:`SolverFailure` at once, as A_LL is
+    inverted in float64 for either factor.  A float32 factor given up is
+    counted in ``stats["float32_given_up"]`` with the reason in
     ``stats["float32_reason"]``; one that meets the contract counts in
     ``stats["float32_factors"]``.  If the float64 factor fails too,
     :class:`SolverFailure` names both reasons.
@@ -263,7 +262,9 @@ def solve_linear(system: AssembledSystem, stats: dict | None = None, held: dict 
         t0 = time.perf_counter()
         try:
             solve, fill = _condense(a, system.plan, 1e-8 * norm_a, dtype, lift * norm_a)
-        except (RuntimeError, np.linalg.LinAlgError) as exc:
+        except np.linalg.LinAlgError as exc:  # the same float64 inverse fails in either precision
+            raise SolverFailure(f"sparse direct solve failed: {exc}") from None
+        except RuntimeError as exc:
             reason = str(exc)
         _book(stats, factor_time=time.perf_counter() - t0)
         if reason is None:
@@ -306,7 +307,7 @@ def _solve_nonlinear(spaces, coeffs, settings, g, pressure_target):
     report = SolveReport(linear_stats={"n_solves": 0, "factors": 0, "reused": 0, "stale_steps": 0, "refactors": 0,
                                        "fill": 0, "condensed": 0, "float32_factors": 0,
                                        "float32_given_up": 0, "factor_time": 0.0,
-                                       "refine_time": 0.0, "ordering_time": 0.0})
+                                       "refine_time": 0.0, "ordering_time": assembler.ordering_time})
     held = {}  # the last factor made, refined against later systems while it contracts
     newton = settings.method == "newton"
     state = np.zeros(o[4])
@@ -340,7 +341,6 @@ def _solve_nonlinear(spaces, coeffs, settings, g, pressure_target):
         del conv
         system = apply_dirichlet(assembler._system(matrix, res), V, None)
         del matrix
-        report.linear_stats["ordering_time"] += assembler.ordering_time
         try:
             update = solve_linear(system, report.linear_stats, held)
         except SolverFailure as exc:

@@ -529,6 +529,28 @@ def test_elimination_order_is_permutation_with_multiplier_last():
     assert perm[-1] == system.block_index[3]
 
 
+def test_the_assembler_orders_once_when_built(monkeypatch):
+    calls = []
+    original = vvpflow.assembly.nested_dissection
+
+    def record(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(vvpflow.assembly, "nested_dissection", record)
+    _, coeffs, spaces = example1_setup(n=4)
+    asm = SystemAssembler(spaces, coeffs)
+    assert len(calls) == 1 and asm.ordering_time > 0.0
+    built = dict(vars(asm))
+    state = RNG.standard_normal(asm.block_index[4])
+    systems = [asm.oseen(), asm.oseen(beta=DiscreteField(spaces[0], state[: asm.block_index[1]])),
+               asm.newton_system(state)[0]]
+    assert len(calls) == 1
+    assert all(system.plan is asm._plan for system in systems)
+    # nothing is set after construction
+    assert vars(asm).keys() == built.keys() and all(vars(asm)[name] is value for name, value in built.items())
+
+
 def test_size_mismatch_rejected():
     import scipy.sparse as sp2
 

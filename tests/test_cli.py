@@ -7,7 +7,6 @@ from vvpflow.cli import (
     main,
     parse_config,
     print_diagnostics,
-    serialize_config,
     write_csv,
     write_vtk,
 )
@@ -71,7 +70,8 @@ class TestParseConfig:
              "--method", "picard", "--tol", "1e-6", "--out", "results"]
         )
         path = tmp_path / "run.cfg"
-        path.write_text(serialize_config(cfg))
+        path.write_text("command='cavity'\nnx=32\nny=16\nnu0=0.004\nnu1=0.008\nmethod='picard'\ntol=1e-06\n"
+                        "max-iters=25\nout='results'\n")
         again = parse_config(["cavity", "--config", str(path)])
         assert again == cfg
 
@@ -279,15 +279,6 @@ class TestMain:
         path.write_text("command='diagnostics'\nnx=8\nny=8\n")
         cfg = parse_config(["diagnostics", "--config", str(path)])
         assert cfg == parse_config(["diagnostics", "--nx", "8", "--ny", "8"])
-
-    @pytest.mark.parametrize("command, unread", [("convergence", ["nx", "ny"]), ("diagnostics", ["family", "method", "out"])])
-    def test_config_holds_only_what_the_command_reads(self, command, unread, tmp_path):
-        cfg = parse_config([command])
-        text = serialize_config(cfg)
-        assert not [key for key in unread if f"\n{key}=" in text]
-        path = tmp_path / "run.cfg"
-        path.write_text(text)
-        assert parse_config([command, "--config", str(path)]) == cfg
 
     def test_non_convergence_exit_code(self, tmp_path, capsys):
         code = main(

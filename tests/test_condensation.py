@@ -165,7 +165,8 @@ def test_stack_without_local_unknowns_takes_the_same_path(monkeypatch):
     assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_a_singular_local_block_fails_both_precisions():
+def test_a_singular_local_block_fails_at_once(monkeypatch):
+    # A_LL is inverted in float64 for either factor: a float64 attempt would gather and invert it again
     asm, system = newton_system("taylor-hood", "dg1", 12)
     a = system.matrix.tocsr()
     cell = 7
@@ -174,13 +175,20 @@ def test_a_singular_local_block_fails_both_precisions():
     assert block.sum() == 9
     a.data[block] = 0.0  # the cell's vorticity still couples to its velocity
     system.matrix = a
+    precisions = []
+
+    def recording(a, plan, shift_below, dtype, lift):
+        precisions.append(dtype)
+        return _condense(a, plan, shift_below, dtype, lift)
+
+    monkeypatch.setattr(vvpflow.solver, "_condense", recording)
     stats = {}
     with pytest.raises(SolverFailure) as failure:
         solve_linear(system, stats=stats)
     reason = f"singular cell-local block in 1 of {asm.mesh.n_cells} cells [{cell}]"
-    assert str(failure.value).endswith(f"the float32 complement: {reason}; the float64 complement: {reason}")
-    assert stats["float32_given_up"] == 1 and stats["float32_reason"] == reason
-    assert "n_solves" not in stats and "condensed" not in stats
+    assert str(failure.value) == f"sparse direct solve failed: {reason}"
+    assert precisions == [np.float32]
+    assert "float32_given_up" not in stats and "n_solves" not in stats and "condensed" not in stats
 
 
 @pytest.mark.parametrize("family,vorticity,n", [("mini", "cg1", 6), ("taylor-hood", "dg1", 8)])
@@ -223,7 +231,7 @@ def test_condensation_reads_only_the_arrays_of_the_matrix(family, vorticity, n, 
     _, system = newton_system(family, vorticity, n)
     a = system.matrix
     bare = SimpleNamespace(data=a.data, indices=a.indices, indptr=a.indptr)
-    (solve, fill), (bare_solve, bare_fill) = (_condense(m, system.plan, 1e-6) for m in (a, bare))
+    (solve, fill), (bare_solve, bare_fill) = (_condense(m, system.plan, 1e-6, np.float64, 1e-6) for m in (a, bare))
     assert fill == bare_fill and np.array_equal(solve(system.rhs), bare_solve(system.rhs))
 
 

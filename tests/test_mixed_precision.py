@@ -148,7 +148,7 @@ def test_the_float32_lift_touches_exactly_the_zero_diagonals(monkeypatch, family
     norm_a = np.abs(a).sum(axis=1).max()
     made = recording_splu(monkeypatch)
     solve_linear(system, {})
-    _condense(a, system.plan, 0.0, np.float32)  # nothing is below 0: S unlifted
+    _condense(a, system.plan, 0.0, np.float32, 0.0)  # nothing is below 0: S unlifted
     (dtype, _, lifted), (_, _, bare) = made
     assert dtype == bare.dtype == np.float32
     assert np.array_equal(lifted.indices, bare.indices) and np.array_equal(lifted.indptr, bare.indptr)

@@ -3,7 +3,7 @@ import pytest
 
 import vvpflow.spaces
 from test_cell_classes import perturbed_mesh
-from vvpflow.mesh import build_structured
+from vvpflow.mesh import build_structured, cell_geometry
 from vvpflow.spaces import (
     boundary_values,
     check_method,
@@ -154,6 +154,17 @@ def test_eval_cell_outside_reference_triangle():
         eval_cell(field, 0, (0.8, 0.8))
 
 
+@pytest.mark.parametrize("cell", [-1, -8, 8, 1.0, "3"])
+def test_eval_cell_rejects_a_cell_outside_the_mesh(cell):
+    # a negative index counted from the end and evaluated the last cell's map; a float raised IndexError
+    mesh = build_structured(2, 2)
+    field = interpolate(build_space(mesh, "p1"), lambda x, y: x)
+    for evaluate in (lambda: cell_geometry(mesh, cell), lambda: eval_cell(field, cell, (0.25, 0.25))):
+        with pytest.raises(ValueError, match=r"is not an integer in \[0, 8\)"):
+            evaluate()
+    assert eval_cell(field, np.int64(7), (0.25, 0.25)).value == eval_cell(field, 7, (0.25, 0.25)).value
+
+
 def test_interpolated_curl_approaches_analytic_value():
     case = example1_case_2d()
     mesh = build_structured(32, 32)
@@ -268,7 +279,6 @@ def test_coefficient_length_validated():
 @pytest.mark.parametrize("family", ["p2", "p1bubble", "bernardi-raugel"])
 def test_eval_cell_matches_the_whole_mesh_tabulation_bit_for_bit(family):
     # eval_cell tabulates the basis directions of its one cell only
-    from vvpflow.mesh import cell_geometry
     from vvpflow.spaces import eval_field, tabulate
 
     mesh = build_structured(5, 4)
