@@ -35,12 +35,12 @@ in uu-key order and added on the uu slots.  Each entry is the
 left-to-right sum of its contributions in part and cell order, whatever
 else shares its row.  Repeated assemblies are therefore bit-identical, and
 blocks built from the same floats in transposed placement are exact
-transposes.  Dirichlet elimination masks the data on that pattern, its
-zeros kept.  When it is built, the assembler also orders the unknowns on
+transposes.  When it is built, the assembler also orders the unknowns on
 its linear part and derives a :class:`CondensationPlan` from the slots of
 the blocks that touch the cell-local unknowns: the second pattern, the
-Schur complement's, and the slot maps that condense every matrix it
-assembles without a sparse product, sum or slice.
+Schur complement's, the slot maps that condense every matrix it assembles
+without a sparse product, sum or slice, and the Dirichlet slots that
+elimination writes, the pattern's zeros kept.
 """
 
 from __future__ import annotations
@@ -78,11 +78,9 @@ class ProblemCoefficients:
     sigma0: float
     sigma1: float
     grad_nu: callable | None = None
-    validate: bool = True
 
     def __post_init__(self):
-        if self.validate:
-            self.check_bounds()
+        self.check_bounds()
 
     def check_bounds(self):
         """Reject bounds and weights outside 0 < nu0 <= nu1 < inf,
@@ -211,9 +209,10 @@ class CondensationPlan:
     constrained row's or column's), ``diagonal`` those of S's diagonal, and
     ``dofs`` (nc, g) places A_GL's rows and A_LG's columns in ``rest``.  A
     matrix is on the plan if it has the full ``pattern`` (:meth:`check`)
-    with its constrained rows and columns eliminated, as
-    :func:`apply_dirichlet` leaves them; any other complement the
-    refinement against the full matrix rejects.
+    with its ``constrained`` rows and columns eliminated, as
+    :func:`apply_dirichlet` leaves them: ``dropped`` (the off-diagonals S
+    leaves out) zero and ``pinned`` (the diagonals, one per row) 1; any
+    other complement the refinement against the full matrix rejects.
     """
 
     def __init__(self, pattern: CSRPattern, order: np.ndarray, local: np.ndarray, slots, dofs, constrained):
@@ -225,11 +224,14 @@ class CondensationPlan:
         fixed[constrained] = True
         pos = np.empty(n, dtype=idx.dtype)
         pos[self.rest] = np.arange(ng)
-        # A_GG's ids (a slot + 1), 0 at the constrained off-diagonals, which S leaves out
-        ids = sp.csr_matrix((np.arange(1, len(idx) + 1, dtype=idx.dtype), idx, ptr), shape=pattern.shape)
         on = np.flatnonzero(np.repeat(fixed, np.diff(ptr)) | fixed[idx])  # in a constrained row or column
-        row = np.searchsorted(ptr, on, side="right") - 1
-        ids.data[on[idx[on] != row]] = 0
+        diagonal = idx[on] == np.searchsorted(ptr, on, side="right") - 1
+        self.constrained, self.dropped, self.pinned = constrained, on[~diagonal], on[diagonal]
+        if len(self.pinned) != len(constrained):
+            raise ValueError("each constrained row must store one diagonal entry")
+        # A_GG's ids (a slot + 1), 0 at the dropped slots
+        ids = sp.csr_matrix((np.arange(1, len(idx) + 1, dtype=idx.dtype), idx, ptr), shape=pattern.shape)
+        ids.data[self.dropped] = 0
         ids = ids[self.rest]
         ids = ids[:, self.rest]
         ids.eliminate_zeros()
@@ -428,8 +430,7 @@ class SystemAssembler:
 
     def __init__(self, spaces, coeffs: ProblemCoefficients):
         self.V, self.W, self.Q = _check_spaces(spaces)
-        if coeffs.validate:  # guards against post-construction mutation
-            coeffs.check_bounds()
+        coeffs.check_bounds()  # guards against post-construction mutation
         self.coeffs = coeffs
         self.mesh = self.V.mesh
         self.quad = CellQuadrature(self.mesh, default_quad_degree(self.V))
@@ -451,7 +452,7 @@ class SystemAssembler:
         sig = np.broadcast_to(np.asarray(c.sigma(x, y), dtype=float), nu.shape)
         for name, s, lo, hi in (("viscosity", nu, c.nu0, c.nu1), ("sigma", sig, c.sigma0, c.sigma1)):
             slack = 1e-12 * max(1.0, abs(hi))
-            if c.validate and (s.min() < lo - slack or s.max() > hi + slack):
+            if s.min() < lo - slack or s.max() > hi + slack:
                 raise ValueError(f"{name} leaves its declared bounds [{lo}, {hi}] (sampled range [{s.min()}, {s.max()}])")
         gnu = None if c.grad_nu is None else np.asarray(c.grad_nu(x, y), dtype=float)
         return nu, sig, gnu, np.asarray(c.f(x, y), dtype=float)
@@ -566,15 +567,19 @@ class SystemAssembler:
         the element values are beta_cell @ T (see :meth:`VelocityClasses.fill`);
         the dual swaps the roles of v_c and v_b.
         """
-        if beta.space is not self.V and beta.space.n_dofs != self.V.n_dofs:
-            raise ValueError("advecting field must live on the velocity space")
-        coefs = beta.coefficients[self.V.cell_dofs]
+        coefs = self._velocity_coefficients(beta, "advecting field")[self.V.cell_dofs]
         out = [np.empty((len(coefs), coefs.shape[1] ** 2)) for _ in range(1 + newton)]
         for block, (vv, gv, _, _) in self.classes.blocks():
             # beta's basis function c, then the advected and the test function; the dual swaps c and b
             for vals, sub, ops in zip(out, ("kcqj,kbqij,kaqi", "kcqij,kbqj,kaqi"), ((vv, gv, vv), (gv, vv, vv))):
                 self.classes.fill(vals, block, sub, ops, coefs, "c")
         return tuple(vals.ravel() for vals in out)
+
+    def _velocity_coefficients(self, field: DiscreteField, name: str) -> np.ndarray:
+        """The coefficients of ``field``, which must live on the velocity space or one of its size."""
+        if field.space is not self.V and field.space.n_dofs != self.V.n_dofs:
+            raise ValueError(f"{name} must live on the velocity space {self.V!r}, not on {field.space!r}")
+        return field.coefficients
 
     def _elimination_order(self, closure):
         """Set ``_plan``, the condensation plan on the cells' ``closure`` of the
@@ -695,30 +700,24 @@ def apply_dirichlet(system: AssembledSystem, space: FunctionSpace, g) -> Assembl
     right-hand side absorbs the lifting, so symmetric sub-blocks stay
     symmetric.  ``g`` follows :func:`vvpflow.spaces.boundary_values`; None
     (zero data) lifts nothing and skips the interpolation and the product.
-    A boolean mask zeroes the data of the constrained rows and columns and
-    their stored diagonals are set to 1 (each must store one).  The matrix
-    keeps its pattern, zeros included: it shares the read-only indices and
-    indptr of the matrix it eliminates.
+    It takes a system with its assembler's plan, a matrix on the plan's
+    pattern and ``space`` the plan's ``constrained`` DOFs (else
+    ``ValueError``), and writes only the plan's ``dropped`` and ``pinned``
+    slots: the matrix shares the plan's read-only pattern, zeros kept.
     """
     if system.bc_applied:
         raise RuntimeError("Dirichlet data was already applied to this system")
-    dofs = space.dirichlet_dofs
-    n = system.n
-    lift, rhs = np.zeros(n), system.rhs.copy()
+    a, plan, dofs = system.matrix.tocsr(), system.plan, space.dirichlet_dofs
+    if plan is None:
+        raise ValueError("the system has no condensation plan: assemble it with a SystemAssembler")
+    if not np.array_equal(dofs, plan.constrained):
+        raise ValueError(f"the Dirichlet DOFs of {space!r} are not those the condensation plan constrains")
+    plan.check(a)
+    lift, rhs = np.zeros(system.n), system.rhs.copy()
     if g is not None:
         lift[dofs] = boundary_values(space, g)
-        rhs -= system.matrix @ lift
+        rhs -= a @ lift
     rhs[dofs] = lift[dofs]
-    keep = np.ones(n, dtype=bool)
-    keep[dofs] = False
-    a = system.matrix.tocsr()
-    count = np.diff(a.indptr)
-    data = np.where(np.repeat(keep, count) & keep[a.indices], a.data, 0.0)
-    length = count[dofs]  # the entries of the constrained rows, then their diagonals
-    at = np.repeat(a.indptr[dofs] - np.cumsum(length) + length, length) + np.arange(length.sum())
-    at = at[a.indices[at] == np.repeat(dofs, length)]
-    if len(at) != len(dofs):
-        raise ValueError("each constrained row must store one diagonal entry")
-    data[at] = 1.0
-    matrix = sp.csr_matrix((data, a.indices, a.indptr), shape=a.shape)
-    return replace(system, matrix=matrix, rhs=rhs, bc_applied=True)
+    data = a.data.copy()
+    data[plan.dropped], data[plan.pinned] = 0.0, 1.0
+    return replace(system, matrix=plan.pattern.csr(data), rhs=rhs, bc_applied=True)

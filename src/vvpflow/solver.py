@@ -312,7 +312,7 @@ def _solve_nonlinear(spaces, coeffs, settings, g, pressure_target):
     newton = settings.method == "newton"
     state = np.zeros(o[4])
     if settings.initial_guess is not None:
-        state[: o[1]] = settings.initial_guess.coefficients
+        state[: o[1]] = assembler._velocity_coefficients(settings.initial_guess, "the initial guess")
     state[V.dirichlet_dofs] = boundary_values(V, g)
     # the fixed-point loop starts from the zero advecting field
     beta = state[: o[1]] if newton or settings.initial_guess is not None else np.zeros(o[1])

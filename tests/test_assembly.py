@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -48,8 +49,8 @@ def constant_coefficients(nu=1.0, sigma=1.0, kappa1=0.5, kappa2=1.0, f=zero_vect
 
 
 def degenerate_coefficients():
-    # sigma = 0 and disabled augmentation: only representable with the
-    # validation escape hatch
+    # sigma = 0 and disabled augmentation: out of bounds, so a caller
+    # bypasses ProblemCoefficients.check_bounds
     return ProblemCoefficients(
         nu=lambda x, y: np.ones_like(x),
         sigma=lambda x, y: np.zeros_like(x),
@@ -60,7 +61,6 @@ def degenerate_coefficients():
         nu1=1.0,
         sigma0=0.0,
         sigma1=0.0,
-        validate=False,
     )
 
 
@@ -149,7 +149,8 @@ def test_mismatched_meshes_rejected():
         assemble_oseen((V, W, Q), constant_coefficients())
 
 
-def test_degenerate_zero_data_gives_zero_rhs():
+def test_degenerate_zero_data_gives_zero_rhs(monkeypatch):
+    monkeypatch.setattr(ProblemCoefficients, "check_bounds", lambda self: None)
     spaces = method_spaces(build_structured(2, 2), "taylor-hood", "dg1")
     system = assemble_oseen(spaces, degenerate_coefficients())
     assert np.all(system.rhs == 0.0)
@@ -310,15 +311,16 @@ def test_linear_matrix_is_one_in_order_binning_of_its_parts(n, family, vorticity
 
 
 def test_linear_assembly_memory_per_assembled_value():
-    # traced peak growth from n=16 to n=32 per byte of part values: the
-    # keys of each block are built once, not once per term and chunk
+    # traced peak growth of the construction from n=16 to n=32 per byte of
+    # part values: the keys of each block are built once, not once per
+    # term and chunk
     case, coeffs, _ = example1_setup()
     peaks, values = [], []
     for n in (16, 32):
-        asm = SystemAssembler(method_spaces(build_structured(n, n, case.rect), "taylor-hood", "dg1"), coeffs)
+        spaces = method_spaces(build_structured(n, n, case.rect), "taylor-hood", "dg1")
         tracemalloc.start()
         try:
-            asm._ensure_linear()
+            asm = SystemAssembler(spaces, coeffs)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -386,10 +388,34 @@ def test_a_constrained_row_without_a_diagonal_is_rejected():
     system = SystemAssembler(spaces, coeffs).oseen()
     matrix = system.matrix.tolil()
     dof = spaces[0].dirichlet_dofs[3]
-    matrix[dof, dof] = 0.0  # removes the stored entry
+    matrix[dof, dof] = 0.0  # removes the stored entry: the matrix leaves the plan's pattern
     system.matrix = matrix.tocsr()
-    with pytest.raises(ValueError, match="one diagonal entry"):
+    with pytest.raises(ValueError, match="not on the condensation plan's pattern"):
         apply_dirichlet(system, spaces[0], None)
+
+
+def test_a_plan_constraining_a_row_without_a_diagonal_is_not_built():
+    # no pp block stores a Taylor-Hood pressure diagonal
+    _, coeffs, (V, W, Q) = example1_setup(n=2)
+    V = dataclasses.replace(V, dirichlet_dofs=np.append(V.dirichlet_dofs, V.n_dofs + W.n_dofs))
+    with pytest.raises(ValueError, match="each constrained row must store one diagonal entry"):
+        SystemAssembler((V, W, Q), coeffs)
+
+
+def test_elimination_without_a_plan_is_rejected():
+    _, coeffs, spaces = example1_setup(n=2)
+    system = SystemAssembler(spaces, coeffs).oseen()
+    with pytest.raises(ValueError, match="no condensation plan"):
+        apply_dirichlet(dataclasses.replace(system, plan=None), spaces[0], None)
+
+
+def test_elimination_on_dirichlet_dofs_off_the_plan_is_rejected():
+    _, coeffs, spaces = example1_setup(n=2)
+    system = SystemAssembler(spaces, coeffs).oseen()
+    other = dataclasses.replace(spaces[0], dirichlet_dofs=spaces[0].dirichlet_dofs[1:])
+    with pytest.raises(ValueError, match="not those the condensation plan constrains"):
+        apply_dirichlet(system, other, None)
+    apply_dirichlet(system, dataclasses.replace(spaces[0]), None)  # equal DOFs on another space object
 
 
 @pytest.mark.parametrize("family, vorticity", [("taylor-hood", "dg1"), ("mini", "cg1")])

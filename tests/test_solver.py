@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -236,12 +237,14 @@ def test_picard_and_newton_agree():
     assert np.abs(pn.coefficients - pp.coefficients).max() < 1e-7
 
 
-def test_singular_system_reports_instead_of_raising():
+def test_singular_system_reports_instead_of_raising(monkeypatch):
     # zero viscosity leaves the vorticity rows identically zero, so the
     # system is structurally singular; the solver must report the
-    # breakdown instead of raising
+    # breakdown instead of raising.  Its bounds are out of range, so the
+    # bounds check is bypassed.
     from vvpflow.assembly import ProblemCoefficients
 
+    monkeypatch.setattr(ProblemCoefficients, "check_bounds", lambda self: None)
     degenerate = ProblemCoefficients(
         nu=lambda x, y: np.zeros_like(x),
         sigma=lambda x, y: np.zeros_like(x),
@@ -252,7 +255,6 @@ def test_singular_system_reports_instead_of_raising():
         nu1=0.0,
         sigma0=0.0,
         sigma1=0.0,
-        validate=False,
     )
     spaces = method_spaces(build_structured(2, 2), "taylor-hood", "dg1")
     _, _, _, rep = solve_newton(spaces, degenerate)
@@ -274,6 +276,16 @@ def test_initial_guess_field_is_used():
     # (linear) blocks are recovered in a single step
     assert warm.converged
     assert warm.iterations == 1
+
+
+def test_an_initial_guess_off_the_velocity_space_is_rejected():
+    case, coeffs, spaces = example1_problem(4)
+    coarse = example1_problem(2)[2][0]  # 50 velocity DOFs against 162
+    for space in (coarse, spaces[2]):
+        settings = NonlinearSettings(initial_guess=DiscreteField(space, np.zeros(space.n_dofs)))
+        with pytest.raises(ValueError, match=re.escape("initial guess must live on the velocity space "
+                                                       "FunctionSpace(p2, vector, 162 dofs)")):
+            solve_newton(spaces, coeffs, settings, g=case.u, pressure_target=case.pressure_integral)
 
 
 def test_settings_validation():
@@ -390,7 +402,7 @@ def test_exhausted_iterations_give_a_stated_reason():
 
 def test_non_finite_residual_stops_before_the_jacobian(monkeypatch):
     case, coeffs, spaces = example1_problem(4)
-    coeffs = dataclasses.replace(coeffs, f=lambda x, y: np.full(np.shape(x) + (2,), np.nan), validate=False)
+    coeffs = dataclasses.replace(coeffs, f=lambda x, y: np.full(np.shape(x) + (2,), np.nan))
 
     def no_jacobian(self, conv):
         raise AssertionError("a Jacobian was assembled at a non-finite residual")
