@@ -36,7 +36,7 @@ left-to-right sum of its contributions in part and cell order, whatever
 else shares its row.  Repeated assemblies are therefore bit-identical, and
 blocks built from the same floats in transposed placement are exact
 transposes.  When it is built, the assembler also orders the unknowns on
-its linear part and derives a :class:`CondensationPlan` from the slots of
+its pattern and derives a :class:`CondensationPlan` from the slots of
 the blocks that touch the cell-local unknowns: the second pattern, the
 Schur complement's, the slot maps that condense every matrix it assembles
 without a sparse product, sum or slice, and the Dirichlet slots that
@@ -102,32 +102,34 @@ class ProblemCoefficients:
 @dataclass(eq=False)
 class AssembledSystem:
     """Sparse block system over [velocity | vorticity | pressure | multiplier];
-    ``plan`` condenses its cell-local unknowns (see :class:`CondensationPlan`)."""
+    ``plan``, required, condenses its cell-local unknowns (:class:`CondensationPlan`)."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     block_index: tuple[int, int, int, int, int]
     bc_applied: bool = False
-    plan: CondensationPlan | None = field(default=None, repr=False)
+    plan: CondensationPlan = field(default=None, repr=False)
 
     def __post_init__(self):
         n = self.block_index[-1]
         if self.matrix.shape != (n, n) or self.rhs.shape != (n,):
             raise ValueError(f"system of size {self.matrix.shape} does not match the block layout ending at {n}")
+        if not isinstance(self.plan, CondensationPlan):
+            raise ValueError("the system has no condensation plan: assemble it with a SystemAssembler")
 
     @property
     def n(self) -> int:
         return self.block_index[-1]
 
     @property
-    def ordering(self) -> np.ndarray | None:
+    def ordering(self) -> np.ndarray:
         """The elimination order: the cell-local unknowns first, cell by cell."""
-        return None if self.plan is None else self.plan.order
+        return self.plan.order
 
     @property
     def local(self) -> np.ndarray:
         """(nc, k) unknowns that couple only inside their cell."""
-        return np.empty((0, 0), dtype=np.int64) if self.plan is None else self.plan.local
+        return self.plan.local
 
 
 class CSRPattern:
@@ -576,22 +578,24 @@ class SystemAssembler:
         return tuple(vals.ravel() for vals in out)
 
     def _velocity_coefficients(self, field: DiscreteField, name: str) -> np.ndarray:
-        """The coefficients of ``field``, which must live on the velocity space or one of its size."""
-        if field.space is not self.V and field.space.n_dofs != self.V.n_dofs:
-            raise ValueError(f"{name} must live on the velocity space {self.V!r}, not on {field.space!r}")
+        """The coefficients of ``field``, on V: V itself, or V's family and cell DOFs on its vertices."""
+        V, s = self.V, field.space
+        if s is not V and not (s.family == V.family and np.array_equal(s.cell_dofs, V.cell_dofs)
+                               and np.array_equal(s.mesh.vertices, V.mesh.vertices)):
+            raise ValueError(f"{name} must live on the velocity space {V!r} on {V.mesh!r}, not on {s!r} on {s.mesh!r}")
         return field.coefficients
 
     def _elimination_order(self, closure):
         """Set ``_plan``, the condensation plan on the cells' ``closure`` of the
         elimination order, and ``ordering_time``, the seconds both took: the
         cell-local unknowns cell by cell, then the nested-dissection order of
-        the others on the linear part, multiplier last (it couples globally)."""
+        the others on the pattern alone, multiplier last (it couples globally)."""
         t0 = time.perf_counter()
         centroids = self.mesh.vertices[self.mesh.cells].mean(axis=1)
         o = self.block_index
         coords = np.vstack([dof_support_centroids(o[3], np.hstack(list(self._maps.values())), centroids),
                             centroids.mean(axis=0)])
-        order = nested_dissection(self._pattern.csr(self._data), coords, last=np.array([o[3]]), first=self.local)
+        order = nested_dissection(self._pattern, coords, last=np.array([o[3]]), first=self.local)
         self._plan = CondensationPlan(self._pattern, order, self.local, *closure, self.V.dirichlet_dofs)
         self.ordering_time = time.perf_counter() - t0
 
@@ -708,8 +712,6 @@ def apply_dirichlet(system: AssembledSystem, space: FunctionSpace, g) -> Assembl
     if system.bc_applied:
         raise RuntimeError("Dirichlet data was already applied to this system")
     a, plan, dofs = system.matrix.tocsr(), system.plan, space.dirichlet_dofs
-    if plan is None:
-        raise ValueError("the system has no condensation plan: assemble it with a SystemAssembler")
     if not np.array_equal(dofs, plan.constrained):
         raise ValueError(f"the Dirichlet DOFs of {space!r} are not those the condensation plan constrains")
     plan.check(a)

@@ -16,10 +16,9 @@ whole-array operations, each part a contiguous segment of one array of
 live DOFs.  No edge joins two live parts, so one product of the adjacency
 with a side vector (1 on the right, 1 << shift on the left) counts each
 DOF's neighbours across in the low or the high field, each wide enough for
-the largest live row or column.  The adjacency flags the stored nonzeros
-in the vector's type (no product casts), each joined in place with its
-mirror's where the pattern is its own transpose (every assembled system's
-is), else each level also ORs in the product with the transposed view.
+the largest live row.  Every stored entry of the pattern is an edge,
+whatever its value, held as a one of the vector's type (no product casts);
+the pattern must be structurally symmetric, as every assembled one is.
 A part orders its core, then its other side, then its separator.
 
 Any globally coupled rows (the pressure-mean multiplier) must be placed
@@ -43,27 +42,22 @@ def dof_support_centroids(n_dofs: int, cell_dofs: np.ndarray, cell_centroids: np
     return coords / np.bincount(dofs, minlength=n_dofs)[:, None]
 
 
-def nested_dissection(matrix: sp.spmatrix, coords: np.ndarray, last: np.ndarray | None = None, first=()) -> np.ndarray:
-    """Permutation (old indices in elimination order) for ``matrix``.
+def nested_dissection(pattern, coords: np.ndarray, last: np.ndarray | None = None, first=()) -> np.ndarray:
+    """Permutation (old indices in elimination order) for the graph of the
+    structurally symmetric ``pattern``: its ``indptr``, ``indices`` and ``shape``.
 
     ``coords``: (n, 2) DOF positions guiding the bisection; ``last``:
     indices forced to the end of the ordering (dense rows); ``first``:
     indices moved to the front, in their given order.
     """
-    n, a = matrix.shape[0], matrix.tocsr()
-    adj = sp.csr_matrix((a.data != 0, a.indices, a.indptr), shape=a.shape)  # flags: any neighbour
-    mirror = adj.T.tocsr()
-    np.subtract(mirror.indices, a.indices, out=mirror.indices)  # compared in place: no temporary
-    symmetric = np.array_equal(mirror.indptr, a.indptr) and not mirror.indices.any()
-    if symmetric:  # each entry's mirror is at its place: one product per level
-        adj.data |= mirror.data
+    n = pattern.shape[0]
     last = np.zeros(0, dtype=np.int64) if last is None else np.asarray(last, dtype=np.int64)
     live = np.ones(n, dtype=bool)
     live[last] = False
-    degree = max(np.diff(a.indptr)[live].max(initial=0), np.diff(mirror.indptr)[live].max(initial=0))
-    del mirror
+    degree = np.diff(pattern.indptr)[live].max(initial=0)
     shift = next(s for s in (8, 16, 32) if degree < 1 << (s - 1))  # a live DOF's counts keep to their fields
-    adj.data = adj.data.astype(f"i{shift // 4}")  # the side vector's type: the products cast nothing
+    ones = np.ones(len(pattern.indices), dtype=f"i{shift // 4}")  # the side vector's type: the products cast nothing
+    adj = sp.csr_matrix((ones, pattern.indices, pattern.indptr), shape=pattern.shape)
     ids = np.flatnonzero(live)
     ids = ids[np.lexsort(coords.take(ids, axis=0).T[::-1])]  # point order: DOFs of one support point adjacent
     size, offset = np.array([len(ids)]), np.zeros(1, dtype=np.int64)  # per part: its length, its first position
@@ -92,7 +86,7 @@ def nested_dissection(matrix: sp.spmatrix, coords: np.ndarray, last: np.ndarray 
             left[halve] = rank[halve] < (size // 2)[part[halve]]
         side = np.zeros(n, dtype=adj.dtype)
         side[ids] = np.where(left, 1 << shift, 1)  # counts neighbours on the right, and << shift those on the left
-        touch = (adj @ side if symmetric else (adj @ side) | (adj.T @ side))[ids]
+        touch = (adj @ side)[ids]
         layer = np.where(left, touch & ((1 << shift) - 1), touch >> shift) > 0  # DOFs with neighbours across
         left ^= (np.add.reduceat(layer & ~left, start) < np.add.reduceat(layer & left, start))[part]  # thinner side
         sep = left & layer

@@ -237,8 +237,6 @@ def solve_linear(system: AssembledSystem, stats: dict | None = None, held: dict 
     """
     if not system.bc_applied:
         raise ValueError("apply Dirichlet data before solving")
-    if system.plan is None:
-        raise ValueError("the system has no condensation plan: assemble it with a SystemAssembler")
     b = system.rhs
     a = system.matrix.tocsr()
     system.plan.check(a)

@@ -299,27 +299,26 @@ def eval_field(field: DiscreteField, tab: SpaceTabulation, cells, inv, grad: boo
     return vals, (grads.transpose(0, 2, 1, 3) if field.space.vector else grads[:, 0])
 
 
+@dataclass(frozen=True, eq=False)
 class EvalResult:
-    """Pointwise value/derivative bundle from :func:`eval_cell`."""
+    """Pointwise value/derivative bundle from :func:`eval_cell`; a vector
+    field's curl and divergence follow from its gradient."""
 
-    def __init__(self, value, gradient, curl2d=None, div2d=None, vector=False):
-        self.value = value
-        self.gradient = gradient
-        self._curl = curl2d
-        self._div = div2d
-        self._vector = vector
+    value: np.ndarray | float
+    gradient: np.ndarray
+    vector: bool
 
     @property
-    def curl2d(self):
-        if not self._vector:
+    def curl2d(self) -> float:
+        if not self.vector:
             raise ValueError("curl2d is only defined for vector fields")
-        return self._curl
+        return self.gradient[1, 0] - self.gradient[0, 1]
 
     @property
-    def div2d(self):
-        if not self._vector:
+    def div2d(self) -> float:
+        if not self.vector:
             raise ValueError("div2d is only defined for vector fields")
-        return self._div
+        return self.gradient[0, 0] + self.gradient[1, 1]
 
 
 def eval_cell(field: DiscreteField, cell: int, point) -> EvalResult:
@@ -329,10 +328,7 @@ def eval_cell(field: DiscreteField, cell: int, point) -> EvalResult:
     _, inv_t, _ = cell_geometry(space.mesh, cell)
     cells = np.array([cell])
     vals, grads = eval_field(field, tabulate(space, pt, cells), cells, inv_t.T[None], grad=True)
-    g = grads[0, 0]
-    if space.vector:
-        return EvalResult(vals[0, 0], g, curl2d=g[1, 0] - g[0, 1], div2d=g[0, 0] + g[1, 1], vector=True)
-    return EvalResult(float(vals[0, 0]), g)
+    return EvalResult(vals[0, 0] if space.vector else float(vals[0, 0]), grads[0, 0], space.vector)
 
 
 def vertex_values(field: DiscreteField) -> np.ndarray:

@@ -2,7 +2,8 @@
 here as the reference: from the DOFs in point order, each split cuts at
 the median and takes the smaller one-sided boundary layer as separator
 (the left one on a tie).  The permutations must be equal element for
-element, on assembled systems and on random graphs."""
+element, on assembled systems and on random graphs.  Both read a pattern's
+graph: every stored entry is an edge, whatever its value."""
 
 import numpy as np
 import pytest
@@ -22,15 +23,22 @@ MESHES = {"16x16": lambda: build_structured(16, 16), "23x23": lambda: build_stru
           "perturbed": lambda: perturbed_mesh(6)}
 
 
-def recursive_dissection(matrix, coords, last=None, first=(), splits=None, halves=None):
-    """The recursive nested dissection, as the level sweep's reference.
+def graph(pattern):
+    """Boolean adjacency of a CSR ``pattern`` (a CSRPattern or a CSR matrix):
+    one edge per stored entry, whatever its value."""
+    ones = np.ones(len(pattern.indices), dtype=bool)
+    return sp.csr_matrix((ones, pattern.indices, pattern.indptr), shape=pattern.shape)
+
+
+def recursive_dissection(pattern, coords, last=None, first=(), splits=None, halves=None):
+    """The recursive nested dissection of a structurally symmetric
+    ``pattern``, as the level sweep's reference.
 
     ``splits``, when given, collects (core, right, separator) of every
     split; ``halves`` counts the splits that fell back to the stable half.
     """
-    n = matrix.shape[0]
-    structure = matrix.tocsr().astype(bool)
-    adj = (structure + structure.T).tocsr()  # boolean products: any neighbour, whatever the degree
+    n = pattern.shape[0]
+    adj = graph(pattern)  # boolean products: any neighbour, whatever the degree
     order = []
 
     def recurse(ids, sub, xy):
@@ -110,24 +118,35 @@ def assert_splits_laid_out(perm, adj, splits):
 @pytest.mark.parametrize("family,vorticity", STACKS)
 def test_level_sweep_equals_the_recursion_on_assembled_systems(family, vorticity, mesh_name, monkeypatch):
     asm, (args, kwargs, perm) = assembler_call(family, vorticity, MESHES[mesh_name](), monkeypatch)
-    matrix, coords = args
+    pattern, coords = args
+    assert pattern is asm._pattern  # the ordering reads the pattern, not a matrix's values
     splits = []
-    assert np.array_equal(perm, recursive_dissection(matrix, coords, splits=splits, **kwargs))
-    n, multiplier = matrix.shape[0], asm.block_index[3]
+    assert np.array_equal(perm, recursive_dissection(pattern, coords, splits=splits, **kwargs))
+    n, multiplier = pattern.shape[0], asm.block_index[3]
     assert np.array_equal(np.sort(perm), np.arange(n))
     assert perm[-1] == multiplier and np.array_equal(perm[: asm.local.size], asm.local.ravel())
     assert splits
     # the layout of the splits holds before the cell-local unknowns move to the front
-    structure = matrix.tocsr().astype(bool)
-    dissection = nested_dissection(matrix, coords, last=kwargs["last"])
-    assert_splits_laid_out(dissection, (structure + structure.T).tocsr(), splits)
+    dissection = nested_dissection(pattern, coords, last=kwargs["last"])
+    assert_splits_laid_out(dissection, graph(pattern), splits)
+
+
+@pytest.mark.filterwarnings("ignore:vorticity space")
+@pytest.mark.parametrize("mesh_name", MESHES)
+@pytest.mark.parametrize("family,vorticity", STACKS)
+def test_the_assembled_pattern_is_its_own_transpose(family, vorticity, mesh_name):
+    # the precondition of nested_dissection, which reads only the rows' neighbours
+    asm = SystemAssembler(method_spaces(MESHES[mesh_name](), family, vorticity),
+                          coefficients_from_case(example1_case_2d()))
+    adj = graph(asm._pattern)
+    assert (adj != adj.T).nnz == 0
 
 
 def random_graph(n, rng):
     """A sparse symmetric graph whose coordinates repeat heavily."""
     rows, cols = rng.integers(0, n, (2, 4 * n))
     matrix = sp.coo_matrix((np.ones(4 * n), (rows, cols)), shape=(n, n)).tocsr()
-    return matrix, rng.integers(0, 3, (n, 2)).astype(float)
+    return (matrix + matrix.T).tocsr(), rng.integers(0, 3, (n, 2)).astype(float)
 
 
 def test_duplicated_coordinates_take_the_stable_half():
@@ -137,25 +156,25 @@ def test_duplicated_coordinates_take_the_stable_half():
     assert halves  # the median left every node of some part on one side
     perm = nested_dissection(matrix, coords)
     assert np.array_equal(perm, expected)
-    structure = matrix.astype(bool)
-    assert_splits_laid_out(perm, (structure + structure.T).tocsr(), splits)
+    assert_splits_laid_out(perm, graph(matrix), splits)
 
 
-def test_exact_zeros_are_no_edges_with_one_product_or_two():
-    # a symmetric stored pattern takes one product per level; a stored zero
-    # off its mirror makes it unsymmetric, and two products give the same order
-    rng = np.random.default_rng(5)
-    matrix, _ = random_graph(1200, rng)
-    matrix = (matrix + matrix.T).tocsr()
-    matrix.data[rng.random(matrix.nnz) < 0.3] = 0.0  # exact zeros, most without a zero mirror
-    coords = rng.uniform(0.0, 1.0, (1200, 2))
-    expected = recursive_dissection(matrix, coords)
-    assert np.array_equal(nested_dissection(matrix, coords), expected)
-    j = next(j for j in range(1, 1200) if j not in matrix[[0]].indices and 0 not in matrix[[j]].indices)
-    coo = matrix.tocoo()
-    lopsided = sp.csr_matrix((np.append(coo.data, 0.0), (np.append(coo.row, 0), np.append(coo.col, j))))
-    assert lopsided.nnz == matrix.nnz + 1
-    assert np.array_equal(nested_dissection(lopsided, coords), expected)
+def test_exact_zeros_are_edges():
+    # a symmetric graph with exact zeros stored on both sides of 30% of its
+    # off-diagonal pairs orders as its all-ones pattern, zeros and all
+    rng, n = np.random.default_rng(5), 1200
+    matrix, _ = random_graph(n, rng)
+    rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
+    pair = np.minimum(rows, matrix.indices) * n + np.maximum(rows, matrix.indices)
+    matrix.data[(rng.random(n * n) < 0.3)[pair] & (rows != matrix.indices)] = 0.0
+    coords = rng.uniform(0.0, 1.0, (n, 2))
+    perm = nested_dissection(matrix, coords)
+    ones = sp.csr_matrix((np.ones(matrix.nnz), matrix.indices, matrix.indptr), shape=matrix.shape)
+    assert np.array_equal(perm, nested_dissection(ones, coords))
+    assert np.array_equal(perm, recursive_dissection(matrix, coords))
+    pruned = matrix.copy()
+    pruned.eliminate_zeros()
+    assert pruned.nnz < matrix.nnz and not np.array_equal(perm, recursive_dissection(pruned, coords))
 
 
 def test_support_centroids_sum_column_by_column_bit_for_bit():

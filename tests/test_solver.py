@@ -48,14 +48,8 @@ def example1_problem(n):
 class TestSolveLinear:
     def test_a_system_without_a_plan_is_rejected(self):
         n = 5
-        sys = AssembledSystem(
-            sp.identity(n, format="csr"),
-            np.eye(n)[0],
-            (0, 2, 3, 4, 5),
-            bc_applied=True,
-        )
         with pytest.raises(ValueError, match="no condensation plan"):
-            solve_linear(sys)
+            AssembledSystem(sp.identity(n, format="csr"), np.eye(n)[0], (0, 2, 3, 4, 5), bc_applied=True)
 
     def test_requires_boundary_conditions(self):
         _, coeffs, spaces = example1_problem(2)
@@ -281,11 +275,19 @@ def test_initial_guess_field_is_used():
 def test_an_initial_guess_off_the_velocity_space_is_rejected():
     case, coeffs, spaces = example1_problem(4)
     coarse = example1_problem(2)[2][0]  # 50 velocity DOFs against 162
-    for space in (coarse, spaces[2]):
+    rectangle = method_spaces(build_structured(4, 4, (0.0, 0.0, 3.0, 5.0)), "taylor-hood", "dg1")[0]  # 162 too
+    for space in (coarse, spaces[2], rectangle):
         settings = NonlinearSettings(initial_guess=DiscreteField(space, np.zeros(space.n_dofs)))
         with pytest.raises(ValueError, match=re.escape("initial guess must live on the velocity space "
                                                        "FunctionSpace(p2, vector, 162 dofs)")):
             solve_newton(spaces, coeffs, settings, g=case.u, pressure_target=case.pressure_integral)
+
+
+def test_an_initial_guess_on_an_equal_velocity_space_is_accepted():
+    case, coeffs, spaces = example1_problem(4)
+    twin = example1_problem(4)[2][0]  # another space object on an equal mesh
+    settings = NonlinearSettings(initial_guess=DiscreteField(twin, np.zeros(twin.n_dofs)))
+    assert solve_newton(spaces, coeffs, settings, g=case.u, pressure_target=case.pressure_integral)[3].converged
 
 
 def test_settings_validation():
