@@ -46,6 +46,7 @@ elimination writes, the pattern's zeros kept.
 from __future__ import annotations
 
 import functools
+import operator
 import time
 from dataclasses import dataclass, field, replace
 
@@ -99,10 +100,11 @@ class ProblemCoefficients:
             raise ValueError(f"kappa2 must be positive and finite, got {self.kappa2}")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class AssembledSystem:
     """Sparse block system over [velocity | vorticity | pressure | multiplier];
-    ``plan``, required, condenses its cell-local unknowns (:class:`CondensationPlan`)."""
+    ``plan``, required, condenses its cell-local unknowns (:class:`CondensationPlan`).
+    Frozen; when made, it checks that ``matrix`` is CSR on the plan's ``pattern``."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
@@ -116,6 +118,10 @@ class AssembledSystem:
             raise ValueError(f"system of size {self.matrix.shape} does not match the block layout ending at {n}")
         if not isinstance(self.plan, CondensationPlan):
             raise ValueError("the system has no condensation plan: assemble it with a SystemAssembler")
+        a, p = self.matrix, self.plan.pattern
+        if not (sp.issparse(a) and a.format == "csr" and np.array_equal(a.indptr, p.indptr)
+                and np.array_equal(a.indices, p.indices)):
+            raise ValueError("the matrix is not on the condensation plan's pattern")
 
     @property
     def n(self) -> int:
@@ -210,11 +216,12 @@ class CondensationPlan:
     cell's correction in cell order, the sink for a pair off S's pattern (a
     constrained row's or column's), ``diagonal`` those of S's diagonal, and
     ``dofs`` (nc, g) places A_GL's rows and A_LG's columns in ``rest``.  A
-    matrix is on the plan if it has the full ``pattern`` (:meth:`check`)
-    with its ``constrained`` rows and columns eliminated, as
-    :func:`apply_dirichlet` leaves them: ``dropped`` (the off-diagonals S
-    leaves out) zero and ``pinned`` (the diagonals, one per row) 1; any
-    other complement the refinement against the full matrix rejects.
+    matrix is on the plan if it has the full ``pattern`` (as every
+    :class:`AssembledSystem` checks) with its ``constrained`` rows and
+    columns eliminated, as :func:`apply_dirichlet` leaves them: ``dropped``
+    (the off-diagonals S leaves out) zero and ``pinned`` (the diagonals,
+    one per row) 1; any other complement the refinement against the full
+    matrix rejects.
     """
 
     def __init__(self, pattern: CSRPattern, order: np.ndarray, local: np.ndarray, slots, dofs, constrained):
@@ -268,12 +275,6 @@ class CondensationPlan:
         gather[absent] = 0
         self.gather = gather, absent
         self.ll, self.gl, self.lg = ((np.where(s < 0, 0, s), np.flatnonzero(s < 0)) for s in (ll, gl, lg))
-
-    def check(self, matrix: sp.csr_matrix):
-        """Raise ``ValueError`` unless ``matrix`` has the plan's full pattern."""
-        p = self.pattern
-        if not (np.array_equal(matrix.indptr, p.indptr) and np.array_equal(matrix.indices, p.indices)):
-            raise ValueError("the matrix is not on the condensation plan's pattern")
 
     def complement(self, data: np.ndarray) -> sp.csc_matrix:
         """S with the entries ``data``, in slot order."""
@@ -612,26 +613,18 @@ class SystemAssembler:
     def oseen(self, beta: DiscreteField | None = None, pressure_target: float = 0.0) -> AssembledSystem:
         """Assemble the linearised system with frozen advecting field ``beta``."""
         rhs = self._target_rhs(pressure_target)
-        return self._system(self._matrix(None if beta is None else self._convection(beta)[0]), rhs)
+        return self._system(self._matrix(() if beta is None else self._convection(beta)), rhs)
 
-    def _matrix(self, conv) -> sp.csr_matrix:
-        """Linear part plus the convection values ``conv`` in uu-key order,
-        added at their slots after the linear sums, as one bincount of all
-        triplets would."""
+    def _matrix(self, conv: tuple) -> sp.csr_matrix:
+        """Every step's matrix: the linear part plus the sum of ``conv``, a
+        tuple from :meth:`_convection` or (), added at the uu slots after the
+        linear sums, as one bincount of all triplets would.  Newton's dual is
+        added into the direct values in place (``conv`` is consumed), giving
+        the convection block plus its derivative in the advecting argument."""
         data = self._data.copy()
-        if conv is not None:
-            np.add.at(data, self._conv_slots, conv)
+        if conv:
+            np.add.at(data, self._conv_slots, functools.reduce(operator.iadd, conv))
         return self._pattern.csr(data)
-
-    def jacobian(self, conv) -> sp.csr_matrix:
-        """Newton matrix at beta = u_h, on the Oseen pattern.
-
-        ``conv`` is (direct, dual) from ``_convection(u_h, newton=True)``,
-        consumed: the dual is added into the direct values in place.  Each uu
-        slot gets direct + dual, the convection block plus its derivative in
-        the advecting argument, so the matrix has the Oseen matrix's sparsity.
-        """
-        return self._matrix(np.add(conv[0], conv[1], out=conv[0]))
 
     def _residual(self, state: np.ndarray, conv: np.ndarray, pressure_target: float) -> np.ndarray:
         """rhs - L state - N(beta) u, velocity Dirichlet rows zeroed, with no
@@ -650,16 +643,16 @@ class SystemAssembler:
 
         The residual is rhs - [a + N(u_h; u_h, .) + b + b^T + multiplier]
         applied to the state, with velocity Dirichlet rows zeroed (the
-        state is expected to satisfy the boundary values).  The Jacobian
-        augments the Oseen matrix at beta = u_h with the convection block
-        differentiated with respect to the advecting argument.
+        state is expected to satisfy the boundary values).  The Jacobian is
+        :meth:`_matrix` of the (direct, dual) convection values at beta = u_h,
+        on the Oseen pattern.
         """
         state = np.asarray(state, dtype=float)
         if state.shape != (self.block_index[4],):
             raise ValueError("state vector does not match the system size")
         conv = self._convection(DiscreteField(self.V, state[: self.block_index[1]]), newton=True)
         residual = self._residual(state, conv[0], pressure_target)
-        return self._system(self.jacobian(conv), self._target_rhs(pressure_target)), residual
+        return self._system(self._matrix(conv), self._target_rhs(pressure_target)), residual
 
 
 def assemble_oseen(
@@ -704,17 +697,16 @@ def apply_dirichlet(system: AssembledSystem, space: FunctionSpace, g) -> Assembl
     right-hand side absorbs the lifting, so symmetric sub-blocks stay
     symmetric.  ``g`` follows :func:`vvpflow.spaces.boundary_values`; None
     (zero data) lifts nothing and skips the interpolation and the product.
-    It takes a system with its assembler's plan, a matrix on the plan's
-    pattern and ``space`` the plan's ``constrained`` DOFs (else
-    ``ValueError``), and writes only the plan's ``dropped`` and ``pinned``
-    slots: the matrix shares the plan's read-only pattern, zeros kept.
+    ``space`` must have the plan's ``constrained`` DOFs (else ``ValueError``);
+    the matrix is on the plan's pattern, checked when its system was made.
+    It writes only the plan's ``dropped`` and ``pinned`` slots: the matrix
+    shares the plan's read-only pattern, zeros kept.
     """
     if system.bc_applied:
         raise RuntimeError("Dirichlet data was already applied to this system")
-    a, plan, dofs = system.matrix.tocsr(), system.plan, space.dirichlet_dofs
+    a, plan, dofs = system.matrix, system.plan, space.dirichlet_dofs
     if not np.array_equal(dofs, plan.constrained):
         raise ValueError(f"the Dirichlet DOFs of {space!r} are not those the condensation plan constrains")
-    plan.check(a)
     lift, rhs = np.zeros(system.n), system.rhs.copy()
     if g is not None:
         lift[dofs] = boundary_values(space, g)

@@ -174,6 +174,15 @@ def _sci3(x: float) -> str:
     return f"{mantissa}e{int(exp)}"
 
 
+def _write_lines(path, lines) -> None:
+    """Write ``lines``, newline-terminated; an ``OSError`` becomes ``IOError("cannot write ...")``."""
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise IOError(f"cannot write {path}: {exc}") from exc
+
+
 def write_csv(report: ConvergenceReport, path) -> None:
     """Error table: header dof,h,e_u,r_u,e_w,r_w,e_p,r_p; 3 significant
     digits for errors, 3 decimals for rates, first-row rates empty."""
@@ -187,11 +196,7 @@ def write_csv(report: ConvergenceReport, path) -> None:
     if report.partial:
         bad = " ".join(str(i) for i, ok in enumerate(report.converged) if not ok)
         lines.append(f"# partial: level {bad} non-converged")
-    try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IOError(f"cannot write {path}: {exc}") from exc
+    _write_lines(path, lines)
 
 
 def write_vtk(mesh: Mesh, fields_by_name: dict[str, DiscreteField], path, title: str = "vvpflow output") -> None:
@@ -229,11 +234,7 @@ def write_vtk(mesh: Mesh, fields_by_name: dict[str, DiscreteField], path, title:
             lines.append("LOOKUP_TABLE default")
             for v in vals:
                 lines.append(f"{float(v)!r}")
-    try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IOError(f"cannot write {path}: {exc}") from exc
+    _write_lines(path, lines)
 
 
 def print_diagnostics(coeffs, diag: DiagnosticsConfig, f_norm: float, file=None) -> None:

@@ -87,8 +87,9 @@ class NonlinearSettings:
             raise ValueError(f"unknown nonlinear method {self.method!r}")
         if not 0.0 < self.tol < np.inf:  # NaN fails every comparison
             raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
-        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):  # the loop counts to it
-            raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters!r}")
+        n = self.max_iters  # the loop counts to it; a bool is an int, but no count
+        if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
+            raise ValueError(f"max_iters must be an integer of at least 1, got {n!r}")
 
 
 @dataclass
@@ -166,8 +167,8 @@ def _condense(a: sp.csr_matrix, plan: CondensationPlan, shift_below: float, dtyp
     formed and subtracted on its slots in cell order, in ``dtype``.
     Returns the solve of ``a x = r`` through that factor, which eliminates
     the local unknowns in float64 and solves with S in ``dtype``, and the
-    factor's fill.  ``a`` must be on the plan
-    (:meth:`~vvpflow.assembly.CondensationPlan.check`).
+    factor's fill.  ``a`` must be on the plan's pattern, as every
+    :class:`~vvpflow.assembly.AssembledSystem` checks its matrix to be.
     """
     blocks, gl, lg = (_gather(a.data, *slots) for slots in (plan.ll, plan.gl, plan.lg))
     try:
@@ -204,20 +205,21 @@ def solve_linear(system: AssembledSystem, stats: dict | None = None, held: dict 
     Contract: the returned x satisfies
     ||A x - b||_inf <= 1e-10 (||A||_inf ||x||_inf + ||b||_inf).
 
-    ``system`` must carry the condensation plan of its assembler and a
-    matrix on that plan's pattern, as :func:`apply_dirichlet` leaves it;
-    anything else raises ``ValueError``.  The plan's elimination order puts
-    the cell-local unknowns first, then nested dissection with the
-    multiplier last.  The local unknowns are condensed out and the Schur
-    complement is factored in that order with static pivots, its zero
-    diagonals lifted as ``CONDENSED`` states, and refinement against the
-    full unshifted float64 matrix restores full accuracy; a system without
-    local unknowns takes the same path.  The complement is factored in
-    float32 and, if that factor fails, in float64: a failure is an error
-    of the factor or a factor given up by :func:`_refine`.  A singular
-    cell-local block raises :class:`SolverFailure` at once, as A_LL is
-    inverted in float64 for either factor.  A float32 factor given up is
-    counted in ``stats["float32_given_up"]`` with the reason in
+    ``system`` must be eliminated by :func:`apply_dirichlet` (else
+    ``ValueError``); its matrix is on its plan's pattern, as every
+    :class:`~vvpflow.assembly.AssembledSystem` checks when made.  The
+    plan's elimination order puts the cell-local unknowns first, then nested
+    dissection with the multiplier last.  The local unknowns are condensed
+    out and the Schur complement is factored in that order with static
+    pivots, its zero diagonals lifted as ``CONDENSED`` states, and
+    refinement against the full unshifted float64 matrix restores full
+    accuracy; a system without local unknowns takes the same path.  The
+    complement is factored in float32 and, if that factor fails, in float64:
+    a failure is an error of the factor or a factor given up by
+    :func:`_refine`.  A singular cell-local block raises
+    :class:`SolverFailure` at once, as A_LL is inverted in float64 for
+    either factor.  A float32 factor given up is counted in
+    ``stats["float32_given_up"]`` with the reason in
     ``stats["float32_reason"]``; one that meets the contract counts in
     ``stats["float32_factors"]``.  If the float64 factor fails too,
     :class:`SolverFailure` names both reasons.
@@ -238,8 +240,7 @@ def solve_linear(system: AssembledSystem, stats: dict | None = None, held: dict 
     if not system.bc_applied:
         raise ValueError("apply Dirichlet data before solving")
     b = system.rhs
-    a = system.matrix.tocsr()
-    system.plan.check(a)
+    a = system.matrix
     # the max absolute row sum, each row summed as a.sum(axis=1) does, without a copy of a
     norm_a = float(np.add.reduceat(np.abs(a.data), a.indptr[np.flatnonzero(np.diff(a.indptr))]).max(initial=0.0))
     stats = {} if stats is None else stats
@@ -331,11 +332,11 @@ def _solve_nonlinear(spaces, coeffs, settings, g, pressure_target):
             report.failure = f"no convergence in {settings.max_iters} iterations (last residual {res_norm:.3e})"
             break
         # both solve for the update, with homogeneous elimination (the state
-        # already satisfies the data): Picard with the Oseen matrix, Newton
-        # with the Jacobian.  The convection values go once the matrix is made
+        # already satisfies the data), on the matrix of their convection values:
+        # Picard's Oseen matrix, Newton's Jacobian.  The values go once it is made
         # and the un-eliminated matrix once it is eliminated: one full matrix
         # is alive at the factor.
-        matrix = assembler.jacobian(conv) if newton else assembler._matrix(conv[0])
+        matrix = assembler._matrix(conv)
         del conv
         system = apply_dirichlet(assembler._system(matrix, res), V, None)
         del matrix

@@ -389,9 +389,25 @@ def test_a_constrained_row_without_a_diagonal_is_rejected():
     matrix = system.matrix.tolil()
     dof = spaces[0].dirichlet_dofs[3]
     matrix[dof, dof] = 0.0  # removes the stored entry: the matrix leaves the plan's pattern
-    system.matrix = matrix.tocsr()
     with pytest.raises(ValueError, match="not on the condensation plan's pattern"):
-        apply_dirichlet(system, spaces[0], None)
+        apply_dirichlet(dataclasses.replace(system, matrix=matrix.tocsr()), spaces[0], None)
+
+
+def test_a_system_is_frozen():
+    _, coeffs, spaces = example1_setup(n=2)
+    system = SystemAssembler(spaces, coeffs).oseen()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        system.matrix = system.matrix.copy()
+
+
+def test_a_system_rejects_a_matrix_of_another_format_when_made():
+    # the pattern is symmetric, so CSC has the same index arrays, but it represents the transpose
+    _, coeffs, spaces = example1_setup(n=2)
+    system = SystemAssembler(spaces, coeffs).oseen()
+    csc = system.matrix.tocsc()
+    assert np.array_equal(csc.indptr, system.matrix.indptr) and np.array_equal(csc.indices, system.matrix.indices)
+    with pytest.raises(ValueError, match="not on the condensation plan's pattern"):
+        dataclasses.replace(system, matrix=csc)
 
 
 def test_a_plan_constraining_a_row_without_a_diagonal_is_not_built():

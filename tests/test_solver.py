@@ -305,7 +305,7 @@ def test_non_finite_tolerance_rejected(tol):
         NonlinearSettings(tol=tol)
 
 
-@pytest.mark.parametrize("max_iters", [1.5, np.nan, 2.0, 0, -1])
+@pytest.mark.parametrize("max_iters", [1.5, np.nan, 2.0, 0, -1, True, False])
 def test_max_iters_must_be_an_integer_of_at_least_one(max_iters):
     # a fractional or NaN cap is never reached by the loop's count
     with pytest.raises(ValueError, match="max_iters must be an integer of at least 1"):
@@ -406,10 +406,10 @@ def test_non_finite_residual_stops_before_the_jacobian(monkeypatch):
     case, coeffs, spaces = example1_problem(4)
     coeffs = dataclasses.replace(coeffs, f=lambda x, y: np.full(np.shape(x) + (2,), np.nan))
 
-    def no_jacobian(self, conv):
+    def no_matrix(self, conv):
         raise AssertionError("a Jacobian was assembled at a non-finite residual")
 
-    monkeypatch.setattr(SystemAssembler, "jacobian", no_jacobian)
+    monkeypatch.setattr(SystemAssembler, "_matrix", no_matrix)
     _, _, _, rep = solve_newton(spaces, coeffs, g=case.u, pressure_target=case.pressure_integral)
     assert not rep.converged and rep.iterations == 0 and len(rep.residual_history) == 1
     assert rep.failure == "non-finite residual at iteration 0"
