@@ -2,10 +2,10 @@
 
 Each nx-by-ny grid square is split into two triangles along the
 lower-left to upper-right diagonal.  Entity numbering is deterministic
-(lexicographic vertices, row-major cells, lexicographically sorted
-edges) so that downstream matrix assembly is reproducible bit for bit.
-Meshes are immutable after construction and safe to share between
-threads.
+(lexicographic vertices, row-major cells, lexicographic edges, which
+index arithmetic enumerates without a sort) so that downstream matrix
+assembly is reproducible bit for bit.  Meshes are immutable after
+construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -29,12 +29,12 @@ class Mesh:
     cells : (nc, 3) int array
         Vertex indices, counterclockwise.
     edges : (ne, 2) int array
-        Vertex index pairs with ``edges[i, 0] < edges[i, 1]``, sorted
-        lexicographically.
+        Vertex index pairs with ``edges[i, 0] < edges[i, 1]``, in
+        lexicographic order.
     cell_edges : (nc, 3) int array
         Global index of local edge k = (cells[c, k], cells[c, (k+1) % 3]).
     edge_cells : (ne, 2) int array
-        Incident cells; second entry is -1 for boundary edges.
+        Incident cells in cell order; second entry is -1 for boundary edges.
     edge_normals : (ne, 2) float array
         Unit normal of each edge, fixed by the canonical edge direction
         (low vertex to high vertex, rotated clockwise).  Shared by both
@@ -46,8 +46,9 @@ class Mesh:
     """
 
     def __init__(self, nx: int, ny: int, rect: tuple[float, float, float, float]):
-        if nx < 1 or ny < 1:
-            raise ValueError(f"subdivision counts must be >= 1, got nx={nx}, ny={ny}")
+        for n in (nx, ny):  # a bool is an int, but no count
+            if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
+                raise ValueError(f"subdivision counts must be integers of at least 1, got {n!r}")
         x0, y0, x1, y1 = rect
         if not np.all(np.isfinite(rect)):
             raise ValueError(f"rectangle corners must be finite, got {rect}")
@@ -66,7 +67,7 @@ class Mesh:
         self._check_orientation()
         self._build_edges()
         self._tag_boundary()
-        self.h = float(self._cell_diameters().max())
+        self.h = float(self.edge_lengths.max())  # every cell diameter is one of its edge lengths
 
     @staticmethod
     def _build_cells(nx: int, ny: int) -> np.ndarray:
@@ -90,24 +91,24 @@ class Mesh:
             raise ValueError("mesh contains non-counterclockwise or degenerate cells")
 
     def _build_edges(self):
-        nc = len(self.cells)
-        # local edge k joins local vertices k and k+1 (mod 3)
-        pairs = np.concatenate(
-            [self.cells[:, [0, 1]], self.cells[:, [1, 2]], self.cells[:, [2, 0]]]
-        )
-        canon = np.sort(pairs, axis=1)
-        nv = len(self.vertices)  # the key v0 nv + v1 sorts as the pairs (v0, v1) do
-        keys, inverse = np.unique(canon[:, 0] * nv + canon[:, 1], return_inverse=True)
-        self.edges = edges = np.column_stack([keys // nv, keys % nv])
-        self.cell_edges = inverse.reshape(3, nc).T.copy()
+        nx, n1, nv, nc = self.nx, self.nx + 1, len(self.vertices), len(self.cells)
+        # vertex v = iy n1 + ix owns its edges right (v, v + 1), up (v, v + n1) and diagonal
+        # (v, v + n1 + 1); numbered vertex by vertex in that order, they come out lexicographic
+        v = np.arange(nv)
+        has_right, has_up = v % n1 < nx, v < self.ny * n1
+        owns = np.column_stack([has_right, has_up, has_right & has_up]).ravel()
+        self.edges = edges = np.column_stack([np.repeat(v, 3)[owns], (v[:, None] + [1, n1, n1 + 1]).ravel()[owns]])
+        right, up, diag = (np.cumsum(owns) - 1).reshape(nv, 3).T
 
-        # each edge's occurrences in cell order: its first cell goes in column 0
-        order = np.argsort(self.cell_edges.ravel(), kind="stable")
-        e = self.cell_edges.ravel()[order]
-        first = np.r_[True, e[1:] != e[:-1]]
-        self.edge_cells = np.full((len(edges), 2), -1, dtype=np.int64)
-        self.edge_cells[e[first], 0] = order[first] // 3
-        self.edge_cells[e[~first], 1] = order[~first] // 3
+        # square q with lower-left vertex s holds cells 2q (s, s+1, s+n1+1) and 2q+1 (s, s+n1+1, s+n1)
+        s, lower, upper = self.cells[0::2, 0], np.arange(0, nc, 2), np.arange(1, nc, 2)
+        self.cell_edges = np.column_stack([right[s], up[s + 1], diag[s], diag[s], right[s + n1], up[s]]).reshape(nc, 3)
+
+        # an edge's cells in cell order: the one below or left of it comes first
+        self.edge_cells = edge_cells = np.full((len(edges), 2), -1, dtype=np.int64)
+        edge_cells[np.r_[up[s + 1], right[s + n1], diag[s]], 0] = np.r_[lower, upper, lower]
+        second = np.r_[right[s], up[s], diag[s]]  # in column 1 if the edge has a cell in column 0
+        edge_cells[second, (edge_cells[second, 0] >= 0).astype(np.int64)] = np.r_[lower, upper, upper]
 
         t = self.vertices[edges[:, 1]] - self.vertices[edges[:, 0]]
         length = np.hypot(t[:, 0], t[:, 1])
@@ -125,13 +126,6 @@ class Mesh:
             raise ValueError(f"boundary edge {boundary[~on_side.any(axis=1)][0]} lies on no rectangle side")
         sides = on_side.argmax(axis=1).tolist()
         self.boundary_tags: dict[int, str] = {e: BOUNDARY_TAGS[s] for e, s in zip(boundary.tolist(), sides)}
-
-    def _cell_diameters(self) -> np.ndarray:
-        p = self.vertices[self.cells]
-        d01 = np.hypot(*(p[:, 0] - p[:, 1]).T)
-        d12 = np.hypot(*(p[:, 1] - p[:, 2]).T)
-        d20 = np.hypot(*(p[:, 2] - p[:, 0]).T)
-        return np.maximum(np.maximum(d01, d12), d20)
 
     @property
     def n_vertices(self) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -178,45 +179,48 @@ def coefficients_from_case(
 
 def l2_error(field: DiscreteField, exact, quad_degree: int) -> float:
     """L2 distance between a discrete field and an analytic function."""
-    quad = CellQuadrature(field.space.mesh, quad_degree)
-    tab = tabulate(field.space, quad.rule.points)
-
-    def integrand(cells, wdet, xq, inv):
-        diff = eval_field(field, tab, cells, inv) - np.asarray(exact(xq[..., 0], xq[..., 1]), dtype=float)
-        diff = diff.reshape(wdet.shape + (-1,))  # scalar fields as one component
-        return np.einsum("cq,cqi,cqi->", wdet, diff, diff)
-
-    return math.sqrt(quad.integrate(integrand))
+    return _error_norms(quad_degree, [(_l2_term, field, exact)])[0]
 
 
 def velocity_error_norm(u_h: DiscreteField, case: ManufacturedCase, quad_degree: int) -> float:
     """Combined velocity error: L2 of the value, curl and divergence
     mismatches (the exact field is solenoidal with curl = case.omega)."""
-    quad = CellQuadrature(u_h.space.mesh, quad_degree)
-    tab = tabulate(u_h.space, quad.rule.points)
-
-    def integrand(cells, wdet, xq, inv):
-        vals, grads = eval_field(u_h, tab, cells, inv, grad=True)
-        diff = vals - np.asarray(case.u(xq[..., 0], xq[..., 1]), dtype=float)
-        omega = np.asarray(case.omega(xq[..., 0], xq[..., 1]), dtype=float)
-        dcurl = grads[..., 1, 0] - grads[..., 0, 1] - omega
-        div_h = grads[..., 0, 0] + grads[..., 1, 1]
-        return (
-            np.einsum("cq,cqi,cqi->", wdet, diff, diff)
-            + np.einsum("cq,cq,cq->", wdet, dcurl, dcurl)
-            + np.einsum("cq,cq,cq->", wdet, div_h, div_h)
-        )
-
-    return math.sqrt(quad.integrate(integrand))
+    return _error_norms(quad_degree, [(_velocity_term, u_h, case)])[0]
 
 
 def error_norms(u_h: DiscreteField, w_h: DiscreteField, p_h: DiscreteField, case: ManufacturedCase):
-    """(e_u, e_w, e_p) against the case, at assembly degree + 3."""
-    quad_degree = default_quad_degree(u_h.space) + 3
-    e_u = velocity_error_norm(u_h, case, quad_degree)
-    e_w = l2_error(w_h, case.omega, quad_degree)
-    e_p = l2_error(p_h, case.p, quad_degree)
-    return e_u, e_w, e_p
+    """(e_u, e_w, e_p) against the case, at assembly degree + 3, in one pass over the cells."""
+    norms = [(_velocity_term, u_h, case), (_l2_term, w_h, case.omega), (_l2_term, p_h, case.p)]
+    return _error_norms(default_quad_degree(u_h.space) + 3, norms)
+
+
+def _error_norms(quad_degree: int, norms) -> tuple[float, ...]:
+    """Each norm ``(term, field, exact)`` in one pass over one quadrature: the root
+    of the chunk-order sum of its terms.  A chunk samples each analytic function once."""
+    quad = CellQuadrature(norms[0][1].space.mesh, quad_degree)
+    tabs = [tabulate(f.space, quad.rule.points) for _, f, _ in norms]
+    terms = []
+    for cells, wdet, xq, inv in quad.chunks():
+        sample = cache(lambda fn: np.asarray(fn(xq[..., 0], xq[..., 1]), dtype=float))
+        terms.append([float(term(f, tab, cells, wdet, inv, sample, exact)) for (term, f, exact), tab in zip(norms, tabs)])
+    return tuple(math.sqrt(sum(column)) for column in zip(*terms))
+
+
+def _l2_term(field: DiscreteField, tab, cells, wdet, inv, sample, exact):
+    """One chunk's squared L2 gap between ``field`` and the analytic ``exact``."""
+    diff = eval_field(field, tab, cells, inv) - sample(exact)
+    diff = diff.reshape(wdet.shape + (-1,))  # scalar fields as one component
+    return np.einsum("cq,cqi,cqi->", wdet, diff, diff)
+
+
+def _velocity_term(u_h: DiscreteField, tab, cells, wdet, inv, sample, case: ManufacturedCase):
+    """One chunk's squared gaps of ``u_h``'s value, curl and divergence from the case's."""
+    vals, grads = eval_field(u_h, tab, cells, inv, grad=True)
+    diff = vals - sample(case.u)
+    dcurl = grads[..., 1, 0] - grads[..., 0, 1] - sample(case.omega)
+    div_h = grads[..., 0, 0] + grads[..., 1, 1]
+    return (np.einsum("cq,cqi,cqi->", wdet, diff, diff) + np.einsum("cq,cq,cq->", wdet, dcurl, dcurl)
+            + np.einsum("cq,cq,cq->", wdet, div_h, div_h))
 
 
 def div_norm(u_h: DiscreteField) -> float:

@@ -17,6 +17,11 @@ indptr, indices and data:
 the ``cell_dofs``, ``dirichlet_dofs`` and ``local_dofs`` of each space and the
 interpolants of the exact u, w and p;
 
+the mesh's ``edges``, ``cell_edges``, ``edge_cells``, ``edge_lengths``,
+``edge_normals`` and ``h``, and its boundary tags as arrays of the tagged
+edges and of their sides' positions in ``BOUNDARY_TAGS`` (the same again
+for the non-square mesh ``MESH`` on its rectangle);
+
 and of a Newton solve the residual history, velocity increments,
 iteration count, solution (u, w, p and the multiplier) and the integer
 ``linear_stats`` counters ``COUNTERS`` (0 for a counter the solver does not
@@ -48,6 +53,7 @@ import sys
 import numpy as np
 
 STACKS = (("taylor-hood", "dg1", 8), ("mini", "cg1", 3), ("bernardi-raugel", "dg0", 3), ("mini", "dg1", 16))
+MESH = (7, 3, (0.0, 0.0, 2.0, 1.0))  # nx, ny and the rectangle
 COUNTERS = ("n_solves", "factors", "reused", "stale_steps", "refactors", "fallbacks", "fill", "condensed",
             "float32_factors", "float32_given_up")
 TOL = 1e-8  # the dumped solves' tolerance, NonlinearSettings' default
@@ -76,6 +82,15 @@ def _sparse(out: dict, name: str, matrix) -> None:
         out[f"{name}.{attr}"] = getattr(matrix, attr)
 
 
+def _mesh(out: dict, name: str, mesh) -> None:
+    from vvpflow.mesh import BOUNDARY_TAGS
+
+    for attr in ("edges", "cell_edges", "edge_cells", "edge_lengths", "edge_normals", "h"):
+        out[f"{name}.{attr}"] = np.asarray(getattr(mesh, attr))
+    out[f"{name}.boundary_edges"] = np.array(list(mesh.boundary_tags))
+    out[f"{name}.boundary_sides"] = np.array([BOUNDARY_TAGS.index(t) for t in mesh.boundary_tags.values()])
+
+
 def _solution(out: dict, name: str, u, w, p, report) -> None:
     out[f"{name}.residual_history"] = np.array(report.residual_history)
     out[f"{name}.velocity_increments"] = np.array(report.velocity_increments)
@@ -93,9 +108,12 @@ def dump(path: str) -> None:
     case = vf.example1_case_2d()
     coeffs = vf.coefficients_from_case(case)
     out = {}
+    nx, ny, rect = MESH
+    _mesh(out, f"mesh/{nx}x{ny}", vf.build_structured(nx, ny, rect))
     for family, vorticity, n in STACKS:
         tag = f"{family}/{vorticity}/{n}"
         spaces = vf.method_spaces(vf.build_structured(n, n), family, vorticity)
+        _mesh(out, f"{tag}/mesh", spaces[0].mesh)
         for label, space, exact in zip("uwp", spaces, (case.u, case.omega, case.p)):
             for name in ("cell_dofs", "dirichlet_dofs", "local_dofs"):
                 out[f"{tag}/{label}.{name}"] = getattr(space, name)

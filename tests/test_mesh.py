@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from types import SimpleNamespace
 
 from vvpflow.mesh import build_structured, cell_geometry, geometry_arrays, refine_uniform
@@ -40,11 +41,20 @@ def test_entity_counts(n):
 
 @pytest.mark.parametrize(
     "nx,ny,rect",
-    [(0, 2, (0, 0, 1, 1)), (2, -1, (0, 0, 1, 1)), (2, 2, (0, 0, 0, 1)), (2, 2, (0, 1, 1, 0))],
+    [(0, 2, (0, 0, 1, 1)), (2, -1, (0, 0, 1, 1)), (2, 2, (0, 0, 0, 1)), (2, 2, (0, 1, 1, 0)),
+     (True, 2, (0, 0, 1, 1)), (2.0, 2, (0, 0, 1, 1)), (2.5, 2, (0, 0, 1, 1)), ("3", 2, (0, 0, 1, 1))],
 )
 def test_invalid_arguments(nx, ny, rect):
     with pytest.raises(ValueError):
         build_structured(nx, ny, rect)
+
+
+def test_counts_name_the_value_and_take_numpy_integers():
+    # a bool is an int: True built a 1 x 2 mesh
+    with pytest.raises(ValueError, match="got True"):
+        build_structured(2, True)
+    m = build_structured(np.int64(3), np.int32(2))
+    assert (m.nx, m.ny, m.n_cells) == (3, 2, 12) and type(m.nx) is int
 
 
 @pytest.mark.parametrize("rect", [(0, 0, np.inf, 1), (-np.inf, 0, 1, 1), (0, -np.inf, 1, np.inf)])
@@ -185,12 +195,31 @@ def loop_connectivity(cells):
     return edges, cell_edges, edge_cells
 
 
-@pytest.mark.parametrize("nx, ny, rect", [(1, 1, (0.0, 0.0, 1.0, 1.0)), (3, 2, (0.0, 0.0, 1.0, 1.0)),
-                                          (23, 23, (0.0, 0.0, 1.0, 1.0)), (64, 32, (0.0, 0.0, 2.0, 1.0))])
+def loop_cell_diameters(m):
+    """Longest side of each cell, measured cell by cell."""
+    p = m.vertices[m.cells]
+    d01 = np.hypot(*(p[:, 0] - p[:, 1]).T)
+    d12 = np.hypot(*(p[:, 1] - p[:, 2]).T)
+    d20 = np.hypot(*(p[:, 2] - p[:, 0]).T)
+    return np.maximum(np.maximum(d01, d12), d20)
+
+
+# finite rectangles (x0, y0, x1, y1) with sides of 1e-3 to 1e3 anywhere in [-1e3, 1e3]^2
+RECTANGLES = st.tuples(*[st.floats(-1e3, 1e3)] * 2, *[st.floats(1e-3, 1e3)] * 2).map(
+    lambda r: (r[0], r[1], r[0] + r[2], r[1] + r[3]))
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), RECTANGLES)
+@example(1, 1, (0.0, 0.0, 1.0, 1.0))
+@example(3, 2, (0.0, 0.0, 1.0, 1.0))
+@example(23, 23, (0.0, 0.0, 1.0, 1.0))
+@example(64, 32, (0.0, 0.0, 2.0, 1.0))
 def test_connectivity_matches_the_cell_loop(nx, ny, rect):
     m = build_structured(nx, ny, rect)
     for got, ref in zip((m.edges, m.cell_edges, m.edge_cells), loop_connectivity(m.cells)):
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    assert m.h == loop_cell_diameters(m).max()  # bitwise: the longest edge is the largest diameter
 
 
 def loop_boundary_tags(m):

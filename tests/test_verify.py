@@ -4,11 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from vvpflow.assembly import assemble_gram_X, assemble_newton
+from vvpflow.assembly import assemble_gram_X, assemble_newton, default_quad_degree
 from vvpflow.mesh import build_structured
 from vvpflow.quadrature import quadrature
 from vvpflow.solver import NonlinearSettings, solve_newton
-from vvpflow.spaces import interpolate, method_spaces
+from vvpflow.spaces import DiscreteField, interpolate, method_spaces
 from vvpflow.verify import (
     ConvergenceReport,
     ManufacturedCase,
@@ -200,6 +200,19 @@ class TestErrorNorms:
         e_u = velocity_error_norm(u_h, case, quad_degree=9)
         h = np.sqrt(2.0) / 32.0
         assert 0.0 < e_u <= 10.0 * h**2  # loose interpolation-theory sanity bound
+
+    @pytest.mark.parametrize("family, vorticity, n", [("taylor-hood", "dg1", 8), ("mini", "cg1", 8),
+                                                      ("bernardi-raugel", "dg0", 8), ("taylor-hood", "dg1", 23)])
+    def test_one_pass_equals_the_separate_norms(self, family, vorticity, n):
+        # n = 23 has 1,058 cells: three chunks, summed in chunk order in both
+        case = example1_case_2d()
+        spaces = method_spaces(build_structured(n, n), family, vorticity)
+        rng = np.random.default_rng(n)
+        u_h, w_h, p_h = (DiscreteField(s, interpolate(s, fn).coefficients + 1e-3 * rng.standard_normal(s.n_dofs))
+                         for s, fn in zip(spaces, (case.u, case.omega, case.p)))
+        degree = default_quad_degree(spaces[0]) + 3
+        separate = (velocity_error_norm(u_h, case, degree), l2_error(w_h, case.omega, degree), l2_error(p_h, case.p, degree))
+        assert error_norms(u_h, w_h, p_h, case) == separate
 
 
 class TestEOC:
