@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from types import SimpleNamespace
 
 from vvpflow.mesh import build_structured, cell_geometry, geometry_arrays, refine_uniform
@@ -209,17 +209,23 @@ RECTANGLES = st.tuples(*[st.floats(-1e3, 1e3)] * 2, *[st.floats(1e-3, 1e3)] * 2)
     lambda r: (r[0], r[1], r[0] + r[2], r[1] + r[3]))
 
 
-@settings(derandomize=True, deadline=None)
-@given(st.integers(1, 12), st.integers(1, 12), RECTANGLES)
-@example(1, 1, (0.0, 0.0, 1.0, 1.0))
-@example(3, 2, (0.0, 0.0, 1.0, 1.0))
-@example(23, 23, (0.0, 0.0, 1.0, 1.0))
-@example(64, 32, (0.0, 0.0, 2.0, 1.0))
-def test_connectivity_matches_the_cell_loop(nx, ny, rect):
+def check_connectivity(nx, ny, rect):
     m = build_structured(nx, ny, rect)
     for got, ref in zip((m.edges, m.cell_edges, m.edge_cells), loop_connectivity(m.cells)):
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
     assert m.h == loop_cell_diameters(m).max()  # bitwise: the longest edge is the largest diameter
+
+
+@pytest.mark.parametrize("nx, ny, rect", [(1, 1, (0.0, 0.0, 1.0, 1.0)), (3, 2, (0.0, 0.0, 1.0, 1.0)),
+                                          (23, 23, (0.0, 0.0, 1.0, 1.0)), (64, 32, (0.0, 0.0, 2.0, 1.0))])
+def test_connectivity_matches_the_cell_loop(nx, ny, rect):
+    check_connectivity(nx, ny, rect)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), RECTANGLES)
+def test_connectivity_matches_the_cell_loop_on_random_rectangles(nx, ny, rect):
+    check_connectivity(nx, ny, rect)
 
 
 def loop_boundary_tags(m):
