@@ -201,9 +201,9 @@ class CondensationPlan:
     order.  Their Schur complement S = A_GG - A_GL A_LL^-1 A_LG is kept as
     CSC in the order of ``rest`` (``indices``, ``indptr``) on a structural
     pattern: A_GG's keys without the off-diagonals of the ``constrained``
-    rows and columns, every diagonal (the shift may lift any), and per cell
-    the pairs of G unknowns that share a key with its local unknowns, pairs
-    that no block stores included (MINI's pressure and vorticity pairs).
+    rows and columns, every diagonal, and per cell the pairs of G unknowns
+    that share a key with its local unknowns, pairs that no block stores
+    included (MINI's pressure and vorticity pairs).
     It is derived once, by integer ids of the full pattern's slots carried
     through a row and column selection and a CSC conversion.
 
@@ -214,14 +214,15 @@ class CondensationPlan:
     matrix's data; the flat places in ``absent`` store no key (-1 in
     ``slots``) and read zero.  ``pairs`` (nc, g, g) are the S slots of each
     cell's correction in cell order, the sink for a pair off S's pattern (a
-    constrained row's or column's), ``diagonal`` those of S's diagonal, and
-    ``dofs`` (nc, g) places A_GL's rows and A_LG's columns in ``rest``.  A
-    matrix is on the plan if it has the full ``pattern`` (as every
-    :class:`AssembledSystem` checks) with its ``constrained`` rows and
+    constrained row's or column's), ``lift`` the diagonal slots that no key
+    stores and no correction writes (TH's and BR's pressure, the
+    multiplier), and ``dofs`` (nc, g) places A_GL's rows and A_LG's columns
+    in ``rest``.  A matrix is on the plan if it has the full ``pattern`` (as
+    every :class:`AssembledSystem` checks) with its ``constrained`` rows and
     columns eliminated, as :func:`apply_dirichlet` leaves them: ``dropped``
-    (the off-diagonals S leaves out) zero and ``pinned`` (the diagonals,
-    one per row) 1; any other complement the refinement against the full
-    matrix rejects.
+    (the off-diagonals S leaves out) zero and ``pinned`` (the diagonals, one
+    per row) 1; any other complement the refinement against the full matrix
+    rejects.
     """
 
     def __init__(self, pattern: CSRPattern, order: np.ndarray, local: np.ndarray, slots, dofs, constrained):
@@ -265,12 +266,15 @@ class CondensationPlan:
         gather = np.full(ns + 1, len(idx), dtype=idx.dtype)  # the slots of S's entries, then of the sink
         np.subtract(ids.data, 1, out=gather[:ns])
         del ids
-        self.diagonal = np.flatnonzero(self.indices == np.repeat(np.arange(ng, dtype=idx.dtype), np.diff(self.indptr)))
+        diagonal = np.flatnonzero(self.indices == np.repeat(np.arange(ng, dtype=idx.dtype), np.diff(self.indptr)))
         to_s = np.full(len(idx) + len(fresh) + 1, ns, dtype=idx.dtype)  # a slot's S slot; the last, -1's, the sink
         to_s[gather[:ns]] = np.arange(ns, dtype=idx.dtype)
         self.pairs = to_s[pairs]
         self.pairs[:, ii, jj] = to_s[fresh_pairs]
         del to_s
+        filled = gather < len(idx)  # the S slots that a key stores or a cell's correction writes
+        filled[self.pairs] = True
+        self.lift = diagonal[~filled[diagonal]]
         absent = np.flatnonzero(gather >= len(idx))  # the fresh entries and the sink read zero
         gather[absent] = 0
         self.gather = gather, absent

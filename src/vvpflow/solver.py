@@ -27,11 +27,11 @@ Kurzak, Luszczek & Tomov, ACM TOMS 34, 2008; Carson & Higham, SISC 40,
 2018); a float32 factor that does not contract gives way to a float64
 one, and a solve whose float64 factor fails too raises
 :class:`SolverFailure` with both reasons.  S is the only matrix SuperLU
-ever factors.  Its exactly zero diagonals are lifted by a rule stated at
-``CONDENSED``.  While SuperLU factors, the eliminated matrix is the only
-full one alive, and S only in the precision it is factored in.  Beside a
-held factor a later step holds the binned linear part, its one matrix
-and, while eliminating, the masked data.
+ever factors.  Its diagonals that no form fills, fixed by the plan, are
+lifted as ``CONDENSED`` states.  While SuperLU factors, the eliminated
+matrix is the only full one alive, and S only in the precision it is
+factored in.  Beside a held factor a later step holds the binned linear
+part, its one matrix and, while eliminating, the masked data.
 
 The nonlinear loop holds the last factor it made and refines each later
 system against it while it contracts (the chord and Shamanskii variants
@@ -60,10 +60,9 @@ REFINE_STEPS = 8
 #: cuts the residual by less than this.
 STALE_CONTRACTION = 4.0
 #: The factors of a solve, in the order tried: the complement's precision and the lift, in units of
-#: ||A||_inf, that raises each diagonal of S below 1e-8 ||A||_inf (the exact zeros of the TH
-#: and BR pressure rows and of the multiplier).  float32 rounds a pivot of size ||A|| by up to
-#: 6e-8 ||A||, so its factor needs the larger lift; a lift of every diagonal below 1e-6 ||A||
-#: stalls the MINI cavity's float32 factors, whose pressure diagonals are that small.
+#: ||A||_inf, added to the diagonals of S that no form fills (``CondensationPlan.lift``: the TH
+#: and BR pressure rows and the multiplier); every computed pivot is factored as it is.  float32
+#: rounds a pivot of size ||A|| by up to 6e-8 ||A||, so its factor needs the larger lift.
 CONDENSED = ((np.float32, 1e-7), (np.float64, 1e-8))
 
 
@@ -154,13 +153,13 @@ def _gather(data: np.ndarray, slots: np.ndarray, absent: np.ndarray, dtype=np.fl
     return values
 
 
-def _condense(a: sp.csr_matrix, plan: CondensationPlan, shift_below: float, dtype, lift: float):
+def _condense(a: sp.csr_matrix, plan: CondensationPlan, dtype, lift: float):
     """Eliminate the cell-local unknowns of ``a`` cell by cell, on ``plan``.
 
     With L the local and G the other unknowns, in the order ``plan`` gives
     them, factors the Schur complement S = A_GG - A_GL A_LL^-1 A_LG in
-    ``dtype``, its diagonal entries smaller than ``shift_below`` raised by
-    ``lift``, in that order with static pivots.  Every block is a gather
+    ``dtype``, its diagonal slots ``plan.lift`` raised by ``lift``, in that
+    order with static pivots.  Every block is a gather
     from ``a.data``: A_LL is block diagonal, one (k, k) block per cell,
     inverted batched in float64 (a singular block raises
     ``np.linalg.LinAlgError``); S is gathered and each cell's correction
@@ -182,8 +181,7 @@ def _condense(a: sp.csr_matrix, plan: CondensationPlan, shift_below: float, dtyp
     schur = _gather(a.data, *plan.gather, dtype)  # S's entries, then the sink of the pairs without one
     # formed in S's type: 1-D and of one type is numpy's fast path
     np.subtract.at(schur, plan.pairs.ravel(), (gl.astype(dtype, copy=False) @ inv_lg.astype(dtype, copy=False)).ravel())
-    diagonal = schur[plan.diagonal]
-    schur[plan.diagonal] = np.where(np.abs(diagonal) < shift_below, diagonal + lift, diagonal)
+    schur[plan.lift] += lift
     lu = spla.splu(plan.complement(schur[:-1]), permc_spec="NATURAL",
                    options={"SymmetricMode": True, "DiagPivotThresh": 0.0})
     rest, local, dofs, rows = plan.rest, plan.local, plan.dofs, plan.dofs.ravel().astype(np.intp)
@@ -211,7 +209,7 @@ def solve_linear(system: AssembledSystem, stats: dict | None = None, held: dict 
     plan's elimination order puts the cell-local unknowns first, then nested
     dissection with the multiplier last.  The local unknowns are condensed
     out and the Schur complement is factored in that order with static
-    pivots, its zero diagonals lifted as ``CONDENSED`` states, and
+    pivots, the plan's ``lift`` diagonals raised as ``CONDENSED`` states, and
     refinement against the full unshifted float64 matrix restores full
     accuracy; a system without local unknowns takes the same path.  The
     complement is factored in float32 and, if that factor fails, in float64:
@@ -260,7 +258,7 @@ def solve_linear(system: AssembledSystem, stats: dict | None = None, held: dict 
         x = reason = solve = None  # the failed attempt's factor goes before the next is made
         t0 = time.perf_counter()
         try:
-            solve, fill = _condense(a, system.plan, 1e-8 * norm_a, dtype, lift * norm_a)
+            solve, fill = _condense(a, system.plan, dtype, lift * norm_a)
         except np.linalg.LinAlgError as exc:  # the same float64 inverse fails in either precision
             raise SolverFailure(f"sparse direct solve failed: {exc}") from None
         except RuntimeError as exc:

@@ -161,12 +161,13 @@ def method_spaces(mesh: Mesh, family: str, vorticity: str = "dg1"):
 
 
 def _as_vector_fn(g):
-    if g is None:
-        return lambda x, y: np.zeros(np.shape(x) + (2,))
-    if isinstance(g, (tuple, list, np.ndarray)):
-        gx, gy = float(g[0]), float(g[1])
-        return lambda x, y: np.stack([np.full_like(x, gx), np.full_like(x, gy)], axis=-1)
-    return g
+    if not (g is None or isinstance(g, (tuple, list, np.ndarray))):
+        return g
+    try:  # None is zero; a constant is exactly two numbers
+        gx, gy = (0.0, 0.0) if g is None else map(float, g)
+    except (TypeError, ValueError):
+        raise ValueError(f"a constant boundary value must be two numbers, got {g!r}") from None
+    return lambda x, y: np.stack([np.full_like(x, gx), np.full_like(x, gy)], axis=-1)
 
 
 def boundary_values(space: FunctionSpace, g) -> np.ndarray:

@@ -198,6 +198,8 @@ def _error_norms(quad_degree: int, norms) -> tuple[float, ...]:
     """Each norm ``(term, field, exact)`` in one pass over one quadrature: the root
     of the chunk-order sum of its terms.  A chunk samples each analytic function once."""
     quad = CellQuadrature(norms[0][1].space.mesh, quad_degree)
+    if any(f.space.mesh is not quad.mesh for _, f, _ in norms):
+        raise ValueError("the fields of one pass over the cells must live on one mesh")
     tabs = [tabulate(f.space, quad.rule.points) for _, f, _ in norms]
     terms = []
     for cells, wdet, xq, inv in quad.chunks():
@@ -218,22 +220,20 @@ def _velocity_term(u_h: DiscreteField, tab, cells, wdet, inv, sample, case: Manu
     vals, grads = eval_field(u_h, tab, cells, inv, grad=True)
     diff = vals - sample(case.u)
     dcurl = grads[..., 1, 0] - grads[..., 0, 1] - sample(case.omega)
-    div_h = grads[..., 0, 0] + grads[..., 1, 1]
     return (np.einsum("cq,cqi,cqi->", wdet, diff, diff) + np.einsum("cq,cq,cq->", wdet, dcurl, dcurl)
-            + np.einsum("cq,cq,cq->", wdet, div_h, div_h))
+            + _div_term(u_h, tab, cells, wdet, inv, sample, case, grads))
+
+
+def _div_term(u_h: DiscreteField, tab, cells, wdet, inv, sample, exact, grads=None):
+    """One chunk's squared divergence of ``u_h``, from its ``grads`` when given (the exact one is 0)."""
+    grads = eval_field(u_h, tab, cells, inv, grad=True)[1] if grads is None else grads
+    div_h = grads[..., 0, 0] + grads[..., 1, 1]
+    return np.einsum("cq,cq,cq->", wdet, div_h, div_h)
 
 
 def div_norm(u_h: DiscreteField) -> float:
     """||div u_h||_0, at the assembly degree; the augmentation controls but never nullifies it."""
-    quad = CellQuadrature(u_h.space.mesh, default_quad_degree(u_h.space))
-    tab = tabulate(u_h.space, quad.rule.points)
-
-    def integrand(cells, wdet, xq, inv):
-        grads = eval_field(u_h, tab, cells, inv, grad=True)[1]
-        div_h = grads[..., 0, 0] + grads[..., 1, 1]
-        return np.einsum("cq,cq,cq->", wdet, div_h, div_h)
-
-    return math.sqrt(quad.integrate(integrand))
+    return _error_norms(default_quad_degree(u_h.space), [(_div_term, u_h, None)])[0]
 
 
 def integral(field: DiscreteField, quad_degree: int | None = None) -> float:

@@ -25,15 +25,17 @@ for the non-square mesh ``MESH`` on its rectangle);
 and of a Newton solve the residual history, velocity increments,
 iteration count, solution (u, w, p and the multiplier) and the integer
 ``linear_stats`` counters ``COUNTERS`` (0 for a counter the solver does not
-keep); the same again for a Picard solve
-of the first stack.  ``--compare`` lists every array in which two dumps
-differ, with the count of differing entries, the largest relative gap and
-the largest gap over the array's largest magnitude (which tells roundoff of
-a near-zero entry from a moved array), then the array's class in ``GATE``,
-its bound and whether the second dump keeps to it.  It exits 0 if every
-array is identical, 3 if every moved array keeps to its bound and 1
-otherwise.  The bounds: DOF maps, orderings, patterns, assembled matrices,
-rhs and residuals, step counts and the counters are exact, except the
+keep), and the matrix its first factor hands to SuperLU, as CSR (the
+condensed complement, its lifted diagonals included); the same again, but
+that matrix, for a Picard solve of the first stack.  ``--compare`` lists
+every array in which two dumps differ, with the count of differing
+entries, the largest relative gap and the largest gap over the array's
+largest magnitude (which tells roundoff of a near-zero entry from a moved
+array), then the array's class in ``GATE``, its bound and whether the
+second dump keeps to it.  It exits 0 if every array is identical, 3 if
+every moved array keeps to its bound and 1 otherwise.  The bounds: DOF
+maps, orderings, patterns, assembled and factored matrices, rhs and
+residuals, step counts and the counters are exact, except the
 arrays and counters in ``NAMED`` and ``NAMED_COUNTERS``, which a change may
 move and says why; solutions (u, w, p, the multiplier and the velocity
 increments) may move by ``SOLUTION_GAP`` of the array's largest entry; and
@@ -54,8 +56,8 @@ import numpy as np
 
 STACKS = (("taylor-hood", "dg1", 8), ("mini", "cg1", 3), ("bernardi-raugel", "dg0", 3), ("mini", "dg1", 16))
 MESH = (7, 3, (0.0, 0.0, 2.0, 1.0))  # nx, ny and the rectangle
-COUNTERS = ("n_solves", "factors", "reused", "stale_steps", "refactors", "fallbacks", "fill", "condensed",
-            "float32_factors", "float32_given_up")
+COUNTERS = ("n_solves", "factors", "reused", "stale_steps", "refactors", "fill", "condensed", "float32_factors",
+            "float32_given_up")
 TOL = 1e-8  # the dumped solves' tolerance, NonlinearSettings' default
 SOLUTION_GAP = 1e-8
 # what the change under comparison may move: the eliminated matrix keeps its exact zeros, the
@@ -101,6 +103,26 @@ def _solution(out: dict, name: str, u, w, p, report) -> None:
     out[f"{name}.linear_stats"] = np.array([report.linear_stats.get(key, 0) for key in COUNTERS])
 
 
+def _first_factored(out: dict, name: str, solve):
+    """``solve()``, with the first matrix it hands to ``splu`` dumped as ``name``."""
+    import scipy.sparse.linalg as spla
+
+    made, original = [], spla.splu
+
+    def recording(matrix, **options):
+        if not made:
+            made.append(matrix.copy())
+        return original(matrix, **options)
+
+    spla.splu = recording
+    try:
+        result = solve()
+    finally:
+        spla.splu = original
+    _sparse(out, name, made[0])
+    return result
+
+
 def dump(path: str) -> None:
     import vvpflow as vf
     from assembled_parts import parts
@@ -135,7 +157,9 @@ def dump(path: str) -> None:
         for name, part in parts(asm, beta).items():
             _sparse(out, f"{tag}/parts/{name}", part)
         _sparse(out, f"{tag}/gram", vf.assemble_gram_X(spaces))
-        _solution(out, f"{tag}/newton", *vf.solve_newton(spaces, coeffs, g=case.u, pressure_target=case.pressure_integral))
+        newton = _first_factored(out, f"{tag}/newton/factored", lambda: vf.solve_newton(
+            spaces, coeffs, g=case.u, pressure_target=case.pressure_integral))
+        _solution(out, f"{tag}/newton", *newton)
         if (family, vorticity, n) == STACKS[0]:
             picard = vf.solve_picard(spaces, coeffs, g=case.u, pressure_target=case.pressure_integral)
             _solution(out, f"{tag}/picard", *picard)

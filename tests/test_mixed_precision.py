@@ -4,8 +4,9 @@ The condensed complement is factored in float32 first and refined against
 the full float64 matrix under the unchanged residual contract; a float32
 factor that does not contract gives way to a float64 one, and a solve whose
 float64 factor fails too raises ``SolverFailure``.  No other matrix is
-factored.  S's exactly zero diagonals are lifted by 1e-7 ||A|| in float32
-(``solver.CONDENSED``).
+factored.  S's structurally zero diagonals (``CondensationPlan.lift``) are
+lifted by 1e-7 ||A|| in float32 (``solver.CONDENSED``), and no computed
+pivot is.
 """
 
 import numpy as np
@@ -14,11 +15,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import vvpflow.solver
+from vvpflow.assembly import ProblemCoefficients, SystemAssembler, apply_dirichlet
 from vvpflow.mesh import build_structured
 from vvpflow.solver import SolverFailure, _condense, _refine, solve_linear, solve_newton
 from vvpflow.spaces import method_spaces
 from vvpflow.verify import coefficients_from_case, example1_case_2d, run_cavity
-from test_condensation import assert_contract, newton_system
+from test_condensation import STACKS, assert_contract, newton_system
 
 
 def recording_splu(monkeypatch):
@@ -76,14 +78,13 @@ def test_a_complement_that_cannot_contract_fails_in_both_precisions(monkeypatch)
     assert held == {}
 
 
-def test_a_diverging_cavity_stops_with_both_reasons_and_factors_no_full_matrix(monkeypatch):
-    # undamped Newton diverges on the 32x16 cavity at nu0 = 0.001 until both precisions of a step's
-    # complement are given up; SuperLU never orders or factors anything but a complement
+def test_a_diverging_cavity_runs_to_its_cap_and_factors_no_full_matrix(monkeypatch):
+    # undamped Newton diverges on the 32x16 cavity at nu0 = 0.001 until its 50-step cap; SuperLU
+    # never orders or factors anything but a complement
     made = recording_splu(monkeypatch)
     _, rep = run_cavity(32, 16, nu0=0.001)
-    assert not rep.converged and rep.iterations == 19 and len(rep.residual_history) == 20
-    assert rep.failure.startswith("sparse direct solve failed: the float32 complement: ")
-    assert "; the float64 complement: " in rep.failure
+    assert not rep.converged and rep.iterations == 50 and len(rep.residual_history) == 51
+    assert rep.failure.startswith("no convergence in 50 iterations")
     V, W, Q = method_spaces(build_structured(32, 16, (0.0, 0.0, 2.0, 1.0)), "mini", "cg1")
     complement = V.n_dofs + W.n_dofs + Q.n_dofs + 1 - V.local_dofs.size
     assert made and all(spec == "NATURAL" and matrix.shape == (complement,) * 2 for _, spec, matrix in made)
@@ -139,27 +140,59 @@ def test_a_fresh_float32_factor_is_given_up_by_its_projection_only():
 
 
 @pytest.mark.filterwarnings("ignore:vorticity space")
-@pytest.mark.parametrize("family, vorticity, zeros", [("taylor-hood", "dg1", "pressure"),
-                                                       ("bernardi-raugel", "dg1", "pressure"),
-                                                       ("mini", "cg1", "multiplier")])
+@pytest.mark.parametrize("family, vorticity, zeros", [(family, vorticity, "multiplier" if family == "mini" else "pressure")
+                                                       for family, vorticity, _, _ in STACKS]
+                         + [("bernardi-raugel", "dg1", "pressure")])
 def test_the_float32_lift_touches_exactly_the_zero_diagonals(monkeypatch, family, vorticity, zeros):
     asm, system = newton_system(family, vorticity, 6)
-    a = system.matrix
+    a, plan = system.matrix, system.plan
     norm_a = np.abs(a).sum(axis=1).max()
     made = recording_splu(monkeypatch)
     solve_linear(system, {})
-    _condense(a, system.plan, 0.0, np.float32, 0.0)  # nothing is below 0: S unlifted
+    _condense(a, plan, np.float32, 0.0)  # S unlifted
     (dtype, _, lifted), (_, _, bare) = made
     assert dtype == bare.dtype == np.float32
     assert np.array_equal(lifted.indices, bare.indices) and np.array_equal(lifted.indptr, bare.indptr)
     moved = np.flatnonzero(lifted.data != bare.data)
     diagonal = np.flatnonzero(bare.indices == np.repeat(np.arange(bare.shape[0]), np.diff(bare.indptr)))
     assert np.array_equal(moved, diagonal[bare.data[diagonal] == 0.0])
+    assert np.array_equal(moved, plan.lift)
     assert np.all(lifted.data[moved] == np.float32(1e-7 * norm_a))
-    # the zeros are the pressure rows that couple to no local unknown, and the multiplier (last in S)
-    o, rest = asm.block_index, system.plan.rest
+    # the structural zeros: the G unknowns whose row stores no diagonal key and no key of a local unknown
+    n, ptr, idx = a.shape[0], plan.pattern.indptr, plan.pattern.indices
+    rows, local = np.repeat(np.arange(n), np.diff(ptr)), np.zeros(n, dtype=bool)
+    local[plan.local] = True
+    filled = np.zeros(n, dtype=bool)
+    filled[rows[(idx == rows) | local[idx]]] = True
+    o, rest = asm.block_index, plan.rest
     unknowns = rest[np.searchsorted(diagonal, moved)]
+    assert np.array_equal(unknowns, rest[~filled[rest]])
+    # they are the pressure rows that couple to no local unknown, and the multiplier (last in S)
     if zeros == "pressure":
         assert np.all((unknowns >= o[2]) & (unknowns <= o[3])) and len(unknowns) == o[3] - o[2] + 1
     else:
         assert np.array_equal(unknowns, [o[3]])
+
+
+def test_a_tiny_computed_pivot_is_not_lifted(monkeypatch):
+    # MINI/cg1 at beta = 0 with sigma = 1e5 (a Brinkman permeability of 1e-5): 32 computed pivots of
+    # S lie below 1e-8 ||A||.  A rule that lifted every diagonal below that would lift them, and
+    # neither precision's factor would contract; lifting only the structural zero (the multiplier)
+    # meets the contract in float32
+    spaces = method_spaces(build_structured(8, 8), "mini", "cg1")
+    const = lambda value: lambda x, y: np.full_like(x, value)
+    coeffs = ProblemCoefficients(nu=const(1.0), sigma=const(1e5), f=lambda x, y: np.stack([np.ones_like(x), x], axis=-1),
+                                 kappa1=0.5, kappa2=0.5, nu0=1.0, nu1=1.0, sigma0=1e5, sigma1=1e5)
+    system = apply_dirichlet(SystemAssembler(spaces, coeffs).oseen(), spaces[0], None)
+    a, plan = system.matrix, system.plan
+    norm_a = np.abs(a).sum(axis=1).max()
+    made = recording_splu(monkeypatch)
+    stats = {}
+    x = solve_linear(system, stats)
+    assert_contract(system, x)
+    assert stats["float32_factors"] == stats["factors"] == len(made) == 1 and "float32_given_up" not in stats
+    _condense(a, plan, np.float32, 0.0)  # S unlifted
+    (_, _, lifted), (_, _, bare) = made
+    diagonal = bare.diagonal()
+    assert np.count_nonzero((diagonal != 0.0) & (np.abs(diagonal) < 1e-8 * norm_a)) == 32
+    assert np.array_equal(np.flatnonzero(lifted.data != bare.data), plan.lift) and len(plan.lift) == 1

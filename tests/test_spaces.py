@@ -347,6 +347,18 @@ def test_boundary_values_reject_a_scalar_space():
         boundary_values(W, (1.0, 0.0))
 
 
+@pytest.mark.parametrize("g", [(1.0, 0.0, 5.0), (1.0,), [1.0, "a"], [1j, 0.0], np.ones((2, 2))])
+def test_boundary_values_reject_a_constant_that_is_not_two_numbers(g):
+    V = method_spaces(build_structured(2, 2), "taylor-hood", "dg1")[0]
+    with pytest.raises(ValueError, match="a constant boundary value must be two numbers, got"):
+        boundary_values(V, g)
+    with pytest.raises(ValueError, match="must be two numbers"):
+        boundary_values(V, {"top": g})
+    for pair in ((1.0, 0.0), [1, 0], np.array([1.0, 0.0])):
+        assert np.array_equal(boundary_values(V, pair), boundary_values(V, lambda x, y: np.stack(
+            [np.ones_like(x), np.zeros_like(x)], axis=-1)))
+
+
 def test_boundary_values_reject_unknown_tags():
     V = method_spaces(build_structured(2, 2), "taylor-hood", "dg1")[0]
     with pytest.raises(ValueError, match=r"unknown boundary tags \['lid', 'north'\]"):

@@ -214,6 +214,19 @@ class TestErrorNorms:
         separate = (velocity_error_norm(u_h, case, degree), l2_error(w_h, case.omega, degree), l2_error(p_h, case.p, degree))
         assert error_norms(u_h, w_h, p_h, case) == separate
 
+    @pytest.mark.parametrize("nx, ny, rect", [(8, 8, (0.0, 0.0, 1.0, 1.0)), (4, 4, (0.0, 0.0, 2.0, 2.0))])
+    def test_fields_on_another_mesh_are_rejected(self, nx, ny, rect):
+        # one pass integrates on the first field's cells: another mesh's field would be measured there
+        case = example1_case_2d()
+        V, W, Q = method_spaces(build_structured(4, 4), "taylor-hood", "dg1")
+        W_other = method_spaces(build_structured(nx, ny, rect), "taylor-hood", "dg1")[1]
+        u_h, p_h = interpolate(V, case.u), interpolate(Q, case.p)
+        w_other = interpolate(W_other, case.omega)
+        with pytest.raises(ValueError, match="must live on one mesh"):
+            error_norms(u_h, w_other, p_h, case)
+        w_h = interpolate(W, case.omega)
+        assert error_norms(u_h, w_h, p_h, case)[1] == l2_error(w_h, case.omega, default_quad_degree(V) + 3)
+
 
 class TestEOC:
     def test_tabulated_error_pair(self):
