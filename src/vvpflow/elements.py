@@ -107,16 +107,8 @@ class VectorElement:
         dshapes = np.repeat(sg, 2, axis=0)
         if self.family != "bernardi-raugel":
             return shapes, dshapes
-        lam = barycentric(points)
-        bubbles, dbubbles = [], []
-        for k in range(3):  # quadratic bubble of local edge k = (k, k+1)
-            i, j = k, (k + 1) % 3
-            bubbles.append(lam[:, i] * lam[:, j])
-            dbubbles.append(
-                lam[:, i][:, None] * GRAD_LAMBDA[j]
-                + lam[:, j][:, None] * GRAD_LAMBDA[i]
-            )
-        return np.concatenate([shapes, bubbles]), np.concatenate([dshapes, dbubbles])
+        pv, pg = _p2_tab(points)  # the edge bubbles are P2's edge functions over 4, exactly
+        return np.concatenate([shapes, pv[3:] / 4.0]), np.concatenate([dshapes, pg[3:] / 4.0])
 
     def directions(self, mesh, cells=slice(None)) -> np.ndarray:
         """Component direction of every local function on ``cells`` (all by

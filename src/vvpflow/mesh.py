@@ -4,7 +4,8 @@ Each nx-by-ny grid square is split into two triangles along the
 lower-left to upper-right diagonal.  Entity numbering is deterministic
 (lexicographic vertices, row-major cells, lexicographic edges, which
 index arithmetic enumerates without a sort) so that downstream matrix
-assembly is reproducible bit for bit.  Meshes are immutable after
+assembly is reproducible bit for bit.  The same arithmetic names the
+edges of each side of the rectangle.  Meshes are immutable after
 construction and safe to share between threads.
 """
 
@@ -21,7 +22,7 @@ TAG_APPLICATION_ORDER = ("bottom", "right", "left", "top")
 
 
 class Mesh:
-    """Triangulation of a rectangle with edge connectivity and boundary tags.
+    """Triangulation of a rectangle with edge connectivity and its sides.
 
     Attributes
     ----------
@@ -33,14 +34,12 @@ class Mesh:
         lexicographic order.
     cell_edges : (nc, 3) int array
         Global index of local edge k = (cells[c, k], cells[c, (k+1) % 3]).
-    edge_cells : (ne, 2) int array
-        Incident cells in cell order; second entry is -1 for boundary edges.
     edge_normals : (ne, 2) float array
         Unit normal of each edge, fixed by the canonical edge direction
         (low vertex to high vertex, rotated clockwise).  Shared by both
         incident cells.
-    boundary_tags : dict int -> str
-        Side tag for every boundary edge.
+    sides : dict str -> read-only int64 array
+        Ascending edge indices of each side, keyed in ``BOUNDARY_TAGS`` order.
     h : float
         Maximum cell diameter.
     """
@@ -66,7 +65,6 @@ class Mesh:
         self.cells = self._build_cells(nx, ny)
         self._check_orientation()
         self._build_edges()
-        self._tag_boundary()
         self.h = float(self.edge_lengths.max())  # every cell diameter is one of its edge lengths
 
     @staticmethod
@@ -98,34 +96,19 @@ class Mesh:
         has_right, has_up = v % n1 < nx, v < self.ny * n1
         owns = np.column_stack([has_right, has_up, has_right & has_up]).ravel()
         self.edges = edges = np.column_stack([np.repeat(v, 3)[owns], (v[:, None] + [1, n1, n1 + 1]).ravel()[owns]])
-        right, up, diag = (np.cumsum(owns) - 1).reshape(nv, 3).T
+        ids = np.cumsum(owns) - 1
+        ids.setflags(write=False)  # the sides are views of it
+        right, up, diag = ids.reshape(nv, 3).T
 
         # square q with lower-left vertex s holds cells 2q (s, s+1, s+n1+1) and 2q+1 (s, s+n1+1, s+n1)
-        s, lower, upper = self.cells[0::2, 0], np.arange(0, nc, 2), np.arange(1, nc, 2)
+        s = self.cells[0::2, 0]
         self.cell_edges = np.column_stack([right[s], up[s + 1], diag[s], diag[s], right[s + n1], up[s]]).reshape(nc, 3)
-
-        # an edge's cells in cell order: the one below or left of it comes first
-        self.edge_cells = edge_cells = np.full((len(edges), 2), -1, dtype=np.int64)
-        edge_cells[np.r_[up[s + 1], right[s + n1], diag[s]], 0] = np.r_[lower, upper, lower]
-        second = np.r_[right[s], up[s], diag[s]]  # in column 1 if the edge has a cell in column 0
-        edge_cells[second, (edge_cells[second, 0] >= 0).astype(np.int64)] = np.r_[lower, upper, upper]
+        # bottom and top rows' right edges, right and left columns' up edges
+        self.sides = dict(zip(BOUNDARY_TAGS, (right[:nx], up[nx:-n1:n1], right[-n1:-1], up[:-n1:n1])))
 
         t = self.vertices[edges[:, 1]] - self.vertices[edges[:, 0]]
-        length = np.hypot(t[:, 0], t[:, 1])
-        self.edge_lengths = length
+        self.edge_lengths = length = np.hypot(t[:, 0], t[:, 1])
         self.edge_normals = np.column_stack([t[:, 1], -t[:, 0]]) / length[:, None]
-
-    def _tag_boundary(self):
-        x0, y0, x1, y1 = self.rect
-        tol = 1e-12 * max(x1 - x0, y1 - y0)
-        boundary = np.nonzero(self.edge_cells[:, 1] < 0)[0]
-        mid = 0.5 * (self.vertices[self.edges[boundary, 0]] + self.vertices[self.edges[boundary, 1]])
-        # one column per side in BOUNDARY_TAGS order; an edge takes its first side
-        on_side = np.abs(mid[:, [1, 0, 1, 0]] - [y0, x1, y1, x0]) < tol
-        if not on_side.any(axis=1).all():  # pragma: no cover - structured construction precludes this
-            raise ValueError(f"boundary edge {boundary[~on_side.any(axis=1)][0]} lies on no rectangle side")
-        sides = on_side.argmax(axis=1).tolist()
-        self.boundary_tags: dict[int, str] = {e: BOUNDARY_TAGS[s] for e, s in zip(boundary.tolist(), sides)}
 
     @property
     def n_vertices(self) -> int:
@@ -140,14 +123,14 @@ class Mesh:
         return len(self.edges)
 
     def boundary_edges(self, tag: str | None = None) -> np.ndarray:
-        """Indices of boundary edges, optionally restricted to one side."""
-        if tag is None:
-            return np.fromiter(self.boundary_tags, dtype=np.int64)
-        if tag not in BOUNDARY_TAGS:
-            raise ValueError(f"unknown boundary tag {tag!r}")
-        return np.fromiter(
-            (e for e, t in self.boundary_tags.items() if t == tag), dtype=np.int64
-        )
+        """Ascending, read-only indices of the boundary edges, optionally of one side only."""
+        if tag is not None:
+            if tag not in BOUNDARY_TAGS:
+                raise ValueError(f"unknown boundary tag {tag!r}")
+            return self.sides[tag]
+        edges = np.sort(np.concatenate(list(self.sides.values())))
+        edges.setflags(write=False)
+        return edges
 
     def __repr__(self):
         return (

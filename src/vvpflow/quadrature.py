@@ -96,23 +96,23 @@ def _orbits(centroid, s21, s111):
     return lam[:, 1:].copy(), np.array([w for w, points in orbits for _ in points])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 6.0 and True reach the check below, not the rules of 6 and 1
 def quadrature(degree: int) -> QuadratureRule:
     """Symmetric rule integrating total degree ``degree`` exactly: the table
     rule of 12, 16 or 19 points at degree 6, 8 or 9, else the conical one."""
+    if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)):  # a bool is an int, but no degree
+        raise ValueError(f"quadrature degree must be an integer, got {degree!r}")
     if degree < 0:
         raise ValueError(f"quadrature degree must be >= 0, got {degree}")
     if degree > MAX_DEGREE:
-        raise ValueError(
-            f"quadrature degree {degree} exceeds supported maximum {MAX_DEGREE}"
-        )
+        raise ValueError(f"quadrature degree {degree} exceeds supported maximum {MAX_DEGREE}")
     if degree in _SYMMETRIC:
         points, weights = _orbits(*_SYMMETRIC[degree])
     else:
         points, weights = _symmetrise(*_conical_rule(max(degree, 1)))
     points.setflags(write=False)
     weights.setflags(write=False)
-    return QuadratureRule(points=points, weights=weights, degree=degree)
+    return QuadratureRule(points=points, weights=weights, degree=int(degree))
 
 
 def physical_points(rule: QuadratureRule, jac: np.ndarray, origin: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from numbers import Number
 
 import numpy as np
 
@@ -161,9 +162,11 @@ def method_spaces(mesh: Mesh, family: str, vorticity: str = "dg1"):
 
 
 def _as_vector_fn(g):
-    if not (g is None or isinstance(g, (tuple, list, np.ndarray))):
+    if callable(g):
         return g
-    try:  # None is zero; a constant is exactly two numbers
+    try:  # None is zero; a constant is exactly two numbers in a tuple, list or array
+        if not (g is None or isinstance(g, (tuple, list, np.ndarray)) and all(isinstance(x, Number) for x in g)):
+            raise TypeError
         gx, gy = (0.0, 0.0) if g is None else map(float, g)
     except (TypeError, ValueError):
         raise ValueError(f"a constant boundary value must be two numbers, got {g!r}") from None
@@ -253,7 +256,6 @@ class SpaceTabulation:
     """Reference tabulation of one space at a fixed point set."""
 
     space: FunctionSpace
-    points: np.ndarray
     shapes: np.ndarray  # (n_local, npts)
     dshapes: np.ndarray  # (n_local, npts, 2)
     dirs: np.ndarray | None  # (nc | 1, n_local, 2) for vector spaces
@@ -263,7 +265,7 @@ def tabulate(space: FunctionSpace, points: np.ndarray, cells=slice(None)) -> Spa
     """Reference tabulation, with the basis directions of ``cells`` only."""
     shapes, dshapes = space.element.tabulate(points)
     dirs = space.element.directions(space.mesh, cells) if space.vector else None
-    return SpaceTabulation(space, np.atleast_2d(points), shapes, dshapes, dirs)
+    return SpaceTabulation(space, shapes, dshapes, dirs)
 
 
 def physical_gradients(tab: SpaceTabulation, inv: np.ndarray) -> np.ndarray:

@@ -17,10 +17,9 @@ indptr, indices and data:
 the ``cell_dofs``, ``dirichlet_dofs`` and ``local_dofs`` of each space and the
 interpolants of the exact u, w and p;
 
-the mesh's ``edges``, ``cell_edges``, ``edge_cells``, ``edge_lengths``,
-``edge_normals`` and ``h``, and its boundary tags as arrays of the tagged
-edges and of their sides' positions in ``BOUNDARY_TAGS`` (the same again
-for the non-square mesh ``MESH`` on its rectangle);
+the mesh's ``edges``, ``cell_edges``, ``edge_lengths``, ``edge_normals``
+and ``h``, and its ``boundary_edges`` of each side in ``BOUNDARY_TAGS`` (the
+same again for the non-square mesh ``MESH`` on its rectangle);
 
 and of a Newton solve the residual history, velocity increments,
 iteration count, solution (u, w, p and the multiplier) and the integer
@@ -87,10 +86,10 @@ def _sparse(out: dict, name: str, matrix) -> None:
 def _mesh(out: dict, name: str, mesh) -> None:
     from vvpflow.mesh import BOUNDARY_TAGS
 
-    for attr in ("edges", "cell_edges", "edge_cells", "edge_lengths", "edge_normals", "h"):
+    for attr in ("edges", "cell_edges", "edge_lengths", "edge_normals", "h"):
         out[f"{name}.{attr}"] = np.asarray(getattr(mesh, attr))
-    out[f"{name}.boundary_edges"] = np.array(list(mesh.boundary_tags))
-    out[f"{name}.boundary_sides"] = np.array([BOUNDARY_TAGS.index(t) for t in mesh.boundary_tags.values()])
+    for tag in BOUNDARY_TAGS:
+        out[f"{name}.boundary_edges.{tag}"] = mesh.boundary_edges(tag)
 
 
 def _solution(out: dict, name: str, u, w, p, report) -> None:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from types import SimpleNamespace
 
-from vvpflow.mesh import build_structured, cell_geometry, geometry_arrays, refine_uniform
+from vvpflow.mesh import BOUNDARY_TAGS, build_structured, cell_geometry, geometry_arrays, refine_uniform
 
 
 def mesh_counts(n):
@@ -101,26 +101,27 @@ def test_cell_areas_and_boundary_lengths():
         _, _, det = geometry_arrays(m)
         assert np.all(det > 0)
         assert abs(0.5 * det.sum() - 2.0) < 1e-12 * 2.0
-        blen = sum(m.edge_lengths[e] for e in m.boundary_tags)
+        blen = sum(m.edge_lengths[e] for e in m.boundary_edges())
         assert abs(blen - 6.0) < 1e-12 * 6.0
         m = refine_uniform(m)
 
 
 def test_boundary_tags_per_side():
     m = build_structured(3, 2)
-    sides = {t: 0 for t in ("bottom", "right", "top", "left")}
-    for tag in m.boundary_tags.values():
-        sides[tag] += 1
+    sides = {t: len(m.boundary_edges(t)) for t in BOUNDARY_TAGS}
     assert sides == {"bottom": 3, "right": 2, "top": 3, "left": 2}
+    assert len(m.boundary_edges()) == 10
 
 
 def test_edge_incidence():
     m = build_structured(3, 3)
+    _, _, edge_cells = loop_connectivity(m.cells)
+    boundary = set(m.boundary_edges().tolist())
     interior = 0
     for e in range(m.n_edges):
-        c0, c1 = m.edge_cells[e]
+        c0, c1 = edge_cells[e]
         assert c0 >= 0
-        if e in m.boundary_tags:
+        if e in boundary:
             assert c1 == -1
         else:
             assert c1 >= 0
@@ -134,7 +135,7 @@ def test_edge_incidence():
                 ia = verts.index(a)
                 directions.append(verts[(ia + 1) % 3] == b)
             assert directions[0] != directions[1]
-    assert interior == m.n_edges - len(m.boundary_tags)
+    assert interior == m.n_edges - len(boundary)
 
 
 def test_cell_geometry_identity_and_scaling():
@@ -178,7 +179,8 @@ def test_deterministic_construction():
     assert np.array_equal(a.cells, b.cells)
     assert np.array_equal(a.edges, b.edges)
     assert np.array_equal(a.cell_edges, b.cell_edges)
-    assert a.boundary_tags == b.boundary_tags
+    for tag in (None,) + BOUNDARY_TAGS:
+        assert np.array_equal(a.boundary_edges(tag), b.boundary_edges(tag))
 
 
 def loop_connectivity(cells):
@@ -209,15 +211,34 @@ RECTANGLES = st.tuples(*[st.floats(-1e3, 1e3)] * 2, *[st.floats(1e-3, 1e3)] * 2)
     lambda r: (r[0], r[1], r[0] + r[2], r[1] + r[3]))
 
 
+def loop_boundary_tags(m, edges, edge_cells):
+    """Side of each edge with one cell as an edge loop finds it: the first
+    side, in the order bottom, right, top, left, that its midpoint lies on."""
+    x0, y0, x1, y1 = m.rect
+    tol = 1e-12 * max(x1 - x0, y1 - y0)
+    tags = {}
+    for e in np.nonzero(edge_cells[:, 1] < 0)[0]:
+        mx, my = 0.5 * (m.vertices[edges[e, 0]] + m.vertices[edges[e, 1]])
+        sides = (abs(my - y0) < tol, abs(mx - x1) < tol, abs(my - y1) < tol, abs(mx - x0) < tol)
+        tags[int(e)] = BOUNDARY_TAGS[sides.index(True)]
+    return tags
+
+
 def check_connectivity(nx, ny, rect):
     m = build_structured(nx, ny, rect)
-    for got, ref in zip((m.edges, m.cell_edges, m.edge_cells), loop_connectivity(m.cells)):
+    edges, cell_edges, edge_cells = loop_connectivity(m.cells)
+    for got, ref in zip((m.edges, m.cell_edges), (edges, cell_edges)):
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
     assert m.h == loop_cell_diameters(m).max()  # bitwise: the longest edge is the largest diameter
+    tags = loop_boundary_tags(m, edges, edge_cells)
+    for tag in (None,) + BOUNDARY_TAGS:
+        got, ref = m.boundary_edges(tag), [e for e, t in tags.items() if tag in (None, t)]
+        assert got.dtype == np.int64 and np.array_equal(got, ref) and not got.flags.writeable
 
 
 @pytest.mark.parametrize("nx, ny, rect", [(1, 1, (0.0, 0.0, 1.0, 1.0)), (3, 2, (0.0, 0.0, 1.0, 1.0)),
-                                          (23, 23, (0.0, 0.0, 1.0, 1.0)), (64, 32, (0.0, 0.0, 2.0, 1.0))])
+                                          (23, 23, (0.0, 0.0, 1.0, 1.0)), (64, 32, (0.0, 0.0, 2.0, 1.0)),
+                                          (5, 7, (1e3, -2e-3, 1e3 + 1e-2, 0.0)), (3, 2, (-1.0, 0.5, 2.0, 1.3))])
 def test_connectivity_matches_the_cell_loop(nx, ny, rect):
     check_connectivity(nx, ny, rect)
 
@@ -226,27 +247,6 @@ def test_connectivity_matches_the_cell_loop(nx, ny, rect):
 @given(st.integers(1, 12), st.integers(1, 12), RECTANGLES)
 def test_connectivity_matches_the_cell_loop_on_random_rectangles(nx, ny, rect):
     check_connectivity(nx, ny, rect)
-
-
-def loop_boundary_tags(m):
-    """Side of each boundary edge as an edge loop finds it: the first side,
-    in the order bottom, right, top, left, that its midpoint lies on."""
-    x0, y0, x1, y1 = m.rect
-    tol = 1e-12 * max(x1 - x0, y1 - y0)
-    tags = {}
-    for e in np.nonzero(m.edge_cells[:, 1] < 0)[0]:
-        mx, my = 0.5 * (m.vertices[m.edges[e, 0]] + m.vertices[m.edges[e, 1]])
-        sides = (abs(my - y0) < tol, abs(mx - x1) < tol, abs(my - y1) < tol, abs(mx - x0) < tol)
-        tags[int(e)] = ("bottom", "right", "top", "left")[sides.index(True)]
-    return tags
-
-
-@pytest.mark.parametrize("nx, ny, rect", [(1, 1, (0.0, 0.0, 1.0, 1.0)), (3, 2, (-1.0, 0.5, 2.0, 1.3)),
-                                          (64, 32, (0.0, 0.0, 2.0, 1.0)), (5, 7, (1e3, -2e-3, 1e3 + 1e-2, 0.0))])
-def test_boundary_tags_match_the_edge_loop(nx, ny, rect):
-    m = build_structured(nx, ny, rect)
-    assert list(m.boundary_tags.items()) == list(loop_boundary_tags(m).items())
-    assert all(type(e) is int and type(t) is str for e, t in m.boundary_tags.items())
 
 
 def test_unknown_boundary_tag_rejected():

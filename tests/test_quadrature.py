@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -70,6 +71,13 @@ def test_unsupported_degree():
         quadrature(-1)
     with pytest.raises(ValueError):
         quadrature(MAX_DEGREE + 1)
+    # 2.5 and 7.0 failed inside numpy, 6.0 gave the 12-point rule and True the degree-1 one
+    assert quadrature(6).degree == 6 and quadrature(1).degree == 1  # cached, they must not answer for 6.0 or True
+    for degree in (2.5, 7.0, 6.0, True, "3", None):
+        with pytest.raises(ValueError, match=f"must be an integer, got {re.escape(repr(degree))}"):
+            quadrature(degree)
+    rule = quadrature(np.int64(6))
+    assert rule is quadrature(np.int64(6)) and type(rule.degree) is int and len(rule.weights) == 12
 
 
 def test_rules_are_cached_and_immutable():

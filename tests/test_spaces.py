@@ -3,6 +3,7 @@ import pytest
 
 import vvpflow.spaces
 from test_cell_classes import perturbed_mesh
+from test_mesh import loop_connectivity
 from vvpflow.mesh import build_structured, cell_geometry
 from vvpflow.spaces import (
     boundary_values,
@@ -241,13 +242,14 @@ def test_fields_continuous_across_interior_edges(family):
     mesh = build_structured(3, 2)
     space = build_space(mesh, family, vector=True)
     field = DiscreteField(space, RNG.standard_normal(space.n_dofs))
-    interior = [e for e in range(mesh.n_edges) if e not in mesh.boundary_tags]
+    _, _, edge_cells = loop_connectivity(mesh.cells)
+    interior = np.nonzero(edge_cells[:, 1] >= 0)[0]
     for e in interior[::3]:
         pa, pb = mesh.vertices[mesh.edges[e]]
         for t in (0.2, 0.5, 0.9):
             x = (1.0 - t) * pa + t * pb
             values = []
-            for c in mesh.edge_cells[e]:
+            for c in edge_cells[e]:
                 v0 = mesh.vertices[mesh.cells[c, 0]]
                 jac = np.column_stack(
                     [
@@ -347,7 +349,8 @@ def test_boundary_values_reject_a_scalar_space():
         boundary_values(W, (1.0, 0.0))
 
 
-@pytest.mark.parametrize("g", [(1.0, 0.0, 5.0), (1.0,), [1.0, "a"], [1j, 0.0], np.ones((2, 2))])
+@pytest.mark.parametrize("g", [(1.0, 0.0, 5.0), (1.0,), [1.0, "a"], [1j, 0.0], np.ones((2, 2)), 1.0, "ab", "12",
+                               ["1", "2"], np.array(1.0)])
 def test_boundary_values_reject_a_constant_that_is_not_two_numbers(g):
     V = method_spaces(build_structured(2, 2), "taylor-hood", "dg1")[0]
     with pytest.raises(ValueError, match="a constant boundary value must be two numbers, got"):
