@@ -230,6 +230,10 @@ def check_connectivity(nx, ny, rect):
     for got, ref in zip((m.edges, m.cell_edges), (edges, cell_edges)):
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
     assert m.h == loop_cell_diameters(m).max()  # bitwise: the longest edge is the largest diameter
+    check_boundary_tags(m, edges, edge_cells)
+
+
+def check_boundary_tags(m, edges, edge_cells):
     tags = loop_boundary_tags(m, edges, edge_cells)
     for tag in (None,) + BOUNDARY_TAGS:
         got, ref = m.boundary_edges(tag), [e for e, t in tags.items() if tag in (None, t)]
@@ -237,8 +241,7 @@ def check_connectivity(nx, ny, rect):
 
 
 @pytest.mark.parametrize("nx, ny, rect", [(1, 1, (0.0, 0.0, 1.0, 1.0)), (3, 2, (0.0, 0.0, 1.0, 1.0)),
-                                          (23, 23, (0.0, 0.0, 1.0, 1.0)), (64, 32, (0.0, 0.0, 2.0, 1.0)),
-                                          (5, 7, (1e3, -2e-3, 1e3 + 1e-2, 0.0)), (3, 2, (-1.0, 0.5, 2.0, 1.3))])
+                                          (23, 23, (0.0, 0.0, 1.0, 1.0)), (64, 32, (0.0, 0.0, 2.0, 1.0))])
 def test_connectivity_matches_the_cell_loop(nx, ny, rect):
     check_connectivity(nx, ny, rect)
 
@@ -247,6 +250,14 @@ def test_connectivity_matches_the_cell_loop(nx, ny, rect):
 @given(st.integers(1, 12), st.integers(1, 12), RECTANGLES)
 def test_connectivity_matches_the_cell_loop_on_random_rectangles(nx, ny, rect):
     check_connectivity(nx, ny, rect)
+
+
+@pytest.mark.parametrize("nx, ny, rect", [(1, 1, (0.0, 0.0, 1.0, 1.0)), (3, 2, (-1.0, 0.5, 2.0, 1.3)),
+                                          (64, 32, (0.0, 0.0, 2.0, 1.0)), (5, 7, (1e3, -2e-3, 1e3 + 1e-2, 0.0))])
+def test_boundary_tags_match_the_edge_loop(nx, ny, rect):
+    m = build_structured(nx, ny, rect)
+    edges, _, edge_cells = loop_connectivity(m.cells)
+    check_boundary_tags(m, edges, edge_cells)
 
 
 def test_unknown_boundary_tag_rejected():
