@@ -291,7 +291,8 @@ def _run_cavity(cfg: RunConfig) -> int:
     print(f"wrote {out}")
     print(
         f"  converged={rep.converged} iterations={rep.iterations} "
-        f"residual={rep.residual_history[-1]:.3e}"
+        f"residual={rep.residual_history[-1]:.3e} step_lengths={','.join(f'{s:g}' for s in rep.step_lengths) or '-'} "
+        f"forcing={','.join(f'{eta:.2g}' for eta in rep.forcing) or '-'}"
     )
     if not rep.converged:
         print(f"  stopped: {rep.failure}")

@@ -36,7 +36,11 @@ part, its one matrix and, while eliminating, the masked data.
 The nonlinear loop holds the last factor it made and refines each later
 system against it while it contracts (the chord and Shamanskii variants
 of Newton's method: Kelley, SIAM 2003, ch. 5); ``solve_linear`` says
-when it refactors and what ``linear_stats`` counts.
+when it refactors and what ``linear_stats`` counts.  Newton's method is
+damped and inexact (Eisenstat & Walker, SIAM J. Optim. 4, 1994; SISC
+17, 1996): step k solves only to ``eta_k ||F_k||_inf`` and takes the
+first of ``STEP_LENGTHS`` that passes the Armijo test, or stops.  Picard
+solves every system to the contract and takes every step whole.
 """
 
 from __future__ import annotations
@@ -64,6 +68,11 @@ STALE_CONTRACTION = 4.0
 #: and BR pressure rows and the multiplier); every computed pivot is factored as it is.  float32
 #: rounds a pivot of size ||A|| by up to 6e-8 ||A||, so its factor needs the larger lift.
 CONDENSED = ((np.float32, 1e-7), (np.float64, 1e-8))
+#: Newton's forcing terms: eta_k = min(cap, max(gamma (||F_k|| / ||F_k-1||)^2, floor tol max(1, ||F_0||) / ||F_k||)),
+#: eta_0 the floor's term alone, so that the last step is solved to a thousandth of the tolerance.
+FORCING_CAP, FORCING_GAMMA, FORCING_FLOOR = 0.03, 0.1, 1e-3
+#: Newton's step lengths in the order tried, the first with ||F(x + l d)|| <= (1 - ARMIJO l) ||F(x)|| taken.
+STEP_LENGTHS, ARMIJO = (1.0, 0.5, 0.25, 0.125, 0.0625), 1e-4
 
 
 class SolverFailure(RuntimeError):
@@ -100,6 +109,8 @@ class SolveReport:
     velocity_increments: list[float] = field(default_factory=list)
     multiplier: float = 0.0
     failure: str | None = None
+    step_lengths: list[float] = field(default_factory=list)  # one per step, Picard's all 1
+    forcing: list[float] = field(default_factory=list)  # Newton's eta_k, one per linear solve
 
 
 def _book(stats: dict, **amounts):
@@ -107,12 +118,14 @@ def _book(stats: dict, **amounts):
         stats[key] = stats.get(key, 0) + amount
 
 
-def _refine(solve, a: sp.spmatrix, b: np.ndarray, norm_a: float, stats: dict, stale: bool = False):
+def _refine(solve, a: sp.spmatrix, b: np.ndarray, norm_a: float, stats: dict, stale: bool = False,
+            target: float = 0.0):
     """Iterative refinement of ``solve(b)`` against ``a`` under the residual contract.
 
+    A residual is accepted at the bound max(contract bound, ``target``).
     ``solve`` applies a factor, which is given up from step 2 on once its
-    mean contraction since ``||b||`` projects a residual above the contract
-    bound after the ``REFINE_STEPS`` steps in all; at the last step that
+    mean contraction since ``||b||`` projects a residual above that bound
+    after the ``REFINE_STEPS`` steps in all; at the last step that
     projection is the residual itself.  With ``stale`` it is the factor of
     an earlier matrix, also given up as soon as a step cuts the residual by
     less than ``STALE_CONTRACTION`` (the first step against ``||b||``).
@@ -129,7 +142,7 @@ def _refine(solve, a: sp.spmatrix, b: np.ndarray, norm_a: float, stats: dict, st
                 return None, steps, "factorisation produced non-finite values"
             res = b - a @ x
             size = np.abs(res).max()
-            bound = LINEAR_RESIDUAL_FACTOR * (norm_a * np.abs(x).max() + norm_b)
+            bound = max(LINEAR_RESIDUAL_FACTOR * (norm_a * np.abs(x).max() + norm_b), target)
             if size <= bound:
                 return x, steps, None
             if stale and STALE_CONTRACTION * size > last:
@@ -197,11 +210,13 @@ def _condense(a: sp.csr_matrix, plan: CondensationPlan, dtype, lift: float):
     return solve, lu.nnz
 
 
-def solve_linear(system: AssembledSystem, stats: dict | None = None, held: dict | None = None) -> np.ndarray:
+def solve_linear(system: AssembledSystem, stats: dict | None = None, held: dict | None = None,
+                 target: float = 0.0) -> np.ndarray:
     """Direct sparse solve with iterative refinement.
 
     Contract: the returned x satisfies
-    ||A x - b||_inf <= 1e-10 (||A||_inf ||x||_inf + ||b||_inf).
+    ||A x - b||_inf <= max(1e-10 (||A||_inf ||x||_inf + ||b||_inf), target),
+    with ``target`` 0 the backward-error bound alone.
 
     ``system`` must be eliminated by :func:`apply_dirichlet` (else
     ``ValueError``); its matrix is on its plan's pattern, as every
@@ -244,7 +259,7 @@ def solve_linear(system: AssembledSystem, stats: dict | None = None, held: dict 
     stats = {} if stats is None else stats
 
     if held and held["n"] == system.n:
-        x, steps, reason = _refine(held["solve"], a, b, norm_a, stats, stale=True)
+        x, steps, reason = _refine(held["solve"], a, b, norm_a, stats, stale=True, target=target)
         _book(stats, stale_steps=steps)
         if x is not None:
             _book(stats, n_solves=1, reused=1)
@@ -265,7 +280,7 @@ def solve_linear(system: AssembledSystem, stats: dict | None = None, held: dict 
             reason = str(exc)
         _book(stats, factor_time=time.perf_counter() - t0)
         if reason is None:
-            x, _, reason = _refine(solve, a, b, norm_a, stats)
+            x, _, reason = _refine(solve, a, b, norm_a, stats, target=target)
         if x is not None:
             if held is not None:
                 held.update(solve=solve, n=len(b))
@@ -293,7 +308,9 @@ def _gram_norm(blocks: np.ndarray, label: np.ndarray, du: np.ndarray) -> float:
 def _solve_nonlinear(spaces, coeffs, settings, g, pressure_target):
     """Both linearisations in one loop.  Each state's residual is summed
     without a matrix; the update then solves the one matrix it needs, the
-    Oseen matrix (Picard) or the Jacobian (Newton), for that residual."""
+    Oseen matrix (Picard) or the Jacobian (Newton), for that residual.  A
+    Newton trial state's convection and residual, made without a matrix,
+    are the next step's once its step length is taken."""
     assembler = SystemAssembler(spaces, coeffs)
     o = assembler.block_index
     V = assembler.V
@@ -313,11 +330,12 @@ def _solve_nonlinear(spaces, coeffs, settings, g, pressure_target):
     state[V.dirichlet_dofs] = boundary_values(V, g)
     # the fixed-point loop starts from the zero advecting field
     beta = state[: o[1]] if newton or settings.initial_guess is not None else np.zeros(o[1])
+    conv = assembler._convection(DiscreteField(V, beta), newton=newton)
+    res = assembler._residual(state, conv[0], pressure_target)
+    res_norm = float(np.abs(res).max())
+    floor = FORCING_FLOOR * settings.tol * max(1.0, res_norm)
 
     while True:
-        conv = assembler._convection(DiscreteField(V, beta), newton=newton)
-        res = assembler._residual(state, conv[0], pressure_target)
-        res_norm = float(np.abs(res).max())
         report.residual_history.append(res_norm)
         if not np.isfinite(res_norm):
             report.failure = f"non-finite residual at iteration {report.iterations}"
@@ -329,6 +347,10 @@ def _solve_nonlinear(spaces, coeffs, settings, g, pressure_target):
         if report.iterations == settings.max_iters:
             report.failure = f"no convergence in {settings.max_iters} iterations (last residual {res_norm:.3e})"
             break
+        if newton:  # eta_k; a zero residual (zero data) is solved to the contract
+            ratio = FORCING_GAMMA * (res_norm / report.residual_history[-2]) ** 2 if report.iterations else 0.0
+            report.forcing.append(min(FORCING_CAP, max(ratio, floor / res_norm if res_norm else 0.0)))
+        target = report.forcing[-1] * res_norm if newton else 0.0
         # both solve for the update, with homogeneous elimination (the state
         # already satisfies the data), on the matrix of their convection values:
         # Picard's Oseen matrix, Newton's Jacobian.  The values go once it is made
@@ -337,18 +359,30 @@ def _solve_nonlinear(spaces, coeffs, settings, g, pressure_target):
         matrix = assembler._matrix(conv)
         del conv
         system = apply_dirichlet(assembler._system(matrix, res), V, None)
-        del matrix
+        del matrix, res
         try:
-            update = solve_linear(system, report.linear_stats, held)
+            update = solve_linear(system, report.linear_stats, held, target=target)
         except SolverFailure as exc:
             # report the breakdown instead of raising: the caller sees a
             # non-converged history and the failure note
             report.failure = str(exc)
             break
         del system  # not alive through the next assembly
-        report.velocity_increments.append(_gram_norm(gram_u, label, update[V.cell_dofs]))
-        state = state + update
-        beta = state[: o[1]]
+        for step in STEP_LENGTHS if newton else (1.0,):
+            conv = res = None  # a refused trial's values go before the next trial's are made
+            trial = state + step * update
+            conv = assembler._convection(DiscreteField(V, trial[: o[1]]), newton=newton)
+            res = assembler._residual(trial, conv[0], pressure_target)
+            trial_norm = float(np.abs(res).max())
+            if not newton or trial_norm <= (1.0 - ARMIJO * step) * res_norm:
+                break
+        else:
+            report.failure = (f"no step length down to {STEP_LENGTHS[-1]:g} reduces the residual at iteration "
+                              f"{report.iterations} (residual {res_norm:.3e}, {trial_norm:.3e} at that length)")
+            break
+        report.step_lengths.append(step)
+        report.velocity_increments.append(step * _gram_norm(gram_u, label, update[V.cell_dofs]))
+        state, res_norm = trial, trial_norm
         report.iterations += 1
 
     u, w, p = np.split(state[: o[3]], o[1:3])

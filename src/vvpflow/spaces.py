@@ -228,6 +228,8 @@ def interpolate(space: FunctionSpace, fn) -> DiscreteField:
     mesh = space.mesh
     if space.vector:
         fn = _as_vector_fn(fn)
+    elif not callable(fn):
+        raise ValueError(f"a scalar space interpolates a point function, got {fn!r}")
     # the Lagrange nodes of the scalar element (P1 under the Bernardi-Raugel
     # edge bubbles): vertices, edge midpoints, and a cell's corners or centroid
     per_vertex, per_edge, per_cell = (space.element.scalar if space.vector else space.element).layout

@@ -21,10 +21,11 @@ the mesh's ``edges``, ``cell_edges``, ``edge_lengths``, ``edge_normals``
 and ``h``, and its ``boundary_edges`` of each side in ``BOUNDARY_TAGS`` (the
 same again for the non-square mesh ``MESH`` on its rectangle);
 
-and of a Newton solve the residual history, velocity increments,
-iteration count, solution (u, w, p and the multiplier) and the integer
-``linear_stats`` counters ``COUNTERS`` (0 for a counter the solver does not
-keep), and the matrix its first factor hands to SuperLU, as CSR (the
+and of a Newton solve the residual history, velocity increments, step
+lengths and forcing terms (all 1 and none where the solver records
+none), iteration count, solution (u, w, p and the multiplier) and the
+integer ``linear_stats`` counters ``COUNTERS`` (0 for a counter the
+solver does not keep), and the matrix its first factor hands to SuperLU, as CSR (the
 condensed complement, its lifted diagonals included); the same again, but
 that matrix, for a Picard solve of the first stack.  ``--compare`` lists
 every array in which two dumps differ, with the count of differing
@@ -63,9 +64,13 @@ SOLUTION_GAP = 1e-8
 # condensed complement's structural pattern, zeros included, sets the fill, and the residual sums
 # rhs - L x - N(beta) u, the convection cell by cell, where it was rhs - (L + N(beta)) x; a float32
 # held factor refines later systems in more steps, and a tree that keeps no float32 counters dumps
-# them as 0
-NAMED = ("dirichlet.indptr", "dirichlet.indices", "dirichlet.data", "residual")
-NAMED_COUNTERS = ("fill", "stale_steps", "float32_factors")
+# them as 0; an inexact Newton step solves only to its forcing term, so its update (the velocity
+# increment) moves by up to that share, a held factor may serve a step it was refactored for
+# (factors, reused, refactors and the condensed count per factor), and a tree without forcing terms
+# dumps none
+NAMED = ("dirichlet.indptr", "dirichlet.indices", "dirichlet.data", "residual", "newton.velocity_increments",
+         "newton.forcing")
+NAMED_COUNTERS = ("fill", "stale_steps", "float32_factors", "factors", "reused", "refactors", "condensed")
 # (class, pattern of the array names, bound); the first match decides
 GATE = (
     ("named", "/(" + "|".join(map(re.escape, NAMED)) + ")$", "may move"),
@@ -99,6 +104,9 @@ def _solution(out: dict, name: str, u, w, p, report) -> None:
     for label, field in (("u", u), ("w", w), ("p", p)):
         out[f"{name}.{label}"] = field.coefficients
     out[f"{name}.multiplier"] = np.array(report.multiplier)
+    # a tree without a line search takes every step whole, and one without forcing terms records none
+    out[f"{name}.step_lengths"] = np.array(getattr(report, "step_lengths", [1.0] * report.iterations))
+    out[f"{name}.forcing"] = np.array(getattr(report, "forcing", []), dtype=float)
     out[f"{name}.linear_stats"] = np.array([report.linear_stats.get(key, 0) for key in COUNTERS])
 
 

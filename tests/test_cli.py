@@ -216,11 +216,12 @@ class TestMain:
         assert "stopped" not in capsys.readouterr().out
 
     def test_a_stopped_cavity_prints_why(self, tmp_path, capsys):
-        # undamped Newton diverges at nu0 = 0.001 until the CLI's 25-step cap
-        assert main(["cavity", "--nx", "32", "--ny", "16", "--nu0", "0.001", "--out", str(tmp_path)]) == 3
+        # Newton diverges at nu0 = 3e-5, and no step length rescues its fourth step
+        assert main(["cavity", "--nx", "32", "--ny", "16", "--nu0", "3e-5", "--out", str(tmp_path)]) == 3
         lines = capsys.readouterr().out.splitlines()
-        assert lines[1].startswith("  converged=False iterations=25 ")
-        assert lines[2].startswith("  stopped: no convergence in 25 iterations")
+        assert lines[1].startswith("  converged=False iterations=3 ")
+        assert " step_lengths=0.25,0.25,0.25 forcing=" in lines[1]
+        assert lines[2].startswith("  stopped: no step length down to 0.0625 reduces the residual at iteration 3 ")
 
     def test_cavity_below_8x8_exit_code(self, tmp_path, capsys):
         assert main(["cavity", "--nx", "4", "--ny", "4", "--out", str(tmp_path)]) == 2

@@ -71,10 +71,11 @@ def full_solve(system):
     raise AssertionError("the reference solve did not meet the contract")
 
 
-def assert_contract(system, x):
+def assert_contract(system, x, target=0.0):
+    """``solve_linear``'s contract: the backward-error bound, or ``target`` where that is looser."""
     a, b = system.matrix, system.rhs
     norm_a = np.abs(a).sum(axis=1).max()
-    assert np.abs(a @ x - b).max() <= 1e-10 * (norm_a * np.abs(x).max() + np.abs(b).max())
+    assert np.abs(a @ x - b).max() <= max(1e-10 * (norm_a * np.abs(x).max() + np.abs(b).max()), target)
 
 
 def float64_rung_only(monkeypatch):

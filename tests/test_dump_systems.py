@@ -9,7 +9,7 @@ ARRAYS = {
     "s/oseen.data": np.array([1.0, 2.0, 3.0]),
     "s/oseen.indices": np.array([0, 2, 1], dtype=np.int32),
     "s/oseen.rhs": np.array([0.5, -0.5]),
-    "s/newton.velocity_increments": np.array([1.0, 0.1]),
+    "s/picard.velocity_increments": np.array([1.0, 0.1]),
 }
 SOLUTION_BOUND = "<= 1e-08 of the largest entry (the multiplier: of its pressure)"
 
@@ -43,14 +43,14 @@ def test_every_difference_is_listed(tmp_path, capsys):
     changed = dict(ARRAYS)
     changed["s/oseen.data"] = np.array([1.0, 2.0, 3.3])
     changed["s/oseen.rhs2"] = changed.pop("s/oseen.rhs")  # renamed
-    changed["s/newton.velocity_increments"] = ARRAYS["s/newton.velocity_increments"] * (1.0 + 1e-14)  # kept
+    changed["s/picard.velocity_increments"] = ARRAYS["s/picard.velocity_increments"] * (1.0 + 1e-14)  # kept
     a, b = _dump(tmp_path / "a.npz", ARRAYS), _dump(tmp_path / "b.npz", changed)
     assert dump_systems.main(["--compare", a, b]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "s/oseen.data: 1 of 3 entries differ, largest relative gap 9.091e-02, largest gap over the largest entry "
         "9.091e-02 [exact: identical; exceeded]",
         f"s/oseen.rhs: only in {a} [exact: identical; exceeded]",
-        "s/newton.velocity_increments: 2 of 2 entries differ, largest relative gap 9.992e-15, largest gap over the "
+        "s/picard.velocity_increments: 2 of 2 entries differ, largest relative gap 9.992e-15, largest gap over the "
         f"largest entry 9.992e-15 [solution: {SOLUTION_BOUND}; kept]",
         f"s/oseen.rhs2: only in {b} [exact: identical; exceeded]",
     ]
@@ -117,7 +117,7 @@ def test_the_gate_fails_a_final_residual_above_the_tolerance_and_an_unnamed_coun
     before = _solve(rng)
     after = dict(before)
     after["t/newton.residual_history"] = np.array([1.0, 1e-3, 1e-6, 2e-8])
-    after["t/newton.linear_stats"] = before["t/newton.linear_stats"] + np.eye(9, dtype=int)[1]  # a factor more
+    after["t/newton.linear_stats"] = before["t/newton.linear_stats"] + np.eye(9, dtype=int)[0]  # a solve more
     a, b = _dump(tmp_path / "a.npz", before), _dump(tmp_path / "b.npz", after)
     assert dump_systems.main(["--compare", a, b]) == 1
     lines = capsys.readouterr().out.splitlines()

@@ -1,12 +1,12 @@
 """The precision ladder of ``solve_linear``.
 
 The condensed complement is factored in float32 first and refined against
-the full float64 matrix under the unchanged residual contract; a float32
-factor that does not contract gives way to a float64 one, and a solve whose
-float64 factor fails too raises ``SolverFailure``.  No other matrix is
-factored.  S's structurally zero diagonals (``CondensationPlan.lift``) are
-lifted by 1e-7 ||A|| in float32 (``solver.CONDENSED``), and no computed
-pivot is.
+the full float64 matrix under the residual contract (or a Newton step's
+looser target); a float32 factor that does not contract gives way to a
+float64 one, and a solve whose float64 factor fails too raises
+``SolverFailure``.  No other matrix is factored.  S's structurally zero
+diagonals (``CondensationPlan.lift``) are lifted by 1e-7 ||A|| in float32
+(``solver.CONDENSED``), and no computed pivot is.
 """
 
 import numpy as np
@@ -43,10 +43,12 @@ def test_every_newton_step_meets_the_contract_through_float32_factors(monkeypatc
     case = example1_case_2d()
     spaces = method_spaces(build_structured(n, n), family, vorticity)
     original = vvpflow.solver.solve_linear
+    targets = []
 
-    def checking(system, stats=None, held=None):
-        x = original(system, stats, held)
-        assert_contract(system, x)
+    def checking(system, stats=None, held=None, target=0.0):
+        x = original(system, stats, held, target=target)
+        assert_contract(system, x, target)
+        targets.append(target)
         return x
 
     monkeypatch.setattr(vvpflow.solver, "solve_linear", checking)
@@ -54,6 +56,7 @@ def test_every_newton_step_meets_the_contract_through_float32_factors(monkeypatc
     _, _, _, rep = solve_newton(spaces, coefficients_from_case(case), g=case.u, pressure_target=case.pressure_integral)
     stats = rep.linear_stats
     assert rep.converged and stats["n_solves"] == rep.iterations
+    assert targets == [eta * r for eta, r in zip(rep.forcing, rep.residual_history)]
     assert stats["float32_factors"] == stats["factors"] == len(made) >= 1
     assert all(dtype == np.float32 and spec == "NATURAL" for dtype, spec, _ in made)
     assert stats["float32_given_up"] == 0 and "float32_reason" not in stats
@@ -78,13 +81,13 @@ def test_a_complement_that_cannot_contract_fails_in_both_precisions(monkeypatch)
     assert held == {}
 
 
-def test_a_diverging_cavity_runs_to_its_cap_and_factors_no_full_matrix(monkeypatch):
-    # undamped Newton diverges on the 32x16 cavity at nu0 = 0.001 until its 50-step cap; SuperLU
-    # never orders or factors anything but a complement
+def test_a_diverging_cavity_stops_and_factors_no_full_matrix(monkeypatch):
+    # Newton diverges on the 32x16 cavity at nu0 = 3e-5, and no step length rescues its fourth step;
+    # SuperLU never orders or factors anything but a complement
     made = recording_splu(monkeypatch)
-    _, rep = run_cavity(32, 16, nu0=0.001)
-    assert not rep.converged and rep.iterations == 50 and len(rep.residual_history) == 51
-    assert rep.failure.startswith("no convergence in 50 iterations")
+    _, rep = run_cavity(32, 16, nu0=3e-5)
+    assert not rep.converged and rep.iterations == 3 and len(rep.residual_history) == 4
+    assert rep.failure.startswith("no step length down to 0.0625 reduces the residual at iteration 3")
     V, W, Q = method_spaces(build_structured(32, 16, (0.0, 0.0, 2.0, 1.0)), "mini", "cg1")
     complement = V.n_dofs + W.n_dofs + Q.n_dofs + 1 - V.local_dofs.size
     assert made and all(spec == "NATURAL" and matrix.shape == (complement,) * 2 for _, spec, matrix in made)
@@ -137,6 +140,22 @@ def test_a_fresh_float32_factor_is_given_up_by_its_projection_only():
     x, steps, reason = _refine(damped(1 - 2e-7, 0.5), a, b, norm_a, {})
     assert x is None and steps == len(calls) == vvpflow.solver.REFINE_STEPS + 1
     assert reason.startswith("refined residual") and reason.endswith("exceeds the contract bound after 9 solves")
+
+
+def test_refinement_accepts_a_looser_target_before_any_give_up():
+    # a factor that halves the residual a step: the target accepts its first or second residual, and a
+    # held factor's 4x test comes after it
+    rng = np.random.default_rng(1)
+    a = sp.csr_matrix(np.eye(20) * 4.0 + rng.uniform(-0.1, 0.1, (20, 20)))
+    b = rng.standard_normal(20)
+    exact = spla.splu(a.tocsc())
+    half = lambda r: 0.5 * exact.solve(r)
+    norm_a, norm_b = np.abs(a).sum(axis=1).max(), np.abs(b).max()
+    for target, stale, steps in ((0.6 * norm_b, True, 1), (0.3 * norm_b, False, 2)):
+        x, taken, reason = _refine(half, a, b, norm_a, {}, stale=stale, target=target)
+        assert reason is None and taken == steps and np.abs(a @ x - b).max() <= target
+    assert _refine(half, a, b, norm_a, {}, stale=True, target=0.3 * norm_b)[2].endswith("< 4x at step 1")
+    assert _refine(half, a, b, norm_a, {})[2].startswith("fresh factor at its mean contraction 2.0x")
 
 
 @pytest.mark.filterwarnings("ignore:vorticity space")

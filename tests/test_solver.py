@@ -32,7 +32,7 @@ from vvpflow.solver import (
     solve_picard,
 )
 from vvpflow.spaces import DiscreteField, method_spaces
-from vvpflow.verify import coefficients_from_case, example1_case_2d, integral
+from vvpflow.verify import coefficients_from_case, example1_case_2d, integral, run_cavity
 from test_cell_classes import perturbed_mesh
 
 RNG = np.random.default_rng(99)
@@ -402,6 +402,48 @@ def test_exhausted_iterations_give_a_stated_reason():
     assert rep.failure == f"no convergence in 1 iterations (last residual {rep.residual_history[-1]:.3e})"
 
 
+def test_forcing_terms_follow_the_residual_history():
+    # eta_0 is the tolerance's term alone; later ones take the larger of the squared residual ratio's
+    # term and that, capped at 0.03
+    case, coeffs, spaces = example1_problem(4)
+    rep = solve_newton(spaces, coeffs, g=case.u, pressure_target=case.pressure_integral)[3]
+    h = rep.residual_history
+    floor = 1e-3 * 1e-8 * max(1.0, h[0])
+    expected = [min(0.03, floor / h[0])] + [min(0.03, max(0.1 * (h[k] / h[k - 1]) ** 2, floor / h[k]))
+                                            for k in range(1, rep.iterations)]
+    assert rep.converged and rep.forcing == pytest.approx(expected, rel=1e-14)
+    assert rep.forcing[0] < 1e-10 and max(rep.forcing) <= 0.03
+
+
+def test_example1_takes_whole_steps_and_the_cavity_starts_with_half_steps():
+    case, coeffs, spaces = example1_problem(4)
+    rep = solve_newton(spaces, coeffs, g=case.u, pressure_target=case.pressure_integral)[3]
+    assert rep.converged and rep.step_lengths == [1.0] * rep.iterations
+    _, cavity = run_cavity(64, 32)
+    assert cavity.converged and cavity.iterations <= 7 and cavity.linear_stats["factors"] <= 6
+    assert cavity.step_lengths[:2] == [0.5, 0.5] and len(cavity.forcing) == cavity.iterations
+
+
+@pytest.mark.parametrize("nu0", [0.001, 3e-4])
+def test_the_damped_cavity_converges_where_undamped_newton_diverges(nu0):
+    _, rep = run_cavity(32, 16, nu0=nu0)
+    assert rep.converged and rep.iterations <= 8 and rep.step_lengths[0] < 1.0
+    # every step taken passed the Armijo test
+    h = rep.residual_history
+    assert all(h[k + 1] <= (1.0 - 1e-4 * step) * h[k] for k, step in enumerate(rep.step_lengths))
+
+
+def test_a_step_that_no_length_rescues_stops_the_run():
+    _, rep = run_cavity(16, 8, nu0=1e-5)
+    k, residual = rep.iterations, rep.residual_history[-1]
+    assert not rep.converged and k <= 3 and len(rep.residual_history) == len(rep.step_lengths) + 1 == k + 1
+    assert len(rep.forcing) == k + 1  # the refused step was solved for
+    assert re.fullmatch(rf"no step length down to 0\.0625 reduces the residual at iteration {k} "
+                        rf"\(residual {residual:.3e}, (\S+) at that length\)", rep.failure)
+    trial = float(re.search(r", (\S+) at that length", rep.failure)[1])
+    assert trial > (1.0 - 1e-4 / 16) * residual
+
+
 def test_non_finite_residual_stops_before_the_jacobian(monkeypatch):
     case, coeffs, spaces = example1_problem(4)
     coeffs = dataclasses.replace(coeffs, f=lambda x, y: np.full(np.shape(x) + (2,), np.nan))
@@ -532,8 +574,8 @@ def test_velocity_increments_are_gram_norms_of_the_updates(monkeypatch, family, 
     updates = []
     original = vvpflow.solver.solve_linear
 
-    def recording(system, stats=None, held=None):
-        updates.append(original(system, stats, held))
+    def recording(system, stats=None, held=None, target=0.0):
+        updates.append(original(system, stats, held, target=target))
         return updates[-1]
 
     monkeypatch.setattr(vvpflow.solver, "solve_linear", recording)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -347,6 +349,13 @@ def test_boundary_values_reject_a_scalar_space():
     _, W, _ = method_spaces(build_structured(2, 2), "taylor-hood", "dg1")
     with pytest.raises(ValueError, match="expects a velocity"):
         boundary_values(W, (1.0, 0.0))
+
+
+@pytest.mark.parametrize("fn", [1.0, None, (1.0, 0.0)])
+def test_interpolate_rejects_a_non_callable_on_a_scalar_space(fn):
+    _, W, _ = method_spaces(build_structured(2, 2), "taylor-hood", "dg1")
+    with pytest.raises(ValueError, match=re.escape(f"a scalar space interpolates a point function, got {fn!r}")):
+        interpolate(W, fn)
 
 
 @pytest.mark.parametrize("g", [(1.0, 0.0, 5.0), (1.0,), [1.0, "a"], [1j, 0.0], np.ones((2, 2)), 1.0, "ab", "12",
