@@ -11,14 +11,11 @@ import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .assembly import ProblemCoefficients
 from .mesh import Mesh, build_structured
 from .solver import METHODS, DiagnosticsConfig, NonlinearSettings, check_small_data, grad_nu_norm, lp_norm
-from .spaces import STACKS, VORTICITY_SPACES, DiscreteField, check_method, vertex_values
+from .spaces import STACKS, VORTICITY_SPACES, DiscreteField, vertex_values
 from .verify import (
     ConvergenceReport,
-    cavity_coefficients,
-    check_cavity_resolution,
     coefficients_from_case,
     div_norm,
     example1_case_2d,
@@ -27,15 +24,14 @@ from .verify import (
     run_convergence,
 )
 
-#: (family, vorticity) by command; the cavity demo runs only its own pair
-_DEFAULTS = {"convergence": ("taylor-hood", "dg1"), "cavity": ("mini", "cg1"), "diagnostics": ("taylor-hood", "dg1")}
-
 
 @dataclass
 class RunConfig:
+    """The parsed options of one command; the library checks each value where it is used."""
+
     command: str = "convergence"
-    family: str | None = None
-    vorticity: str | None = None
+    family: str = "taylor-hood"
+    vorticity: str = "dg1"
     levels: int = 5
     nx: int = 64
     ny: int = 32
@@ -49,44 +45,13 @@ class RunConfig:
     method: str = "newton"
     out: str = field(default=".", metadata={"help": "output directory"})
 
-    def __post_init__(self):
-        if self.command not in _DEFAULTS:
-            raise ValueError(f"unknown command {self.command!r}")
-        family, vorticity = _DEFAULTS[self.command]
-        self.family = family if self.family is None else self.family
-        self.vorticity = vorticity if self.vorticity is None else self.vorticity
-        check_method(self.family, self.vorticity)
-        if self.command == "cavity" and (self.family, self.vorticity) != (family, vorticity):
-            raise ValueError(f"the cavity demo runs {family}/{vorticity} only, not {self.family}/{self.vorticity}")
-        self.settings()
-        if self.levels < 2:
-            raise ValueError("--levels must be at least 2")
-        if self.command == "cavity":
-            check_cavity_resolution(self.nx, self.ny)
-        elif self.nx < 1 or self.ny < 1:
-            raise ValueError("--nx/--ny must be positive")
-        if self.perm <= 0.0:
-            raise ValueError("--perm must be positive")
-        coeffs = self.coefficients()
-        self.kappa1, self.kappa2 = coeffs.kappa1, coeffs.kappa2
-
-    def coefficients(self) -> ProblemCoefficients:
-        """The problem data the command runs, validated as they are built;
-        the cavity has its own nu1 = 2 nu0 and augmentation weights."""
-        if self.command == "cavity":
-            return cavity_coefficients(nu0=self.nu0, perm=self.perm)
-        case = example1_case_2d(nu0=self.nu0, nu1=self.nu1, perm=self.perm)
-        return coefficients_from_case(case, kappa1=self.kappa1, kappa2=self.kappa2)
-
     def settings(self) -> NonlinearSettings:
-        """The nonlinear solver settings; building them validates the method,
-        tolerance and iteration cap."""
         return NonlinearSettings(method=self.method, tol=self.tol, max_iters=self.max_iters)
 
 
 #: the fields a command does not read: it takes no flag or config key for them
-#: (the cavity takes all, and the README names those it ignores)
-_UNREAD = {"convergence": {"nx", "ny"}, "cavity": set(),
+_UNREAD = {"convergence": {"nx", "ny"},
+           "cavity": {"family", "vorticity", "levels", "nu1", "kappa1", "kappa2"},
            "diagnostics": {"family", "vorticity", "levels", "tol", "max_iters", "method", "out"}}
 _CHOICES = {"family": list(STACKS), "vorticity": list(VORTICITY_SPACES), "method": list(METHODS)}
 
@@ -145,10 +110,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def parse_config(argv) -> RunConfig:
-    """Build a validated RunConfig from flags and an optional config file.
+    """Build a RunConfig from flags and an optional config file.
 
     Flags override file values; file values override the defaults
-    (Example-1 coefficients, Newton at tolerance 1e-8).
+    (Example-1 coefficients, Newton at tolerance 1e-8).  Only the syntax
+    is checked here: each value's range is the library's to check.
     """
     args = _build_parser().parse_args(argv)
     if args.command is None:
@@ -258,11 +224,10 @@ def print_diagnostics(coeffs, diag: DiagnosticsConfig, f_norm: float, file=None)
 
 
 def _run_convergence(cfg: RunConfig) -> int:
-    case = example1_case_2d(nu0=cfg.nu0, nu1=cfg.nu1, perm=cfg.perm)
     report = run_convergence(
         cfg.family,
         levels=cfg.levels,
-        case=case,
+        case=example1_case_2d(nu0=cfg.nu0, nu1=cfg.nu1, perm=cfg.perm),
         vorticity=cfg.vorticity,
         settings=cfg.settings(),
         kappa1=cfg.kappa1,
@@ -303,7 +268,7 @@ def _run_cavity(cfg: RunConfig) -> int:
 
 def _run_diagnostics(cfg: RunConfig) -> int:
     case = example1_case_2d(nu0=cfg.nu0, nu1=cfg.nu1, perm=cfg.perm)
-    coeffs = cfg.coefficients()
+    coeffs = coefficients_from_case(case, kappa1=cfg.kappa1, kappa2=cfg.kappa2)
     mesh = build_structured(cfg.nx, cfg.ny, case.rect)
     diag = DiagnosticsConfig()
     diag.grad_nu_Lrstar = grad_nu_norm(mesh, coeffs, diag.r_star)
@@ -311,20 +276,20 @@ def _run_diagnostics(cfg: RunConfig) -> int:
     return 0
 
 
+_RUNS = {"convergence": _run_convergence, "cavity": _run_cavity, "diagnostics": _run_diagnostics}
+
+
 def main(argv=None) -> int:
+    """Run one command; a ``ValueError``, from parsing or from the library's
+    checks, which all run before any solve or file write, exits 2."""
     try:
         cfg = parse_config(argv if argv is not None else sys.argv[1:])
-    except (ValueError, SystemExit) as exc:
-        if isinstance(exc, SystemExit):
-            return 2 if exc.code not in (0, None) else 0
+        return _RUNS[cfg.command](cfg)
+    except SystemExit as exc:
+        return 2 if exc.code not in (0, None) else 0
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        if cfg.command == "convergence":
-            return _run_convergence(cfg)
-        if cfg.command == "cavity":
-            return _run_cavity(cfg)
-        return _run_diagnostics(cfg)
     except IOError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

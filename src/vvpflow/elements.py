@@ -10,6 +10,7 @@ the Bernardi-Raugel edge bubbles (per-cell edge normal directions).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,24 +67,35 @@ def _dg0_tab(points):
     return np.ones((1, n)), np.zeros((1, n, 2))
 
 
-#: Tabulator, degree and layout row of each scalar family.  A layout row
-#: counts the DOFs per vertex, per edge and per cell; ``spaces`` numbers
-#: every DOF from it, and the table in its module docstring spells it out.
+class Layout(NamedTuple):
+    """DOFs per vertex, per edge and per cell; ``spaces`` numbers every DOF
+    from it, and the table in its module docstring spells it out."""
+
+    vertex: int
+    edge: int
+    cell: int
+
+    @property
+    def n_local(self) -> int:  # three vertices, three edges and the cell
+        return 3 * (self.vertex + self.edge) + self.cell
+
+
+#: Tabulator, degree and layout row of each scalar family.
 _SCALAR_TABULATORS = {
-    "p1": (_p1_tab, 1, (1, 0, 0)),
-    "p2": (_p2_tab, 2, (1, 1, 0)),
-    "p1bubble": (_p1bubble_tab, 3, (1, 0, 1)),
-    "dg0": (_dg0_tab, 0, (0, 0, 1)),
-    "dg1": (_p1_tab, 1, (0, 0, 3)),
+    "p1": (_p1_tab, 1, Layout(1, 0, 0)),
+    "p2": (_p2_tab, 2, Layout(1, 1, 0)),
+    "p1bubble": (_p1bubble_tab, 3, Layout(1, 0, 1)),
+    "dg0": (_dg0_tab, 0, Layout(0, 0, 1)),
+    "dg1": (_p1_tab, 1, Layout(0, 0, 3)),
 }
 
 
 @dataclass(frozen=True)
 class ScalarElement:
     family: str
-    n_local: int
     degree: int
-    layout: tuple[int, int, int]  # DOFs per vertex, per edge, per cell
+    layout: Layout
+    n_local = property(lambda self: self.layout.n_local)
 
     def tabulate(self, points):
         """Values (nl, npts) and reference gradients (nl, npts, 2)."""
@@ -95,10 +107,10 @@ class VectorElement:
     """Two-component element in separable shape x direction form."""
 
     family: str
-    n_local: int
     degree: int
-    layout: tuple[int, int, int]  # DOFs per vertex, per edge, per cell
+    layout: Layout
     scalar: ScalarElement = field(compare=False)  # vector P1 under the Bernardi-Raugel bubbles
+    n_local = property(lambda self: self.layout.n_local)
 
     def tabulate(self, points):
         """Scalar shapes (nl, npts) and their reference gradients."""
@@ -115,7 +127,7 @@ class VectorElement:
         default), broadcastable to (n_cells, n_local, 2)."""
         if self.family == "bernardi-raugel":
             edges = mesh.cell_edges[cells]
-            dirs = np.zeros((len(edges), 9, 2))
+            dirs = np.zeros((len(edges), self.n_local, 2))
             dirs[:, 0:6:2, 0] = 1.0
             dirs[:, 1:6:2, 1] = 1.0
             # one shared normal per global edge keeps the bubble continuous
@@ -131,18 +143,18 @@ def scalar_element(family: str) -> ScalarElement:
     if family not in _SCALAR_TABULATORS:
         raise ValueError(f"unknown scalar family {family!r}; choose from {tuple(_SCALAR_TABULATORS)}")
     _, deg, layout = _SCALAR_TABULATORS[family]
-    return ScalarElement(family=family, n_local=3 * (layout[0] + layout[1]) + layout[2], degree=deg, layout=layout)
+    return ScalarElement(family=family, degree=deg, layout=layout)
 
 
 def vector_element(family: str) -> VectorElement:
     """Vector Lagrange doubles its scalar layout row; Bernardi-Raugel is vector P1 plus edge bubbles."""
     if family == "bernardi-raugel":
-        return VectorElement(family=family, n_local=9, degree=2, layout=(2, 1, 0), scalar=scalar_element("p1"))
+        return VectorElement(family=family, degree=2, layout=Layout(2, 1, 0), scalar=scalar_element("p1"))
     if family in ("dg0", "dg1"):
         raise ValueError(f"{family!r} is not supported as a velocity family")
     base = scalar_element(family)
-    layout = tuple(2 * k for k in base.layout)
-    return VectorElement(family=family, n_local=2 * base.n_local, degree=base.degree, layout=layout, scalar=base)
+    layout = Layout(*(2 * k for k in base.layout))
+    return VectorElement(family=family, degree=base.degree, layout=layout, scalar=base)
 
 
 def reference_point(point) -> np.ndarray:

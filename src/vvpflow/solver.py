@@ -229,7 +229,8 @@ def solve_linear(system: AssembledSystem, stats: dict | None = None, held: dict 
     accuracy; a system without local unknowns takes the same path.  The
     complement is factored in float32 and, if that factor fails, in float64:
     a failure is an error of the factor or a factor given up by
-    :func:`_refine`.  A singular cell-local block raises
+    :func:`_refine`, and running out of memory counts as a failure of that
+    precision's factor.  A singular cell-local block raises
     :class:`SolverFailure` at once, as A_LL is inverted in float64 for
     either factor.  A float32 factor given up is counted in
     ``stats["float32_given_up"]`` with the reason in
@@ -278,6 +279,8 @@ def solve_linear(system: AssembledSystem, stats: dict | None = None, held: dict 
             raise SolverFailure(f"sparse direct solve failed: {exc}") from None
         except RuntimeError as exc:
             reason = str(exc)
+        except MemoryError:
+            reason = f"out of memory at {len(system.plan.rest)} unknowns in {np.dtype(dtype).name}"
         _book(stats, factor_time=time.perf_counter() - t0)
         if reason is None:
             x, _, reason = _refine(solve, a, b, norm_a, stats, target=target)

@@ -76,7 +76,7 @@ def _cell_dofs(mesh: Mesh, layout) -> tuple[np.ndarray, int]:
     """The cell DOF map and DOF count of a layout row, written column by column
     (one long strided pass each), or at once where one entity fills the row."""
     nc = mesh.n_cells
-    cell_dofs = np.empty((nc, 3 * (layout[0] + layout[1]) + layout[2]), dtype=np.int64)
+    cell_dofs = np.empty((nc, layout.n_local), dtype=np.int64)
     columns = iter(cell_dofs.T)
     entities = ((mesh.cells, mesh.n_vertices), (mesh.cell_edges, mesh.n_edges), (np.arange(nc)[:, None], nc))
     offset = 0

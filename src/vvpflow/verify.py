@@ -88,6 +88,7 @@ def example1_case_2d(nu0: float = 0.1, nu1: float = 1.0, perm: float = 0.1) -> M
     p = sin(pi x) sin(pi y),
     nu = nu0 + (nu1 - nu0) cos^2(pi x y),    sigma = nu / perm.
     """
+    _check_perm(perm)
     pi = np.pi
     dnu = nu1 - nu0
 
@@ -152,6 +153,12 @@ def example1_case_2d(nu0: float = 0.1, nu1: float = 1.0, perm: float = 0.1) -> M
         pressure_integral=4.0 / np.pi**2,
         f=f,
     )
+
+
+def _check_perm(perm: float):
+    """Reject a permeability outside (0, inf): sigma = nu / perm must be positive and finite."""
+    if not 0.0 < perm < math.inf:
+        raise ValueError(f"perm must satisfy 0 < perm < inf, got {perm}")
 
 
 def coefficients_from_case(
@@ -340,6 +347,7 @@ def run_convergence(
 def cavity_coefficients(nu0: float = 0.002, perm: float = 0.1) -> ProblemCoefficients:
     """Wide-cavity data: nu = nu0 (1 + x y / 2) on (0,2)x(0,1), zero force,
     Brinkman term sigma = nu / perm."""
+    _check_perm(perm)
 
     def nu(x, y):
         return nu0 * (1.0 + 0.5 * x * y)
@@ -364,12 +372,6 @@ def cavity_coefficients(nu0: float = 0.002, perm: float = 0.1) -> ProblemCoeffic
     )
 
 
-def check_cavity_resolution(nx: int, ny: int):
-    """Reject a cavity mesh coarser than 8 x 8 cells."""
-    if nx < 8 or ny < 8:
-        raise ValueError(f"cavity resolution must be at least 8x8, got {nx}x{ny}")
-
-
 def run_cavity(
     nx: int = 64,
     ny: int = 32,
@@ -381,9 +383,11 @@ def run_cavity(
     continuous P1 vorticity; returns the fields and the solve report.
 
     The lid moves with u = (1, 0); the discontinuous corner data is
-    resolved by the tag application order (the lid value wins).
+    resolved by the tag application order (the lid value wins).  The mesh
+    must have at least 8 x 8 cells.
     """
-    check_cavity_resolution(nx, ny)
+    if nx < 8 or ny < 8:
+        raise ValueError(f"cavity resolution must be at least 8x8, got {nx}x{ny}")
     mesh = build_structured(nx, ny, (0.0, 0.0, 2.0, 1.0))
     spaces = method_spaces(mesh, "mini", "cg1")
     coeffs = cavity_coefficients(nu0=nu0, perm=perm)

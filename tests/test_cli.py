@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import vvpflow.solver
 from vvpflow.cli import (
-    RunConfig,
+    _UNREAD,
     _sci3,
     main,
     parse_config,
@@ -13,7 +14,7 @@ from vvpflow.cli import (
 from vvpflow.mesh import build_structured
 from vvpflow.solver import DiagnosticsConfig
 from vvpflow.spaces import DiscreteField, build_space, interpolate
-from vvpflow.verify import ConvergenceReport
+from vvpflow.verify import ConvergenceReport, coefficients_from_case, example1_case_2d, run_convergence
 
 
 def fake_report(partial=False):
@@ -37,8 +38,11 @@ class TestParseConfig:
         assert cfg.vorticity == "dg1"
         assert cfg.levels == 5
         assert cfg.nu0 == 0.1 and cfg.nu1 == 1.0
-        assert cfg.kappa1 == pytest.approx(2.0 / 30.0)
-        assert cfg.kappa2 == pytest.approx(0.05)
+        assert cfg.kappa1 is None and cfg.kappa2 is None  # resolved by the library, as the runs build them
+        coeffs = coefficients_from_case(example1_case_2d(nu0=cfg.nu0, nu1=cfg.nu1, perm=cfg.perm), cfg.kappa1,
+                                        cfg.kappa2)
+        assert coeffs.kappa1 == pytest.approx(2.0 / 30.0)
+        assert coeffs.kappa2 == pytest.approx(0.05)
         assert cfg.method == "newton" and cfg.tol == 1e-8
 
     def test_empty_arguments_default_study(self):
@@ -48,29 +52,33 @@ class TestParseConfig:
         assert cfg.levels == 5
 
     def test_kappa1_validation(self):
+        # parsing keeps the value; the study's coefficients refuse it (above 2/3 * 0.1)
+        cfg = parse_config(["convergence", "--kappa1", "0.08"])
         with pytest.raises(ValueError, match="kappa1"):
-            parse_config(["convergence", "--kappa1", "0.08"])  # above 2/3 * 0.1
+            run_convergence(cfg.family, levels=cfg.levels, kappa1=cfg.kappa1)
 
     def test_kappa1_at_the_boundary_is_accepted(self):
         cfg = parse_config(["convergence", "--kappa1", str(2.0 / 30.0)])
         assert cfg.kappa1 == pytest.approx(2.0 / 30.0)
 
     def test_command_specific_vorticity_defaults(self):
+        # only the study reads a vorticity space; the cavity runs its own cg1 and takes no flag for it
         assert parse_config(["convergence"]).vorticity == "dg1"
-        assert parse_config(["cavity"]).vorticity == "cg1"
+        with pytest.raises(SystemExit):
+            parse_config(["cavity", "--vorticity", "cg1"])
 
     def test_command_specific_family_defaults(self):
         assert parse_config(["convergence"]).family == "taylor-hood"
-        assert parse_config(["cavity"]).family == "mini"
-        assert parse_config(["cavity", "--family", "mini", "--vorticity", "cg1"]).family == "mini"
+        with pytest.raises(SystemExit):
+            parse_config(["cavity", "--family", "mini"])
 
     def test_round_trip(self, tmp_path):
         cfg = parse_config(
-            ["cavity", "--nx", "32", "--ny", "16", "--nu0", "0.004", "--nu1", "0.008",
+            ["cavity", "--nx", "32", "--ny", "16", "--nu0", "0.004", "--perm", "0.2",
              "--method", "picard", "--tol", "1e-6", "--out", "results"]
         )
         path = tmp_path / "run.cfg"
-        path.write_text("command='cavity'\nnx=32\nny=16\nnu0=0.004\nnu1=0.008\nmethod='picard'\ntol=1e-06\n"
+        path.write_text("command='cavity'\nnx=32\nny=16\nnu0=0.004\nperm=0.2\nmethod='picard'\ntol=1e-06\n"
                         "max-iters=25\nout='results'\n")
         again = parse_config(["cavity", "--config", str(path)])
         assert again == cfg
@@ -230,9 +238,9 @@ class TestMain:
     @pytest.mark.parametrize("method", [["--family", "taylor-hood", "--vorticity", "dg1"], ["--family", "taylor-hood"],
                                         ["--vorticity", "dg1"]])
     def test_cavity_rejects_any_other_method(self, method, tmp_path, capsys):
-        # the demo runs MINI/cg1 only: another pair must not run it under a wrong label
+        # the demo runs MINI/cg1 only and takes no flag to name a pair
         assert main(["cavity", *method, "--nx", "8", "--ny", "8", "--out", str(tmp_path)]) == 2
-        assert "mini/cg1 only" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_cavity_validates_its_own_coefficients(self, tmp_path):
@@ -256,11 +264,18 @@ class TestMain:
     def test_bad_flag_exit_code(self):
         assert main(["convergence", "--family", "powell-sabin"]) == 2
 
-    @pytest.mark.parametrize("argv", [["diagnostics", "--family", "mini"], ["diagnostics", "--method", "picard"],
-                                      ["convergence", "--nx", "3"]])
-    def test_flag_the_command_does_not_read_exit_code(self, argv, capsys):
+    @pytest.mark.parametrize("argv", [[command, "--" + name.replace("_", "-"), "1"]
+                                      for command, unread in _UNREAD.items() for name in sorted(unread)])
+    def test_flag_the_command_does_not_read_exit_code(self, argv, tmp_path, capsys):
+        # every field a command does not read is refused, as a flag and as a config key
         assert main(argv) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+        command, flag, value = argv
+        key = flag[2:].replace("-", "_")
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key}={value}\n")
+        assert main([command, "--config", str(path)]) == 2
+        assert f"unknown key {key!r} for {command}" in capsys.readouterr().err
 
     def test_config_key_the_command_does_not_read_exit_code(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
@@ -292,17 +307,43 @@ class TestMain:
         assert code == 4
 
 
-@pytest.mark.parametrize("kwargs, message", [
-    (dict(command="plot"), "unknown command 'plot'"),
-    (dict(levels=1), "--levels must be at least 2"),
-    (dict(command="diagnostics", nx=0), "--nx/--ny must be positive"),
-    (dict(command="diagnostics", ny=-2), "--nx/--ny must be positive"),
-    (dict(perm=0.0), "--perm must be positive"),
-    (dict(perm=-0.1), "--perm must be positive"),
-])
-def test_run_config_rejects_out_of_range_fields(kwargs, message):
-    with pytest.raises(ValueError, match=message):
-        RunConfig(**kwargs)
+REFUSED = [
+    (["plot"], "invalid choice: 'plot'"),
+    (["convergence", "--levels", "1"], "at least two levels"),
+    (["diagnostics", "--nx", "0"], "subdivision counts must be integers of at least 1, got 0"),
+    (["diagnostics", "--ny", "-2"], "subdivision counts must be integers of at least 1, got -2"),
+    (["convergence", "--perm", "0"], "perm must satisfy 0 < perm < inf, got 0.0"),
+    (["convergence", "--perm", "-0.1"], "perm must satisfy 0 < perm < inf, got -0.1"),
+    (["cavity", "--perm", "0"], "perm must satisfy 0 < perm < inf, got 0.0"),
+    (["diagnostics", "--perm", "-0.1"], "perm must satisfy 0 < perm < inf, got -0.1"),
+    (["convergence", "--kappa1", "0.08"], "kappa1 = 0.08 outside the admissible interval"),
+    (["convergence", "--tol", "nan"], "tolerance must be positive and finite, got nan"),
+    (["cavity", "--tol", "inf"], "tolerance must be positive and finite, got inf"),
+    (["convergence", "--kappa2", "inf"], "kappa2 must be positive and finite, got inf"),
+    (["convergence", "--nu1", "inf"], "viscosity bounds must satisfy 0 < nu0 <= nu1 < inf"),
+    (["cavity", "--nx", "4", "--ny", "4"], "cavity resolution must be at least 8x8, got 4x4"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSED, ids=[" ".join(argv) for argv, _ in REFUSED])
+def test_every_refused_input_exits_2_and_writes_nothing(argv, message, tmp_path, monkeypatch, capsys):
+    # each is refused by the parser (the command) or by the library's own check, before any solve or file write
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_out_of_memory_in_a_factor_exits_3(tmp_path, monkeypatch, capsys):
+    def no_memory(matrix, **opts):
+        raise MemoryError
+
+    monkeypatch.setattr(vvpflow.solver.spla, "splu", no_memory)
+    assert main(["cavity", "--nx", "8", "--ny", "8", "--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert "  stopped: sparse direct solve failed: the float32 complement: out of memory at " in captured.out
+    assert "; the float64 complement: out of memory at " in captured.out
+    assert "Traceback" not in captured.err
 
 
 class TestConfigFile:

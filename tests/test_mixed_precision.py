@@ -81,6 +81,24 @@ def test_a_complement_that_cannot_contract_fails_in_both_precisions(monkeypatch)
     assert held == {}
 
 
+def test_out_of_memory_in_a_factor_is_a_stated_failure(monkeypatch):
+    # SuperLU out of memory in both precisions: each attempt is a failure with the complement's size,
+    # and the Newton solve stops at its first step with both
+    def no_memory(matrix, **opts):
+        raise MemoryError
+
+    monkeypatch.setattr(spla, "splu", no_memory)
+    spaces = method_spaces(build_structured(4, 4), "taylor-hood", "dg1")
+    case = example1_case_2d()
+    _, _, _, rep = solve_newton(spaces, coefficients_from_case(case), vvpflow.solver.NonlinearSettings(), g=case.u,
+                                pressure_target=case.pressure_integral)
+    n = sum(s.n_dofs for s in spaces) + 1 - spaces[1].local_dofs.size
+    assert not rep.converged and rep.iterations == 0
+    assert rep.failure == (f"sparse direct solve failed: the float32 complement: out of memory at {n} unknowns in "
+                           f"float32; the float64 complement: out of memory at {n} unknowns in float64")
+    assert rep.linear_stats["float32_given_up"] == 1 and rep.linear_stats["factors"] == 0
+
+
 def test_a_diverging_cavity_stops_and_factors_no_full_matrix(monkeypatch):
     # Newton diverges on the 32x16 cavity at nu0 = 3e-5, and no step length rescues its fourth step;
     # SuperLU never orders or factors anything but a complement

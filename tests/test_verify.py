@@ -423,6 +423,13 @@ class TestCavity:
         assert abs(integral(p)) <= 1e-10 * p_norm
 
 
+@pytest.mark.parametrize("perm", [0.0, -0.1, math.nan])
+@pytest.mark.parametrize("case", [example1_case_2d, cavity_coefficients])
+def test_a_permeability_outside_zero_to_infinity_is_rejected(case, perm):
+    with pytest.raises(ValueError, match="perm must satisfy 0 < perm < inf"):
+        case(perm=perm)
+
+
 def test_example1_forcing_is_the_momentum_forcing_bit_for_bit():
     # the case's f shares its sines and cosines across fields; it must give
     # the floats of forcing_from_momentum over the case's own callables, and
