@@ -102,26 +102,26 @@ class ProblemCoefficients:
 
 @dataclass(frozen=True, eq=False)
 class AssembledSystem:
-    """Sparse block system over [velocity | vorticity | pressure | multiplier];
-    ``plan``, required, condenses its cell-local unknowns (:class:`CondensationPlan`).
-    Frozen; when made, it checks that ``matrix`` is CSR on the plan's ``pattern``."""
+    """Sparse block system over [velocity | vorticity | pressure | multiplier]: ``data``, its
+    entries in slot order on the ``pattern`` of ``plan``, a required :class:`CondensationPlan`
+    of its cell-local unknowns.  Frozen; when made, it checks the plan and the lengths of ``data`` and ``rhs``."""
 
-    matrix: sp.csr_matrix
+    data: np.ndarray
     rhs: np.ndarray
     block_index: tuple[int, int, int, int, int]
     bc_applied: bool = False
     plan: CondensationPlan = field(default=None, repr=False)
 
     def __post_init__(self):
-        n = self.block_index[-1]
-        if self.matrix.shape != (n, n) or self.rhs.shape != (n,):
-            raise ValueError(f"system of size {self.matrix.shape} does not match the block layout ending at {n}")
         if not isinstance(self.plan, CondensationPlan):
             raise ValueError("the system has no condensation plan: assemble it with a SystemAssembler")
-        a, p = self.matrix, self.plan.pattern
-        if not (sp.issparse(a) and a.format == "csr" and np.array_equal(a.indptr, p.indptr)
-                and np.array_equal(a.indices, p.indices)):
-            raise ValueError("the matrix is not on the condensation plan's pattern")
+        if np.shape(self.data) != self.plan.pattern.indices.shape or np.shape(self.rhs) != (self.n,):
+            raise ValueError(f"entries {np.shape(self.data)} and rhs {np.shape(self.rhs)} do not fit the plan of {self.n} rows")
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        """The CSR matrix of ``data``, sharing the plan's read-only index arrays."""
+        return self.plan.pattern.csr(self.data)
 
     @property
     def n(self) -> int:
@@ -218,7 +218,7 @@ class CondensationPlan:
     stores and no correction writes (TH's and BR's pressure, the
     multiplier), and ``dofs`` (nc, g) places A_GL's rows and A_LG's columns
     in ``rest``.  A matrix is on the plan if it has the full ``pattern`` (as
-    every :class:`AssembledSystem` checks) with its ``constrained`` rows and
+    every :class:`AssembledSystem` does) with its ``constrained`` rows and
     columns eliminated, as :func:`apply_dirichlet` leaves them: ``dropped``
     (the off-diagonals S leaves out) zero and ``pinned`` (the diagonals, one
     per row) 1; any other complement the refinement against the full matrix
@@ -604,9 +604,9 @@ class SystemAssembler:
         self._plan = CondensationPlan(self._pattern, order, self.local, *closure, self.V.dirichlet_dofs)
         self.ordering_time = time.perf_counter() - t0
 
-    def _system(self, matrix: sp.csr_matrix, rhs: np.ndarray) -> AssembledSystem:
-        """``matrix`` and ``rhs`` with the condensation plan of the elimination order."""
-        return AssembledSystem(matrix, rhs, self.block_index, plan=self._plan)
+    def _system(self, data: np.ndarray, rhs: np.ndarray) -> AssembledSystem:
+        """``data`` and ``rhs`` with the condensation plan of the elimination order."""
+        return AssembledSystem(data, rhs, self.block_index, plan=self._plan)
 
     def _target_rhs(self, pressure_target: float) -> np.ndarray:
         """The linear part's rhs with the pressure target in its last row."""
@@ -619,8 +619,8 @@ class SystemAssembler:
         rhs = self._target_rhs(pressure_target)
         return self._system(self._matrix(() if beta is None else self._convection(beta)), rhs)
 
-    def _matrix(self, conv: tuple) -> sp.csr_matrix:
-        """Every step's matrix: the linear part plus the sum of ``conv``, a
+    def _matrix(self, conv: tuple) -> np.ndarray:
+        """Every step's matrix entries: the linear part plus the sum of ``conv``, a
         tuple from :meth:`_convection` or (), added at the uu slots after the
         linear sums, as one bincount of all triplets would.  Newton's dual is
         added into the direct values in place (``conv`` is consumed), giving
@@ -628,7 +628,7 @@ class SystemAssembler:
         data = self._data.copy()
         if conv:
             np.add.at(data, self._conv_slots, functools.reduce(operator.iadd, conv))
-        return self._pattern.csr(data)
+        return data
 
     def _residual(self, state: np.ndarray, conv: np.ndarray, pressure_target: float) -> np.ndarray:
         """rhs - L state - N(beta) u, velocity Dirichlet rows zeroed, with no
@@ -701,21 +701,20 @@ def apply_dirichlet(system: AssembledSystem, space: FunctionSpace, g) -> Assembl
     right-hand side absorbs the lifting, so symmetric sub-blocks stay
     symmetric.  ``g`` follows :func:`vvpflow.spaces.boundary_values`; None
     (zero data) lifts nothing and skips the interpolation and the product.
-    ``space`` must have the plan's ``constrained`` DOFs (else ``ValueError``);
-    the matrix is on the plan's pattern, checked when its system was made.
-    It writes only the plan's ``dropped`` and ``pinned`` slots: the matrix
-    shares the plan's read-only pattern, zeros kept.
+    ``space`` must have the plan's ``constrained`` DOFs (else ``ValueError``).
+    It writes only the plan's ``dropped`` and ``pinned`` slots of a copy of
+    the system's entries, zeros kept.
     """
     if system.bc_applied:
         raise RuntimeError("Dirichlet data was already applied to this system")
-    a, plan, dofs = system.matrix, system.plan, space.dirichlet_dofs
+    plan, dofs = system.plan, space.dirichlet_dofs
     if not np.array_equal(dofs, plan.constrained):
         raise ValueError(f"the Dirichlet DOFs of {space!r} are not those the condensation plan constrains")
     lift, rhs = np.zeros(system.n), system.rhs.copy()
     if g is not None:
         lift[dofs] = boundary_values(space, g)
-        rhs -= a @ lift
+        rhs -= system.matrix @ lift
     rhs[dofs] = lift[dofs]
-    data = a.data.copy()
+    data = system.data.copy()
     data[plan.dropped], data[plan.pinned] = 0.0, 1.0
-    return replace(system, matrix=plan.pattern.csr(data), rhs=rhs, bc_applied=True)
+    return replace(system, data=data, rhs=rhs, bc_applied=True)

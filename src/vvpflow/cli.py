@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .mesh import Mesh, build_structured
@@ -271,7 +271,7 @@ def _run_diagnostics(cfg: RunConfig) -> int:
     coeffs = coefficients_from_case(case, kappa1=cfg.kappa1, kappa2=cfg.kappa2)
     mesh = build_structured(cfg.nx, cfg.ny, case.rect)
     diag = DiagnosticsConfig()
-    diag.grad_nu_Lrstar = grad_nu_norm(mesh, coeffs, diag.r_star)
+    diag = replace(diag, grad_nu_Lrstar=grad_nu_norm(mesh, coeffs, diag.r_star))  # checked as it is made
     print_diagnostics(coeffs, diag, lp_norm(mesh, case.f, 2.0, quad_degree=10))
     return 0
 
@@ -280,10 +280,12 @@ _RUNS = {"convergence": _run_convergence, "cavity": _run_cavity, "diagnostics": 
 
 
 def main(argv=None) -> int:
-    """Run one command; a ``ValueError``, from parsing or from the library's
-    checks, which all run before any solve or file write, exits 2."""
+    """Run one command; a ``ValueError`` from parsing or the library's checks exits 2, and an
+    ``--out`` that is not a directory 4, each before any solve or file write."""
     try:
         cfg = parse_config(argv if argv is not None else sys.argv[1:])
+        if not Path(cfg.out).is_dir():
+            raise IOError(f"cannot write {cfg.out}: not an existing directory")
         return _RUNS[cfg.command](cfg)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0

@@ -179,8 +179,8 @@ def _condense(a: sp.csr_matrix, plan: CondensationPlan, dtype, lift: float):
     formed and subtracted on its slots in cell order, in ``dtype``.
     Returns the solve of ``a x = r`` through that factor, which eliminates
     the local unknowns in float64 and solves with S in ``dtype``, and the
-    factor's fill.  ``a`` must be on the plan's pattern, as every
-    :class:`~vvpflow.assembly.AssembledSystem` checks its matrix to be.
+    factor's fill.  ``a`` must be on the plan's pattern, as the matrix of
+    every :class:`~vvpflow.assembly.AssembledSystem` is.
     """
     blocks, gl, lg = (_gather(a.data, *slots) for slots in (plan.ll, plan.gl, plan.lg))
     try:
@@ -219,8 +219,8 @@ def solve_linear(system: AssembledSystem, stats: dict | None = None, held: dict 
     with ``target`` 0 the backward-error bound alone.
 
     ``system`` must be eliminated by :func:`apply_dirichlet` (else
-    ``ValueError``); its matrix is on its plan's pattern, as every
-    :class:`~vvpflow.assembly.AssembledSystem` checks when made.  The
+    ``ValueError``); its matrix is on its plan's pattern, as that of every
+    :class:`~vvpflow.assembly.AssembledSystem` is.  The
     plan's elimination order puts the cell-local unknowns first, then nested
     dissection with the multiplier last.  The local unknowns are condensed
     out and the Schur complement is factored in that order with static
@@ -359,10 +359,10 @@ def _solve_nonlinear(spaces, coeffs, settings, g, pressure_target):
         # Picard's Oseen matrix, Newton's Jacobian.  The values go once it is made
         # and the un-eliminated matrix once it is eliminated: one full matrix
         # is alive at the factor.
-        matrix = assembler._matrix(conv)
+        data = assembler._matrix(conv)
         del conv
-        system = apply_dirichlet(assembler._system(matrix, res), V, None)
-        del matrix, res
+        system = apply_dirichlet(assembler._system(data, res), V, None)
+        del data, res
         try:
             update = solve_linear(system, report.linear_stats, held, target=target)
         except SolverFailure as exc:

@@ -18,7 +18,7 @@ import numpy as np
 from .assembly import ProblemCoefficients, default_quad_degree
 from .mesh import build_structured
 from .quadrature import CellQuadrature
-from .solver import NonlinearSettings, solve_newton, solve_picard
+from .solver import NonlinearSettings, SolveReport, solve_newton, solve_picard
 from .spaces import DiscreteField, eval_field, method_spaces, tabulate
 
 
@@ -284,17 +284,33 @@ class ConvergenceReport:
     vorticity: str
     levels: list[tuple[float, int]]  # (h, system dofs)
     errors: list[tuple[float, float, float]]
-    rates: list[tuple[float, float, float]]
-    iterations: list[int]
-    converged: list[bool]
-    final_residuals: list[float] = field(default_factory=list)
-    partial: bool = False
+    reports: list[SolveReport]  # one per level: the Newton counts are read from them, the rates from the errors
 
     def __post_init__(self):
-        if len(self.rates) != len(self.levels) - 1:
-            raise ValueError("need one rate tuple per consecutive level pair")
         if any(e < 0.0 for row in self.errors for e in row):
             raise ValueError("error norms cannot be negative")
+
+    @property
+    def rates(self) -> list[tuple[float, float, float]]:
+        """The observed orders (:func:`eoc`) of each consecutive level pair."""
+        hs = [h for h, _ in self.levels]
+        return list(zip(*(eoc(col, hs) for col in zip(*self.errors))))
+
+    @property
+    def iterations(self) -> list[int]:
+        return [rep.iterations for rep in self.reports]
+
+    @property
+    def converged(self) -> list[bool]:
+        return [rep.converged for rep in self.reports]
+
+    @property
+    def final_residuals(self) -> list[float]:
+        return [rep.residual_history[-1] for rep in self.reports]
+
+    @property
+    def partial(self) -> bool:
+        return not all(self.converged)
 
 
 def run_convergence(
@@ -314,34 +330,16 @@ def run_convergence(
     settings = settings or NonlinearSettings(method="newton", tol=1e-8)
     solve = solve_newton if settings.method == "newton" else solve_picard
 
-    hs, dofs, errs, iters, oks, finals = [], [], [], [], [], []
+    sizes, errs, reports = [], [], []
     for level in range(levels):
         n = 2 ** (level + 1)
         mesh = build_structured(n, n, case.rect)
         spaces = method_spaces(mesh, family, vorticity)
-        u_h, w_h, p_h, rep = solve(
-            spaces, coeffs, settings, g=case.u, pressure_target=case.pressure_integral
-        )
-        hs.append(mesh.h)
-        dofs.append(sum(s.n_dofs for s in spaces) + 1)
+        u_h, w_h, p_h, rep = solve(spaces, coeffs, settings, g=case.u, pressure_target=case.pressure_integral)
+        sizes.append((mesh.h, sum(s.n_dofs for s in spaces) + 1))
         errs.append(error_norms(u_h, w_h, p_h, case))
-        iters.append(rep.iterations)
-        oks.append(bool(rep.converged))
-        finals.append(rep.residual_history[-1])
-
-    cols = list(zip(*errs))
-    rates = list(zip(*(eoc(col, hs) for col in cols)))
-    return ConvergenceReport(
-        family=family,
-        vorticity=vorticity,
-        levels=list(zip(hs, dofs)),
-        errors=errs,
-        rates=[tuple(r) for r in rates],
-        iterations=iters,
-        converged=oks,
-        final_residuals=finals,
-        partial=not all(oks),
-    )
+        reports.append(rep)
+    return ConvergenceReport(family, vorticity, sizes, errs, reports)
 
 
 def cavity_coefficients(nu0: float = 0.002, perm: float = 0.1) -> ProblemCoefficients:

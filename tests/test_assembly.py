@@ -383,16 +383,6 @@ def test_dirichlet_elimination_matches_the_mask_product(n, family, vorticity):
     assert np.array_equal(compacted.data, reference.data)
 
 
-def test_a_constrained_row_without_a_diagonal_is_rejected():
-    _, coeffs, spaces = example1_setup(n=2)
-    system = SystemAssembler(spaces, coeffs).oseen()
-    matrix = system.matrix.tolil()
-    dof = spaces[0].dirichlet_dofs[3]
-    matrix[dof, dof] = 0.0  # removes the stored entry: the matrix leaves the plan's pattern
-    with pytest.raises(ValueError, match="not on the condensation plan's pattern"):
-        apply_dirichlet(dataclasses.replace(system, matrix=matrix.tocsr()), spaces[0], None)
-
-
 def test_a_system_is_frozen():
     _, coeffs, spaces = example1_setup(n=2)
     system = SystemAssembler(spaces, coeffs).oseen()
@@ -400,14 +390,15 @@ def test_a_system_is_frozen():
         system.matrix = system.matrix.copy()
 
 
-def test_a_system_rejects_a_matrix_of_another_format_when_made():
-    # the pattern is symmetric, so CSC has the same index arrays, but it represents the transpose
+def test_a_system_is_its_entries_on_its_plan_s_pattern():
+    # the matrix is made from the entries on demand: CSR on the plan's read-only index arrays, never a copy
     _, coeffs, spaces = example1_setup(n=2)
     system = SystemAssembler(spaces, coeffs).oseen()
-    csc = system.matrix.tocsc()
-    assert np.array_equal(csc.indptr, system.matrix.indptr) and np.array_equal(csc.indices, system.matrix.indices)
-    with pytest.raises(ValueError, match="not on the condensation plan's pattern"):
-        dataclasses.replace(system, matrix=csc)
+    matrix, pattern = system.matrix, system.plan.pattern
+    assert matrix.format == "csr" and matrix.shape == (system.n, system.n)
+    for mine, shared in ((matrix.data, system.data), (matrix.indices, pattern.indices), (matrix.indptr, pattern.indptr)):
+        assert np.array_equal(mine, shared) and np.shares_memory(mine, shared)
+    assert not (pattern.indices.flags.writeable or pattern.indptr.flags.writeable)
 
 
 def test_a_plan_constraining_a_row_without_a_diagonal_is_not_built():

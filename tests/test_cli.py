@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import vvpflow.cli
 import vvpflow.solver
 from vvpflow.cli import (
     _UNREAD,
@@ -12,21 +13,19 @@ from vvpflow.cli import (
     write_vtk,
 )
 from vvpflow.mesh import build_structured
-from vvpflow.solver import DiagnosticsConfig
+from vvpflow.solver import DiagnosticsConfig, SolveReport
 from vvpflow.spaces import DiscreteField, build_space, interpolate
 from vvpflow.verify import ConvergenceReport, coefficients_from_case, example1_case_2d, run_convergence
 
 
 def fake_report(partial=False):
+    # the Taylor-Hood/dg1 levels n = 2 and 4; the rates follow from the errors and h
     return ConvergenceReport(
         family="taylor-hood",
         vorticity="dg1",
-        levels=[(0.707, 84), (0.354, 284)],
+        levels=[(0.5**0.5, 84), (0.125**0.5, 284)],
         errors=[(8.52e-1, 5.44e-1, 2.33e-1), (2.49e-1, 1.41e-1, 4.64e-2)],
-        rates=[(1.772, 1.948, 2.326)],
-        iterations=[3, 3],
-        converged=[True, not partial],
-        partial=partial,
+        reports=[SolveReport(iterations=3, converged=True), SolveReport(iterations=3, converged=not partial)],
     )
 
 
@@ -111,7 +110,7 @@ class TestWriteCsv:
         lines = path.read_text().split("\n")
         assert lines[0] == "dof,h,e_u,r_u,e_w,r_w,e_p,r_p"
         assert lines[1] == "84,7.07e-1,8.52e-1,,5.44e-1,,2.33e-1,"
-        assert lines[2] == "284,3.54e-1,2.49e-1,1.772,1.41e-1,1.948,4.64e-2,2.326"
+        assert lines[2] == "284,3.54e-1,2.49e-1,1.775,1.41e-1,1.948,4.64e-2,2.328"
         assert lines[3] == ""
         assert len(lines) == 4
         assert "\r" not in path.read_bytes().decode()
@@ -373,6 +372,27 @@ class TestConfigFile:
         path.write_text("tol=small\n")
         assert main(["convergence", "--config", str(path)]) == 2
         assert "bad value for 'tol'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, entry", [(["convergence", "--levels", "5"], "run_convergence"),
+                                         (["cavity", "--nx", "64", "--ny", "32"], "run_cavity")])
+def test_an_out_that_is_no_directory_exits_4_before_the_run(argv, entry, tmp_path, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError(f"{entry} ran before --out was checked")
+
+    monkeypatch.setattr(vvpflow.cli, entry, no_run)
+    assert main([*argv, "--out", str(tmp_path / "missing" / "dir")]) == 4
+    assert "cannot write" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_diagnostics_refuses_a_non_finite_viscosity_gradient_norm(monkeypatch, capsys):
+    # the config is made with the computed norm, so its own check refuses NaN before anything is printed
+    monkeypatch.setattr(vvpflow.cli, "grad_nu_norm", lambda mesh, coeffs, r_star: float("nan"))
+    assert main(["diagnostics", "--nx", "8", "--ny", "8"]) == 2
+    captured = capsys.readouterr()
+    assert "the norm grad_nu_Lrstar must be non-negative and finite, got nan" in captured.err
+    assert captured.out == ""
 
 
 def test_unwritable_vtk_exit_code(tmp_path, capsys):

@@ -62,7 +62,7 @@ class TestSolveLinear:
         system = apply_dirichlet(assemble_oseen(spaces, coeffs), spaces[0], None)
         x_star = RNG.standard_normal(system.n)
         sys2 = AssembledSystem(
-            system.matrix,
+            system.data,
             system.matrix @ x_star,
             system.block_index,
             bc_applied=True,
@@ -75,7 +75,7 @@ class TestSolveLinear:
         _, coeffs, spaces = example1_problem(4)
         system = apply_dirichlet(assemble_oseen(spaces, coeffs), spaces[0], None)
         b = RNG.standard_normal(system.n)
-        sys2 = AssembledSystem(system.matrix, b, system.block_index, True, plan=system.plan)
+        sys2 = AssembledSystem(system.data, b, system.block_index, True, plan=system.plan)
         x = solve_linear(sys2)
         norm_a = np.abs(system.matrix).sum(axis=1).max()
         res = np.abs(system.matrix @ x - b).max()
@@ -84,9 +84,8 @@ class TestSolveLinear:
     def test_singular_matrix_raises(self):
         _, coeffs, spaces = example1_problem(2)
         system = apply_dirichlet(assemble_oseen(spaces, coeffs), spaces[0], None)
-        zero = system.matrix.copy()
-        zero.data[:] = 0.0  # on the plan's pattern: every cell-local block is singular
-        sys = dataclasses.replace(system, matrix=zero, rhs=np.ones(system.n))
+        # on the plan's pattern: every cell-local block is singular
+        sys = dataclasses.replace(system, data=np.zeros_like(system.data), rhs=np.ones(system.n))
         with pytest.raises(SolverFailure, match="^sparse direct solve failed: singular cell-local block") as failure:
             solve_linear(sys)
         assert "complement" not in str(failure.value)  # no factor was made
