@@ -54,7 +54,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .ordering import dof_support_centroids, nested_dissection
-from .quadrature import CHUNK, CellQuadrature, groups
+from .quadrature import CHUNK, CellQuadrature, _contract, _einsum_path, groups  # noqa: F401 (re-exported)
 from .spaces import DiscreteField, FunctionSpace, boundary_values, chunk_dirs, physical_gradients, tabulate
 
 
@@ -301,18 +301,6 @@ def _check_spaces(spaces):
     return V, W, Q
 
 
-@functools.lru_cache(maxsize=1024)
-def _einsum_path(subscripts: str, *shapes) -> tuple:
-    return tuple(np.einsum_path(subscripts, *(np.broadcast_to(0.0, s) for s in shapes), optimize=True)[0])
-
-
-def _contract(subscripts: str, *operands) -> np.ndarray:
-    """``np.einsum(subscripts, *operands, optimize=True)``, with its
-    contraction path searched once per subscripts and operand shapes
-    instead of on every call; the same path gives the same floats."""
-    return np.einsum(subscripts, *operands, optimize=_einsum_path(subscripts, *(op.shape for op in operands)))
-
-
 def _block_keys(rows_map, cols_map):
     """COO (rows, cols) of a block whose local matrices, over all cells, sit
     at the global ``rows_map`` (nc, na) x ``cols_map`` (nc, nb); in cell
@@ -459,7 +447,7 @@ class SystemAssembler:
         sig = np.broadcast_to(np.asarray(c.sigma(x, y), dtype=float), nu.shape)
         for name, s, lo, hi in (("viscosity", nu, c.nu0, c.nu1), ("sigma", sig, c.sigma0, c.sigma1)):
             slack = 1e-12 * max(1.0, abs(hi))
-            if s.min() < lo - slack or s.max() > hi + slack:
+            if not lo - slack <= s.min() <= s.max() <= hi + slack:  # NaN fails every comparison
                 raise ValueError(f"{name} leaves its declared bounds [{lo}, {hi}] (sampled range [{s.min()}, {s.max()}])")
         gnu = None if c.grad_nu is None else np.asarray(c.grad_nu(x, y), dtype=float)
         return nu, sig, gnu, np.asarray(c.f(x, y), dtype=float)

@@ -5,22 +5,23 @@ has positive weights summing to the reference area 1/2 and interior
 points.  Degrees 6, 8 and 9 use fitted table rules of 12, 16 and 19
 points; every other degree is a conical product of Gauss-Legendre and
 Gauss-Jacobi lines (exact by construction), symmetrised.
-:class:`CellQuadrature` maps a rule onto every cell of a mesh; its chunks
-are the one loop over cells of the norms and integrals, and it groups the
-cells into the affine classes whose physical basis tables the assembly
-shares.
+:class:`CellQuadrature` maps a rule onto every cell of a mesh; its
+``integrate`` is the one loop over cells of the norms and integrals, and it
+groups the cells into the affine classes whose physical basis tables the
+assembly shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import permutations
 
 import numpy as np
 from scipy.special import roots_jacobi
 
 from .mesh import Mesh, geometry_arrays
+from .spaces import eval_field, tabulate
 
 MAX_DEGREE = 30
 CHUNK = 512
@@ -115,12 +116,21 @@ def quadrature(degree: int) -> QuadratureRule:
     return QuadratureRule(points=points, weights=weights, degree=int(degree))
 
 
-def physical_points(rule: QuadratureRule, jac: np.ndarray, origin: np.ndarray) -> np.ndarray:
-    """Map reference points to physical coordinates, batched over cells.
+@lru_cache(maxsize=1024)
+def _einsum_path(subscripts: str, *shapes) -> tuple:
+    return tuple(np.einsum_path(subscripts, *(np.broadcast_to(0.0, s) for s in shapes), optimize=True)[0])
 
-    ``jac``: (nc, 2, 2), ``origin``: (nc, 2); returns (nc, npts, 2).
-    """
-    return origin[:, None, :] + np.einsum("cij,qj->cqi", jac, rule.points, optimize=True)
+
+def _contract(subscripts: str, *operands) -> np.ndarray:
+    """``np.einsum(subscripts, *operands, optimize=True)``, with its
+    contraction path searched once per subscripts and operand shapes
+    instead of on every call; the same path gives the same floats."""
+    return np.einsum(subscripts, *operands, optimize=_einsum_path(subscripts, *(op.shape for op in operands)))
+
+
+def physical_points(rule: QuadratureRule, jac: np.ndarray, origin: np.ndarray) -> np.ndarray:
+    """The rule's points mapped by every cell's ``jac`` (nc, 2, 2) and ``origin`` (nc, 2): (nc, npts, 2)."""
+    return origin[:, None, :] + _contract("cij,qj->cqi", jac, rule.points)
 
 
 def groups(labels: np.ndarray):
@@ -154,10 +164,10 @@ class CellQuadrature:
         inverse Jacobians (nc, 2, 2)."""
         mesh = self.mesh
         for c0 in range(0, mesh.n_cells, CHUNK):
-            cells = np.arange(c0, min(c0 + CHUNK, mesh.n_cells))
-            wdet = self.rule.weights[None, :] * self.det[cells, None]
-            xq = physical_points(self.rule, self.jac[cells], mesh.vertices[mesh.cells[cells, 0]])
-            yield cells, wdet, xq, self.inv[cells]
+            part = slice(c0, c0 + CHUNK)  # views of the per-cell arrays; the indices for the DOF maps
+            wdet = self.rule.weights[None, :] * self.det[part, None]
+            xq = physical_points(self.rule, self.jac[part], mesh.vertices[mesh.cells[part, 0]])
+            yield np.arange(c0, min(c0 + CHUNK, mesh.n_cells)), wdet, xq, self.inv[part]
 
     def classes(self, dirs: np.ndarray | None = None):
         """``(first, label)``: the first cell of each affine class and the
@@ -171,6 +181,21 @@ class CellQuadrature:
         _, first, label = np.unique(np.hstack(key), axis=0, return_index=True, return_inverse=True)
         return first, label.reshape(nc)
 
-    def integrate(self, integrand) -> float:
-        """Sum of ``integrand(cells, wdet, xq, inv)`` over the chunks."""
-        return sum(float(integrand(*chunk)) for chunk in self.chunks())
+    def integrate(self, *densities) -> list[float]:
+        """The integral of each density, summed in chunk order over one pass.  A density maps a chunk's
+        ``at`` to values (nc, npts): ``at(fn)`` samples a point function ``fn(x, y)``, ``at(field)`` a discrete
+        field and ``at(field, True)`` its values and gradients, each once per chunk and space per pass."""
+        tabs, sums = {}, [0.0] * len(densities)
+        for cells, wdet, xq, inv in self.chunks():
+
+            @cache
+            def at(f, grad=False):
+                if callable(f):
+                    return np.asarray(f(xq[..., 0], xq[..., 1]), dtype=float)
+                if f.space.mesh is not self.mesh:
+                    raise ValueError("the fields of one pass over the cells must live on one mesh")
+                tabs[f.space] = tabs.get(f.space) or tabulate(f.space, self.rule.points)
+                return eval_field(f, tabs[f.space], cells, inv, grad)
+
+            sums = [s + float(np.einsum("cq,cq->", wdet, density(at))) for s, density in zip(sums, densities)]
+        return sums

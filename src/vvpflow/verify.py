@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .assembly import ProblemCoefficients, default_quad_degree
 from .mesh import build_structured
 from .quadrature import CellQuadrature
 from .solver import NonlinearSettings, SolveReport, solve_newton, solve_picard
-from .spaces import DiscreteField, eval_field, method_spaces, tabulate
+from .spaces import DiscreteField, method_spaces
 
 
 @dataclass(eq=False)
@@ -186,74 +185,54 @@ def coefficients_from_case(
 
 def l2_error(field: DiscreteField, exact, quad_degree: int) -> float:
     """L2 distance between a discrete field and an analytic function."""
-    return _error_norms(quad_degree, [(_l2_term, field, exact)])[0]
+    return math.sqrt(CellQuadrature(field.space.mesh, quad_degree).integrate(_gap(field, exact))[0])
 
 
 def velocity_error_norm(u_h: DiscreteField, case: ManufacturedCase, quad_degree: int) -> float:
-    """Combined velocity error: L2 of the value, curl and divergence
-    mismatches (the exact field is solenoidal with curl = case.omega)."""
-    return _error_norms(quad_degree, [(_velocity_term, u_h, case)])[0]
+    """Combined velocity error: L2 of the value, curl and divergence gaps (the exact curl is case.omega)."""
+    return math.sqrt(CellQuadrature(u_h.space.mesh, quad_degree).integrate(_velocity_gap(u_h, case))[0])
 
 
 def error_norms(u_h: DiscreteField, w_h: DiscreteField, p_h: DiscreteField, case: ManufacturedCase):
     """(e_u, e_w, e_p) against the case, at assembly degree + 3, in one pass over the cells."""
-    norms = [(_velocity_term, u_h, case), (_l2_term, w_h, case.omega), (_l2_term, p_h, case.p)]
-    return _error_norms(default_quad_degree(u_h.space) + 3, norms)
+    quad = CellQuadrature(u_h.space.mesh, default_quad_degree(u_h.space) + 3)
+    return tuple(map(math.sqrt, quad.integrate(_velocity_gap(u_h, case), _gap(w_h, case.omega), _gap(p_h, case.p))))
 
 
-def _error_norms(quad_degree: int, norms) -> tuple[float, ...]:
-    """Each norm ``(term, field, exact)`` in one pass over one quadrature: the root
-    of the chunk-order sum of its terms.  A chunk samples each analytic function once."""
-    quad = CellQuadrature(norms[0][1].space.mesh, quad_degree)
-    if any(f.space.mesh is not quad.mesh for _, f, _ in norms):
-        raise ValueError("the fields of one pass over the cells must live on one mesh")
-    tabs = [tabulate(f.space, quad.rule.points) for _, f, _ in norms]
-    terms = []
-    for cells, wdet, xq, inv in quad.chunks():
-        sample = cache(lambda fn: np.asarray(fn(xq[..., 0], xq[..., 1]), dtype=float))
-        terms.append([float(term(f, tab, cells, wdet, inv, sample, exact)) for (term, f, exact), tab in zip(norms, tabs)])
-    return tuple(math.sqrt(sum(column)) for column in zip(*terms))
+def _gap(field: DiscreteField, exact):
+    """The density of the squared gap between ``field`` and the analytic ``exact``."""
+    return lambda at: _squared(at(field) - at(exact))
 
 
-def _l2_term(field: DiscreteField, tab, cells, wdet, inv, sample, exact):
-    """One chunk's squared L2 gap between ``field`` and the analytic ``exact``."""
-    diff = eval_field(field, tab, cells, inv) - sample(exact)
-    diff = diff.reshape(wdet.shape + (-1,))  # scalar fields as one component
-    return np.einsum("cq,cqi,cqi->", wdet, diff, diff)
+def _velocity_gap(u_h: DiscreteField, case: ManufacturedCase):
+    """The density of the squared gaps of ``u_h``'s value, curl and divergence from the case's."""
+
+    def density(at):
+        vals, g = at(u_h, True)
+        return _squared(vals - at(case.u)) + (g[..., 1, 0] - g[..., 0, 1] - at(case.omega)) ** 2 + _div(g) ** 2
+
+    return density
 
 
-def _velocity_term(u_h: DiscreteField, tab, cells, wdet, inv, sample, case: ManufacturedCase):
-    """One chunk's squared gaps of ``u_h``'s value, curl and divergence from the case's."""
-    vals, grads = eval_field(u_h, tab, cells, inv, grad=True)
-    diff = vals - sample(case.u)
-    dcurl = grads[..., 1, 0] - grads[..., 0, 1] - sample(case.omega)
-    return (np.einsum("cq,cqi,cqi->", wdet, diff, diff) + np.einsum("cq,cq,cq->", wdet, dcurl, dcurl)
-            + _div_term(u_h, tab, cells, wdet, inv, sample, case, grads))
+def _squared(v: np.ndarray) -> np.ndarray:
+    """Pointwise squared magnitude of scalar (nc, npts) or vector (nc, npts, 2) samples."""
+    return v**2 if v.ndim == 2 else v[..., 0] ** 2 + v[..., 1] ** 2
 
 
-def _div_term(u_h: DiscreteField, tab, cells, wdet, inv, sample, exact, grads=None):
-    """One chunk's squared divergence of ``u_h``, from its ``grads`` when given (the exact one is 0)."""
-    grads = eval_field(u_h, tab, cells, inv, grad=True)[1] if grads is None else grads
-    div_h = grads[..., 0, 0] + grads[..., 1, 1]
-    return np.einsum("cq,cq,cq->", wdet, div_h, div_h)
+def _div(grads: np.ndarray) -> np.ndarray:
+    return grads[..., 0, 0] + grads[..., 1, 1]
 
 
 def div_norm(u_h: DiscreteField) -> float:
     """||div u_h||_0, at the assembly degree; the augmentation controls but never nullifies it."""
-    return _error_norms(default_quad_degree(u_h.space), [(_div_term, u_h, None)])[0]
+    quad = CellQuadrature(u_h.space.mesh, default_quad_degree(u_h.space))
+    return math.sqrt(quad.integrate(lambda at: _div(at(u_h, True)[1]) ** 2)[0])
 
 
 def integral(field: DiscreteField, quad_degree: int | None = None) -> float:
     """Integral of a scalar discrete field over the domain."""
-    if quad_degree is None:
-        quad_degree = 2 * field.space.element.degree
-    quad = CellQuadrature(field.space.mesh, quad_degree)
-    tab = tabulate(field.space, quad.rule.points)
-
-    def integrand(cells, wdet, xq, inv):
-        return np.einsum("cq,cq->", wdet, eval_field(field, tab, cells, inv))
-
-    return quad.integrate(integrand)
+    quad = CellQuadrature(field.space.mesh, 2 * field.space.element.degree if quad_degree is None else quad_degree)
+    return quad.integrate(lambda at: at(field))[0]
 
 
 def eoc(errors, hs) -> list[float]:

@@ -139,6 +139,16 @@ class TestProblemCoefficients:
         with pytest.raises(ValueError, match="sigma leaves its declared bounds"):
             assemble_oseen(spaces, coeffs)
 
+    @pytest.mark.parametrize("attr, name", [("nu", "viscosity"), ("sigma", "sigma")])
+    def test_nan_samples_caught_at_assembly(self, attr, name):
+        # a NaN sample fails both "below" and "above" tests; the bounds check must refuse it anyway
+        case = example1_case_2d()
+        coeffs = coefficients_from_case(case)
+        setattr(coeffs, attr, lambda x, y, fn=getattr(case, attr): np.where(x > 0.9, np.nan, fn(x, y)))
+        spaces = method_spaces(build_structured(4, 4), "taylor-hood", "dg1")
+        with pytest.raises(ValueError, match=f"{name} leaves its declared bounds"):
+            SystemAssembler(spaces, coeffs)
+
 
 def test_mismatched_meshes_rejected():
     m1, m2 = build_structured(2, 2), build_structured(2, 2)

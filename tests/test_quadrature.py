@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -197,13 +198,24 @@ def test_cell_integration_of_monomials(degree):
     quad = CellQuadrature(build_structured(**CELL_QUAD_MESH), degree)
     for a in range(degree + 1):
         for b in range(degree + 1 - a):
-
-            def monomial(cells, wdet, xq, inv):
-                return np.einsum("cq,cq->", wdet, xq[..., 0] ** a * xq[..., 1] ** b)
-
-            value = quad.integrate(monomial)
+            value = quad.integrate(lambda at: at(lambda x, y: x**a * y**b))[0]
             exact = (x1 ** (a + 1) - x0 ** (a + 1)) / (a + 1) * (y1 ** (b + 1) - y0 ** (b + 1)) / (b + 1)
             assert abs(value - exact) <= 1e-13 * abs(exact)
+
+
+def test_error_norms_sample_and_evaluate_once_per_chunk(monkeypatch):
+    # the velocity and the vorticity densities both read case.omega: each of the
+    # three chunks samples it once, and evaluates each field once
+    case = example1_case_2d()
+    spaces = method_spaces(build_structured(23, 23), "taylor-hood", "dg1")
+    fields = [interpolate(s, fn) for s, fn in zip(spaces, (case.u, case.omega, case.p))]
+    module = sys.modules[CellQuadrature.__module__]  # the package exports the function quadrature under its name
+    omega, eval_field, sampled, evaluated = case.omega, module.eval_field, [], []
+    case.omega = lambda x, y: sampled.append(x.shape) or omega(x, y)
+    monkeypatch.setattr(module, "eval_field", lambda f, *args: evaluated.append(f) or eval_field(f, *args))
+    error_norms(*fields, case)
+    assert len(sampled) == 3
+    assert [sum(f is g for g in evaluated) for f in fields] == [3, 3, 3]
 
 
 @pytest.mark.parametrize("weights, message", [([0.6, -0.1], "positive"), ([0.25, 0.0, 0.25], "positive"),

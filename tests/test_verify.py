@@ -6,7 +6,7 @@ import pytest
 
 from vvpflow.assembly import assemble_gram_X, assemble_newton, default_quad_degree
 from vvpflow.mesh import build_structured
-from vvpflow.quadrature import quadrature
+from vvpflow.quadrature import CellQuadrature, quadrature
 from vvpflow.solver import NonlinearSettings, SolveReport, solve_newton
 from vvpflow.spaces import DiscreteField, interpolate, method_spaces
 from vvpflow.verify import (
@@ -14,6 +14,7 @@ from vvpflow.verify import (
     ManufacturedCase,
     cavity_coefficients,
     coefficients_from_case,
+    div_norm,
     eoc,
     error_norms,
     example1_case_2d,
@@ -228,6 +229,17 @@ class TestErrorNorms:
         assert error_norms(u_h, w_h, p_h, case)[1] == l2_error(w_h, case.omega, default_quad_degree(V) + 3)
 
 
+    @pytest.mark.parametrize("family, vorticity", [("taylor-hood", "dg1"), ("mini", "cg1"), ("bernardi-raugel", "dg0")])
+    def test_div_norm_is_exact_at_the_assembly_degree(self, family, vorticity):
+        # div u_h is a polynomial on each cell whose square the assembly rule integrates
+        # exactly: a rule three degrees higher gives the same norm
+        V = method_spaces(build_structured(8, 8), family, vorticity)[0]
+        u_h = DiscreteField(V, np.random.default_rng(8).standard_normal(V.n_dofs))
+        quad = CellQuadrature(V.mesh, default_quad_degree(V) + 3)
+        higher = math.sqrt(quad.integrate(lambda at: np.trace(at(u_h, True)[1], axis1=2, axis2=3) ** 2)[0])
+        assert abs(div_norm(u_h) - higher) <= 1e-12 * higher
+
+
 class TestEOC:
     def test_tabulated_error_pair(self):
         rates = eoc([2.49e-1, 5.78e-2], [0.354, 0.177])
@@ -295,6 +307,14 @@ class TestRunConvergence:
         assert np.all(errs[1:] < errs[:-1])
         for rate in report.rates[-1]:
             assert 1.8 <= rate <= 3.0
+
+    def test_continuous_vorticity_six_levels(self):
+        # on to n = 64 the final pair of levels shows second order in all three norms
+        report = run_convergence("taylor-hood", 6, vorticity="cg1")
+        assert not report.partial and all(it <= 6 for it in report.iterations)
+        errs = np.array(report.errors)
+        assert np.all(errs[1:] < errs[:-1])
+        assert all(rate >= 1.9 for rate in report.rates[-1])
 
     def test_level_validation(self):
         with pytest.raises(ValueError):
