@@ -178,7 +178,9 @@ class CellQuadrature:
         key = [self.inv.reshape(nc, 4), self.det[:, None]]
         if dirs is not None and len(dirs) == nc:
             key.append(dirs.reshape(nc, -1))
-        _, first, label = np.unique(np.hstack(key), axis=0, return_index=True, return_inverse=True)
+        key = np.hstack(key)
+        key = key[:, (key != key[0]).any(axis=0)]  # a constant column tells no two cells apart
+        _, first, label = np.unique(key, axis=0, return_index=True, return_inverse=True)
         return first, label.reshape(nc)
 
     def integrate(self, *densities) -> list[float]:

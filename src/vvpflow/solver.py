@@ -36,11 +36,16 @@ part, its one matrix and, while eliminating, the masked data.
 The nonlinear loop holds the last factor it made and refines each later
 system against it while it contracts (the chord and Shamanskii variants
 of Newton's method: Kelley, SIAM 2003, ch. 5); ``solve_linear`` says
-when it refactors and what ``linear_stats`` counts.  Newton's method is
-damped and inexact (Eisenstat & Walker, SIAM J. Optim. 4, 1994; SISC
-17, 1996): step k solves only to ``eta_k ||F_k||_inf`` and takes the
-first of ``STEP_LENGTHS`` that passes the Armijo test, or stops.  Picard
-solves every system to the contract and takes every step whole.
+when it refactors and what ``linear_stats`` counts.  A Newton step that
+cuts the residual by less than ``STALE_CONTRACTION`` releases it, and the
+next system is factored at once.  Newton's method is damped and inexact
+(Eisenstat & Walker, SIAM J. Optim. 4, 1994; SISC 17, 1996): step k
+solves only to ``eta_k ||F_k||_inf``, with ``eta_0`` their largest from a
+zero start and Kelley's safeguard (2003) as the floor, and takes
+the first of ``STEP_LENGTHS`` that passes the Armijo test, or stops.
+Its pressure update is shifted by the constant that solves the pressure
+integral's row exactly, so every state meets that linear constraint.
+Picard solves every system to the contract and takes every step whole.
 """
 
 from __future__ import annotations
@@ -69,8 +74,9 @@ STALE_CONTRACTION = 4.0
 #: rounds a pivot of size ||A|| by up to 6e-8 ||A||, so its factor needs the larger lift.
 CONDENSED = ((np.float32, 1e-7), (np.float64, 1e-8))
 #: Newton's forcing terms: eta_k = min(cap, max(gamma (||F_k|| / ||F_k-1||)^2, floor tol max(1, ||F_0||) / ||F_k||)),
-#: eta_0 the floor's term alone, so that the last step is solved to a thousandth of the tolerance.
-FORCING_CAP, FORCING_GAMMA, FORCING_FLOOR = 0.03, 0.1, 1e-3
+#: eta_0 the cap from a zero start and the floor's term alone from an initial guess; the last step is solved
+#: to half the tolerance.
+FORCING_CAP, FORCING_GAMMA, FORCING_FLOOR = 0.03, 0.1, 0.5
 #: Newton's step lengths in the order tried, the first with ||F(x + l d)|| <= (1 - ARMIJO l) ||F(x)|| taken.
 STEP_LENGTHS, ARMIJO = (1.0, 0.5, 0.25, 0.125, 0.0625), 1e-4
 
@@ -351,7 +357,8 @@ def _solve_nonlinear(spaces, coeffs, settings, g, pressure_target):
             report.failure = f"no convergence in {settings.max_iters} iterations (last residual {res_norm:.3e})"
             break
         if newton:  # eta_k; a zero residual (zero data) is solved to the contract
-            ratio = FORCING_GAMMA * (res_norm / report.residual_history[-2]) ** 2 if report.iterations else 0.0
+            ratio = (FORCING_GAMMA * (res_norm / report.residual_history[-2]) ** 2 if report.iterations
+                     else FORCING_CAP * (settings.initial_guess is None))
             report.forcing.append(min(FORCING_CAP, max(ratio, floor / res_norm if res_norm else 0.0)))
         target = report.forcing[-1] * res_norm if newton else 0.0
         # both solve for the update, with homogeneous elimination (the state
@@ -370,6 +377,11 @@ def _solve_nonlinear(spaces, coeffs, settings, g, pressure_target):
             # non-converged history and the failure note
             report.failure = str(exc)
             break
+        if newton:
+            # the pressure integral's row is linear and no other row sees a constant pressure: a shift of
+            # the pressure update solves that row exactly, whatever the step's forcing term
+            row = system.matrix[-1]
+            update[o[2]:o[3]] += (system.rhs[-1] - (row @ update)[0]) / row.sum()
         del system  # not alive through the next assembly
         for step in STEP_LENGTHS if newton else (1.0,):
             conv = res = None  # a refused trial's values go before the next trial's are made
@@ -383,6 +395,8 @@ def _solve_nonlinear(spaces, coeffs, settings, g, pressure_target):
             report.failure = (f"no step length down to {STEP_LENGTHS[-1]:g} reduces the residual at iteration "
                               f"{report.iterations} (residual {res_norm:.3e}, {trial_norm:.3e} at that length)")
             break
+        if newton and STALE_CONTRACTION * trial_norm > res_norm:
+            held.clear()  # a slow step moved the Jacobian too far for the held factor to precondition it
         report.step_lengths.append(step)
         report.velocity_increments.append(step * _gram_norm(gram_u, label, update[V.cell_dofs]))
         state, res_norm = trial, trial_norm

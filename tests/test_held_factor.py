@@ -3,7 +3,8 @@
 The nonlinear loop keeps the last factor it made and refines each later
 system against it under the residual contract, or a Newton step's looser
 target; it refactors once a refinement step contracts the residual by
-less than ``STALE_CONTRACTION``.
+less than ``STALE_CONTRACTION``, and a Newton step that contracts the
+nonlinear residual by less than that releases the factor.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ from vvpflow.assembly import SystemAssembler, apply_dirichlet
 from vvpflow.mesh import build_structured
 from vvpflow.solver import NonlinearSettings, SolverFailure, solve_linear, solve_newton, solve_picard
 from vvpflow.spaces import interpolate, method_spaces
-from vvpflow.verify import coefficients_from_case, example1_case_2d
+from vvpflow.verify import coefficients_from_case, example1_case_2d, run_cavity
 from test_condensation import assert_contract
 
 
@@ -31,6 +32,8 @@ def refuse_every_stale_factor(monkeypatch):
 
 def test_newton_factors_once_and_each_step_meets_the_contract(monkeypatch):
     case, coeffs, spaces = example1(16)
+    # the last step is solved to half the tolerance, so the fields' 1e-8 comparison needs a tighter one
+    settings = NonlinearSettings(tol=1e-10)
     checked = []
 
     def checking(system, stats=None, held=None, target=0.0):
@@ -41,7 +44,7 @@ def test_newton_factors_once_and_each_step_meets_the_contract(monkeypatch):
 
     original = vvpflow.solver.solve_linear
     monkeypatch.setattr(vvpflow.solver, "solve_linear", checking)
-    u, w, p, rep = solve_newton(spaces, coeffs, g=case.u, pressure_target=case.pressure_integral)
+    u, w, p, rep = solve_newton(spaces, coeffs, settings, g=case.u, pressure_target=case.pressure_integral)
     stats = rep.linear_stats
     assert rep.converged and len(checked) == rep.iterations == 3
     # each step is solved to its forcing term's share of its residual, or to the contract where that is looser
@@ -50,16 +53,42 @@ def test_newton_factors_once_and_each_step_meets_the_contract(monkeypatch):
     assert stats["refactors"] == 0 and stats["float32_given_up"] == 0
     assert stats["stale_steps"] >= stats["reused"] and stats["refine_time"] > 0.0
 
-    refuse_every_stale_factor(monkeypatch)
-    uf, wf, pf, fresh = solve_newton(spaces, coeffs, g=case.u, pressure_target=case.pressure_integral)
+    def refusing(system, stats=None, held=None, target=0.0):
+        if held:  # a held factor that solves nothing: refused at its first step
+            held.update(refused_factor(system))
+        return original(system, stats, held, target=target)
+
+    monkeypatch.setattr(vvpflow.solver, "solve_linear", refusing)
+    uf, wf, pf, fresh = solve_newton(spaces, coeffs, settings, g=case.u, pressure_target=case.pressure_integral)
     assert fresh.linear_stats["factors"] == fresh.iterations == rep.iterations
     assert fresh.linear_stats["reused"] == 0 and fresh.linear_stats["refactors"] == fresh.iterations - 1
     assert "contracted" in fresh.linear_stats["refactor_reason"]
-    # the histories agree to 1e-8 of the first residual; the last entries are at roundoff
+    # the histories agree to the forcing terms: both solves of step k leave a linear residual of at most
+    # eta_k ||F_k||, so the residuals they step to differ by at most twice that
     h, hf = np.array(rep.residual_history), np.array(fresh.residual_history)
-    assert np.abs(h - hf).max() <= 1e-8 * h[0]
+    assert h[0] == hf[0] and np.all(np.abs(h - hf)[1:] <= 2.0 * np.array(rep.forcing) * h[:-1])
     for field, ref in [(u, uf), (w, wf), (p, pf)]:
         assert np.abs(field.coefficients - ref.coefficients).max() <= 1e-8 * np.abs(ref.coefficients).max()
+
+
+def test_the_cavity_tries_no_held_factor_after_a_slow_step(monkeypatch):
+    """A Newton step that cuts the residual by less than ``STALE_CONTRACTION``
+    releases the held factor, so the next system is factored at once."""
+    tried = []
+
+    def recording(system, stats=None, held=None, target=0.0):
+        tried.append(bool(held))
+        return original(system, stats, held, target=target)
+
+    original = vvpflow.solver.solve_linear
+    monkeypatch.setattr(vvpflow.solver, "solve_linear", recording)
+    _, rep = run_cavity(64, 32)
+    h = rep.residual_history
+    assert rep.converged and len(tried) == rep.iterations
+    assert tried == [False] + [h[k] >= vvpflow.solver.STALE_CONTRACTION * h[k + 1] for k in range(rep.iterations - 1)]
+    assert tried.count(False) < rep.iterations - 1  # some step contracted 4x, and some did not
+    assert rep.linear_stats["refactors"] <= 1
+    assert rep.linear_stats["factors"] == rep.linear_stats["refactors"] + tried.count(False)
 
 
 def test_slow_contraction_refactors_with_its_reason():

@@ -402,16 +402,34 @@ def test_exhausted_iterations_give_a_stated_reason():
 
 
 def test_forcing_terms_follow_the_residual_history():
-    # eta_0 is the tolerance's term alone; later ones take the larger of the squared residual ratio's
-    # term and that, capped at 0.03
+    # eta_0 is the cap from a zero start and the tolerance's term alone from an initial guess; later
+    # ones take the larger of the squared residual ratio's term and the tolerance's, capped
+    cap, gamma, floor = vvpflow.solver.FORCING_CAP, vvpflow.solver.FORCING_GAMMA, vvpflow.solver.FORCING_FLOOR
     case, coeffs, spaces = example1_problem(4)
-    rep = solve_newton(spaces, coeffs, g=case.u, pressure_target=case.pressure_integral)[3]
+    u, _, _, rep = solve_newton(spaces, coeffs, g=case.u, pressure_target=case.pressure_integral)
     h = rep.residual_history
-    floor = 1e-3 * 1e-8 * max(1.0, h[0])
-    expected = [min(0.03, floor / h[0])] + [min(0.03, max(0.1 * (h[k] / h[k - 1]) ** 2, floor / h[k]))
-                                            for k in range(1, rep.iterations)]
+    tol_term = floor * 1e-8 * max(1.0, h[0])
+    expected = [cap] + [min(cap, max(gamma * (h[k] / h[k - 1]) ** 2, tol_term / h[k]))
+                        for k in range(1, rep.iterations)]
     assert rep.converged and rep.forcing == pytest.approx(expected, rel=1e-14)
-    assert rep.forcing[0] < 1e-10 and max(rep.forcing) <= 0.03
+    assert rep.forcing[0] == cap and max(rep.forcing) <= cap
+    warm = solve_newton(spaces, coeffs, NonlinearSettings(initial_guess=u), g=case.u,
+                        pressure_target=case.pressure_integral)[3]
+    h = warm.residual_history
+    assert warm.forcing[0] == pytest.approx(floor * 1e-8 * max(1.0, h[0]) / h[0], rel=1e-14)
+    assert warm.converged and warm.forcing[0] < 1e-6
+
+
+@pytest.mark.parametrize("family, vorticity, n", [("taylor-hood", "dg1", 8), ("mini", "cg1", 16),
+                                                  ("bernardi-raugel", "dg0", 8)])
+def test_inexact_steps_keep_the_pressure_integral_on_its_target(family, vorticity, n):
+    # the multiplier's row is linear and no other row sees a constant pressure, so each update is shifted
+    # onto it: the integral meets its target to roundoff, though no step solves its system past eta_k ||F_k||
+    case = example1_case_2d()
+    spaces = method_spaces(build_structured(n, n), family, vorticity)
+    _, _, p, rep = solve_newton(spaces, coefficients_from_case(case), g=case.u, pressure_target=case.pressure_integral)
+    assert rep.converged and min(rep.forcing) > 1e-10
+    assert abs(integral(p) - case.pressure_integral) <= 1e-13 * np.abs(p.coefficients).max()
 
 
 def test_example1_takes_whole_steps_and_the_cavity_starts_with_half_steps():
