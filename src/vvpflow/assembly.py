@@ -54,8 +54,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .ordering import dof_support_centroids, nested_dissection
-from .quadrature import CHUNK, CellQuadrature, _contract, _einsum_path, groups  # noqa: F401 (re-exported)
-from .spaces import DiscreteField, FunctionSpace, boundary_values, chunk_dirs, physical_gradients, tabulate
+from .quadrature import CHUNK, CellQuadrature, _contract, groups
+from .spaces import DiscreteField, FunctionSpace, boundary_values, physical_gradients, tabulate
 
 
 @dataclass
@@ -332,13 +332,13 @@ class VelocityClasses:
 
     def __init__(self, quad: CellQuadrature, tab_v):
         self.quad, self.tab_v = quad, tab_v
-        self.first, self.label = quad.classes(tab_v.dirs)
+        self.first, self.label = quad.classes(tab_v.space.element.directions(quad.mesh))
         self.members = groups(self.label)[1]
         self.shared = np.bincount(self.label) >= len(tab_v.shapes)
 
     def tables(self, ks):
         cells = self.first[ks]
-        dirs = np.broadcast_to(chunk_dirs(self.tab_v, cells), (len(cells),) + self.tab_v.dirs.shape[1:])
+        dirs = self.tab_v.space.element.directions(self.quad.mesh, cells)
         vals = np.einsum("bq,cbi->cbqi", self.tab_v.shapes, dirs)
         grads = np.einsum("cbqj,cbi->cbqij", physical_gradients(self.tab_v, self.quad.inv[cells]), dirs)
         curl = grads[..., 1, 0] - grads[..., 0, 1]

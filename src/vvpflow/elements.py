@@ -124,19 +124,13 @@ class VectorElement:
 
     def directions(self, mesh, cells=slice(None)) -> np.ndarray:
         """Component direction of every local function on ``cells`` (all by
-        default), broadcastable to (n_cells, n_local, 2)."""
-        if self.family == "bernardi-raugel":
-            edges = mesh.cell_edges[cells]
-            dirs = np.zeros((len(edges), self.n_local, 2))
-            dirs[:, 0:6:2, 0] = 1.0
-            dirs[:, 1:6:2, 1] = 1.0
-            # one shared normal per global edge keeps the bubble continuous
-            dirs[:, 6:9, :] = mesh.edge_normals[edges]
-            return dirs
-        dirs = np.zeros((1, self.n_local, 2))
-        dirs[0, 0::2, 0] = 1.0
-        dirs[0, 1::2, 1] = 1.0
-        return dirs
+        default), one row per cell: (len(cells), n_local, 2).  A Lagrange
+        family's is a read-only broadcast of one row, e_x and e_y in turn."""
+        edges = mesh.cell_edges[cells]
+        k = 2 * self.scalar.n_local  # the componentwise functions
+        dirs = np.broadcast_to(np.tile(np.eye(2), (k // 2, 1)), (len(edges), k, 2))
+        # the Bernardi-Raugel bubbles: one shared normal per global edge keeps them continuous
+        return dirs if k == self.n_local else np.concatenate([dirs, mesh.edge_normals[edges]], axis=1)
 
 
 def scalar_element(family: str) -> ScalarElement:

@@ -172,12 +172,12 @@ class CellQuadrature:
     def classes(self, dirs: np.ndarray | None = None):
         """``(first, label)``: the first cell of each affine class and the
         class of every cell.  Cells share a class when their inverse
-        Jacobians and determinants are equal, and also the rows of ``dirs``
-        when it holds per-cell basis directions (nc, nb, 2)."""
+        Jacobians and determinants are equal, and their rows of ``dirs``, if
+        given: a vector basis's directions, one row per cell (nc, nb, 2)."""
         nc = self.mesh.n_cells
         key = [self.inv.reshape(nc, 4), self.det[:, None]]
-        if dirs is not None and len(dirs) == nc:
-            key.append(dirs.reshape(nc, -1))
+        if dirs is not None:  # a row count other than nc fails to stack
+            key.append(dirs.reshape(len(dirs), -1))
         key = np.hstack(key)
         key = key[:, (key != key[0]).any(axis=0)]  # a constant column tells no two cells apart
         _, first, label = np.unique(key, axis=0, return_index=True, return_inverse=True)

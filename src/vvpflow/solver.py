@@ -1,14 +1,14 @@
 """Nonlinear and linear solves, plus small-data diagnostics.
 
 The nonlinear problem is solved by a Picard loop (refreezing the
-advecting field at the previous velocity) or by Newton's method, from a
-zero initial state with the boundary values lifted in, until the full
-residual drops below the tolerance in absolute or relative (to the first
-residual) max norm.  A residual needs no matrix, so each update
-assembles only the one it solves: the Oseen matrix (Picard) or the
-Jacobian (Newton).  A run that uses up its iterations, meets a
-non-finite residual or cannot solve a linear system stops with the
-reason in ``SolveReport.failure``.
+advecting field at the previous velocity) or by Newton's method, from
+the settings' ``initial_guess`` (else zero) with the boundary values
+lifted in, until the full residual drops below the tolerance in absolute
+or relative (to the first residual) max norm.  A residual needs no
+matrix, so each update assembles only the one it solves: the Oseen
+matrix (Picard) or the Jacobian (Newton).  A run that uses up its
+iterations, meets a non-finite residual or cannot solve a linear system
+stops with the reason in ``SolveReport.failure``.
 
 Each linear system is solved directly.  The cell-local unknowns (dg
 vorticity, MINI bubbles) are eliminated cell by cell with batched
@@ -419,7 +419,7 @@ def solve_picard(spaces, coeffs, settings=None, g=None, pressure_target: float =
 
 
 def solve_newton(spaces, coeffs, settings=None, g=None, pressure_target: float = 0.0):
-    """Newton's method on the assembled residual, zero initial state."""
+    """Newton's method on the assembled residual, from ``settings.initial_guess`` (else zero)."""
     settings = settings or NonlinearSettings(method="newton")
     if settings.method != "newton":
         raise ValueError("settings.method must be 'newton'")

@@ -255,28 +255,22 @@ def interpolate(space: FunctionSpace, fn) -> DiscreteField:
 
 @dataclass(eq=False)
 class SpaceTabulation:
-    """Reference tabulation of one space at a fixed point set."""
+    """The reference shapes and gradients of one space at a fixed point set,
+    the same in every cell; a vector basis's directions are the cells' own."""
 
     space: FunctionSpace
     shapes: np.ndarray  # (n_local, npts)
     dshapes: np.ndarray  # (n_local, npts, 2)
-    dirs: np.ndarray | None  # (nc | 1, n_local, 2) for vector spaces
 
 
-def tabulate(space: FunctionSpace, points: np.ndarray, cells=slice(None)) -> SpaceTabulation:
-    """Reference tabulation, with the basis directions of ``cells`` only."""
-    shapes, dshapes = space.element.tabulate(points)
-    dirs = space.element.directions(space.mesh, cells) if space.vector else None
-    return SpaceTabulation(space, shapes, dshapes, dirs)
+def tabulate(space: FunctionSpace, points: np.ndarray) -> SpaceTabulation:
+    """The reference shapes and gradients of ``space`` at ``points``."""
+    return SpaceTabulation(space, *space.element.tabulate(points))
 
 
 def physical_gradients(tab: SpaceTabulation, inv: np.ndarray) -> np.ndarray:
     """Shape gradients in physical coordinates, (ncells, n_local, npts, 2)."""
     return np.einsum("bqk,cki->cbqi", tab.dshapes, inv, optimize=True)
-
-
-def chunk_dirs(tab: SpaceTabulation, cells: slice | np.ndarray) -> np.ndarray:
-    return tab.dirs if tab.dirs.shape[0] == 1 else tab.dirs[cells]
 
 
 def eval_field(field: DiscreteField, tab: SpaceTabulation, cells, inv, grad: bool = False):
@@ -286,13 +280,15 @@ def eval_field(field: DiscreteField, tab: SpaceTabulation, cells, inv, grad: boo
     requested, gradients (ncells, npts, 2) or (ncells, npts, 2, 2) with
     layout grad[..., i, j] = d v_i / d x_j.
 
-    The field is contracted before it is mapped: the cell coefficients
-    (times the directions of a vector basis) meet the reference shapes and
+    ``cells`` are any cells of the field's mesh, in any order, and ``inv``
+    their inverse Jacobians (read only for ``grad``).  The field is
+    contracted before it is mapped: the cell coefficients (times a vector
+    basis's directions on ``cells``) meet the reference shapes and
     gradients in one GEMM, then each cell's ``inv`` maps its gradients.
     """
     coefs = field.coefficients[field.space.cell_dofs[cells]][:, None, :]  # (cells, component, basis)
     if field.space.vector:
-        coefs = coefs * chunk_dirs(tab, cells).transpose(0, 2, 1)
+        coefs = coefs * field.space.element.directions(field.space.mesh, cells).transpose(0, 2, 1)
     nc, ni, nb = coefs.shape
     coefs = coefs.reshape(nc * ni, nb)
     vals = (coefs @ tab.shapes).reshape(nc, ni, -1).transpose(0, 2, 1)
@@ -331,8 +327,7 @@ def eval_cell(field: DiscreteField, cell: int, point) -> EvalResult:
     space = field.space
     pt = reference_point(point)
     _, inv_t, _ = cell_geometry(space.mesh, cell)
-    cells = np.array([cell])
-    vals, grads = eval_field(field, tabulate(space, pt, cells), cells, inv_t.T[None], grad=True)
+    vals, grads = eval_field(field, tabulate(space, pt), [cell], inv_t.T[None], grad=True)
     return EvalResult(vals[0, 0] if space.vector else float(vals[0, 0]), grads[0, 0], space.vector)
 
 

@@ -302,8 +302,8 @@ def run_convergence(
     kappa2: float | None = None,
 ) -> ConvergenceReport:
     """Solve on meshes n = 2, 4, ..., 2^levels and tabulate errors/rates."""
-    if levels < 2:
-        raise ValueError("a convergence study needs at least two levels")
+    if isinstance(levels, bool) or not (isinstance(levels, (int, np.integer)) and levels >= 2):  # a bool is an int
+        raise ValueError(f"a convergence study needs at least two levels, an integer, got {levels!r}")
     case = case or example1_case_2d()
     coeffs = coefficients_from_case(case, kappa1=kappa1, kappa2=kappa2)
     settings = settings or NonlinearSettings(method="newton", tol=1e-8)

@@ -15,7 +15,10 @@ indptr, indices and data:
   assembler, at the random beta;
 
 the ``cell_dofs``, ``dirichlet_dofs`` and ``local_dofs`` of each space and the
-interpolants of the exact u, w and p;
+interpolants of the exact u, w and p, and what field evaluation makes of
+them: their ``error_norms`` and u's ``div_norm``, the ``vertex_values`` of u
+and w, and ``eval_cell`` of u (value and gradient) at ``POINT`` in the
+first, a middle and the last cell;
 
 the mesh's ``edges``, ``cell_edges``, ``edge_lengths``, ``edge_normals``
 and ``h``, and its ``boundary_edges`` of each side in ``BOUNDARY_TAGS`` (the
@@ -59,6 +62,7 @@ MESH = (7, 3, (0.0, 0.0, 2.0, 1.0))  # nx, ny and the rectangle
 COUNTERS = ("n_solves", "factors", "reused", "stale_steps", "refactors", "fill", "condensed", "float32_factors",
             "float32_given_up")
 TOL = 1e-8  # the dumped solves' tolerance, NonlinearSettings' default
+POINT = (0.2, 0.3)  # the reference point at which the interpolated u is evaluated cell by cell
 SOLUTION_GAP = 1e-8
 # what the change under comparison may move: the eliminated matrix keeps its exact zeros, the
 # condensed complement's structural pattern, zeros included, sets the fill, and the residual sums
@@ -110,6 +114,20 @@ def _solution(out: dict, name: str, u, w, p, report) -> None:
     out[f"{name}.linear_stats"] = np.array([report.linear_stats.get(key, 0) for key in COUNTERS])
 
 
+def _evaluations(out: dict, tag: str, case, u, w, p) -> None:
+    """What field evaluation makes of the interpolants ``u``, ``w`` and ``p``."""
+    import vvpflow as vf
+
+    out[f"{tag}/interpolant.error_norms"] = np.array(vf.error_norms(u, w, p, case))
+    out[f"{tag}/u.div_norm"] = np.array(vf.div_norm(u))
+    for label, field in (("u", u), ("w", w)):
+        out[f"{tag}/{label}.vertex_values"] = vf.vertex_values(field)
+    nc = u.space.mesh.n_cells
+    at = [vf.eval_cell(u, cell, POINT) for cell in (0, nc // 2, nc - 1)]
+    out[f"{tag}/u.eval_cell.value"] = np.array([a.value for a in at])
+    out[f"{tag}/u.eval_cell.gradient"] = np.array([a.gradient for a in at])
+
+
 def _first_factored(out: dict, name: str, solve):
     """``solve()``, with the first matrix it hands to ``splu`` dumped as ``name``."""
     import scipy.sparse.linalg as spla
@@ -143,10 +161,12 @@ def dump(path: str) -> None:
         tag = f"{family}/{vorticity}/{n}"
         spaces = vf.method_spaces(vf.build_structured(n, n), family, vorticity)
         _mesh(out, f"{tag}/mesh", spaces[0].mesh)
-        for label, space, exact in zip("uwp", spaces, (case.u, case.omega, case.p)):
+        fields = [vf.interpolate(space, exact) for space, exact in zip(spaces, (case.u, case.omega, case.p))]
+        for label, space, field in zip("uwp", spaces, fields):
             for name in ("cell_dofs", "dirichlet_dofs", "local_dofs"):
                 out[f"{tag}/{label}.{name}"] = getattr(space, name)
-            out[f"{tag}/{label}.interpolant"] = vf.interpolate(space, exact).coefficients
+            out[f"{tag}/{label}.interpolant"] = field.coefficients
+        _evaluations(out, tag, case, *fields)
         asm = vf.SystemAssembler(spaces, coeffs)
         state = np.random.default_rng(n).standard_normal(asm.block_index[4])
         beta = vf.DiscreteField(spaces[0], state[: asm.block_index[1]])

@@ -12,8 +12,6 @@ from vvpflow.assembly import (
     CSRPattern,
     ProblemCoefficients,
     SystemAssembler,
-    _contract,
-    _einsum_path,
     apply_dirichlet,
     assemble_gram_X,
     assemble_newton,
@@ -22,7 +20,7 @@ from vvpflow.assembly import (
 )
 from vvpflow.elements import GRAD_LAMBDA
 from vvpflow.mesh import build_structured, cell_geometry
-from vvpflow.quadrature import physical_points, quadrature
+from vvpflow.quadrature import _contract, _einsum_path, physical_points, quadrature
 from vvpflow.solver import solve_linear
 from vvpflow.spaces import DiscreteField, build_space, eval_field, interpolate, method_spaces, tabulate
 from vvpflow.verify import coefficients_from_case, example1_case_2d

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings, strategies as st
 
 from assembled_parts import parts
 from vvpflow.assembly import SystemAssembler, VelocityClasses, assemble_gram_X, default_quad_degree, gram_values
@@ -43,7 +44,7 @@ MESHES = {"23x23": lambda: build_structured(23, 23), "perturbed": lambda: pertur
 def class_count(mesh, family="taylor-hood", vorticity="dg1"):
     V = method_spaces(mesh, family, vorticity)[0]
     quad = CellQuadrature(mesh, default_quad_degree(V))
-    return len(quad.classes(tabulate(V, quad.rule.points).dirs)[0])
+    return len(quad.classes(V.element.directions(mesh))[0])
 
 
 @pytest.mark.parametrize("family", ["taylor-hood", "bernardi-raugel"])
@@ -85,7 +86,7 @@ def per_cell_reference(spaces, coeffs, beta):
     xq = physical_points(rule, jac, mesh.vertices[mesh.cells[:, 0]])
     x, y = xq[..., 0], xq[..., 1]
     tab = tabulate(V, rule.points)
-    dirs = np.broadcast_to(tab.dirs, (nc,) + tab.dirs.shape[1:])
+    dirs = V.element.directions(mesh)
     vv = np.einsum("bq,cbi->cbqi", tab.shapes, dirs)
     gv = np.einsum("cbqj,cbi->cbqij", physical_gradients(tab, inv), dirs)
     curl = gv[..., 1, 0] - gv[..., 0, 1]
@@ -193,7 +194,7 @@ def per_cell_field(field, tab, inv):
     dphys = physical_gradients(tab, inv)
     if not field.space.vector:
         return np.einsum("cb,bq->cq", coefs, tab.shapes), np.einsum("cb,cbqj->cqj", coefs, dphys)
-    dirs = np.broadcast_to(tab.dirs, (len(coefs),) + tab.dirs.shape[1:])
+    dirs = field.space.element.directions(field.space.mesh)
     return np.einsum("cb,bq,cbi->cqi", coefs, tab.shapes, dirs), np.einsum("cb,cbqj,cbi->cqij", coefs, dphys, dirs)
 
 
@@ -214,6 +215,59 @@ def test_eval_field_matches_the_per_cell_basis(family, vector):
     at = eval_cell(field, cell, point)
     assert np.abs(at.value - value).max() <= 1e-13 * np.abs(value).max()
     assert np.abs(at.gradient - gradient).max() <= 1e-13 * np.abs(gradient).max()
+
+
+FAMILIES = [("p2", True), ("p1bubble", True), ("bernardi-raugel", True), ("p1", False), ("dg0", False), ("dg1", False)]
+
+
+def jittered_mesh(nx, ny, rect, rng, jitter):
+    """A structured mesh of ``rect`` whose interior vertices are moved by up to
+    ``jitter`` times the grid spacing in each coordinate."""
+    mesh = build_structured(nx, ny, rect)
+    x0, y0, x1, y1 = mesh.rect
+    x, y = mesh.vertices.T
+    interior = (x > x0) & (x < x1) & (y > y0) & (y < y1)
+    spacing = np.array([(x1 - x0) / nx, (y1 - y0) / ny])
+    mesh.vertices[interior] += rng.uniform(-jitter, jitter, (interior.sum(), 2)) * spacing
+    t = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
+    mesh.edge_lengths = np.hypot(t[:, 0], t[:, 1])
+    mesh.edge_normals = np.column_stack([t[:, 1], -t[:, 0]]) / mesh.edge_lengths[:, None]
+    return mesh
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.tuples(*[st.floats(-10.0, 10.0)] * 2, *[st.floats(0.1, 10.0)] * 2),
+       st.sampled_from([0.0, 0.2]), st.booleans(), st.sampled_from(FAMILIES), st.integers(0, 2**32 - 1))
+def test_fields_and_classes_on_any_cells_in_any_order(nx, ny, rect, jitter, flip, family, seed):
+    rng = np.random.default_rng(seed)
+    mesh = jittered_mesh(nx, ny, (rect[0], rect[1], rect[0] + rect[2], rect[1] + rect[3]), rng, jitter)
+    if flip:  # an edge normal's sign is a convention its two cells share; flipped, it parts cells of one geometry
+        mesh.edge_normals *= rng.choice([-1.0, 1.0], (mesh.n_edges, 1))
+    _, inv, det = geometry_arrays(mesh)
+    assume(np.all(det > 0))
+    space = build_space(mesh, *family)
+    field = DiscreteField(space, rng.standard_normal(space.n_dofs))
+    # the cells, a random subset in random order, and one point in the reference triangle among the quadrature's
+    cells = rng.permutation(mesh.n_cells)[: rng.integers(1, mesh.n_cells + 1)]
+    point = rng.random(2)
+    point = np.where(point.sum() > 1.0, 1.0 - point[::-1], point)
+    tab = tabulate(space, np.vstack([quadrature(4).points, point]))
+    got, refs = eval_field(field, tab, cells, inv[cells], grad=True), per_cell_field(field, tab, inv)
+    for g, ref in zip(got, refs):
+        assert np.abs(g - ref[cells]).max() <= 1e-13 * np.abs(ref).max()
+    at = eval_cell(field, int(cells[-1]), point)
+    for g, row, ref in zip((at.value, at.gradient), got, refs):
+        assert np.abs(g - row[-1, -1]).max() <= 1e-13 * np.abs(ref).max()
+    # two cells share a class exactly when their geometry and directions are equal
+    dirs = space.element.directions(mesh) if space.vector else np.empty((mesh.n_cells, 0))
+    quad = CellQuadrature(mesh, 2)
+    first, label = quad.classes(dirs if space.vector else None)
+    key = np.hstack([inv.reshape(-1, 4), det[:, None], dirs.reshape(mesh.n_cells, -1)])
+    assert np.array_equal((key[:, None] == key[None]).all(axis=2), label[:, None] == label[None])
+    assert np.array_equal(first, [np.flatnonzero(label == k)[0] for k in range(len(first))])
+    if space.vector:  # one cell's directions describe no other cell
+        with pytest.raises(ValueError):
+            quad.classes(space.element.directions(mesh, [0]))
 
 
 def test_physical_gradients_are_the_plain_einsum_bit_for_bit():

@@ -77,7 +77,7 @@ def test_componentwise_vector_layout():
     assert elem.n_local == 12
     mesh = build_structured(2, 2)
     dirs = elem.directions(mesh)
-    assert dirs.shape == (1, 12, 2)
+    assert dirs.shape == (mesh.n_cells, 12, 2)
     assert np.allclose(dirs[0, 0::2], [1.0, 0.0])
     assert np.allclose(dirs[0, 1::2], [0.0, 1.0])
 

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -319,6 +320,15 @@ class TestRunConvergence:
     def test_level_validation(self):
         with pytest.raises(ValueError):
             run_convergence("taylor-hood", levels=1)
+
+    @pytest.mark.parametrize("levels", [3.0, 2.5, "3", True, 0, np.float64(2.0)])
+    def test_levels_that_are_no_integer_of_at_least_two_are_named(self, levels):
+        with pytest.raises(ValueError, match=f"got {re.escape(repr(levels))}"):
+            run_convergence("taylor-hood", levels=levels)
+
+    def test_numpy_integer_levels_run(self):
+        report = run_convergence("taylor-hood", levels=np.int64(2))
+        assert [dof for _, dof in report.levels] == [84, 284]
 
     def test_the_report_reads_its_levels_solve_reports(self):
         report = run_convergence("taylor-hood", levels=3)
